@@ -1,4 +1,5 @@
-"""Biased scaled dot-product attention, multi-head wrapper, and a naive
+"""Biased scaled dot-product attention, multi-head wrapper, the residual and
+feed-forward sublayers shared by encoder and decoder layers, and a naive
 reference oracle used for equivalence testing."""
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import DegenerateRowError, ShapeError
+from .params import Params
 from .positional import BiasMatrix
 
 
@@ -22,6 +24,11 @@ class AttentionProjections:
     wk: Var
     wv: Var
     wo: Var
+
+    @classmethod
+    def from_params(cls, params: Params, prefix: str) -> "AttentionProjections":
+        """The ``{prefix}.wq/wk/wv/wo`` parameters."""
+        return cls(*(params[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo")))
 
 
 @dataclass
@@ -99,6 +106,19 @@ def mh_attention(
         if record is not None:
             record.head_weights.append(weights.data.copy())
     return ad.matmul(ad.concat_cols(outs), proj.wo), record
+
+
+def add_norm(x, sublayer_out, params: Params, prefix: str) -> Var:
+    """Residual connection, then layer norm with ``{prefix}.gain/offset``."""
+    return ad.layer_norm(
+        ad.add(x, sublayer_out), params[f"{prefix}.gain"], params[f"{prefix}.offset"]
+    )
+
+
+def feed_forward(x, params: Params, prefix: str) -> Var:
+    """Rectifier feed-forward with ``{prefix}.w1/b1/w2/b2``."""
+    hidden = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return ad.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def attention_oracle(q, k, v, bias: BiasMatrix | None) -> np.ndarray:

@@ -338,21 +338,17 @@ def resample_rows(x, target_len: int) -> Var:
 
     Row u of the output samples source coordinate u*(T-1)/(target_len-1), so
     endpoints are preserved exactly. Degenerate cases (one source row or one
-    target row) repeat / take the first row.
+    target row) repeat / take the first row, with interpolation weight zero on
+    the clamped neighbour.
     """
     x = _as_var(x)
     t = x.rows
     if target_len < 1:
         raise ShapeError(f"target_len must be >= 1, got {target_len}")
-    if t == 1:
-        idx = np.zeros(target_len, dtype=np.intp)
-        return slice_rows_gather(x, idx)
-    if target_len == 1:
-        return slice_rows(x, 0, 1)
-    pos = np.arange(target_len) * ((t - 1) / (target_len - 1))
-    lo = np.minimum(pos.astype(np.intp), t - 2)
+    pos = np.arange(target_len) * ((t - 1) / max(target_len - 1, 1))
+    lo = np.minimum(pos.astype(np.intp), max(t - 2, 0))
+    hi = np.minimum(lo + 1, t - 1)
     frac = (pos - lo)[:, None]
-    hi = lo + 1
     out = x.data[lo] * (1.0 - frac) + x.data[hi] * frac
     shape = x.shape
 
@@ -363,20 +359,6 @@ def resample_rows(x, target_len: int) -> Var:
         return (gx,)
 
     return _make(out, (x,), vjp)
-
-
-def slice_rows_gather(x, idx: Array) -> Var:
-    """Select rows by an index vector (rows may repeat)."""
-    x = _as_var(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    shape = x.shape
-
-    def vjp(g: Array):
-        gx = np.zeros(shape)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _make(x.data[idx], (x,), vjp)
 
 
 def slice_rows(x, start: int, stop: int) -> Var:

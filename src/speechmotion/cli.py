@@ -11,6 +11,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import synthetic
@@ -126,14 +127,8 @@ def _cmd_train(args) -> int:
         feature_rate=meta["feature_rate"],
         motion_rate=meta["motion_rate"],
     )
-    tcfg = parsed.train
-    params = init_params(cfg, tcfg.seed)
-    params, history = train(
-        dataset, params, cfg, tcfg.epochs, tcfg.seed,
-        lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2, eps=tcfg.eps,
-        grad_clip=tcfg.grad_clip, detach_rollout=tcfg.detach_rollout,
-        freeze_extractor=tcfg.freeze_extractor,
-    )
+    params = init_params(cfg, parsed.train.seed)
+    params, history = train(dataset, params, cfg, **asdict(parsed.train))
     save_checkpoint(args.out, params, cfg)
     loss_csv = args.loss_csv or f"{args.out}.loss.csv"
     lines = ["step,epoch,sample,loss,rmse"]

@@ -45,10 +45,6 @@ class ModelConfig:
         return self.dim // self.heads
 
     @property
-    def value_dim(self) -> int:
-        return self.dim // self.heads
-
-    @property
     def motion_dim(self) -> int:
         return 3 * self.vertices
 
@@ -98,8 +94,15 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        # the negated comparisons reject NaN as well
+        for name in ("lr", "eps", "grad_clip"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         return self
 
 
@@ -127,7 +130,6 @@ def profile(name: str) -> ModelConfig:
         raise ConfigError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
 
 
-# Configuration-file schema: key -> (dataclass, field, parser).
 def _parse_bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -137,37 +139,16 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-CONFIG_KEYS: dict[str, tuple[str, str, type | object]] = {
-    # ModelConfig
-    "dim": ("model", "dim", int),
-    "heads": ("model", "heads", int),
-    "period": ("model", "period", int),
-    "feature_rate": ("model", "feature_rate", float),
-    "motion_rate": ("model", "motion_rate", float),
-    "encoder_layers": ("model", "encoder_layers", int),
-    "decoder_layers": ("model", "decoder_layers", int),
-    "ff_dim": ("model", "ff_dim", int),
-    "vertices": ("model", "vertices", int),
-    "identities": ("model", "identities", int),
-    "feature_dim": ("model", "feature_dim", int),
-    "encoder_dim": ("model", "encoder_dim", int),
-    "encoder_heads": ("model", "encoder_heads", int),
-    "pe_mode": ("model", "pe_mode", str),
-    "output_space": ("model", "output_space", str),
+# Configuration-file schema: key -> (target, parser), one key per dataclass
+# field, parsed by the field's annotated type.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+
+CONFIG_KEYS: dict[str, tuple[str, type | object]] = {
+    **{f.name: ("model", _PARSERS[f.type]) for f in fields(ModelConfig)},
     # derived ModelConfig fields, accepted only for cross-checking
-    "frame_ratio": ("check", "frame_ratio", int),
-    "head_dim": ("check", "head_dim", int),
-    "value_dim": ("check", "value_dim", int),
-    # TrainConfig
-    "epochs": ("train", "epochs", int),
-    "seed": ("train", "seed", int),
-    "lr": ("train", "lr", float),
-    "beta1": ("train", "beta1", float),
-    "beta2": ("train", "beta2", float),
-    "eps": ("train", "eps", float),
-    "grad_clip": ("train", "grad_clip", float),
-    "freeze_extractor": ("train", "freeze_extractor", _parse_bool),
-    "detach_rollout": ("train", "detach_rollout", _parse_bool),
+    "frame_ratio": ("check", int),
+    "head_dim": ("check", int),
+    **{f.name: ("train", _PARSERS[f.type]) for f in fields(TrainConfig)},
 }
 
 
@@ -192,17 +173,17 @@ def build_configs(values: dict[str, str]) -> ParsedConfig:
     train_kwargs: dict = {}
     checks: dict[str, int] = {}
     for key, raw in values.items():
-        target, attr, parser = CONFIG_KEYS[key]
+        target, parser = CONFIG_KEYS[key]
         try:
             parsed = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}")
         if target == "model":
-            model_kwargs[attr] = parsed
+            model_kwargs[key] = parsed
         elif target == "train":
-            train_kwargs[attr] = parsed
+            train_kwargs[key] = parsed
         else:
-            checks[attr] = parsed
+            checks[key] = parsed
     model = ModelConfig(**model_kwargs).validate()
     train = TrainConfig(**train_kwargs).validate()
     for attr, claimed in checks.items():

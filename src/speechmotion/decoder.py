@@ -7,7 +7,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionProjections, AttentionRecord, mh_attention
+from .attention import (
+    AttentionProjections,
+    AttentionRecord,
+    add_norm,
+    feed_forward,
+    mh_attention,
+)
 from .autodiff import Var
 from .config import ModelConfig
 from .encoder import AudioInput, EncodedAudio, encode
@@ -43,13 +49,6 @@ def embed_step(
     return ad.add_const(base, ppe_row(t, cfg))
 
 
-def _decoder_biases(t: int, enc: EncodedAudio, cfg: ModelConfig):
-    return (
-        decoder_self_bias(t, cfg),
-        alignment_bias(t, enc.motion_len, enc.frame_ratio),
-    )
-
-
 def decoder_layer(
     fhat: Var,
     enc: EncodedAudio,
@@ -70,38 +69,20 @@ def decoder_layer(
             f"prefix of {t} rows exceeds audio coverage of {enc.motion_len} frames"
         )
     p = f"dec.layer{layer}"
-    self_bias, cross_bias = _decoder_biases(t, enc, cfg)
-    slopes = head_slopes(cfg.heads)
+    self_bias = decoder_self_bias(t, cfg)
+    cross_bias = alignment_bias(t, enc.motion_len, enc.frame_ratio)
 
-    self_proj = AttentionProjections(
-        params[f"{p}.self.wq"], params[f"{p}.self.wk"],
-        params[f"{p}.self.wv"], params[f"{p}.self.wo"],
-    )
     attn, rec_self = mh_attention(
-        fhat, fhat, self_proj, cfg.heads, self_bias, slopes, capture=capture
+        fhat, fhat, AttentionProjections.from_params(params, f"{p}.self"),
+        cfg.heads, self_bias, head_slopes(cfg.heads), capture=capture,
     )
-    x1 = ad.layer_norm(
-        ad.add(fhat, attn), params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"]
-    )
-
-    cross_proj = AttentionProjections(
-        params[f"{p}.cross.wq"], params[f"{p}.cross.wk"],
-        params[f"{p}.cross.wv"], params[f"{p}.cross.wo"],
-    )
+    x1 = add_norm(fhat, attn, params, f"{p}.ln1")
     cross, rec_cross = mh_attention(
-        x1, enc.a, cross_proj, cfg.heads, cross_bias, capture=capture
+        x1, enc.a, AttentionProjections.from_params(params, f"{p}.cross"),
+        cfg.heads, cross_bias, capture=capture,
     )
-    x2 = ad.layer_norm(
-        ad.add(x1, cross), params[f"{p}.ln2.gain"], params[f"{p}.ln2.offset"]
-    )
-
-    ff = ad.linear(
-        ad.relu(ad.linear(x2, params[f"{p}.ff.w1"], params[f"{p}.ff.b1"])),
-        params[f"{p}.ff.w2"], params[f"{p}.ff.b2"],
-    )
-    out = ad.layer_norm(
-        ad.add(x2, ff), params[f"{p}.ln3.gain"], params[f"{p}.ln3.offset"]
-    )
+    x2 = add_norm(x1, cross, params, f"{p}.ln2")
+    out = add_norm(x2, feed_forward(x2, params, f"{p}.ff"), params, f"{p}.ln3")
 
     records = None
     if capture:

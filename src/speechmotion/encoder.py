@@ -8,7 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionProjections, AttentionRecord, mh_attention
+from .attention import (
+    AttentionProjections,
+    AttentionRecord,
+    add_norm,
+    feed_forward,
+    mh_attention,
+)
 from .autodiff import Var
 from .config import ModelConfig
 from .errors import AudioError
@@ -95,10 +101,7 @@ def infer_motion_len(feature_rows: int, audio_rate: float, cfg: ModelConfig) -> 
 def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
                    capture: list[AttentionRecord] | None) -> Var:
     p = f"enc.layer{i}"
-    proj = AttentionProjections(
-        params[f"{p}.attn.wq"], params[f"{p}.attn.wk"],
-        params[f"{p}.attn.wv"], params[f"{p}.attn.wo"],
-    )
+    proj = AttentionProjections.from_params(params, f"{p}.attn")
     attn, record = mh_attention(
         x, x, proj, cfg.encoder_heads, base_bias=None, capture=capture is not None
     )
@@ -107,16 +110,8 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
         record.layer = i
         record.step = x.rows - 1
         capture.append(record)
-    x = ad.layer_norm(
-        ad.add(x, attn), params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"]
-    )
-    ff = ad.linear(
-        ad.relu(ad.linear(x, params[f"{p}.ff.w1"], params[f"{p}.ff.b1"])),
-        params[f"{p}.ff.w2"], params[f"{p}.ff.b2"],
-    )
-    return ad.layer_norm(
-        ad.add(x, ff), params[f"{p}.ln2.gain"], params[f"{p}.ln2.offset"]
-    )
+    x = add_norm(x, attn, params, f"{p}.ln1")
+    return add_norm(x, feed_forward(x, params, f"{p}.ff"), params, f"{p}.ln2")
 
 
 def encode(

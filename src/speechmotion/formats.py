@@ -110,10 +110,12 @@ def _config_vector(cfg: ModelConfig) -> np.ndarray:
     return np.asarray([values])
 
 
-def _config_from_vector(vec: np.ndarray) -> ModelConfig:
+def _config_from_vector(vec: np.ndarray, path) -> ModelConfig:
     flat = vec.ravel()
     if flat.size != 18:
-        raise FormatError(f"config entry has {flat.size} values, expected 18")
+        raise FormatError(f"{path}: config entry has {flat.size} values, expected 18")
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: config entry holds non-finite values")
     kwargs = {}
     for i, name in enumerate(_CONFIG_FIELDS):
         value = flat[i]
@@ -124,11 +126,11 @@ def _config_from_vector(vec: np.ndarray) -> ModelConfig:
         kwargs["pe_mode"] = PE_MODES[pe_idx]
         kwargs["output_space"] = OUTPUT_SPACES[out_idx]
     except IndexError:
-        raise FormatError(f"config entry has bad enum codes {pe_idx}/{out_idx}")
+        raise FormatError(f"{path}: config entry has bad enum codes {pe_idx}/{out_idx}")
     try:
         return ModelConfig(**kwargs).validate()
     except ConfigError as exc:
-        raise FormatError(f"checkpoint config is invalid: {exc}")
+        raise FormatError(f"{path}: checkpoint config is invalid: {exc}")
 
 
 def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
@@ -166,7 +168,10 @@ def _read_checkpoint_entries(path) -> dict[str, np.ndarray]:
             raise FormatError(f"{path}: truncated entry header")
         (name_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry name at byte {offset} is not UTF-8")
         offset += name_len
         if offset + 8 > end:
             raise FormatError(f"{path}: truncated entry shape")
@@ -189,7 +194,7 @@ def load_checkpoint(path) -> tuple[Params, ModelConfig]:
     entries = _read_checkpoint_entries(path)
     if CONFIG_ENTRY not in entries:
         raise FormatError(f"{path}: missing {CONFIG_ENTRY!r} entry")
-    cfg = _config_from_vector(entries.pop(CONFIG_ENTRY))
+    cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)
     params = {name: Var(data) for name, data in entries.items()}
     try:
         validate_shapes(params, cfg)
@@ -202,7 +207,7 @@ def checkpoint_summary(path) -> list[str]:
     entries = _read_checkpoint_entries(path)
     lines = []
     if CONFIG_ENTRY in entries:
-        cfg = _config_from_vector(entries.pop(CONFIG_ENTRY))
+        cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)
         lines.append(f"config: {cfg}")
     lines.append(f"entries: {len(entries)}")
     for name, data in entries.items():

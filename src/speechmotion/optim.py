@@ -9,6 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .autodiff import Array, Var
+from .config import TrainConfig
 
 log = logging.getLogger(__name__)
 
@@ -34,10 +35,10 @@ def adam_step(
     params: Mapping[str, Var],
     grads: Mapping[str, Array],
     state: AdamState,
-    lr: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    lr: float = TrainConfig.lr,
+    beta1: float = TrainConfig.beta1,
+    beta2: float = TrainConfig.beta2,
+    eps: float = TrainConfig.eps,
 ) -> tuple[dict[str, Var], AdamState]:
     """One bias-corrected Adam update; returns a new bundle and new state.
 

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .attention import AttentionRecord
 from .autodiff import Tape, Var, backward
-from .config import ModelConfig
+from .config import ModelConfig, TrainConfig
 from .decoder import rollout
 from .encoder import AudioInput, encode
 from .errors import DivergenceError, ShapeError
@@ -101,16 +101,8 @@ def train(
     epochs: int,
     seed: int,
     *,
-    lr: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    grad_clip: float = 1.0,
-    detach_rollout: bool = False,
-    freeze_extractor: bool = True,
-    stop_rmse: float | None = None,
     keep_best: bool = False,
-    on_epoch: Callable[[int, float], None] | None = None,
+    **knobs,
 ) -> tuple[Params, list[TrainStep]]:
     """Autoregressive training: one Adam step per sequence per epoch.
 
@@ -119,10 +111,15 @@ def train(
     MSE is backpropagated through the entire unrolled computation, and one
     optimizer step is applied. Fully deterministic for fixed inputs.
 
+    ``knobs`` are the other :class:`TrainConfig` fields (``lr``, ``beta1``,
+    ``grad_clip``, ...), with its defaults and its validation; an unknown
+    name raises ``TypeError``.
+
     ``keep_best`` re-evaluates the full training set at every epoch end and
     returns the parameters with the lowest autoregressive RMSE instead of the
     last epoch's (a simple best-loss checkpoint).
     """
+    tc = TrainConfig(epochs=epochs, seed=seed, **knobs).validate()
     if not dataset:
         raise ShapeError("training needs a nonempty dataset")
     widths = {s.motion.shape[1] for s in dataset}
@@ -133,21 +130,20 @@ def train(
     for idx, s in enumerate(dataset):
         check_sample_alignment(s, cfg, idx)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(tc.seed))
     state = AdamState.fresh(params)
     history: list[TrainStep] = []
     step = 0
     best: tuple[float, Params | None] = (np.inf, None)
-    for epoch in range(epochs):
+    for epoch in range(tc.epochs):
         order = rng.permutation(len(dataset))
-        epoch_rmses = []
         for sample_idx in order:
             sample = dataset[int(sample_idx)]
             with Tape():
                 loss_var, pred = rollout_loss(
                     sample, params, cfg,
-                    detach_feedback=detach_rollout,
-                    freeze_extractor=freeze_extractor,
+                    detach_feedback=tc.detach_rollout,
+                    freeze_extractor=tc.freeze_extractor,
                 )
                 loss = loss_var.item()
                 if not np.isfinite(loss):
@@ -155,29 +151,23 @@ def train(
                         f"non-finite loss at epoch {epoch}, sample {int(sample_idx)}"
                     )
                 grads = backward(loss_var, params)
-            grads, norm = clip_global_norm(grads, grad_clip)
-            if norm > grad_clip:
+            grads, norm = clip_global_norm(grads, tc.grad_clip)
+            if norm > tc.grad_clip:
                 log.debug(
                     "gradient norm %.3g clipped to %.3g (epoch %d sample %d)",
-                    norm, grad_clip, epoch, int(sample_idx),
+                    norm, tc.grad_clip, epoch, int(sample_idx),
                 )
             params, state = adam_step(
-                params, grads, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps
+                params, grads, state,
+                lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps,
             )
             rmse = frame_vertex_rmse(pred, _target_motion(sample, cfg))
-            epoch_rmses.append(rmse)
             history.append(TrainStep(step, epoch, int(sample_idx), loss, rmse))
             step += 1
-        mean_rmse = float(np.mean(epoch_rmses))
         if keep_best:
             eval_rmse = evaluate_rmse(dataset, params, cfg)
             if eval_rmse < best[0]:
                 best = (eval_rmse, {k: Var(v.data.copy()) for k, v in params.items()})
-        if on_epoch is not None:
-            on_epoch(epoch, mean_rmse)
-        if stop_rmse is not None and mean_rmse < stop_rmse:
-            log.info("early stop at epoch %d: rollout rmse %.3g", epoch, mean_rmse)
-            break
     if keep_best and best[1] is not None:
         params = best[1]
     return params, history

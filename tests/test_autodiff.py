@@ -207,16 +207,18 @@ class TestStructuralOps:
             assert rel_err(g, fd) < 1e-6
 
     def test_resample_gradient(self, rng):
-        x = Var(rng.normal(size=(5, 3)))
+        # (source rows, target rows), including one source row and one target row
+        for rows, target in ((5, 8), (1, 4), (5, 1)):
+            x = Var(rng.normal(size=(rows, 3)))
 
-        def build():
-            y = ad.resample_rows(x, 8)
-            return ad.sum_all(ad.mul(y, y))
+            def build():
+                y = ad.resample_rows(x, target)
+                return ad.sum_all(ad.mul(y, y))
 
-        with Tape():
-            g = grad(build(), x)
-        fd = finite_diff(lambda: build().item(), x.data)
-        assert rel_err(g, fd) < 1e-6
+            with Tape():
+                g = grad(build(), x)
+            fd = finite_diff(lambda: build().item(), x.data)
+            assert rel_err(g, fd) < 1e-6
 
     def test_take_row_gradient_scatters(self, rng):
         x = Var(rng.normal(size=(4, 3)))

@@ -81,6 +81,20 @@ class TestTrain:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("grad_clip", "-1"), ("grad_clip", "0"), ("beta1", "1"),
+        ("beta2", "1.5"), ("eps", "0"),
+    ])
+    def test_out_of_range_knob_is_data_error(self, tmp_path, dataset_dir, capsys, key, value):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        code = main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "x.ckpt"),
+        ])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
 
 class TestInfer:
     def test_frames_flag_sets_row_count(self, tmp_path, trained, dataset_dir):
@@ -199,6 +213,31 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "CRC" in capsys.readouterr().err
+
+    @staticmethod
+    def _checkpoint(path, name: bytes, values):
+        """A checkpoint with one 1xN entry and a valid CRC."""
+        import struct
+        import zlib
+
+        row = np.asarray(values, dtype="<f8")
+        body = bytearray(b"FFCK" + struct.pack("<II", 1, 1))
+        body += struct.pack("<H", len(name)) + name + struct.pack("<II", 1, row.size)
+        body += row.tobytes()
+        body += struct.pack("<I", zlib.crc32(bytes(body)))
+        path.write_bytes(bytes(body))
+        return path
+
+    def test_non_utf8_entry_name_is_data_error(self, tmp_path, capsys):
+        bad = self._checkpoint(tmp_path / "bad.ckpt", b"\xff\xfe", [0.0])
+        assert main(["inspect", str(bad)]) == 2
+        assert "bad.ckpt" in capsys.readouterr().err
+
+    def test_nan_in_config_entry_is_data_error(self, tmp_path, capsys):
+        values = [np.nan] + [1.0] * 17
+        bad = self._checkpoint(tmp_path / "bad.ckpt", b"__config__", values)
+        assert main(["inspect", str(bad)]) == 2
+        assert "bad.ckpt" in capsys.readouterr().err
 
     def test_bad_ff_log_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("FF_LOG", "loudly")

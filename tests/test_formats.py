@@ -172,6 +172,14 @@ class TestConfigText:
                 )
             )
 
+    @pytest.mark.parametrize("key, value", [
+        ("grad_clip", "-1"), ("grad_clip", "0"), ("grad_clip", "nan"),
+        ("beta1", "1"), ("beta2", "1.5"), ("eps", "0"),
+    ])
+    def test_out_of_range_train_values(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build_configs(parse_config_lines(f"{key} = {value}\n"))
+
     def test_invalid_model_values(self):
         with pytest.raises(ConfigError, match="power of two"):
             build_configs(parse_config_lines("heads = 3\ndim = 9\n"))

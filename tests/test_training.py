@@ -3,6 +3,7 @@ import pytest
 
 from speechmotion import (
     AudioInput,
+    ConfigError,
     DivergenceError,
     ShapeError,
     TrainingSample,
@@ -122,6 +123,13 @@ class TestTrain:
         bad.motion[2, 1] = np.nan
         with pytest.raises(DivergenceError, match="epoch 0, sample 0"):
             train([bad], tiny_params, tiny_cfg, epochs=1, seed=0)
+
+    def test_knobs_validated_like_config(self, tiny_cfg, tiny_params, rng):
+        data = [_sample(rng)]
+        with pytest.raises(ConfigError, match="grad_clip"):
+            train(data, tiny_params, tiny_cfg, epochs=1, seed=0, grad_clip=0)
+        with pytest.raises(TypeError, match="stop_rmse"):
+            train(data, tiny_params, tiny_cfg, epochs=1, seed=0, stop_rmse=0.1)
 
     def test_empty_dataset_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ShapeError):
