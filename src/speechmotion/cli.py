@@ -18,7 +18,7 @@ from . import synthetic
 from .config import build_configs, with_dataset_shape
 from .decoder import autoregress
 from .encoder import AudioInput
-from .errors import SpeechMotionError, UsageError
+from .errors import AudioError, SpeechMotionError, UsageError
 from .formats import (
     checkpoint_summary,
     load_checkpoint,
@@ -99,10 +99,13 @@ def _build_parser() -> _Parser:
 
 def _load_audio(path: str, cfg) -> AudioInput:
     path = Path(path)
-    if path.suffix.lower() == ".wav":
-        samples, rate = read_wav(path)
-        return AudioInput.from_waveform(samples, rate)
-    return AudioInput.from_features(load_matrix(path), cfg.feature_rate)
+    try:
+        if path.suffix.lower() == ".wav":
+            samples, rate = read_wav(path)
+            return AudioInput.from_waveform(samples, rate)
+        return AudioInput.from_features(load_matrix(path), cfg.feature_rate)
+    except AudioError as exc:
+        raise AudioError(f"{path}: {exc}") from None
 
 
 def _cmd_gen_synthetic(args) -> int:

@@ -56,29 +56,37 @@ def decoder_layer(
     cfg: ModelConfig,
     layer: int = 0,
     capture: bool = False,
+    past: list[Var] | None = None,
 ) -> tuple[Var, tuple[AttentionRecord, AttentionRecord] | None]:
-    """One decoder block over a t-row prefix.
+    """One decoder block over the t new rows ``fhat`` that follow ``past``.
 
-    Self-attention is causal with the mode-dependent temporal bias;
-    cross-attention queries the audio rows under the alignment bias; the
-    feed-forward uses a rectifier. Residual + layer norm after each stage.
+    ``past`` holds this layer's earlier input rows (s of them); ``None`` is a
+    full prefix. Self-attention is causal with the mode-dependent temporal
+    bias: the new rows query all s + t rows under bias rows [s, s + t).
+    Cross-attention reads only the new rows' audio windows, enc.a rows
+    [k*s, k*(s + t)), which is the alignment bias with its -inf columns left
+    out. The feed-forward uses a rectifier. Residual + layer norm after each
+    stage.
     """
-    t = fhat.rows
-    if t > enc.motion_len:
+    prefix = ad.concat_rows(past + [fhat]) if past else fhat
+    s, total = prefix.rows - fhat.rows, prefix.rows
+    if total > enc.motion_len:
         raise ShapeError(
-            f"prefix of {t} rows exceeds audio coverage of {enc.motion_len} frames"
+            f"prefix of {total} rows exceeds audio coverage of {enc.motion_len} frames"
         )
     p = f"dec.layer{layer}"
-    self_bias = decoder_self_bias(t, cfg)
-    cross_bias = alignment_bias(t, enc.motion_len, enc.frame_ratio)
+    k = enc.frame_ratio
+    self_bias = decoder_self_bias(total, cfg, s)
+    cross_bias = alignment_bias(fhat.rows, fhat.rows, k)
 
     attn, rec_self = mh_attention(
-        fhat, fhat, AttentionProjections.from_params(params, f"{p}.self"),
+        fhat, prefix, AttentionProjections.from_params(params, f"{p}.self"),
         cfg.heads, self_bias, head_slopes(cfg.heads), capture=capture,
     )
     x1 = add_norm(fhat, attn, params, f"{p}.ln1")
     cross, rec_cross = mh_attention(
-        x1, enc.a, AttentionProjections.from_params(params, f"{p}.cross"),
+        x1, ad.slice_rows(enc.a, k * s, k * total),
+        AttentionProjections.from_params(params, f"{p}.cross"),
         cfg.heads, cross_bias, capture=capture,
     )
     x2 = add_norm(x1, cross, params, f"{p}.ln2")
@@ -89,7 +97,7 @@ def decoder_layer(
         for rec, name in ((rec_self, "decoder.self"), (rec_cross, "decoder.cross")):
             rec.module = name
             rec.layer = layer
-            rec.step = t - 1
+            rec.step = total - 1
         records = (rec_self, rec_cross)
     return out, records
 
@@ -110,9 +118,11 @@ def rollout(
 ) -> Var:
     """Autoregressive generation over already-encoded audio.
 
-    Each step re-runs the decoder stack on the full prefix built from the
-    model's own predictions and takes the newest row; gradients flow through
-    the fed-back predictions unless ``detach_feedback`` is set.
+    Each step feeds one new row through every decoder layer against that
+    layer's cached input rows and decodes that row alone; gradients flow
+    through the fed-back predictions and the caches unless
+    ``detach_feedback`` is set. With ``capture``, the last step runs the
+    layers on the full prefix instead, so the recorded maps cover all rows.
     """
     if motion_len < 1:
         raise ShapeError(f"cannot generate an empty sequence (T={motion_len})")
@@ -120,20 +130,25 @@ def rollout(
         raise ShapeError(
             f"requested {motion_len} frames but audio covers {enc.motion_len}"
         )
-    embeds: list[Var] = []
+    pasts: list[list[Var]] = [[] for _ in range(cfg.decoder_layers)]
     preds: list[Var] = []
     for t in range(motion_len):
         prev = None
         if t > 0:
             prev = ad.detach(preds[-1]) if detach_feedback else preds[-1]
-        embeds.append(embed_step(prev, identity, t, params, cfg))
-        x = ad.concat_rows(embeds) if t > 0 else embeds[0]
-        last = capture is not None and t == motion_len - 1
-        for layer in range(cfg.decoder_layers):
-            x, records = decoder_layer(x, enc, params, cfg, layer, capture=last)
-            if records is not None:
+        x = embed_step(prev, identity, t, params, cfg)
+        if capture is not None and t == motion_len - 1:
+            x = ad.concat_rows(pasts[0] + [x])
+            for layer in range(cfg.decoder_layers):
+                x, records = decoder_layer(x, enc, params, cfg, layer, capture=True)
                 capture.extend(records)
-        preds.append(ad.take_row(decode_motion(x, params), t))
+            x = ad.take_row(x, t)
+        else:
+            for layer, past in enumerate(pasts):
+                out, _ = decoder_layer(x, enc, params, cfg, layer, past=past)
+                past.append(x)
+                x = out
+        preds.append(decode_motion(x, params))
     return ad.concat_rows(preds)
 
 

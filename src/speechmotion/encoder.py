@@ -40,6 +40,10 @@ class AudioInput:
             raise AudioError("waveform input needs a positive sample_rate")
         if has_feat and (self.feature_rate is None or self.feature_rate <= 0):
             raise AudioError("feature input needs a positive feature_rate")
+        kind, data = ("waveform", self.waveform) if has_wave else ("features", self.features)
+        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        if bad.size:
+            raise AudioError(f"{kind} row {bad[0]} holds a non-finite value")
 
     @classmethod
     def from_waveform(cls, samples, sample_rate: float) -> "AudioInput":

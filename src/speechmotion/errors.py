@@ -30,7 +30,7 @@ class AudioError(SpeechMotionError):
 
 
 class DivergenceError(SpeechMotionError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
 
 class UsageError(SpeechMotionError):

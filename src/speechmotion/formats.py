@@ -116,17 +116,23 @@ def _config_from_vector(vec: np.ndarray, path) -> ModelConfig:
         raise FormatError(f"{path}: config entry has {flat.size} values, expected 18")
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: config entry holds non-finite values")
-    kwargs = {}
-    for i, name in enumerate(_CONFIG_FIELDS):
-        value = flat[i]
-        kwargs[name] = float(value) if name.endswith("_rate") else int(value)
-    n = len(_CONFIG_FIELDS)
-    pe_idx, out_idx = int(flat[n]), int(flat[n + 1])
-    try:
-        kwargs["pe_mode"] = PE_MODES[pe_idx]
-        kwargs["output_space"] = OUTPUT_SPACES[out_idx]
-    except IndexError:
-        raise FormatError(f"{path}: config entry has bad enum codes {pe_idx}/{out_idx}")
+    names = _CONFIG_FIELDS + ("pe_mode", "output_space")
+    for name, value in zip(names, flat):
+        if not name.endswith("_rate") and value != int(value):
+            raise FormatError(
+                f"{path}: config entry {name} = {float(value)} is not an integer"
+            )
+    kwargs = {
+        name: float(value) if name.endswith("_rate") else int(value)
+        for name, value in zip(names, flat)
+    }
+    for name, codes in (("pe_mode", PE_MODES), ("output_space", OUTPUT_SPACES)):
+        if not 0 <= kwargs[name] < len(codes):
+            raise FormatError(
+                f"{path}: config entry {name} code {kwargs[name]} is not in "
+                f"[0, {len(codes)})"
+            )
+        kwargs[name] = codes[kwargs[name]]
     try:
         return ModelConfig(**kwargs).validate()
     except ConfigError as exc:
@@ -295,7 +301,18 @@ def read_dataset_meta(directory) -> dict:
     missing = sorted(set(_META_KEYS) - set(values))
     if missing:
         raise FormatError(f"{path}: missing keys {missing}")
-    return {key: _META_KEYS[key](values[key]) for key in _META_KEYS}
+    meta = {}
+    for key, kind in _META_KEYS.items():
+        try:
+            value = kind(values[key])
+        except ValueError:
+            value = None
+        if value is None or not np.isfinite(value):
+            raise FormatError(
+                f"{path}: {key} must be a finite {kind.__name__}, got {values[key]!r}"
+            )
+        meta[key] = value
+    return meta
 
 
 def read_lip_indices(path) -> list[int]:

@@ -102,13 +102,23 @@ def causal_mask(t: int) -> BiasMatrix:
     return BiasMatrix(bias, "temporal")
 
 
-def decoder_self_bias(t: int, cfg: ModelConfig) -> BiasMatrix:
-    """Mode-dependent causal bias at unit slope (heads scale it per slope)."""
-    if cfg.pe_mode == "tb_ppe":
-        return temporal_bias(t, cfg.period, 1.0)
-    if cfg.pe_mode == "alibi":
-        return temporal_bias(t, 1, 1.0)
-    return causal_mask(t)
+def decoder_self_bias(t: int, cfg: ModelConfig, first: int = 0) -> BiasMatrix:
+    """Rows [first, t) of the mode-dependent t x t causal bias at unit slope
+    (heads scale it per slope); ``first = t - 1`` is the newest step alone.
+
+    The entries equal those of ``temporal_bias`` (period p, or 1 for alibi)
+    and ``causal_mask`` (original_pe) at the same (i, j).
+    """
+    if not 0 <= first < t:
+        raise ShapeError(f"need 0 <= first < t, got first={first}, t={t}")
+    delta = np.arange(first, t)[:, None] - np.arange(t)[None, :]
+    if cfg.pe_mode == "original_pe":
+        bias = np.zeros(delta.shape)
+    else:
+        period = cfg.period if cfg.pe_mode == "tb_ppe" else 1
+        bias = (-1.0) * (delta // period).astype(np.float64)
+    bias[delta < 0] = NEG_INF
+    return BiasMatrix(bias, "temporal")
 
 
 def alignment_bias(t: int, total_motion_len: int, frame_ratio: int) -> BiasMatrix:

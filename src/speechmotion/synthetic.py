@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import AudioInput
-from .errors import FormatError, ShapeError
+from .errors import AudioError, FormatError, ShapeError
 from .formats import (
     DATASET_LIPS,
     DATASET_META,
@@ -169,10 +169,15 @@ def load_dataset(directory) -> tuple[list[TrainingSample], dict]:
             raise FormatError(
                 f"{samples_path}:{lineno}: expected 'audio<TAB>motion<TAB>identity'"
             )
-        audio = AudioInput.from_features(
-            load_matrix(directory / parts[0]), meta["feature_rate"]
-        )
+        try:
+            audio = AudioInput.from_features(
+                load_matrix(directory / parts[0]), meta["feature_rate"]
+            )
+        except AudioError as exc:
+            raise FormatError(f"{directory / parts[0]}: {exc}") from None
         motion = load_matrix(directory / parts[1])
+        if not np.isfinite(motion).all():
+            raise FormatError(f"{directory / parts[1]}: motion holds a non-finite value")
         try:
             identity = int(parts[2])
         except ValueError:

@@ -151,6 +151,12 @@ def train(
                         f"non-finite loss at epoch {epoch}, sample {int(sample_idx)}"
                     )
                 grads = backward(loss_var, params)
+            bad = next((k for k, g in grads.items() if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise DivergenceError(
+                    f"non-finite gradient at epoch {epoch}, sample {int(sample_idx)}, "
+                    f"first in parameter {bad!r}"
+                )
             grads, norm = clip_global_norm(grads, tc.grad_clip)
             if norm > tc.grad_clip:
                 log.debug(

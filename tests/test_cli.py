@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speechmotion import load_matrix
+from speechmotion import load_matrix, save_matrix
 from speechmotion.cli import main
 
 
@@ -95,6 +95,40 @@ class TestTrain:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("frames", "abc"), ("feature_rate", "nan")])
+    def test_bad_dataset_meta_value_is_data_error(
+        self, tmp_path, dataset_dir, capsys, key, value
+    ):
+        meta = dataset_dir / "dataset.cfg"
+        lines = meta.read_text().splitlines()
+        meta.write_text("\n".join(
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in lines
+        ) + "\n")
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        code = main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dataset.cfg" in err and key in err
+
+    def test_non_finite_motion_is_data_error(self, tmp_path, dataset_dir, capsys):
+        path = dataset_dir / "seq001.motion.f32mat"
+        motion = load_matrix(path)
+        motion[1, 0] = np.inf
+        save_matrix(path, motion)
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        code = main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        assert "seq001.motion.f32mat" in capsys.readouterr().err
+
 
 class TestInfer:
     def test_frames_flag_sets_row_count(self, tmp_path, trained, dataset_dir):
@@ -122,6 +156,20 @@ class TestInfer:
             "infer", "--ckpt", str(trained), "--audio", str(tmp_path / "nope.f32mat"),
             "--identity", "0", "--out", str(tmp_path / "m.f32mat"),
         ]) == 2
+
+    def test_non_finite_features_name_the_file(self, tmp_path, trained, dataset_dir, capsys):
+        audio = load_matrix(dataset_dir / "seq000.audio.f32mat")
+        audio[5, 1] = np.nan
+        bad = tmp_path / "nan.f32mat"
+        save_matrix(bad, audio)
+        capsys.readouterr()
+        assert main([
+            "infer", "--ckpt", str(trained), "--audio", str(bad),
+            "--identity", "0", "--out", str(tmp_path / "m.f32mat"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "nan.f32mat" in err and "row 5" in err
+        assert "softmax" not in err
 
     def test_waveform_input(self, tmp_path, trained):
         import wave

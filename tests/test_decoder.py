@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from speechmotion import (
     rollout,
 )
 from speechmotion import autodiff as ad
+from speechmotion import init_params, training
 from speechmotion.positional import ppe_row
 
 from conftest import finite_diff, rel_err
@@ -187,3 +190,65 @@ class TestAutoregress:
         audio = AudioInput.from_features(rng.normal(size=(48, 4)), 50.0)
         out = autoregress(audio, 0, 24, live_params, tiny_cfg)  # 8x the period
         assert np.isfinite(out).all()
+
+
+def _dense_rollout(enc, identity, motion_len, params, cfg, detach_feedback=False):
+    """Reference rollout: every step re-runs each layer on the full prefix."""
+    embeds, preds = [], []
+    for t in range(motion_len):
+        prev = (ad.detach(preds[-1]) if detach_feedback else preds[-1]) if t else None
+        embeds.append(embed_step(prev, identity, t, params, cfg))
+        x = ad.concat_rows(embeds)
+        for layer in range(cfg.decoder_layers):
+            x, _ = decoder_layer(x, enc, params, cfg, layer)
+        preds.append(ad.take_row(decode_motion(x, params), t))
+    return ad.concat_rows(preds)
+
+
+@pytest.fixture(params=["tb_ppe", "alibi", "original_pe"])
+def two_layer(request, tiny_cfg, rng):
+    """Two-layer config per pe_mode, with a live vertex projection."""
+    cfg = dataclasses.replace(tiny_cfg, pe_mode=request.param, decoder_layers=2).validate()
+    params = init_params(cfg, seed=4)
+    params["motion_dec.w"] = Var(rng.normal(size=(8, 9)))
+    return cfg, params
+
+
+class TestPrefixCache:
+    def test_layer_with_past_matches_full_prefix(self, two_layer, rng):
+        cfg, params = two_layer
+        enc = encode(_audio(rng, rows=12), 6, params, cfg)
+        rows = rng.normal(size=(6, 8))
+        for layer in range(2):
+            full, _ = decoder_layer(Var(rows), enc, params, cfg, layer)
+            for s, t in ((1, 1), (3, 2), (5, 1)):
+                past = [Var(rows[i : i + 1]) for i in range(s)]
+                new, _ = decoder_layer(
+                    Var(rows[s : s + t]), enc, params, cfg, layer, past=past
+                )
+                assert np.abs(new.data - full.data[s : s + t]).max() <= 1e-12
+
+    def test_rollout_matches_dense_reference(self, two_layer, rng):
+        cfg, params = two_layer
+        enc = encode(_audio(rng, rows=12), 6, params, cfg)
+        cached = rollout(enc, 1, 6, params, cfg).data
+        dense = _dense_rollout(enc, 1, 6, params, cfg).data
+        assert np.abs(np.diff(dense, axis=0)).max() > 0
+        assert np.abs(cached - dense).max() <= 1e-12
+
+    def test_loss_gradients_match_dense_reference(self, two_layer, rng, monkeypatch):
+        cfg, params = two_layer
+        sample = training.TrainingSample(
+            _audio(rng, rows=10), rng.normal(size=(5, 9)) * 0.3, identity=0
+        )
+
+        def grads():
+            with ad.Tape():
+                loss, _ = training.rollout_loss(sample, params, cfg)
+                return ad.backward(loss, params)
+
+        cached = grads()
+        monkeypatch.setattr(training, "rollout", _dense_rollout)
+        dense = grads()
+        for name in params:
+            assert np.abs(cached[name] - dense[name]).max() <= 1e-10, name

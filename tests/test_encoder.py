@@ -25,6 +25,17 @@ class TestAudioInput:
         with pytest.raises(AudioError):
             AudioInput.from_features(np.zeros((2, 2)), feature_rate=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        feats = np.zeros((4, 2))
+        feats[2, 1] = bad
+        with pytest.raises(AudioError, match="features row 2"):
+            AudioInput.from_features(feats, 50.0)
+        wave = np.zeros(4000)
+        wave[7] = bad
+        with pytest.raises(AudioError, match="waveform row 7"):
+            AudioInput.from_waveform(wave, 16000.0)
+
 
 class TestExtractFeatures:
     def test_feature_mode_passthrough_bitwise(self, tiny_cfg, tiny_params, rng):

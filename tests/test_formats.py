@@ -111,6 +111,27 @@ class TestCheckpoint:
         assert loaded_cfg.pe_mode == "alibi"
         assert loaded_cfg.output_space == "offset"
 
+    @pytest.mark.parametrize("index, value, match", [
+        (0, 8.9, "dim = 8.9 is not an integer"),
+        (13, 0.5, "pe_mode = 0.5 is not an integer"),
+        (13, -1.0, "pe_mode code -1"),
+        (13, 3.0, "pe_mode code 3"),
+        (14, 2.0, "output_space code 2"),
+    ])
+    def test_bad_config_vector_rejected(self, tmp_path, index, value, match):
+        import struct
+        import zlib
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, 0), TINY)
+        blob = bytearray(path.read_bytes())
+        start = blob.index(b"__config__") + len(b"__config__") + 8 + 8 * index
+        blob[start : start + 8] = struct.pack("<d", value)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
     def test_duplicate_entry_names_rejected(self, tmp_path):
         import struct
         import zlib

@@ -17,7 +17,7 @@ from speechmotion import (
 )
 from speechmotion import autodiff as ad
 from speechmotion.errors import ShapeError
-from speechmotion.positional import causal_mask, sinusoid_row
+from speechmotion.positional import causal_mask, decoder_self_bias, sinusoid_row
 
 
 def _cfg(mode="tb_ppe", period=10, dim=4):
@@ -130,6 +130,23 @@ class TestTemporalBias:
         assert np.array_equal(
             mask.data, [[0, -np.inf, -np.inf], [0, 0, -np.inf], [0, 0, 0]]
         )
+
+
+class TestDecoderSelfBias:
+    @pytest.mark.parametrize("mode", ["tb_ppe", "alibi", "original_pe"])
+    def test_rows_of_the_reference_bias(self, mode):
+        cfg = _cfg(mode, period=3)
+        for t in (1, 4, 11):
+            if mode == "original_pe":
+                full = causal_mask(t)
+            else:
+                full = temporal_bias(t, cfg.period if mode == "tb_ppe" else 1, 1.0)
+            for first in range(t):
+                rows = decoder_self_bias(t, cfg, first)
+                assert rows.kind == "temporal"
+                assert np.array_equal(rows.data, full.data[first:])
+        with pytest.raises(ShapeError):
+            decoder_self_bias(3, cfg, 3)
 
 
 class TestAlignmentBias:

@@ -124,6 +124,25 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="epoch 0, sample 0"):
             train([bad], tiny_params, tiny_cfg, epochs=1, seed=0)
 
+    def test_nan_gradient_aborts_before_update(self, tiny_cfg, tiny_params, rng, monkeypatch):
+        from speechmotion import training
+
+        real_backward = training.backward
+
+        def poisoned(loss, params):
+            grads = real_backward(loss, params)
+            grads["dec.layer0.ff.w1"][1, 2] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        before = {k: v.data.copy() for k, v in tiny_params.items()}
+        with pytest.raises(
+            DivergenceError,
+            match="gradient at epoch 0, sample 0, first in parameter 'dec.layer0.ff.w1'",
+        ):
+            train([_sample(rng)], tiny_params, tiny_cfg, epochs=1, seed=0)
+        assert all(np.array_equal(tiny_params[k].data, before[k]) for k in before)
+
     def test_knobs_validated_like_config(self, tiny_cfg, tiny_params, rng):
         data = [_sample(rng)]
         with pytest.raises(ConfigError, match="grad_clip"):
