@@ -45,21 +45,10 @@ class AttentionRecord:
 
 
 def biased_attention(q, k, v, bias: BiasMatrix | None) -> tuple[Var, Var]:
-    """softmax(q k^T / sqrt(d_k) + bias) v; returns (output, weights)."""
-    q, k, v = ad._as_var(q), ad._as_var(k), ad._as_var(v)
-    if q.cols != k.cols:
-        raise ShapeError(f"query dim {q.cols} != key dim {k.cols}")
-    if k.rows != v.rows:
-        raise ShapeError(f"key rows {k.rows} != value rows {v.rows}")
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(q.cols))
-    if bias is not None:
-        if bias.shape != (q.rows, k.rows):
-            raise ShapeError(
-                f"bias shape {bias.shape} does not match scores {(q.rows, k.rows)}"
-            )
-        scores = ad.add_const(scores, bias.data)
-    weights = ad.softmax_rows(scores)
-    return ad.matmul(weights, v), weights
+    """softmax(q k^T / sqrt(d_k) + bias) v; returns (output, weights), the
+    weights untaped."""
+    out, weights = ad.attention(q, k, v, None if bias is None else bias.data, 1)
+    return out, Var(weights[0].copy())
 
 
 def mh_attention(
@@ -77,7 +66,6 @@ def mh_attention(
     alignment biases are shared unscaled across heads, since scaling a
     {0, -inf} matrix changes nothing.
     """
-    x_q, x_kv = ad._as_var(x_q), ad._as_var(x_kv)
     temporal = base_bias is not None and base_bias.kind == "temporal"
     if temporal and slopes is None:
         raise ShapeError("temporal bias needs per-head slopes")
@@ -85,27 +73,15 @@ def mh_attention(
         raise ShapeError("slopes are only meaningful for temporal biases")
     if temporal and len(slopes) != heads:
         raise ShapeError(f"got {len(slopes)} slopes for {heads} heads")
-    d_k = proj.wq.cols // heads
-    d_v = proj.wv.cols // heads
-    if proj.wq.cols % heads or proj.wv.cols % heads:
-        raise ShapeError(
-            f"projection widths {proj.wq.cols}/{proj.wv.cols} not divisible by {heads} heads"
-        )
-    q_all = ad.matmul(x_q, proj.wq)
-    k_all = ad.matmul(x_kv, proj.wk)
-    v_all = ad.matmul(x_kv, proj.wv)
-    record = AttentionRecord("", 0, 0) if capture else None
-    outs = []
-    for h in range(heads):
-        q = ad.slice_cols(q_all, h * d_k, (h + 1) * d_k)
-        k = ad.slice_cols(k_all, h * d_k, (h + 1) * d_k)
-        v = ad.slice_cols(v_all, h * d_v, (h + 1) * d_v)
-        bias = base_bias.scaled(slopes[h]) if temporal else base_bias
-        out, weights = biased_attention(q, k, v, bias)
-        outs.append(out)
-        if record is not None:
-            record.head_weights.append(weights.data.copy())
-    return ad.matmul(ad.concat_cols(outs), proj.wo), record
+    bias = base_bias.scaled(slopes) if temporal else base_bias
+    out, weights = ad.attention(
+        ad.matmul(x_q, proj.wq), ad.matmul(x_kv, proj.wk), ad.matmul(x_kv, proj.wv),
+        None if bias is None else bias.data, heads,
+    )
+    record = None
+    if capture:
+        record = AttentionRecord("", 0, 0, list(weights.copy()))
+    return ad.matmul(out, proj.wo), record
 
 
 def add_norm(x, sublayer_out, params: Params, prefix: str) -> Var:

@@ -8,13 +8,20 @@ gradients that are bitwise reproducible for identical tapes. Outside a tape
 the same functions just compute values, which is what inference uses.
 
 ``-inf`` is the masking sentinel for attention biases. It may enter the graph
-only through ``add_const`` (adding a bias matrix to finite scores) and is
-consumed only by ``softmax_rows``, which maps it to exactly zero weight; no
-other operation accepts non-finite input.
+only through the bias of ``attention`` or through ``add_const`` (adding a bias
+matrix to finite scores), and is consumed only by ``attention`` and
+``softmax_rows``, which map it to exactly zero weight; no other operation
+accepts non-finite input.
+
+A tape drops its records when its ``with`` block ends: every taped output
+points back at its tape, so a tape that kept its records would be a
+reference cycle holding the step's activations until the cyclic collector
+ran. Call :func:`backward` inside the block.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -69,7 +76,8 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of executed differentiable operations."""
+    """Ordered record of executed differentiable operations; the records are
+    dropped when the ``with`` block ends."""
 
     __slots__ = ("_records",)
 
@@ -82,6 +90,7 @@ class Tape:
 
     def __exit__(self, *exc) -> None:
         _TAPE_STACK.pop()
+        self._records.clear()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -129,6 +138,8 @@ def backward(loss: Var, params: Mapping[str, Var]) -> dict[str, Array]:
         raise GradientError(f"loss must be a 1x1 scalar, got shape {loss.data.shape}")
     if loss.tape is None:
         raise GradientError("loss was not produced by taped operations")
+    if not loss.tape._records:
+        raise GradientError("the tape of loss has ended; call backward inside its block")
     grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
     for out, inputs, vjp in reversed(loss.tape._records):
         g = grads.get(id(out))
@@ -167,11 +178,6 @@ def matmul(a, b) -> Var:
     return _make(ad @ bd, (a, b), vjp)
 
 
-def transpose(a) -> Var:
-    a = _as_var(a)
-    return _make(np.ascontiguousarray(a.data.T), (a,), lambda g: (g.T,))
-
-
 def add(a, b) -> Var:
     a, b = _as_var(a), _as_var(b)
     if a.shape != b.shape:
@@ -195,14 +201,9 @@ def mul(a, b) -> Var:
     return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
-def scale(a, c: float) -> Var:
-    a = _as_var(a)
-    c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
-
-
 def add_const(a, const) -> Var:
-    """Add a constant matrix; the one sanctioned entry point for -inf biases."""
+    """Add a constant matrix; besides ``attention``'s bias, the one sanctioned
+    entry point for -inf biases."""
     a = _as_var(a)
     c = np.asarray(const, dtype=np.float64)
     if a.shape != c.shape:
@@ -239,6 +240,24 @@ def linear(x, w, b) -> Var:
     return add_row(matmul(x, w), b)
 
 
+def _require_unmasked_rows(x: Array) -> None:
+    """Raise :class:`DegenerateRowError` for the first row (last axis) of x
+    with no finite entry: a fully masked query."""
+    finite_any = np.isfinite(x).any(axis=-1)
+    if not finite_any.all():
+        bad = int(np.argwhere(~finite_any)[0][-1])
+        raise DegenerateRowError(f"softmax row {bad} has no finite entry")
+
+
+def _softmax_last(x: Array) -> Array:
+    """Softmax over the last axis, in place, stabilized by the row max;
+    ``-inf`` entries become exact zeros."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
 def softmax_rows(a) -> Var:
     """Row-wise softmax, stabilized by finite row-max subtraction.
 
@@ -246,19 +265,69 @@ def softmax_rows(a) -> Var:
     fully masked query and raises :class:`DegenerateRowError`.
     """
     a = _as_var(a)
-    x = a.data
-    finite_any = np.isfinite(x).any(axis=1)
-    if not finite_any.all():
-        bad = int(np.flatnonzero(~finite_any)[0])
-        raise DegenerateRowError(f"softmax row {bad} has no finite entry")
-    m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=1, keepdims=True)
+    _require_unmasked_rows(a.data)
+    y = _softmax_last(a.data.copy())
 
     def vjp(g: Array):
         return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
 
     return _make(y, (a,), vjp)
+
+
+def attention(q, k, v, bias, heads: int) -> tuple[Var, Array]:
+    """Multi-head softmax(q k^T / sqrt(d_k) + bias) v, recorded as one op.
+
+    Head h reads column block h of q and k (width d_k) and of v (width d_v);
+    the t x (heads * d_v) output holds the heads' results side by side.
+    ``bias`` is None, a t x s array shared by every head, or a heads x t x s
+    stack; its ``-inf`` entries get exactly zero weight, and a row with no
+    finite entry raises :class:`DegenerateRowError`. Also returns the
+    heads x t x s weights W, which the backward pass reads: do not modify
+    them.
+
+    The backward pass is the standard softmax-attention VJP: dV = W^T dO,
+    dW = dO V^T, dS = W * (dW - rowsum(dW * W)), then dQ = dS K / sqrt(d_k)
+    and dK = dS^T Q / sqrt(d_k).
+    """
+    q, k, v = _as_var(q), _as_var(k), _as_var(v)
+    t, s = q.rows, k.rows
+    if q.cols != k.cols or s != v.rows:
+        raise ShapeError(
+            f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}"
+        )
+    if heads < 1 or q.cols % heads or v.cols % heads:
+        raise ShapeError(f"widths {q.cols}/{v.cols} not divisible by {heads} heads")
+
+    def split(x: Array) -> Array:  # rows x (heads * d) -> heads x rows x d
+        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def merge(x: Array) -> Array:  # heads x rows x d -> rows x (heads * d)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    c = 1.0 / math.sqrt(qh.shape[2])
+    w = qh @ kh.transpose(0, 2, 1)
+    w *= c
+    if bias is not None:
+        if bias.shape not in ((t, s), (heads, t, s)):
+            raise ShapeError(f"bias shape {bias.shape} does not match scores {(t, s)}")
+        _require_unmasked_rows(bias)
+        w += bias
+    _softmax_last(w)
+
+    def vjp(g: Array):
+        gh = split(g)
+        ds = gh @ vh.transpose(0, 2, 1)
+        ds -= (ds * w).sum(axis=2, keepdims=True)
+        ds *= w
+        ds *= c
+        return (
+            merge(ds @ kh),
+            merge(ds.transpose(0, 2, 1) @ qh),
+            merge(w.transpose(0, 2, 1) @ gh),
+        )
+
+    return _make(merge(w @ vh), (q, k, v), vjp), w
 
 
 def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
@@ -375,20 +444,6 @@ def slice_rows(x, start: int, stop: int) -> Var:
     return _make(x.data[start:stop].copy(), (x,), vjp)
 
 
-def slice_cols(x, start: int, stop: int) -> Var:
-    x = _as_var(x)
-    if not (0 <= start < stop <= x.cols):
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for {x.shape}")
-    shape = x.shape
-
-    def vjp(g: Array):
-        gx = np.zeros(shape)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _make(np.ascontiguousarray(x.data[:, start:stop]), (x,), vjp)
-
-
 def take_row(x, i: int) -> Var:
     return slice_rows(x, i, i + 1)
 
@@ -406,18 +461,3 @@ def concat_rows(parts: Sequence) -> Var:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits))
 
     return _make(np.concatenate([p.data for p in parts]), tuple(parts), vjp)
-
-
-def concat_cols(parts: Sequence) -> Var:
-    parts = [_as_var(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    rows = parts[0].rows
-    if any(p.rows != rows for p in parts):
-        raise ShapeError("concat_cols parts disagree on row count")
-    splits = np.cumsum([p.cols for p in parts])[:-1]
-
-    def vjp(g: Array):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp)

@@ -23,6 +23,7 @@ from .formats import (
     checkpoint_summary,
     load_checkpoint,
     load_matrix,
+    load_motion,
     matrix_header,
     parse_config_lines,
     read_lip_indices,
@@ -54,6 +55,14 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level[name], format="%(levelname)s %(name)s: %(message)s")
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="speechmotion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,7 +86,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--audio", required=True, help=".f32mat features or 16-bit mono .wav")
     p.add_argument("--identity", type=int, required=True)
-    p.add_argument("--frames", type=int, help="motion frames (default: from audio length)")
+    p.add_argument("--frames", type=positive_int,
+                   help="motion frames (default: from audio length)")
     p.add_argument("--out", required=True, help="motion matrix output path")
 
     p = sub.add_parser("eval-lip", help="print the lip error between two motion files")
@@ -89,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--audio", required=True)
     p.add_argument("--identity", type=int, required=True)
-    p.add_argument("--frames", type=int)
+    p.add_argument("--frames", type=positive_int)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("inspect", help="print matrix/checkpoint header information")
@@ -158,8 +168,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval_lip(args) -> int:
-    pred = load_matrix(args.pred)
-    truth = load_matrix(args.truth)
+    pred = load_motion(args.pred)
+    truth = load_motion(args.truth)
     lips = read_lip_indices(args.lips)
     print(format(lip_error(pred, truth, lips), ".12g"))
     return EXIT_OK

@@ -89,6 +89,14 @@ def load_matrix(path) -> np.ndarray:
     return data.reshape(rows, cols)
 
 
+def load_motion(path) -> np.ndarray:
+    """A motion matrix; a NaN or infinity in it is a FormatError naming the file."""
+    motion = load_matrix(path)
+    if not np.isfinite(motion).all():
+        raise FormatError(f"{path}: motion holds a non-finite value")
+    return motion
+
+
 def matrix_header(path) -> tuple[int, int, int]:
     """(version, rows, cols) without loading the payload."""
     with open(path, "rb") as fh:
@@ -311,6 +319,8 @@ def read_dataset_meta(directory) -> dict:
             raise FormatError(
                 f"{path}: {key} must be a finite {kind.__name__}, got {values[key]!r}"
             )
+        if key != "seed" and value <= 0:
+            raise FormatError(f"{path}: {key} must be positive, got {values[key]!r}")
         meta[key] = value
     return meta
 

@@ -68,12 +68,13 @@ class BiasMatrix:
     kind: str  # "temporal" | "alignment"
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def scaled(self, slope: float) -> "BiasMatrix":
-        """Head-specific copy: finite entries scaled, -inf preserved."""
-        return BiasMatrix(self.data * slope, self.kind)
+    def scaled(self, slope) -> "BiasMatrix":
+        """Head-specific copy: finite entries scaled, -inf preserved. A
+        sequence of slopes gives one stacked copy per slope."""
+        return BiasMatrix(np.multiply.outer(slope, self.data), self.kind)
 
 
 def temporal_bias(t: int, period: int, slope: float) -> BiasMatrix:

@@ -26,6 +26,7 @@ from .formats import (
     DATASET_SAMPLES,
     atomic_write_text,
     load_matrix,
+    load_motion,
     read_dataset_meta,
     save_matrix,
     write_dataset_meta,
@@ -175,9 +176,7 @@ def load_dataset(directory) -> tuple[list[TrainingSample], dict]:
             )
         except AudioError as exc:
             raise FormatError(f"{directory / parts[0]}: {exc}") from None
-        motion = load_matrix(directory / parts[1])
-        if not np.isfinite(motion).all():
-            raise FormatError(f"{directory / parts[1]}: motion holds a non-finite value")
+        motion = load_motion(directory / parts[1])
         try:
             identity = int(parts[2])
         except ValueError:

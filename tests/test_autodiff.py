@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,15 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechmotion import (
+    AudioInput,
     DegenerateRowError,
     GradientError,
+    ModelConfig,
     ShapeError,
     Tape,
+    TrainingSample,
     Var,
     backward,
     grad,
+    init_params,
 )
 from speechmotion import autodiff as ad
+from speechmotion.positional import alignment_bias, head_slopes, temporal_bias
+from speechmotion.training import rollout_loss
 
 from conftest import finite_diff, rel_err
 
@@ -98,6 +106,77 @@ class TestSoftmaxRows:
             g = grad(loss_var(), x)
         fd = finite_diff(lambda: loss_var().item(), x.data)
         assert rel_err(g, fd) < 1e-5
+
+
+def _attention_inputs(rng, heads, t, s, d_k=3, d_v=2):
+    return (Var(rng.normal(size=(t, heads * d_k))), Var(rng.normal(size=(s, heads * d_k))),
+            Var(rng.normal(size=(s, heads * d_v))))
+
+
+def _attention_bias(kind, heads, t):
+    """A bias with -inf entries and s != t: the last t rows of a slope-scaled
+    (t + 2) x (t + 2) temporal bias, or a frame-ratio-2 alignment bias."""
+    if kind == "temporal":
+        base = temporal_bias(t + 2, 2, 1.0).data[2:]
+        return np.multiply.outer(head_slopes(heads), base)
+    return alignment_bias(t, t, 2).data
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("kind", ["temporal", "alignment"])
+    def test_gradients_match_finite_differences(self, rng, heads, kind):
+        t = 3
+        bias = _attention_bias(kind, heads, t)
+        q, k, v = _attention_inputs(rng, heads, t, bias.shape[-1])
+        readout = rng.normal(size=(t, v.cols))
+        assert np.isneginf(bias).any() and k.rows != t
+
+        def loss_var():
+            out, _ = ad.attention(q, k, v, bias, heads)
+            return ad.sum_all(ad.mul(out, readout))
+
+        for var in (q, k, v):
+            with Tape():
+                g = grad(loss_var(), var)
+            fd = finite_diff(lambda: loss_var().item(), var.data)
+            assert rel_err(g, fd) < 1e-6
+
+    def test_masked_keys_get_exactly_zero_gradient(self, rng):
+        heads, t, s = 4, 3, 6
+        bias = np.zeros((t, s))
+        bias[:, [1, 4]] = -np.inf
+        q, k, v = _attention_inputs(rng, heads, t, s)
+        with Tape():
+            out, weights = ad.attention(q, k, v, bias, heads)
+            grads = backward(ad.sum_all(ad.mul(out, out)), {"k": k, "v": v})
+        assert np.array_equal(weights[:, :, [1, 4]], np.zeros((heads, t, 2)))
+        for g in grads.values():
+            assert np.array_equal(g[[1, 4]], np.zeros_like(g[[1, 4]]))
+            assert np.abs(g[[0, 2, 3, 5]]).max() > 0
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_fully_masked_row_raises(self, rng, heads):
+        bias = np.zeros((heads, 3, 4))
+        bias[:, 2] = -np.inf
+        q, k, v = _attention_inputs(rng, heads, 3, 4)
+        with pytest.raises(DegenerateRowError, match="row 2"):
+            ad.attention(q, k, v, bias, heads)
+
+    def test_training_rollout_records(self, rng):
+        # one record per multi-head attention: a third of the 2,106 records
+        # the per-head composition of slices, transposes and softmaxes made
+        cfg = ModelConfig().validate()
+        frames = 20
+        sample = TrainingSample(
+            AudioInput.from_features(
+                rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate
+            ),
+            rng.normal(size=(frames, cfg.motion_dim)), identity=0,
+        )
+        with Tape() as tape:
+            rollout_loss(sample, init_params(cfg, seed=0), cfg)
+            assert len(tape) <= 702
 
 
 class TestLayerNorm:
@@ -197,8 +276,7 @@ class TestStructuralOps:
         def build():
             joined = ad.concat_rows([a, b])
             piece = ad.slice_rows(joined, 1, 5)
-            cols = ad.concat_cols([ad.slice_cols(piece, 0, 2), ad.slice_cols(piece, 2, 3)])
-            return ad.sum_all(ad.mul(cols, cols))
+            return ad.sum_all(ad.mul(piece, piece))
 
         for var in (a, b):
             with Tape():
@@ -281,6 +359,30 @@ class TestBackward:
             loss = ad.sum_all(ad.add(x, x))
             grads = backward(loss, {"x": x})
         assert np.array_equal(grads["x"], np.full((2, 2), 2.0))
+
+    def test_block_end_frees_activations(self, rng):
+        # without the cyclic collector, only dropping the records at the end
+        # of the block can free what they hold
+        x, w = Var(rng.normal(size=(3, 4))), Var(rng.normal(size=(4, 4)))
+        gc.disable()
+        try:
+            with Tape():
+                hidden = ad.relu(ad.matmul(x, w))
+                ref = weakref.ref(hidden.data)
+                loss = ad.sum_all(ad.mul(hidden, hidden))
+                del hidden
+                assert ref() is not None
+            assert ref() is None
+            assert loss.item() > 0
+        finally:
+            gc.enable()
+
+    def test_backward_after_block_end_rejected(self, rng):
+        w = Var(rng.normal(size=(2, 2)))
+        with Tape():
+            loss = ad.sum_all(ad.mul(w, w))
+        with pytest.raises(GradientError, match="ended"):
+            backward(loss, {"w": w})
 
     def test_no_tape_means_plain_computation(self, rng):
         out = ad.matmul(rng.normal(size=(2, 3)), rng.normal(size=(3, 2)))

@@ -115,6 +115,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "dataset.cfg" in err and key in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("feature_rate", "-50"), ("motion_rate", "0"), ("frames", "0"), ("vertices", "-2"),
+    ])
+    def test_non_positive_dataset_meta_is_data_error(
+        self, tmp_path, dataset_dir, capsys, key, value
+    ):
+        meta = dataset_dir / "dataset.cfg"
+        meta.write_text("\n".join(
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in meta.read_text().splitlines()
+        ) + "\n")
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        code = main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dataset.cfg" in err and f"{key} must be positive" in err
+
     def test_non_finite_motion_is_data_error(self, tmp_path, dataset_dir, capsys):
         path = dataset_dir / "seq001.motion.f32mat"
         motion = load_matrix(path)
@@ -171,6 +192,22 @@ class TestInfer:
         assert "nan.f32mat" in err and "row 5" in err
         assert "softmax" not in err
 
+    @pytest.mark.parametrize("command", ["infer", "export-attn"])
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_is_usage_error(
+        self, tmp_path, trained, dataset_dir, capsys, command, frames
+    ):
+        out = ["--out", str(tmp_path / "m.f32mat")] if command == "infer" else [
+            "--out-dir", str(tmp_path / "attn")]
+        capsys.readouterr()
+        assert main([
+            command, "--ckpt", str(trained),
+            "--audio", str(dataset_dir / "seq000.audio.f32mat"),
+            "--identity", "0", "--frames", frames, *out,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "--frames" in err and f"got {frames}" in err
+
     def test_waveform_input(self, tmp_path, trained):
         import wave
 
@@ -210,6 +247,20 @@ class TestEvalLip:
             str(dataset_dir / "lips.txt"),
         ]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.5, abs=1e-6)
+
+
+    @pytest.mark.parametrize("which", ["pred", "truth"])
+    def test_non_finite_motion_is_data_error(self, tmp_path, dataset_dir, capsys, which):
+        motion = load_matrix(dataset_dir / "seq000.motion.f32mat")
+        motion[2, 1] = np.nan if which == "pred" else np.inf
+        bad = tmp_path / f"{which}.f32mat"
+        save_matrix(bad, motion)
+        good = str(dataset_dir / "seq000.motion.f32mat")
+        files = [str(bad), good] if which == "pred" else [good, str(bad)]
+        capsys.readouterr()
+        assert main(["eval-lip", *files, str(dataset_dir / "lips.txt")]) == 2
+        captured = capsys.readouterr()
+        assert f"{which}.f32mat" in captured.err and captured.out == ""
 
 
 class TestExportAttn:
