@@ -12,7 +12,14 @@ order in _CONFIG_FIELDS; pe_mode/output_space as indices into their
 enumerations).
 
 All writers go through a temp file + atomic rename, so failures never leave
-partial files behind.
+partial files behind. They stream their chunks (a header, then each array's
+own buffer) to that file without joining them into one byte string first.
+
+A checkpoint is read once into one private buffer (no mmap, so the bytes
+cannot change after the CRC check). The CRC is computed over a view of it,
+and the loaded entries are views into it as well; an entry whose payload
+does not start on an 8-byte boundary is copied once, because numpy hands
+only aligned arrays to BLAS.
 """
 
 from __future__ import annotations
@@ -43,12 +50,14 @@ _CONFIG_FIELDS = (
 )  # + pe_mode code, output_space code, and 3 reserved slots = 18 values
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the buffers in ``chunks`` one after another to ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -69,7 +78,7 @@ def save_matrix(path, matrix) -> None:
     if m.ndim != 2:
         raise FormatError(f"matrix files hold 2-D data, got shape {m.shape}")
     header = MATRIX_MAGIC + struct.pack("<III", FORMAT_VERSION, m.shape[0], m.shape[1])
-    atomic_write_bytes(path, header + m.astype("<f4").tobytes(order="C"))
+    atomic_write_bytes(path, header, np.ascontiguousarray(m, dtype="<f4"))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -152,53 +161,56 @@ def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
     if CONFIG_ENTRY in entries:
         raise FormatError(f"parameter name {CONFIG_ENTRY!r} is reserved")
     entries[CONFIG_ENTRY] = _config_vector(cfg)
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<II", FORMAT_VERSION, len(entries))
+    chunks = [CHECKPOINT_MAGIC + struct.pack("<II", FORMAT_VERSION, len(entries))]
     for name, data in entries.items():
         encoded = name.encode("utf-8")
-        body += struct.pack("<H", len(encoded)) + encoded
-        body += struct.pack("<II", data.shape[0], data.shape[1])
-        body += np.asarray(data, dtype="<f8").tobytes(order="C")
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
-    atomic_write_bytes(path, bytes(body))
+        chunks.append(
+            struct.pack("<H", len(encoded)) + encoded
+            + struct.pack("<II", data.shape[0], data.shape[1])
+        )
+        chunks.append(np.ascontiguousarray(data, dtype="<f8"))
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    atomic_write_bytes(path, *chunks, struct.pack("<I", crc))
 
 
 def _read_checkpoint_entries(path) -> dict[str, np.ndarray]:
-    blob = Path(path).read_bytes()
-    if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
+    buf = np.fromfile(path, dtype=np.uint8)
+    if len(buf) < 16 or buf[:4].tobytes() != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
-    stored = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) != stored:
+    end = len(buf) - 4
+    (stored,) = struct.unpack_from("<I", buf, end)
+    if zlib.crc32(buf[:end]) != stored:
         raise FormatError(f"{path}: CRC mismatch, file is corrupt")
-    version, count = struct.unpack("<II", blob[4:12])
+    version, count = struct.unpack_from("<II", buf, 4)
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     offset = 12
-    end = len(blob) - 4
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         if offset + 2 > end:
             raise FormatError(f"{path}: truncated entry header")
-        (name_len,) = struct.unpack_from("<H", blob, offset)
+        (name_len,) = struct.unpack_from("<H", buf, offset)
         offset += 2
         try:
-            name = blob[offset : offset + name_len].decode("utf-8")
+            name = buf[offset : offset + name_len].tobytes().decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: entry name at byte {offset} is not UTF-8")
         offset += name_len
         if offset + 8 > end:
             raise FormatError(f"{path}: truncated entry shape")
-        rows, cols = struct.unpack_from("<II", blob, offset)
+        rows, cols = struct.unpack_from("<II", buf, offset)
         offset += 8
         nbytes = 8 * rows * cols
         if offset + nbytes > end:
             raise FormatError(f"{path}: truncated payload for {name!r}")
-        data = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
+        data = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset)
         offset += nbytes
         if name in entries:
             raise FormatError(f"{path}: duplicate entry {name!r}")
-        entries[name] = data.astype(np.float64).reshape(rows, cols)
+        # A view when the payload is 8-byte aligned, one copy when it is not.
+        entries[name] = np.require(data, np.float64, "A").reshape(rows, cols)
     if offset != end:
         raise FormatError(f"{path}: {end - offset} stray bytes after entries")
     return entries

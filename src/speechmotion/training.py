@@ -129,6 +129,11 @@ def train(
         )
     for idx, s in enumerate(dataset):
         check_sample_alignment(s, cfg, idx)
+        bad_rows = np.flatnonzero(~np.isfinite(s.motion).all(axis=1))
+        if bad_rows.size:
+            raise ShapeError(
+                f"sample {idx}: motion row {bad_rows[0]} holds a non-finite value"
+            )
 
     rng = np.random.Generator(np.random.PCG64(tc.seed))
     state = AdamState.fresh(params)

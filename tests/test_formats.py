@@ -1,8 +1,12 @@
 import dataclasses
+import struct
 import wave
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechmotion import (
     ConfigError,
@@ -14,6 +18,7 @@ from speechmotion import (
     save_checkpoint,
     save_matrix,
 )
+from speechmotion.cli import main
 from speechmotion.config import build_configs
 from speechmotion.formats import (
     matrix_header,
@@ -53,6 +58,14 @@ class TestMatrixFile:
         path.write_bytes(blob[:-4])
         with pytest.raises(FormatError, match="size"):
             load_matrix(path)
+
+    def test_file_bytes_pinned(self, tmp_path, rng):
+        m = np.asfortranarray(rng.normal(size=(3, 5)))
+        path = tmp_path / "m.f32mat"
+        save_matrix(path, m)
+        expected = b"F32M" + struct.pack("<III", 1, 3, 5)
+        expected += b"".join(struct.pack("<5f", *row) for row in m)
+        assert path.read_bytes() == expected
 
 
 class TestCheckpoint:
@@ -119,9 +132,6 @@ class TestCheckpoint:
         (14, 2.0, "output_space code 2"),
     ])
     def test_bad_config_vector_rejected(self, tmp_path, index, value, match):
-        import struct
-        import zlib
-
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(TINY, 0), TINY)
         blob = bytearray(path.read_bytes())
@@ -133,9 +143,6 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_duplicate_entry_names_rejected(self, tmp_path):
-        import struct
-        import zlib
-
         body = bytearray()
         body += b"FFCK" + struct.pack("<II", 1, 2)
         entry = struct.pack("<H", 3) + b"dup" + struct.pack("<II", 1, 1)
@@ -146,6 +153,117 @@ class TestCheckpoint:
         path.write_bytes(bytes(body))
         with pytest.raises(FormatError, match="duplicate"):
             load_checkpoint(path)
+
+    def test_file_bytes_pinned(self, tmp_path):
+        cfg = dataclasses.replace(TINY, pe_mode="alibi", output_space="offset")
+        a = np.arange(6.0).reshape(2, 3) / 7.0
+        params = {"w": Var(a), "b": Var(np.array([[-1.5]]))}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+
+        config = [
+            cfg.dim, cfg.heads, cfg.period, cfg.feature_rate, cfg.motion_rate,
+            cfg.encoder_layers, cfg.decoder_layers, cfg.ff_dim, cfg.vertices,
+            cfg.identities, cfg.feature_dim, cfg.encoder_dim, cfg.encoder_heads,
+            2, 1, 0, 0, 0,
+        ]  # pe_mode "alibi" is code 2, output_space "offset" code 1
+        body = b"FFCK" + struct.pack("<II", 1, 3)
+        for name, rows, cols, values in (
+            (b"b", 1, 1, [-1.5]),
+            (b"w", 2, 3, a.ravel()),
+            (b"__config__", 1, 18, config),
+        ):
+            body += struct.pack("<H", len(name)) + name + struct.pack("<II", rows, cols)
+            body += struct.pack(f"<{len(values)}d", *values)
+        body += struct.pack("<I", zlib.crc32(body))
+        assert path.read_bytes() == body
+
+    def test_loaded_entries_are_aligned_writable_float64(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        blob = path.read_bytes()
+        offsets, offset = {}, 12
+        for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+            (name_len,) = struct.unpack_from("<H", blob, offset)
+            name = blob[offset + 2 : offset + 2 + name_len].decode()
+            rows, cols = struct.unpack_from("<II", blob, offset + 2 + name_len)
+            offset += 2 + name_len + 8
+            offsets[name] = offset
+            offset += 8 * rows * cols
+        # Sorted first, the 19-byte "dec.layer0.cross.wk" puts its payload at
+        # 12 + 2 + 19 + 8 = 41, which is 1 (mod 8).
+        assert offsets["dec.layer0.cross.wk"] % 8 == 1
+        assert {o % 8 for o in offsets.values()} > {0}
+        loaded, _ = load_checkpoint(path)
+        assert set(loaded) == set(offsets) - {"__config__"}
+        for name, p in loaded.items():
+            flags = p.data.flags
+            assert p.data.dtype == np.float64, name
+            assert flags.c_contiguous and flags.aligned and flags.writeable, name
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.just(b"")),
+    st.tuples(
+        st.just("insert"), st.integers(0, 1 << 20), st.binary(min_size=1, max_size=12)
+    ),
+)
+
+
+class TestFuzz:
+    """Any mutation of a checkpoint or matrix file loads or raises
+    FormatError, and the CLI answers it with an exit code, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        save_checkpoint(root / "model.ckpt", init_params(TINY, seed=5), TINY)
+        feats = np.random.Generator(np.random.PCG64(5)).normal(size=(6, TINY.feature_dim))
+        save_matrix(root / "audio.f32mat", feats)
+        return root, {
+            kind: (root / name).read_bytes()
+            for kind, name in (("ckpt", "model.ckpt"), ("mat", "audio.f32mat"))
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["ckpt", "mat"]),
+        mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+        fix_crc=st.booleans(),
+    )
+    def test_mutated_file_loads_or_is_format_error(
+        self, originals, kind, mutations, fix_crc
+    ):
+        root, blobs = originals
+        blob = bytearray(blobs[kind])
+        for op, pos, arg in mutations:
+            pos %= len(blob) + 1
+            if op == "flip" and pos < len(blob):
+                blob[pos] ^= arg
+            elif op == "truncate":
+                del blob[pos:]
+            elif op == "insert":
+                blob[pos:pos] = arg
+        if fix_crc and len(blob) >= 4:
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path = root / f"mutated.{kind}"
+        path.write_bytes(bytes(blob))
+        for load in (load_checkpoint, load_matrix):
+            try:
+                load(path)
+            except FormatError:
+                pass
+        ckpt, audio = root / "model.ckpt", root / "audio.f32mat"
+        if kind == "ckpt":
+            ckpt = path
+        else:
+            audio = path
+        assert main(["inspect", str(path)]) in (0, 1, 2)
+        assert main([
+            "infer", "--ckpt", str(ckpt), "--audio", str(audio),
+            "--identity", "0", "--out", str(root / "out.f32mat"),
+        ]) in (0, 1, 2)
 
 
 class TestConfigText:

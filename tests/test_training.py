@@ -118,11 +118,30 @@ class TestTrain:
         _, history = train(data, tiny_params, tiny_cfg, epochs=30, seed=0, lr=1e-2)
         assert history[-1].loss < history[0].loss
 
-    def test_divergence_aborts_with_location(self, tiny_cfg, tiny_params, rng):
-        bad = _sample(rng)
-        bad.motion[2, 1] = np.nan
+    def test_divergence_aborts_with_location(self, tiny_cfg, tiny_params, rng, monkeypatch):
+        from speechmotion import training
+
+        real_rollout_loss = training.rollout_loss
+
+        def diverged(*args, **kwargs):
+            loss, pred = real_rollout_loss(*args, **kwargs)
+            loss.data[0, 0] = np.inf
+            return loss, pred
+
+        monkeypatch.setattr(training, "rollout_loss", diverged)
         with pytest.raises(DivergenceError, match="epoch 0, sample 0"):
-            train([bad], tiny_params, tiny_cfg, epochs=1, seed=0)
+            train([_sample(rng)], tiny_params, tiny_cfg, epochs=1, seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_motion_rejected_before_first_step(
+        self, tiny_cfg, tiny_params, rng, value
+    ):
+        bad = _sample(rng)
+        bad.motion[2, 1] = value
+        before = {k: v.data.copy() for k, v in tiny_params.items()}
+        with pytest.raises(ShapeError, match="sample 1: motion row 2 holds a non-finite"):
+            train([_sample(rng), bad], tiny_params, tiny_cfg, epochs=1, seed=0)
+        assert all(np.array_equal(tiny_params[k].data, before[k]) for k in before)
 
     def test_nan_gradient_aborts_before_update(self, tiny_cfg, tiny_params, rng, monkeypatch):
         from speechmotion import training
