@@ -240,6 +240,33 @@ def linear(x, w, b) -> Var:
     return add_row(matmul(x, w), b)
 
 
+def linear_blocked(x, w, b, block: int) -> Var:
+    """``linear`` as products of exactly ``block`` rows, recorded as one op.
+
+    BLAS picks its kernel, and so its summation order, by a product's shape,
+    so a plain x @ w can give row i different bits for different row counts.
+    Here x is zero-padded to whole blocks and every block is written into one
+    output buffer, so row i of the result depends only on row i of x and the
+    result for a prefix of x is a prefix of the result.
+    """
+    x, w, b = _as_var(x), _as_var(w), _as_var(b)
+    if x.cols != w.rows or b.shape != (1, w.cols):
+        raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    t, xd, wd = x.rows, x.data, w.data
+    padded = np.zeros((-(-t // block) * block, x.cols))
+    padded[:t] = xd
+    out = np.empty((padded.shape[0], w.cols))
+    for i in range(0, t, block):
+        np.matmul(padded[i : i + block], wd, out=out[i : i + block])
+    out = out[:t]
+    out += b.data
+
+    def vjp(g: Array):
+        return g @ wd.T, xd.T @ g, g.sum(axis=0, keepdims=True)
+
+    return _make(out, (x, w, b), vjp)
+
+
 def _require_unmasked_rows(x: Array) -> None:
     """Raise :class:`DegenerateRowError` for the first row (last axis) of x
     with no finite entry: a fully masked query."""

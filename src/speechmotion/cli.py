@@ -14,11 +14,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import synthetic
 from .config import build_configs, with_dataset_shape
 from .decoder import autoregress
 from .encoder import AudioInput
-from .errors import AudioError, SpeechMotionError, UsageError
+from .errors import AudioError, DivergenceError, SpeechMotionError, UsageError
 from .formats import (
     checkpoint_summary,
     load_checkpoint,
@@ -40,6 +42,8 @@ log = logging.getLogger("speechmotion")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,6 +122,23 @@ def _load_audio(path: str, cfg) -> AudioInput:
         raise AudioError(f"{path}: {exc}") from None
 
 
+def _synthesize(args, capture=None):
+    """Motion for ``args.audio`` from the ``args.ckpt`` model. A frame that is
+    non-finite or outside the float32 range of the output file is an error
+    naming the checkpoint, raised before anything is written."""
+    params, cfg = load_checkpoint(args.ckpt)
+    audio = _load_audio(args.audio, cfg)
+    with np.errstate(all="ignore"):  # an overflow is reported below, by frame
+        motion = autoregress(audio, args.identity, args.frames, params, cfg, capture)
+    if not (-_F32_MAX <= motion.min() and motion.max() <= _F32_MAX):  # or NaN
+        bad = np.flatnonzero(~(np.abs(motion) <= _F32_MAX).all(axis=1))[0]
+        raise DivergenceError(
+            f"{args.ckpt}: motion frame {bad} is non-finite or outside "
+            f"the float32 range"
+        )
+    return motion
+
+
 def _cmd_gen_synthetic(args) -> int:
     written = synthetic.gen_synthetic(
         args.out, args.identities, args.sequences, args.frames,
@@ -159,9 +180,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    params, cfg = load_checkpoint(args.ckpt)
-    audio = _load_audio(args.audio, cfg)
-    motion = autoregress(audio, args.identity, args.frames, params, cfg)
+    motion = _synthesize(args)
     save_matrix(args.out, motion)
     log.info("wrote %dx%d motion to %s", motion.shape[0], motion.shape[1], args.out)
     return EXIT_OK
@@ -176,10 +195,8 @@ def _cmd_eval_lip(args) -> int:
 
 
 def _cmd_export_attn(args) -> int:
-    params, cfg = load_checkpoint(args.ckpt)
-    audio = _load_audio(args.audio, cfg)
     records = []
-    autoregress(audio, args.identity, args.frames, params, cfg, capture=records)
+    _synthesize(args, capture=records)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     by_module: dict[str, list] = {}

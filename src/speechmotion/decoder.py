@@ -21,9 +21,13 @@ from .errors import ShapeError
 from .params import Params
 from .positional import alignment_bias, decoder_self_bias, head_slopes, ppe_row
 
+# Rows per vertex-head product (see decode_motion).
+HEAD_BLOCK = 32
+
 
 def embed_step(
-    prev_motion,
+    prev,
+    motion_map: tuple[Var, Var],
     identity: int,
     t: int,
     params: Params,
@@ -31,22 +35,41 @@ def embed_step(
 ) -> Var:
     """Decoder input row for step t: motion embedding + style + position.
 
-    Step 0 consumes no motion (there is no previous prediction yet), so its
-    row is just the style embedding plus the position vector.
+    The motion embedding is ``prev @ w + b`` for ``(w, b) = motion_map``:
+    ``rollout`` passes the previous step's hidden row with the folded map of
+    :func:`feedback_map`; a vertex-space frame with ``motion_enc.w/.b`` gives
+    the same embedding. Step 0 consumes no motion (there is no previous
+    prediction yet), so its row is just the style embedding plus the position
+    vector.
     """
     if not 0 <= identity < cfg.identities:
         raise ShapeError(
             f"identity index {identity} out of range [0, {cfg.identities})"
         )
-    if (prev_motion is None) != (t == 0):
-        raise ShapeError("prev_motion must be omitted exactly at step 0")
+    if (prev is None) != (t == 0):
+        raise ShapeError("prev must be omitted exactly at step 0")
     style = ad.take_row(params["style.table"], identity)
     if t == 0:
         base = style
     else:
-        motion = ad.linear(prev_motion, params["motion_enc.w"], params["motion_enc.b"])
-        base = ad.add(motion, style)
+        base = ad.add(ad.linear(prev, *motion_map), style)
     return ad.add_const(base, ppe_row(t, cfg))
+
+
+def feedback_map(params: Params, detach_feedback: bool) -> tuple[Var, Var]:
+    """The motion embedding of a fed-back prediction, as a map of hidden rows.
+
+    A prediction is ``h Wd + bd``, so its embedding ``(h Wd + bd) We + be``
+    is ``h M + c`` with ``M = Wd We`` (d x d) and ``c = bd We + be``. With
+    ``detach_feedback`` the map is built from detached ``Wd`` and ``bd``:
+    ``We`` and ``be`` still get the gradient they would get from the
+    detached prediction, and none reaches the head through the feedback.
+    """
+    wd, bd = params["motion_dec.w"], params["motion_dec.b"]
+    if detach_feedback:
+        wd, bd = ad.detach(wd), ad.detach(bd)
+    we = params["motion_enc.w"]
+    return ad.matmul(wd, we), ad.linear(bd, we, params["motion_enc.b"])
 
 
 def decoder_layer(
@@ -103,8 +126,15 @@ def decoder_layer(
 
 
 def decode_motion(hidden, params: Params) -> Var:
-    """Project hidden rows back to the 3*V vertex space."""
-    return ad.linear(hidden, params["motion_dec.w"], params["motion_dec.b"])
+    """Project hidden rows to the 3*V vertex space.
+
+    The rows go through the head ``HEAD_BLOCK`` at a time, the last block
+    zero-padded, so each frame's bits do not depend on how many rows are
+    decoded with it (see :func:`autodiff.linear_blocked`).
+    """
+    return ad.linear_blocked(
+        hidden, params["motion_dec.w"], params["motion_dec.b"], HEAD_BLOCK
+    )
 
 
 def rollout(
@@ -118,10 +148,13 @@ def rollout(
 ) -> Var:
     """Autoregressive generation over already-encoded audio.
 
-    Each step feeds one new row through every decoder layer against that
-    layer's cached input rows and decodes that row alone; gradients flow
-    through the fed-back predictions and the caches unless
-    ``detach_feedback`` is set. With ``capture``, the last step runs the
+    Each step embeds the previous step's last-layer hidden row with the
+    folded map of :func:`feedback_map`, feeds the new row through every
+    decoder layer against that layer's cached input rows, and keeps its
+    hidden row; the vertex head then decodes all T rows in one call.
+    Gradients flow through the fed-back rows and the caches unless
+    ``detach_feedback`` is set, which detaches the fed-back rows and builds
+    the map from a detached head. With ``capture``, the last step runs the
     layers on the full prefix instead, so the recorded maps cover all rows.
     """
     if motion_len < 1:
@@ -130,13 +163,14 @@ def rollout(
         raise ShapeError(
             f"requested {motion_len} frames but audio covers {enc.motion_len}"
         )
+    motion_map = feedback_map(params, detach_feedback)
     pasts: list[list[Var]] = [[] for _ in range(cfg.decoder_layers)]
-    preds: list[Var] = []
+    hidden: list[Var] = []
     for t in range(motion_len):
         prev = None
         if t > 0:
-            prev = ad.detach(preds[-1]) if detach_feedback else preds[-1]
-        x = embed_step(prev, identity, t, params, cfg)
+            prev = ad.detach(hidden[-1]) if detach_feedback else hidden[-1]
+        x = embed_step(prev, motion_map, identity, t, params, cfg)
         if capture is not None and t == motion_len - 1:
             x = ad.concat_rows(pasts[0] + [x])
             for layer in range(cfg.decoder_layers):
@@ -148,8 +182,8 @@ def rollout(
                 out, _ = decoder_layer(x, enc, params, cfg, layer, past=past)
                 past.append(x)
                 x = out
-        preds.append(decode_motion(x, params))
-    return ad.concat_rows(preds)
+        hidden.append(x)
+    return decode_motion(ad.concat_rows(hidden), params)
 
 
 def autoregress(

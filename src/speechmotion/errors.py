@@ -30,7 +30,8 @@ class AudioError(SpeechMotionError):
 
 
 class DivergenceError(SpeechMotionError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient, or inference a
+    non-finite or out-of-range motion frame."""
 
 
 class UsageError(SpeechMotionError):

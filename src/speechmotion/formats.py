@@ -94,7 +94,10 @@ def load_matrix(path) -> np.ndarray:
             f"{path}: payload size {len(blob)} does not match header "
             f"({rows}x{cols} needs {expected})"
         )
-    data = np.frombuffer(blob, dtype="<f4", offset=16).astype(np.float64)
+    # a signalling NaN warns when cast; it still loads as NaN, which the
+    # callers' finiteness checks report with the file name
+    with np.errstate(invalid="ignore"):
+        data = np.frombuffer(blob, dtype="<f4", offset=16).astype(np.float64)
     return data.reshape(rows, cols)
 
 

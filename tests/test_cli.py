@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from speechmotion import load_matrix, save_matrix
+from speechmotion import Var, init_params, load_matrix, save_checkpoint, save_matrix
 from speechmotion.cli import main
+
+from conftest import TINY
 
 
 TINY_CONFIG = """
@@ -207,6 +211,42 @@ class TestInfer:
         ]) == 1
         err = capsys.readouterr().err
         assert "--frames" in err and f"got {frames}" in err
+
+    @pytest.mark.parametrize("command", ["infer", "export-attn"])
+    @pytest.mark.parametrize(
+        "huge, frame",
+        [
+            ("motion_dec.w", 0),  # frame 0 exceeds float32; later ones overflow
+            ("motion_enc.w", 1),  # the folded feedback map itself overflows
+        ],
+    )
+    def test_non_finite_motion_is_data_error(self, tmp_path, capsys, command, huge, frame):
+        params = init_params(TINY, seed=0)
+        if huge == "motion_dec.w":
+            w = params["motion_dec.w"].data.copy()
+            w[0, 0] = 1e300
+            params["motion_dec.w"] = Var(w)
+        else:
+            params["motion_dec.w"] = Var(np.ones_like(params["motion_dec.w"].data))
+            params["motion_enc.w"] = Var(np.full_like(params["motion_enc.w"].data, 1e308))
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, params, TINY)
+        audio = tmp_path / "feats.f32mat"
+        save_matrix(audio, np.random.Generator(np.random.PCG64(3)).normal(size=(8, 4)))
+        out = tmp_path / "out"
+        flag = "--out" if command == "infer" else "--out-dir"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                command, "--ckpt", str(ckpt), "--audio", str(audio),
+                "--identity", "0", flag, str(out),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "huge.ckpt" in err and f"frame {frame} " in err
+        assert "Warning" not in err
+        assert not out.exists()
 
     def test_waveform_input(self, tmp_path, trained):
         import wave

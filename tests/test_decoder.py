@@ -15,7 +15,7 @@ from speechmotion import (
     rollout,
 )
 from speechmotion import autodiff as ad
-from speechmotion import init_params, training
+from speechmotion import decoder, init_params, training
 from speechmotion.positional import ppe_row
 
 from conftest import finite_diff, rel_err
@@ -35,9 +35,14 @@ def live_params(tiny_params, rng):
     return params
 
 
+def _vertex_map(params):
+    """The motion encoder, which embeds a vertex-space frame."""
+    return params["motion_enc.w"], params["motion_enc.b"]
+
+
 class TestEmbedStep:
     def test_step_zero_is_style_plus_position(self, tiny_cfg, tiny_params):
-        out = embed_step(None, 1, 0, tiny_params, tiny_cfg)
+        out = embed_step(None, _vertex_map(tiny_params), 1, 0, tiny_params, tiny_cfg)
         style = tiny_params["style.table"].data[1]
         assert np.allclose(out.data[0] - ppe_row(0, tiny_cfg)[0], style, atol=1e-15)
 
@@ -47,25 +52,27 @@ class TestEmbedStep:
         params["motion_enc.b"] = Var(np.zeros((1, 8)))
         prev = rng.normal(size=(1, 9))
         for t in (1, 3):
-            out = embed_step(prev, 0, t, params, tiny_cfg)
+            out = embed_step(prev, _vertex_map(params), 0, t, params, tiny_cfg)
             expect = params["style.table"].data[0:1] + ppe_row(t, tiny_cfg)
             assert np.allclose(out.data, expect, atol=1e-15)
 
     def test_identities_differ(self, tiny_cfg, tiny_params, rng):
         prev = rng.normal(size=(1, 9))
-        a = embed_step(prev, 0, 2, tiny_params, tiny_cfg)
-        b = embed_step(prev, 1, 2, tiny_params, tiny_cfg)
+        vmap = _vertex_map(tiny_params)
+        a = embed_step(prev, vmap, 0, 2, tiny_params, tiny_cfg)
+        b = embed_step(prev, vmap, 1, 2, tiny_params, tiny_cfg)
         assert not np.allclose(a.data, b.data)
 
     def test_identity_out_of_range(self, tiny_cfg, tiny_params):
         with pytest.raises(ShapeError, match="identity"):
-            embed_step(None, 2, 0, tiny_params, tiny_cfg)
+            embed_step(None, _vertex_map(tiny_params), 2, 0, tiny_params, tiny_cfg)
 
     def test_prev_motion_presence_contract(self, tiny_cfg, tiny_params, rng):
+        vmap = _vertex_map(tiny_params)
         with pytest.raises(ShapeError):
-            embed_step(rng.normal(size=(1, 9)), 0, 0, tiny_params, tiny_cfg)
+            embed_step(rng.normal(size=(1, 9)), vmap, 0, 0, tiny_params, tiny_cfg)
         with pytest.raises(ShapeError):
-            embed_step(None, 0, 1, tiny_params, tiny_cfg)
+            embed_step(None, vmap, 0, 1, tiny_params, tiny_cfg)
 
 
 class TestDecoderLayer:
@@ -127,6 +134,21 @@ class TestDecodeMotion:
         out = decode_motion(rng.normal(size=(5, 8)), params)
         assert np.allclose(out.data, np.repeat(params["motion_dec.b"].data, 5, 0), atol=1e-15)
 
+    def test_prefix_rows_bitwise_at_blas_width(self, rng):
+        # at 128 x 300 BLAS runs its blocked GEMM kernels, where a plain
+        # H[:t] @ W rounds most prefixes differently from the full product
+        params = {
+            "motion_dec.w": Var(rng.normal(size=(128, 300))),
+            "motion_dec.b": Var(rng.normal(size=(1, 300))),
+        }
+        hidden = rng.normal(size=(69, 128))
+        full = decode_motion(hidden, params).data
+        differ = [
+            t for t in range(1, 70)
+            if not np.array_equal(decode_motion(hidden[:t], params).data, full[:t])
+        ]
+        assert differ == []
+
     def test_gradients(self, tiny_params, rng):
         hidden = rng.normal(size=(3, 8))
         params = {
@@ -171,6 +193,24 @@ class TestAutoregress:
         four = rollout(enc, 1, 4, live_params, tiny_cfg).data
         assert np.array_equal(one[0], four[0])
 
+    def test_one_embed_per_step_and_one_head_call(self, tiny_cfg, live_params, rng, monkeypatch):
+        calls = {"embed": 0, "head_rows": []}
+        embed, head = decoder.embed_step, decoder.decode_motion
+
+        def counted_embed(*args):
+            calls["embed"] += 1
+            return embed(*args)
+
+        def counted_head(hidden, params):
+            calls["head_rows"].append(hidden.rows)
+            return head(hidden, params)
+
+        monkeypatch.setattr(decoder, "embed_step", counted_embed)
+        monkeypatch.setattr(decoder, "decode_motion", counted_head)
+        enc = encode(_audio(rng), 4, live_params, tiny_cfg)
+        assert rollout(enc, 0, 4, live_params, tiny_cfg).shape == (4, 9)
+        assert calls == {"embed": 4, "head_rows": [4]}
+
     def test_empty_sequence_rejected(self, tiny_cfg, live_params, rng):
         enc = encode(_audio(rng), 4, live_params, tiny_cfg)
         with pytest.raises(ShapeError, match="empty"):
@@ -193,11 +233,13 @@ class TestAutoregress:
 
 
 def _dense_rollout(enc, identity, motion_len, params, cfg, detach_feedback=False):
-    """Reference rollout: every step re-runs each layer on the full prefix."""
+    """Reference rollout: every step re-runs each layer on the full prefix,
+    decodes its row and feeds that vertex-space frame back through the motion
+    encoder."""
     embeds, preds = [], []
     for t in range(motion_len):
         prev = (ad.detach(preds[-1]) if detach_feedback else preds[-1]) if t else None
-        embeds.append(embed_step(prev, identity, t, params, cfg))
+        embeds.append(embed_step(prev, _vertex_map(params), identity, t, params, cfg))
         x = ad.concat_rows(embeds)
         for layer in range(cfg.decoder_layers):
             x, _ = decoder_layer(x, enc, params, cfg, layer)
@@ -236,7 +278,10 @@ class TestPrefixCache:
         assert np.abs(np.diff(dense, axis=0)).max() > 0
         assert np.abs(cached - dense).max() <= 1e-12
 
-    def test_loss_gradients_match_dense_reference(self, two_layer, rng, monkeypatch):
+    @pytest.mark.parametrize("detach_feedback", [False, True])
+    def test_loss_gradients_match_dense_reference(
+        self, two_layer, rng, monkeypatch, detach_feedback
+    ):
         cfg, params = two_layer
         sample = training.TrainingSample(
             _audio(rng, rows=10), rng.normal(size=(5, 9)) * 0.3, identity=0
@@ -244,7 +289,9 @@ class TestPrefixCache:
 
         def grads():
             with ad.Tape():
-                loss, _ = training.rollout_loss(sample, params, cfg)
+                loss, _ = training.rollout_loss(
+                    sample, params, cfg, detach_feedback=detach_feedback
+                )
                 return ad.backward(loss, params)
 
         cached = grads()

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import warnings
 import wave
 import zlib
 
@@ -21,6 +22,7 @@ from speechmotion import (
 from speechmotion.cli import main
 from speechmotion.config import build_configs
 from speechmotion.formats import (
+    load_motion,
     matrix_header,
     parse_config_lines,
     read_lip_indices,
@@ -58,6 +60,19 @@ class TestMatrixFile:
         path.write_bytes(blob[:-4])
         with pytest.raises(FormatError, match="size"):
             load_matrix(path)
+
+    def test_signalling_nan_loads_without_warning(self, tmp_path, rng):
+        path = tmp_path / "snan.f32mat"
+        save_matrix(path, rng.normal(size=(2, 3)))
+        blob = bytearray(path.read_bytes())
+        blob[16 + 4 * 4 : 16 + 4 * 5] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = load_matrix(path)
+            with pytest.raises(FormatError, match="snan.f32mat"):
+                load_motion(path)
+        assert np.isnan(m[1, 1]) and np.isfinite(np.delete(m, 4)).all()
 
     def test_file_bytes_pinned(self, tmp_path, rng):
         m = np.asfortranarray(rng.normal(size=(3, 5)))
