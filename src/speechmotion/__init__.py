@@ -10,7 +10,6 @@ reverse-mode tape so training is self-contained and bitwise reproducible.
 from .attention import (
     AttentionProjections,
     AttentionRecord,
-    attention_oracle,
     biased_attention,
     mh_attention,
 )
@@ -52,9 +51,7 @@ from .positional import (
     BiasMatrix,
     alignment_bias,
     head_slopes,
-    positional_table,
     ppe_row,
-    temporal_bias,
 )
 from .synthetic import gen_synthetic, load_dataset
 from .training import (
@@ -77,13 +74,13 @@ __all__ = [
     "DivergenceError", "EncodedAudio", "FormatError", "GradientError",
     "ModelConfig", "ShapeError", "SpeechMotionError", "Tape", "TrainConfig",
     "TrainingSample", "UsageError", "Var", "adam_step", "alignment_bias",
-    "attention_oracle", "autoregress", "backward", "biased_attention",
+    "autoregress", "backward", "biased_attention",
     "conv1d_strided", "decode_motion", "decoder_layer", "embed_step",
     "encode", "evaluate_rmse", "export_attention", "extract_features",
     "frame_vertex_rmse", "gen_synthetic", "grad", "head_slopes",
     "init_params", "layer_norm", "linear", "lip_error", "lip_error_corpus",
     "load_checkpoint", "load_dataset", "load_matrix", "matmul", "mh_attention",
-    "mse_loss", "param_shapes", "positional_table", "ppe_row", "profile",
+    "mse_loss", "param_shapes", "ppe_row", "profile",
     "resample_linear", "rms_amplitude", "rollout", "save_checkpoint",
-    "save_matrix", "softmax_rows", "temporal_bias", "train",
+    "save_matrix", "softmax_rows", "train",
 ]

@@ -1,17 +1,15 @@
-"""Biased scaled dot-product attention, multi-head wrapper, the residual and
-feed-forward sublayers shared by encoder and decoder layers, and a naive
-reference oracle used for equivalence testing."""
+"""Biased scaled dot-product attention, multi-head wrapper, and the residual
+and feed-forward sublayers shared by encoder and decoder layers."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import DegenerateRowError, ShapeError
+from .errors import ShapeError
 from .params import Params
 from .positional import BiasMatrix
 
@@ -29,6 +27,25 @@ class AttentionProjections:
     def from_params(cls, params: Params, prefix: str) -> "AttentionProjections":
         """The ``{prefix}.wq/wk/wv/wo`` parameters."""
         return cls(*(params[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo")))
+
+    def keys_values(self, x) -> "KeyValues":
+        """Keys and values of all rows of x."""
+        k = ad.matmul(x, self.wk)
+        return KeyValues(k, ad.matmul(x, self.wv), 0, k.rows)
+
+
+@dataclass
+class KeyValues:
+    """Projected keys and values; attention reads rows [start, stop)."""
+
+    k: Var
+    v: Var
+    start: int
+    stop: int
+
+    @property
+    def rows(self) -> int:
+        return self.stop - self.start
 
 
 @dataclass
@@ -60,23 +77,29 @@ def mh_attention(
     slopes: list[float] | None = None,
     capture: bool = False,
 ) -> tuple[Var, AttentionRecord | None]:
-    """Multi-head biased attention.
+    """Multi-head biased attention from the rows of x_q to ``x_kv``: rows that
+    ``proj`` projects, or :class:`KeyValues` projected before.
 
-    Temporal biases require per-head slopes (head h sees base_bias * slope_h);
-    alignment biases are shared unscaled across heads, since scaling a
+    A 2-D temporal bias needs per-head slopes (head h sees base_bias *
+    slope_h); a heads x t x s temporal bias is already scaled per head.
+    Alignment biases are shared unscaled across heads, since scaling a
     {0, -inf} matrix changes nothing.
     """
-    temporal = base_bias is not None and base_bias.kind == "temporal"
-    if temporal and slopes is None:
+    unscaled = (
+        base_bias is not None and base_bias.kind == "temporal" and base_bias.data.ndim == 2
+    )
+    if unscaled and slopes is None:
         raise ShapeError("temporal bias needs per-head slopes")
-    if not temporal and slopes is not None:
-        raise ShapeError("slopes are only meaningful for temporal biases")
-    if temporal and len(slopes) != heads:
+    if not unscaled and slopes is not None:
+        raise ShapeError("slopes are only meaningful for an unscaled temporal bias")
+    if unscaled and len(slopes) != heads:
         raise ShapeError(f"got {len(slopes)} slopes for {heads} heads")
-    bias = base_bias.scaled(slopes) if temporal else base_bias
+    bias = base_bias.scaled(slopes) if unscaled else base_bias
+    q = ad.matmul(x_q, proj.wq)
+    kv = x_kv if isinstance(x_kv, KeyValues) else proj.keys_values(x_kv)
     out, weights = ad.attention(
-        ad.matmul(x_q, proj.wq), ad.matmul(x_kv, proj.wk), ad.matmul(x_kv, proj.wv),
-        None if bias is None else bias.data, heads,
+        q, kv.k, kv.v, None if bias is None else bias.data, heads,
+        slice(kv.start, kv.stop),
     )
     record = None
     if capture:
@@ -86,49 +109,13 @@ def mh_attention(
 
 def add_norm(x, sublayer_out, params: Params, prefix: str) -> Var:
     """Residual connection, then layer norm with ``{prefix}.gain/offset``."""
-    return ad.layer_norm(
-        ad.add(x, sublayer_out), params[f"{prefix}.gain"], params[f"{prefix}.offset"]
+    return ad.add_norm(
+        x, sublayer_out, params[f"{prefix}.gain"], params[f"{prefix}.offset"]
     )
 
 
 def feed_forward(x, params: Params, prefix: str) -> Var:
     """Rectifier feed-forward with ``{prefix}.w1/b1/w2/b2``."""
-    hidden = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return ad.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-
-
-def attention_oracle(q, k, v, bias: BiasMatrix | None) -> np.ndarray:
-    """Reference attention computed with explicit scalar loops.
-
-    Deliberately unvectorized so it cannot share bugs with the production
-    path; used only by tests.
-    """
-    qd = np.asarray(q.data if isinstance(q, Var) else q, dtype=np.float64)
-    kd = np.asarray(k.data if isinstance(k, Var) else k, dtype=np.float64)
-    vd = np.asarray(v.data if isinstance(v, Var) else v, dtype=np.float64)
-    t, d_k = qd.shape
-    s, d_v = vd.shape
-    inv = 1.0 / math.sqrt(d_k)
-    out = np.zeros((t, d_v))
-    for i in range(t):
-        scores = []
-        for j in range(s):
-            dot = 0.0
-            for a in range(d_k):
-                dot += qd[i, a] * kd[j, a]
-            score = dot * inv
-            if bias is not None:
-                score += bias.data[i, j]
-            scores.append(score)
-        finite = [x for x in scores if math.isfinite(x)]
-        if not finite:
-            raise DegenerateRowError(f"softmax row {i} has no finite entry")
-        top = max(finite)
-        exps = [math.exp(x - top) if math.isfinite(x) else 0.0 for x in scores]
-        denom = sum(exps)
-        for b in range(d_v):
-            acc = 0.0
-            for j in range(s):
-                acc += (exps[j] / denom) * vd[j, b]
-            out[i, b] = acc
-    return out
+    return ad.feed_forward(
+        x, *(params[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
+    )

@@ -7,11 +7,22 @@ replaying it in reverse and accumulating adjoints in that fixed order yields
 gradients that are bitwise reproducible for identical tapes. Outside a tape
 the same functions just compute values, which is what inference uses.
 
+Most records are one layer's worth of work: ``linear``, ``add_norm`` (residual
+add + layer norm), ``feed_forward`` (linear, rectifier, linear) and
+``attention`` (all heads) are one record each, with the bits of the
+elementary composition they replace. A decoder step writes its keys and
+values into preallocated buffers with ``write_row``, a record whose output is
+the buffer itself, and ``attention`` reads a row range of such a buffer and
+returns a gradient for the whole of it.
+
 ``-inf`` is the masking sentinel for attention biases. It may enter the graph
 only through the bias of ``attention`` or through ``add_const`` (adding a bias
 matrix to finite scores), and is consumed only by ``attention`` and
 ``softmax_rows``, which map it to exactly zero weight; no other operation
-accepts non-finite input.
+accepts non-finite input. The cached decoder step passes no ``-inf``: its
+self-attention bias is a slice of a distance row and its cross-attention has
+no bias. The full-prefix decoder block (attention export) and the tests
+still pass causal and alignment biases with ``-inf`` entries.
 
 A tape drops its records when its ``with`` block ends: every taped output
 points back at its tape, so a tape that kept its records would be a
@@ -235,9 +246,51 @@ def sum_all(a) -> Var:
     )
 
 
+def _check_linear(x_shape: tuple[int, int], w: Var, b: Var) -> None:
+    if x_shape[1] != w.rows or b.shape != (1, w.cols):
+        raise ShapeError(f"linear shape mismatch: {x_shape} x {w.shape} + {b.shape}")
+
+
 def linear(x, w, b) -> Var:
-    """x @ w + b with b broadcast over rows."""
-    return add_row(matmul(x, w), b)
+    """x @ w + b with b broadcast over rows, recorded as one op (the same
+    bits as ``add_row(matmul(x, w), b)``)."""
+    x, w, b = _as_var(x), _as_var(w), _as_var(b)
+    _check_linear(x.shape, w, b)
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+
+    def vjp(g: Array):
+        return g @ wd.T, xd.T @ g, g.sum(axis=0, keepdims=True)
+
+    return _make(out, (x, w, b), vjp)
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Var:
+    """relu(x @ w1 + b1) @ w2 + b2, recorded as one op (the same bits as the
+    composition of ``linear``, ``relu`` and ``linear``)."""
+    x, w1, b1, w2, b2 = (_as_var(a) for a in (x, w1, b1, w2, b2))
+    _check_linear(x.shape, w1, b1)
+    _check_linear((x.rows, w1.cols), w2, b2)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    pre = xd @ w1d
+    pre += b1.data
+    mask = pre > 0.0
+    hidden = np.where(mask, pre, 0.0)
+    out = hidden @ w2d
+    out += b2.data
+
+    def vjp(g: Array):
+        gpre = (g @ w2d.T) * mask
+        return (
+            gpre @ w1d.T,
+            xd.T @ gpre,
+            gpre.sum(axis=0, keepdims=True),
+            hidden.T @ g,
+            g.sum(axis=0, keepdims=True),
+        )
+
+    return _make(out, (x, w1, b1, w2, b2), vjp)
 
 
 def linear_blocked(x, w, b, block: int) -> Var:
@@ -250,8 +303,7 @@ def linear_blocked(x, w, b, block: int) -> Var:
     result for a prefix of x is a prefix of the result.
     """
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
-    if x.cols != w.rows or b.shape != (1, w.cols):
-        raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    _check_linear(x.shape, w, b)
     t, xd, wd = x.rows, x.data, w.data
     padded = np.zeros((-(-t // block) * block, x.cols))
     padded[:t] = xd
@@ -301,26 +353,30 @@ def softmax_rows(a) -> Var:
     return _make(y, (a,), vjp)
 
 
-def attention(q, k, v, bias, heads: int) -> tuple[Var, Array]:
+def attention(q, k, v, bias, heads: int, keys: slice = slice(None)) -> tuple[Var, Array]:
     """Multi-head softmax(q k^T / sqrt(d_k) + bias) v, recorded as one op.
 
-    Head h reads column block h of q and k (width d_k) and of v (width d_v);
-    the t x (heads * d_v) output holds the heads' results side by side.
-    ``bias`` is None, a t x s array shared by every head, or a heads x t x s
-    stack; its ``-inf`` entries get exactly zero weight, and a row with no
-    finite entry raises :class:`DegenerateRowError`. Also returns the
-    heads x t x s weights W, which the backward pass reads: do not modify
-    them.
+    The keys and values are rows ``keys`` (a step-1 slice) of k and v, s of
+    them; the gradients of k and v cover all their rows, zero outside
+    ``keys``. Head h reads column block h of q and k (width d_k) and of v
+    (width d_v); the t x (heads * d_v) output holds the heads' results side
+    by side. ``bias`` is None, a t x s array shared by every head, or a
+    heads x t x s stack; its ``-inf`` entries get exactly zero weight, and a
+    row with no finite entry raises :class:`DegenerateRowError`. Also
+    returns the heads x t x s weights W, which the backward pass reads: do
+    not modify them.
 
     The backward pass is the standard softmax-attention VJP: dV = W^T dO,
     dW = dO V^T, dS = W * (dW - rowsum(dW * W)), then dQ = dS K / sqrt(d_k)
     and dK = dS^T Q / sqrt(d_k).
     """
     q, k, v = _as_var(q), _as_var(k), _as_var(v)
-    t, s = q.rows, k.rows
-    if q.cols != k.cols or s != v.rows:
+    kd, vd = k.data[keys], v.data[keys]
+    t, s = q.rows, kd.shape[0]
+    if q.cols != k.cols or k.rows != v.rows or s == 0:
         raise ShapeError(
-            f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}"
+            f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}, "
+            f"keys {keys}"
         )
     if heads < 1 or q.cols % heads or v.cols % heads:
         raise ShapeError(f"widths {q.cols}/{v.cols} not divisible by {heads} heads")
@@ -331,7 +387,14 @@ def attention(q, k, v, bias, heads: int) -> tuple[Var, Array]:
     def merge(x: Array) -> Array:  # heads x rows x d -> rows x (heads * d)
         return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    def widen(g: Array, rows: int) -> Array:  # gradient of a keys slice
+        if g.shape[0] == rows:
+            return g
+        full = np.zeros((rows, g.shape[1]))
+        full[keys] = g
+        return full
+
+    qh, kh, vh = split(q.data), split(kd), split(vd)
     c = 1.0 / math.sqrt(qh.shape[2])
     w = qh @ kh.transpose(0, 2, 1)
     w *= c
@@ -350,39 +413,79 @@ def attention(q, k, v, bias, heads: int) -> tuple[Var, Array]:
         ds *= c
         return (
             merge(ds @ kh),
-            merge(ds.transpose(0, 2, 1) @ qh),
-            merge(w.transpose(0, 2, 1) @ gh),
+            widen(merge(ds.transpose(0, 2, 1) @ qh), k.rows),
+            widen(merge(w.transpose(0, 2, 1) @ gh), v.rows),
         )
 
     return _make(merge(w @ vh), (q, k, v), vjp), w
 
 
-def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
-    a, gain, offset = _as_var(a), _as_var(gain), _as_var(offset)
-    n = a.cols
+def write_row(buf: Var, i: int, row) -> None:
+    """Set row i of ``buf`` to the 1-row ``row`` in place.
+
+    ``buf`` is a buffer filled one row per step, each row written once:
+    the record's output is ``buf`` itself, and its VJP hands ``row`` row i of
+    the gradient accumulated on ``buf``. Every reader of row i is recorded
+    after this write, so the reverse pass has added all of their
+    contributions by the time it reaches the write.
+    """
+    row = _as_var(row)
+    if row.shape != (1, buf.cols) or not 0 <= i < buf.rows:
+        raise ShapeError(f"cannot write a {row.shape} row at row {i} of {buf.shape}")
+    buf.data[i] = row.data[0]
+    tape = _active_tape()
+    if tape is not None:
+        tape._records.append((buf, (row,), lambda g: (g[i : i + 1],)))
+
+
+def _row_mean(x: Array) -> Array:
+    """``x.mean(axis=1, keepdims=True)``, bit for bit, without its Python
+    wrapper: a sum, then a division by the row length."""
+    m = np.add.reduce(x, axis=1, keepdims=True)
+    m /= x.shape[1]
+    return m
+
+
+def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> Var:
+    """layer_norm of the data x, which is the sum of ``inputs``: each input
+    gets the same gradient."""
+    gain, offset = _as_var(gain), _as_var(offset)
+    n = x.shape[1]
     if gain.shape != (1, n) or offset.shape != (1, n):
         raise ShapeError(
             f"layer_norm gain/offset must be 1x{n}, got {gain.shape}/{offset.shape}"
         )
-    x = a.data
-    mu = x.mean(axis=1, keepdims=True)
-    var = np.square(x - mu).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xc = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(np.square(xc)) + eps)
+    xhat = xc * inv
     gd = gain.data
 
     def vjp(g: Array):
         gy = g * gd
-        term = gy - gy.mean(axis=1, keepdims=True)
-        term -= xhat * (gy * xhat).mean(axis=1, keepdims=True)
-        return (
-            term * inv,
+        term = gy - _row_mean(gy)
+        term -= xhat * _row_mean(gy * xhat)
+        term *= inv
+        return (term,) * len(inputs) + (
             (g * xhat).sum(axis=0, keepdims=True),
             g.sum(axis=0, keepdims=True),
         )
 
-    return _make(xhat * gd + offset.data, (a, gain, offset), vjp)
+    return _make(xhat * gd + offset.data, inputs + (gain, offset), vjp)
+
+
+def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
+    """Normalize each row to zero mean / unit variance, then scale and shift."""
+    a = _as_var(a)
+    return _normalize(a.data, (a,), gain, offset, eps)
+
+
+def add_norm(a, b, gain, offset, eps: float = 1e-5) -> Var:
+    """``layer_norm(add(a, b), gain, offset)`` recorded as one op, with the
+    same bits."""
+    a, b = _as_var(a), _as_var(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    return _normalize(a.data + b.data, (a, b), gain, offset, eps)
 
 
 def gather_patches(x, width: int, stride: int) -> Var:

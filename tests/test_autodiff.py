@@ -21,10 +21,11 @@ from speechmotion import (
     init_params,
 )
 from speechmotion import autodiff as ad
-from speechmotion.positional import alignment_bias, head_slopes, temporal_bias
+from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.training import rollout_loss
 
 from conftest import finite_diff, rel_err
+from reference import temporal_bias
 
 
 class TestMatmul:
@@ -163,9 +164,52 @@ class TestAttention:
         with pytest.raises(DegenerateRowError, match="row 2"):
             ad.attention(q, k, v, bias, heads)
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_buffer_rows_gradients_match_finite_differences(self, rng, heads):
+        # the decoder's cached step: row i of each buffer is written at step
+        # i, and step i's query reads buffer rows [0, i] under the last i + 1
+        # columns of a per-head bias row, and rows [2i, 2i + 2) of a
+        # projected audio matrix with no bias
+        n, d = 4, 4
+        xs, audio = Var(rng.normal(size=(n, d))), Var(rng.normal(size=(2 * n, d)))
+        wq, wk, wv = (Var(rng.normal(size=(d, d))) for _ in range(3))
+        bias_row = rng.normal(size=(heads, 1, n))
+        readout = rng.normal(size=(2 * n, d))
+
+        def loss_var():
+            keys, values = Var(np.zeros((n, d))), Var(np.zeros((n, d)))
+            audio_k, audio_v = ad.matmul(audio, wk), ad.matmul(audio, wv)
+            outs = []
+            for i in range(n):
+                x = ad.take_row(xs, i)
+                ad.write_row(keys, i, ad.matmul(x, wk))
+                ad.write_row(values, i, ad.matmul(x, wv))
+                q = ad.matmul(x, wq)
+                own, _ = ad.attention(
+                    q, keys, values, bias_row[:, :, n - 1 - i :], heads, slice(0, i + 1)
+                )
+                window, _ = ad.attention(q, audio_k, audio_v, None, heads, slice(2 * i, 2 * i + 2))
+                outs += [own, window]
+            return ad.sum_all(ad.mul(ad.concat_rows(outs), readout))
+
+        for var in (xs, audio, wq, wk, wv):
+            with Tape():
+                g = grad(loss_var(), var)
+            fd = finite_diff(lambda: loss_var().item(), var.data)
+            assert rel_err(g, fd) < 1e-6
+
+    def test_write_row_checks_its_target(self, rng):
+        buf = Var(np.zeros((3, 2)))
+        with pytest.raises(ShapeError, match="row 3"):
+            ad.write_row(buf, 3, rng.normal(size=(1, 2)))
+        with pytest.raises(ShapeError, match=r"\(2, 2\)"):
+            ad.write_row(buf, 0, rng.normal(size=(2, 2)))
+
     def test_training_rollout_records(self, rng):
-        # one record per multi-head attention: a third of the 2,106 records
+        # one record per multi-head attention, one per linear, add-norm and
+        # feed-forward, and a cached step that projects only its new row:
         # the per-head composition of slices, transposes and softmaxes made
+        # 2,106 records, the fused attention alone 598
         cfg = ModelConfig().validate()
         frames = 20
         sample = TrainingSample(
@@ -176,7 +220,49 @@ class TestAttention:
         )
         with Tape() as tape:
             rollout_loss(sample, init_params(cfg, seed=0), cfg)
-            assert len(tape) <= 702
+            assert len(tape) <= 387
+
+
+class TestFusedRecords:
+    """linear, add_norm and feed_forward are one record each, with the bits
+    of the composition they replace, forward and backward."""
+
+    @staticmethod
+    def _compare(rng, fused, composed, inputs):
+        readout = None
+        results = []
+        for build in (fused, composed):
+            with Tape():
+                out = build(*inputs)
+                if readout is None:
+                    readout = rng.normal(size=out.shape)
+                loss = ad.sum_all(ad.mul(out, readout))
+                grads = backward(loss, {str(i): v for i, v in enumerate(inputs)})
+            results.append((out.data, grads))
+        (out_f, grads_f), (out_c, grads_c) = results
+        assert np.array_equal(out_f, out_c)
+        for name in grads_f:
+            assert np.array_equal(grads_f[name], grads_c[name]), name
+
+    def test_linear(self, rng):
+        inputs = [Var(rng.normal(size=s)) for s in ((5, 6), (6, 7), (1, 7))]
+        self._compare(rng, ad.linear, lambda x, w, b: ad.add_row(ad.matmul(x, w), b), inputs)
+
+    def test_add_norm(self, rng):
+        inputs = [Var(rng.normal(size=s)) for s in ((5, 6), (5, 6), (1, 6), (1, 6))]
+        self._compare(
+            rng, ad.add_norm, lambda a, b, g, o: ad.layer_norm(ad.add(a, b), g, o), inputs
+        )
+
+    def test_feed_forward(self, rng):
+        inputs = [Var(rng.normal(size=s)) for s in ((5, 6), (6, 7), (1, 7), (7, 6), (1, 6))]
+
+        def composed(x, w1, b1, w2, b2):
+            hidden = ad.relu(ad.add_row(ad.matmul(x, w1), b1))
+            return ad.add_row(ad.matmul(hidden, w2), b2)
+
+        assert (inputs[0].data @ inputs[1].data + inputs[2].data < 0).any()
+        self._compare(rng, ad.feed_forward, composed, inputs)
 
 
 class TestLayerNorm:

@@ -5,6 +5,7 @@ import pytest
 
 from speechmotion import (
     AudioInput,
+    ModelConfig,
     ShapeError,
     Var,
     autoregress,
@@ -16,9 +17,10 @@ from speechmotion import (
 )
 from speechmotion import autodiff as ad
 from speechmotion import decoder, init_params, training
-from speechmotion.positional import ppe_row
+from speechmotion.positional import head_slopes, ppe_row
 
 from conftest import finite_diff, rel_err
+from reference import causal_mask, temporal_bias
 
 
 def _audio(rng, rows=8):
@@ -112,6 +114,12 @@ class TestDecoderLayer:
         changed, _ = decoder_layer(Var(bumped), enc, tiny_params, tiny_cfg)
         assert np.array_equal(base.data[:3], changed.data[:3])
         assert not np.allclose(base.data[3], changed.data[3])
+
+    def test_cached_step_takes_one_row(self, tiny_cfg, tiny_params, rng):
+        enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
+        past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
+        with pytest.raises(ShapeError, match="one row"):
+            decoder_layer(Var(rng.normal(size=(2, 8))), enc, tiny_params, tiny_cfg, past=past)
 
     def test_prefix_longer_than_audio_rejected(self, tiny_cfg, tiny_params, rng):
         enc = encode(_audio(rng), 2, tiny_params, tiny_cfg)
@@ -211,6 +219,76 @@ class TestAutoregress:
         assert rollout(enc, 0, 4, live_params, tiny_cfg).shape == (4, 9)
         assert calls == {"embed": 4, "head_rows": [4]}
 
+    def test_prefix_bitwise_at_blas_width(self, rng):
+        # BLAS picks its kernel by a product's shape, so a row can round
+        # differently in products of different row counts (at frame ratio 1,
+        # projecting only a one-step rollout's audio rows would be a GEMV):
+        # the audio keys and values are projected over all of enc.a, however
+        # many steps the rollout takes
+        cfg = ModelConfig(
+            dim=128, heads=4, period=5, feature_rate=25.0, encoder_layers=1,
+            decoder_layers=2, ff_dim=256, encoder_dim=128, encoder_heads=4,
+        ).validate()
+        params = init_params(cfg, seed=3)
+        params["motion_dec.w"] = Var(rng.normal(size=(128, cfg.motion_dim)) * 0.1)
+        frames = 40
+        audio = AudioInput.from_features(
+            rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate
+        )
+        enc = encode(audio, frames, params, cfg)
+        full = rollout(enc, 0, frames, params, cfg).data
+        differ = [
+            t for t in range(1, frames)
+            if not np.array_equal(rollout(enc, 0, t, params, cfg).data, full[:t])
+        ]
+        assert differ == []
+
+    def test_one_bias_row_per_rollout(self, tiny_cfg, rng, monkeypatch):
+        cfg = dataclasses.replace(tiny_cfg, decoder_layers=2).validate()
+        params = init_params(cfg, seed=0)
+        calls = {"decoder_self_bias": 0, "alignment_bias": 0}
+
+        def counted(name):
+            fn = getattr(decoder, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(decoder, name, counted(name))
+        enc = encode(_audio(rng), 4, params, cfg)
+        rollout(enc, 0, 4, params, cfg)
+        assert calls == {"decoder_self_bias": 1, "alignment_bias": 0}
+
+    @pytest.mark.parametrize("mode", ["tb_ppe", "alibi", "original_pe"])
+    def test_step_biases_are_reference_rows(self, tiny_cfg, live_params, rng, monkeypatch, mode):
+        cfg = dataclasses.replace(tiny_cfg, pe_mode=mode).validate()
+        seen = []
+        attend = decoder.mh_attention
+
+        def spy(x_q, x_kv, proj, heads, bias, *args, **kwargs):
+            seen.append((x_kv.rows, bias))
+            return attend(x_q, x_kv, proj, heads, bias, *args, **kwargs)
+
+        monkeypatch.setattr(decoder, "mh_attention", spy)
+        frames = 7
+        enc = encode(_audio(rng, rows=14), frames, live_params, cfg)
+        rollout(enc, 0, frames, live_params, cfg)
+        assert len(seen) == 2 * frames
+        for t in range(frames):
+            (self_rows, self_bias), (cross_rows, cross_bias) = seen[2 * t : 2 * t + 2]
+            assert (self_rows, cross_rows, cross_bias) == (t + 1, cfg.frame_ratio, None)
+            assert self_bias.kind == "temporal"
+            for h, slope in enumerate(head_slopes(cfg.heads)):
+                if mode == "original_pe":
+                    ref = causal_mask(frames).data[t]
+                else:
+                    ref = temporal_bias(frames, cfg.period if mode == "tb_ppe" else 1, slope).data[t]
+                assert np.array_equal(self_bias.data[h, 0], ref[: t + 1])
+                assert np.isneginf(ref[t + 1 :]).all()
+
     def test_empty_sequence_rejected(self, tiny_cfg, live_params, rng):
         enc = encode(_audio(rng), 4, live_params, tiny_cfg)
         with pytest.raises(ShapeError, match="empty"):
@@ -264,10 +342,12 @@ class TestPrefixCache:
         for layer in range(2):
             full, _ = decoder_layer(Var(rows), enc, params, cfg, layer)
             for s, t in ((1, 1), (3, 2), (5, 1)):
-                past = [Var(rows[i : i + 1]) for i in range(s)]
-                new, _ = decoder_layer(
-                    Var(rows[s : s + t]), enc, params, cfg, layer, past=past
-                )
+                past = decoder.layer_caches(enc, 6, params, cfg)[layer]
+                steps = [
+                    decoder_layer(Var(rows[i : i + 1]), enc, params, cfg, layer, past=past)[0]
+                    for i in range(s + t)
+                ]
+                new = ad.concat_rows(steps[s:])
                 assert np.abs(new.data - full.data[s : s + t]).max() <= 1e-12
 
     def test_rollout_matches_dense_reference(self, two_layer, rng):

