@@ -10,7 +10,6 @@ reverse-mode tape so training is self-contained and bitwise reproducible.
 from .attention import (
     AttentionProjections,
     AttentionRecord,
-    biased_attention,
     mh_attention,
 )
 from .autodiff import (
@@ -22,17 +21,10 @@ from .autodiff import (
     layer_norm,
     linear,
     matmul,
-    softmax_rows,
 )
 from .config import ModelConfig, TrainConfig, profile
 from .decoder import autoregress, decode_motion, decoder_layer, embed_step, rollout
-from .encoder import (
-    AudioInput,
-    EncodedAudio,
-    encode,
-    extract_features,
-    resample_linear,
-)
+from .encoder import AudioInput, EncodedAudio, encode, extract_features
 from .errors import (
     AudioError,
     ConfigError,
@@ -74,13 +66,12 @@ __all__ = [
     "DivergenceError", "EncodedAudio", "FormatError", "GradientError",
     "ModelConfig", "ShapeError", "SpeechMotionError", "Tape", "TrainConfig",
     "TrainingSample", "UsageError", "Var", "adam_step", "alignment_bias",
-    "autoregress", "backward", "biased_attention",
-    "conv1d_strided", "decode_motion", "decoder_layer", "embed_step",
-    "encode", "evaluate_rmse", "export_attention", "extract_features",
-    "frame_vertex_rmse", "gen_synthetic", "grad", "head_slopes",
-    "init_params", "layer_norm", "linear", "lip_error", "lip_error_corpus",
-    "load_checkpoint", "load_dataset", "load_matrix", "matmul", "mh_attention",
-    "mse_loss", "param_shapes", "ppe_row", "profile",
-    "resample_linear", "rms_amplitude", "rollout", "save_checkpoint",
-    "save_matrix", "softmax_rows", "train",
+    "autoregress", "backward", "conv1d_strided", "decode_motion",
+    "decoder_layer", "embed_step", "encode", "evaluate_rmse",
+    "export_attention", "extract_features", "frame_vertex_rmse",
+    "gen_synthetic", "grad", "head_slopes", "init_params", "layer_norm",
+    "linear", "lip_error", "lip_error_corpus", "load_checkpoint",
+    "load_dataset", "load_matrix", "matmul", "mh_attention", "mse_loss",
+    "param_shapes", "ppe_row", "profile", "rms_amplitude", "rollout",
+    "save_checkpoint", "save_matrix", "train",
 ]

@@ -61,13 +61,6 @@ class AttentionRecord:
         return np.mean(self.head_weights, axis=0)
 
 
-def biased_attention(q, k, v, bias: BiasMatrix | None) -> tuple[Var, Var]:
-    """softmax(q k^T / sqrt(d_k) + bias) v; returns (output, weights), the
-    weights untaped."""
-    out, weights = ad.attention(q, k, v, None if bias is None else bias.data, 1)
-    return out, Var(weights[0].copy())
-
-
 def mh_attention(
     x_q,
     x_kv,

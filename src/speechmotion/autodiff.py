@@ -15,14 +15,13 @@ values into preallocated buffers with ``write_row``, a record whose output is
 the buffer itself, and ``attention`` reads a row range of such a buffer and
 returns a gradient for the whole of it.
 
-``-inf`` is the masking sentinel for attention biases. It may enter the graph
-only through the bias of ``attention`` or through ``add_const`` (adding a bias
-matrix to finite scores), and is consumed only by ``attention`` and
-``softmax_rows``, which map it to exactly zero weight; no other operation
-accepts non-finite input. The cached decoder step passes no ``-inf``: its
-self-attention bias is a slice of a distance row and its cross-attention has
-no bias. The full-prefix decoder block (attention export) and the tests
-still pass causal and alignment biases with ``-inf`` entries.
+``-inf`` is the masking sentinel for attention biases. It may enter only
+through the bias of ``attention``, which maps it to exactly zero weight; no
+other operation accepts non-finite input. The cached decoder step passes no
+``-inf``: its self-attention bias is a slice of a distance row and its
+cross-attention has no bias. The full-prefix decoder block (attention
+export) and the tests still pass causal and alignment biases with ``-inf``
+entries.
 
 A tape drops its records when its ``with`` block ends: every taped output
 points back at its tape, so a tape that kept its records would be a
@@ -213,8 +212,7 @@ def mul(a, b) -> Var:
 
 
 def add_const(a, const) -> Var:
-    """Add a constant matrix; besides ``attention``'s bias, the one sanctioned
-    entry point for -inf biases."""
+    """Add a constant matrix, such as positional rows."""
     a = _as_var(a)
     c = np.asarray(const, dtype=np.float64)
     if a.shape != c.shape:
@@ -335,22 +333,6 @@ def _softmax_last(x: Array) -> Array:
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
-
-
-def softmax_rows(a) -> Var:
-    """Row-wise softmax, stabilized by finite row-max subtraction.
-
-    ``-inf`` entries get exactly zero weight; a row with no finite entry is a
-    fully masked query and raises :class:`DegenerateRowError`.
-    """
-    a = _as_var(a)
-    _require_unmasked_rows(a.data)
-    y = _softmax_last(a.data.copy())
-
-    def vjp(g: Array):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
-
-    return _make(y, (a,), vjp)
 
 
 def attention(q, k, v, bias, heads: int, keys: slice = slice(None)) -> tuple[Var, Array]:

@@ -19,7 +19,7 @@ from .autodiff import Var
 from .config import ModelConfig
 from .errors import AudioError
 from .params import CONV_SCHEDULE, EXTRACTOR_TOTAL_STRIDE, Params, extractor_min_samples
-from .positional import sinusoid_row
+from .positional import sinusoid_rows
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,6 @@ def extract_features(audio: AudioInput, params: Params, cfg: ModelConfig) -> Var
     return x
 
 
-def resample_linear(features, target_len: int) -> Var:
-    """Endpoint-preserving linear interpolation along the time axis."""
-    return ad.resample_rows(features, target_len)
-
-
 def infer_motion_len(feature_rows: int, audio_rate: float, cfg: ModelConfig) -> int:
     """Motion frames covered by the audio: round(T' * f_m / f_a), at least 1."""
     return max(1, int(feature_rows * cfg.motion_rate / audio_rate + 0.5))
@@ -145,10 +140,9 @@ def encode(
     if motion_len is None:
         motion_len = infer_motion_len(feats.rows, audio.rate, cfg)
     target = cfg.frame_ratio * motion_len
-    x = resample_linear(feats, target)
+    x = ad.resample_rows(feats, target)
     x = ad.linear(x, params["enc.input_proj.w"], params["enc.input_proj.b"])
-    pe = np.concatenate([sinusoid_row(t, cfg.encoder_dim) for t in range(target)])
-    x = ad.add_const(x, pe)
+    x = ad.add_const(x, sinusoid_rows(np.arange(target), cfg.encoder_dim))
     for i in range(cfg.encoder_layers):
         x = _encoder_layer(x, params, cfg, i, capture)
     a = ad.linear(x, params["enc.output_proj.w"], params["enc.output_proj.b"])

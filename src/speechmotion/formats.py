@@ -15,18 +15,24 @@ All writers go through a temp file + atomic rename, so failures never leave
 partial files behind. They stream their chunks (a header, then each array's
 own buffer) to that file without joining them into one byte string first.
 
-A checkpoint is read once into one private buffer (no mmap, so the bytes
-cannot change after the CRC check). The CRC is computed over a view of it,
-and the loaded entries are views into it as well; an entry whose payload
-does not start on an 8-byte boundary is copied once, because numpy hands
-only aligned arrays to BLAS.
+A checkpoint is read in one pass over the open file (no mmap, so the bytes
+cannot change after the CRC check). Each entry header is parsed as it is
+read, and each payload is read in chunks straight into an array of its own,
+which is aligned (numpy hands only aligned arrays to BLAS) and owns its
+memory, so no whole-file buffer is kept. Every byte read is handed, in file
+order, to one helper thread that computes the CRC while the next chunk is
+read (see _CheckedReader). After the first structural problem nothing more is
+allocated and the rest of the file only goes through the CRC, so a corrupt
+file reports the CRC mismatch first.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import struct
 import tempfile
+import threading
 import wave
 import zlib
 from pathlib import Path
@@ -42,6 +48,7 @@ MATRIX_MAGIC = b"F32M"
 CHECKPOINT_MAGIC = b"FFCK"
 FORMAT_VERSION = 1
 CONFIG_ENTRY = "__config__"
+_CHUNK = 4 << 20  # bytes per checkpoint readinto, and the least per CRC batch
 
 _CONFIG_FIELDS = (
     "dim", "heads", "period", "feature_rate", "motion_rate",
@@ -178,44 +185,136 @@ def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
     atomic_write_bytes(path, *chunks, struct.pack("<I", crc))
 
 
-def _read_checkpoint_entries(path) -> dict[str, np.ndarray]:
-    buf = np.fromfile(path, dtype=np.uint8)
-    if len(buf) < 16 or buf[:4].tobytes() != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint (bad magic)")
-    end = len(buf) - 4
-    (stored,) = struct.unpack_from("<I", buf, end)
-    if zlib.crc32(buf[:end]) != stored:
-        raise FormatError(f"{path}: CRC mismatch, file is corrupt")
-    version, count = struct.unpack_from("<II", buf, 4)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
+class _CheckedReader:
+    """Reads a file front to back, handing every byte it reads, in file order,
+    to a helper thread that folds ``zlib.crc32`` over them. ``readinto`` and
+    ``zlib.crc32`` both release the GIL, so reading and checksumming overlap.
+
+    Chunks go over in batches of at least ``_CHUNK`` bytes, and the thread
+    starts with the first batch; :meth:`close` joins it and folds the last,
+    partial batch itself. A file smaller than one batch (a desk-scale
+    checkpoint) is thus checksummed without a thread, which would cost more
+    than it saves there. Call :meth:`close` when done."""
+
+    def __init__(self, fh, path, head: bytes):
+        """``head``: the bytes already read from ``fh``, checksummed first."""
+        self.fh, self.path, self.offset = fh, path, len(head)
+        self.crc = 0
+        self._batch, self._batch_bytes = [head], len(head)
+        self._batches: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def _fold(self) -> None:
+        crc = 0
+        for batch in iter(self._batches.get, None):
+            for chunk in batch:
+                crc = zlib.crc32(chunk, crc)
+        self.crc = crc
+
+    def _hand_off(self, chunk) -> None:
+        self._batch.append(chunk)
+        self._batch_bytes += len(chunk)
+        if self._batch_bytes >= _CHUNK:
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._fold, name="checkpoint-crc32")
+                self._thread.start()
+            self._batches.put(self._batch)
+            self._batch, self._batch_bytes = [], 0
+
+    def _advance(self, got: int, wanted: int) -> None:
+        if got != wanted:
+            raise FormatError(
+                f"{self.path}: short read at byte {self.offset}, file changed while loading"
+            )
+        self.offset += got
+
+    def read(self, n: int, checked: bool = True) -> bytes:
+        """The next n bytes; ``checked=False`` keeps them out of the CRC."""
+        data = self.fh.read(n)
+        self._advance(len(data), n)
+        if checked:
+            self._hand_off(data)
+        return data
+
+    def read_into(self, array: np.ndarray) -> None:
+        """Fill a C-contiguous array with its payload, in CRC-sized chunks."""
+        buf = memoryview(array.reshape(-1).view(np.uint8))
+        for start in range(0, len(buf), _CHUNK):
+            chunk = buf[start : start + _CHUNK]
+            self._advance(self.fh.readinto(chunk), len(chunk))
+            self._hand_off(chunk)
+
+    def skip_to(self, end: int) -> None:
+        """Checksum the bytes up to ``end`` without keeping them."""
+        while self.offset < end:
+            self.read(min(_CHUNK, end - self.offset))
+
+    def close(self) -> int:
+        """Join the helper thread; the CRC of everything read."""
+        if self._thread is not None:
+            self._batches.put(None)
+            self._thread.join()
+        for chunk in self._batch:
+            self.crc = zlib.crc32(chunk, self.crc)
+        return self.crc
+
+
+def _parse_entries(src: _CheckedReader, count: int, end: int) -> dict[str, np.ndarray]:
+    """Parse ``count`` entries ending at byte ``end``; each payload is read
+    straight into an array of its own. A structural problem raises
+    FormatError before anything for that entry is allocated."""
+    path = src.path
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        if offset + 2 > end:
+        if src.offset + 2 > end:
             raise FormatError(f"{path}: truncated entry header")
-        (name_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
+        (name_len,) = struct.unpack("<H", src.read(2))
+        at = src.offset
         try:
-            name = buf[offset : offset + name_len].tobytes().decode("utf-8")
+            name = src.read(min(name_len, end - at)).decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError(f"{path}: entry name at byte {offset} is not UTF-8")
-        offset += name_len
-        if offset + 8 > end:
+            raise FormatError(f"{path}: entry name at byte {at} is not UTF-8")
+        if at + name_len + 8 > end:
             raise FormatError(f"{path}: truncated entry shape")
-        rows, cols = struct.unpack_from("<II", buf, offset)
-        offset += 8
-        nbytes = 8 * rows * cols
-        if offset + nbytes > end:
+        rows, cols = struct.unpack("<II", src.read(8))
+        if src.offset + 8 * rows * cols > end:
             raise FormatError(f"{path}: truncated payload for {name!r}")
-        data = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset)
-        offset += nbytes
         if name in entries:
             raise FormatError(f"{path}: duplicate entry {name!r}")
-        # A view when the payload is 8-byte aligned, one copy when it is not.
-        entries[name] = np.require(data, np.float64, "A").reshape(rows, cols)
-    if offset != end:
-        raise FormatError(f"{path}: {end - offset} stray bytes after entries")
+        entries[name] = np.empty((rows, cols), dtype="<f8")
+        src.read_into(entries[name])
+    if src.offset != end:
+        raise FormatError(f"{path}: {end - src.offset} stray bytes after entries")
+    return entries
+
+
+def _read_checkpoint_entries(path) -> dict[str, np.ndarray]:
+    """All entries of a checkpoint, each an aligned, writable float64 array
+    that owns its memory. The CRC is checked before any structural problem
+    is reported, so a corrupt file always reads as corrupt."""
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size - 4
+        magic = fh.read(4)
+        if end < 12 or magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint (bad magic)")
+        src = _CheckedReader(fh, path, magic)
+        try:
+            problem = None
+            try:
+                version, count = struct.unpack("<II", src.read(8))
+                if version != FORMAT_VERSION:
+                    raise FormatError(f"{path}: unsupported checkpoint version {version}")
+                entries = _parse_entries(src, count, end)
+            except FormatError as exc:
+                problem = exc
+                src.skip_to(end)
+            (stored,) = struct.unpack("<I", src.read(4, checked=False))
+        finally:
+            crc = src.close()
+    if crc != stored:
+        raise FormatError(f"{path}: CRC mismatch, file is corrupt")
+    if problem is not None:
+        raise problem
     return entries
 
 

@@ -22,26 +22,23 @@ NEG_INF = float("-inf")
 _WAVELENGTH = 10000.0
 
 
-def sinusoid_row(t: int, dim: int) -> np.ndarray:
-    """Classic transformer positional encoding for one (possibly reduced) step."""
-    row = np.zeros((1, dim))
-    half = (dim + 1) // 2
-    i = np.arange(half)
-    angles = float(t) / np.power(_WAVELENGTH, 2.0 * i / dim)
-    row[0, 0::2] = np.sin(angles)
-    row[0, 1::2] = np.cos(angles[: dim // 2])
-    return row
+def sinusoid_rows(positions, dim: int) -> np.ndarray:
+    """Classic transformer positional encoding, one row per (possibly
+    reduced) position: sin in the even columns, cos in the odd ones."""
+    angles = np.divide.outer(positions, np.power(_WAVELENGTH, np.arange(0, dim, 2) / dim))
+    rows = np.empty((len(angles), dim))
+    rows[:, 0::2] = np.sin(angles)
+    rows[:, 1::2] = np.cos(angles[:, : dim // 2])
+    return rows
 
 
 def ppe_row(t: int, cfg: ModelConfig) -> np.ndarray:
     """Decoder positional vector for step t (0-based) under cfg.pe_mode."""
     if t < 0:
         raise ShapeError(f"step index must be >= 0, got {t}")
-    if cfg.pe_mode == "tb_ppe":
-        return sinusoid_row(t % cfg.period, cfg.dim)
-    if cfg.pe_mode == "original_pe":
-        return sinusoid_row(t, cfg.dim)
-    return np.zeros((1, cfg.dim))  # alibi: no positional information
+    if cfg.pe_mode == "alibi":
+        return np.zeros((1, cfg.dim))  # no positional information
+    return sinusoid_rows([t % cfg.period if cfg.pe_mode == "tb_ppe" else t], cfg.dim)
 
 
 def head_slopes(heads: int) -> list[float]:

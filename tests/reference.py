@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against.
 
 They are written for clarity, not speed: the attention oracle uses scalar
-loops so it cannot share bugs with the vectorized production path, and the
-bias builders construct whole t x t matrices that the decoder never needs.
+loops so it cannot share bugs with the vectorized production path, the bias
+builders construct whole t x t matrices that the decoder never needs, and the
+positional rows are built one at a time.
 """
 
 import math
@@ -10,7 +11,46 @@ import math
 import numpy as np
 
 from speechmotion import DegenerateRowError, ShapeError, Var
+from speechmotion import autodiff as ad
 from speechmotion.positional import NEG_INF, BiasMatrix, ppe_row
+
+
+def sinusoid_row(t: int, dim: int) -> np.ndarray:
+    """Classic transformer positional encoding for one (possibly reduced) step."""
+    row = np.zeros((1, dim))
+    half = (dim + 1) // 2
+    i = np.arange(half)
+    angles = float(t) / np.power(10000.0, 2.0 * i / dim)
+    row[0, 0::2] = np.sin(angles)
+    row[0, 1::2] = np.cos(angles[: dim // 2])
+    return row
+
+
+def softmax_rows(a) -> Var:
+    """Row-wise softmax, recorded on the active tape.
+
+    ``-inf`` entries get exactly zero weight; a row with no finite entry is a
+    fully masked query and raises :class:`DegenerateRowError`.
+    """
+    a = a if isinstance(a, Var) else Var(a)
+    finite = np.isfinite(a.data).any(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DegenerateRowError(f"softmax row {bad} has no finite entry")
+    y = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+    y /= y.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
+
+    return ad._make(y, (a,), vjp)
+
+
+def biased_attention(q, k, v, bias: BiasMatrix | None) -> tuple[Var, Var]:
+    """Single-head softmax(q k^T / sqrt(d_k) + bias) v through the package's
+    attention op; returns (output, weights), the weights untaped."""
+    out, weights = ad.attention(q, k, v, None if bias is None else bias.data, 1)
+    return out, Var(weights[0].copy())
 
 
 def positional_table(cfg, max_steps: int) -> np.ndarray:

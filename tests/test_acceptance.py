@@ -13,7 +13,6 @@ import pytest
 
 import speechmotion as sm
 from speechmotion import autodiff as ad
-from speechmotion.attention import biased_attention
 from speechmotion.decoder import decoder_layer, rollout
 from speechmotion.encoder import encode
 from speechmotion.positional import alignment_bias, head_slopes
@@ -25,7 +24,7 @@ from speechmotion.synthetic import (
 from speechmotion.training import rollout_loss
 
 from conftest import TINY, finite_diff, rel_err
-from reference import attention_oracle, positional_table, temporal_bias
+from reference import attention_oracle, biased_attention, positional_table, temporal_bias
 
 # ---------------------------------------------------------------------------
 # the documented overfit recipe (criterion 6)

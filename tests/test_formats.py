@@ -1,6 +1,8 @@
 import dataclasses
+import os
 import struct
 import tempfile
+import threading
 import warnings
 import wave
 import zlib
@@ -21,6 +23,7 @@ from speechmotion import (
     save_checkpoint,
     save_matrix,
 )
+from speechmotion import formats
 from speechmotion.cli import main
 from speechmotion.config import build_configs
 from speechmotion.formats import (
@@ -198,15 +201,7 @@ class TestCheckpoint:
     def test_loaded_entries_are_aligned_writable_float64(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(TINY, seed=3), TINY)
-        blob = path.read_bytes()
-        offsets, offset = {}, 12
-        for _ in range(struct.unpack_from("<I", blob, 8)[0]):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            name = blob[offset + 2 : offset + 2 + name_len].decode()
-            rows, cols = struct.unpack_from("<II", blob, offset + 2 + name_len)
-            offset += 2 + name_len + 8
-            offsets[name] = offset
-            offset += 8 * rows * cols
+        offsets = {name: offset for name, (offset, _) in _parse(path.read_bytes()).items()}
         # Sorted first, the 19-byte "dec.layer0.cross.wk" puts its payload at
         # 12 + 2 + 19 + 8 = 41, which is 1 (mod 8).
         assert offsets["dec.layer0.cross.wk"] % 8 == 1
@@ -217,6 +212,98 @@ class TestCheckpoint:
             flags = p.data.flags
             assert p.data.dtype == np.float64, name
             assert flags.c_contiguous and flags.aligned and flags.writeable, name
+            assert flags.owndata, name
+
+    @pytest.mark.parametrize("chunk", [4096, formats._CHUNK])
+    def test_loaded_arrays_match_plain_parse_bitwise(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+        path = tmp_path / "model.ckpt"
+        _fuzz_checkpoint(path)
+        expected = _parse(path.read_bytes())
+        loaded = formats._read_checkpoint_entries(path)
+        assert list(loaded) == list(expected)
+        for name, (_, values) in expected.items():
+            assert loaded[name].shape == values.shape, name
+            assert loaded[name].tobytes() == values.tobytes(), name
+
+    def test_corrupt_name_length_reports_crc_first(self, tmp_path, crc_threads):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        blob = bytearray(path.read_bytes())
+        blob[12 + 1] ^= 0x80  # high byte of the first entry's name length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="CRC mismatch"):
+            load_checkpoint(path)
+        assert crc_threads == ["checkpoint-crc32"]
+
+    def test_short_read_names_file(self, tmp_path, monkeypatch, crc_threads):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        real_fstat = os.fstat
+
+        def grown(fd):  # the file looks 8 bytes longer than it reads
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], st.st_size + 8, *st[7:]))
+
+        monkeypatch.setattr(os, "fstat", grown)
+        before = threading.active_count()
+        with pytest.raises(FormatError, match="model.ckpt: short read"):
+            load_checkpoint(path)
+        assert threading.active_count() == before
+        assert crc_threads == ["checkpoint-crc32"]
+
+    @pytest.mark.parametrize("damage, match", [
+        ("truncate", "CRC mismatch"),
+        ("flip", "CRC mismatch"),
+        ("name", "not UTF-8"),
+    ])
+    def test_failed_load_leaves_no_thread(self, tmp_path, damage, match, crc_threads):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        blob = bytearray(path.read_bytes())
+        if damage == "truncate":
+            del blob[len(blob) // 2 :]
+        elif damage == "flip":
+            blob[len(blob) // 2] ^= 0x01
+        else:
+            blob[12 + 2] = 0xFF  # first byte of the first entry's name
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        before = threading.active_count()
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+        assert threading.active_count() == before
+        assert crc_threads == ["checkpoint-crc32"]
+
+
+@pytest.fixture
+def crc_threads(monkeypatch):
+    """4 KB CRC batches, so a desk-scale checkpoint is checksummed on the
+    helper thread; the list of threads that folded batches, by name."""
+    monkeypatch.setattr(formats, "_CHUNK", 4096)
+    names = []
+    fold = formats._CheckedReader._fold
+
+    def spy(self):
+        names.append(threading.current_thread().name)
+        fold(self)
+
+    monkeypatch.setattr(formats._CheckedReader, "_fold", spy)
+    return names
+
+
+def _parse(blob: bytes) -> dict[str, tuple[int, np.ndarray]]:
+    """Plain struct parse of checkpoint bytes: name -> (payload offset, values)."""
+    entries, offset = {}, 12
+    for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+        (name_len,) = struct.unpack_from("<H", blob, offset)
+        name = blob[offset + 2 : offset + 2 + name_len].decode()
+        rows, cols = struct.unpack_from("<II", blob, offset + 2 + name_len)
+        offset += 2 + name_len + 8
+        values = struct.unpack_from(f"<{rows * cols}d", blob, offset)
+        entries[name] = (offset, np.array(values).reshape(rows, cols))
+        offset += 8 * rows * cols
+    return entries
 
 
 _MUTATION = st.one_of(

@@ -13,11 +13,16 @@ from speechmotion import (
     head_slopes,
     ppe_row,
 )
-from speechmotion import autodiff as ad
 from speechmotion.errors import ShapeError
-from speechmotion.positional import decoder_self_bias, sinusoid_row
+from speechmotion.positional import decoder_self_bias, sinusoid_rows
 
-from reference import causal_mask, positional_table, temporal_bias
+from reference import (
+    causal_mask,
+    positional_table,
+    sinusoid_row,
+    softmax_rows,
+    temporal_bias,
+)
 
 
 def _cfg(mode="tb_ppe", period=10, dim=4):
@@ -53,6 +58,14 @@ class TestPpe:
     def test_negative_step_rejected(self):
         with pytest.raises(ShapeError):
             ppe_row(-1, _cfg())
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 63, 64, 767, 768])
+    def test_sinusoid_rows_match_per_row_bitwise(self, dim):
+        positions = np.arange(2000 if dim in (7, 768) else 300)
+        table = sinusoid_rows(positions, dim)
+        expected = np.concatenate([sinusoid_row(t, dim) for t in positions])
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
 
     def test_table_invariants_per_mode(self):
         p = 4
@@ -162,7 +175,7 @@ class TestAlignmentBias:
     def test_softmax_support_is_window(self):
         t, total, k = 4, 5, 2
         bias = alignment_bias(t, total, k)
-        weights = ad.softmax_rows(np.zeros((t, k * total)) + bias.data).data
+        weights = softmax_rows(np.zeros((t, k * total)) + bias.data).data
         for i in range(t):
             support = np.flatnonzero(weights[i])
             assert np.array_equal(support, np.arange(k * i, k * (i + 1)))
