@@ -27,18 +27,15 @@ def sinusoid_row(t: int, dim: int) -> np.ndarray:
 
 
 def softmax_rows(a) -> Var:
-    """Row-wise softmax, recorded on the active tape.
+    """Row-wise softmax through the package's attention kernels, recorded on
+    the active tape.
 
     ``-inf`` entries get exactly zero weight; a row with no finite entry is a
     fully masked query and raises :class:`DegenerateRowError`.
     """
     a = a if isinstance(a, Var) else Var(a)
-    finite = np.isfinite(a.data).any(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise DegenerateRowError(f"softmax row {bad} has no finite entry")
-    y = np.exp(a.data - a.data.max(axis=1, keepdims=True))
-    y /= y.sum(axis=1, keepdims=True)
+    ad._require_unmasked_rows(a.data)
+    y = ad._softmax_last(a.data.copy())
 
     def vjp(g):
         return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
