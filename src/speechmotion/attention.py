@@ -9,7 +9,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ShapeError
 from .params import Params
 from .positional import BiasMatrix
 
@@ -66,28 +65,16 @@ def mh_attention(
     x_kv,
     proj: AttentionProjections,
     heads: int,
-    base_bias: BiasMatrix | None,
-    slopes: list[float] | None = None,
+    bias: BiasMatrix | None,
     capture: bool = False,
 ) -> tuple[Var, AttentionRecord | None]:
     """Multi-head biased attention from the rows of x_q to ``x_kv``: rows that
     ``proj`` projects, or :class:`KeyValues` projected before.
 
-    A 2-D temporal bias needs per-head slopes (head h sees base_bias *
-    slope_h); a heads x t x s temporal bias is already scaled per head.
-    Alignment biases are shared unscaled across heads, since scaling a
-    {0, -inf} matrix changes nothing.
+    ``bias`` is None, a t x s matrix shared by every head (such as an
+    alignment bias), or a heads x t x s stack already scaled per head (a
+    temporal bias at the heads' slopes, see :meth:`BiasMatrix.scaled`).
     """
-    unscaled = (
-        base_bias is not None and base_bias.kind == "temporal" and base_bias.data.ndim == 2
-    )
-    if unscaled and slopes is None:
-        raise ShapeError("temporal bias needs per-head slopes")
-    if not unscaled and slopes is not None:
-        raise ShapeError("slopes are only meaningful for an unscaled temporal bias")
-    if unscaled and len(slopes) != heads:
-        raise ShapeError(f"got {len(slopes)} slopes for {heads} heads")
-    bias = base_bias.scaled(slopes) if unscaled else base_bias
     q = ad.matmul(x_q, proj.wq)
     kv = x_kv if isinstance(x_kv, KeyValues) else proj.keys_values(x_kv)
     out, weights = ad.attention(

@@ -17,11 +17,10 @@ returns a gradient for the whole of it.
 
 ``-inf`` is the masking sentinel for attention biases. It may enter only
 through the bias of ``attention``, which maps it to exactly zero weight; no
-other operation accepts non-finite input. The cached decoder step passes no
-``-inf``: its self-attention bias is a slice of a distance row and its
-cross-attention has no bias. The full-prefix decoder block (attention
-export) and the tests still pass causal and alignment biases with ``-inf``
-entries.
+other operation accepts non-finite input. The package itself passes no
+``-inf``: a decoder step's self-attention bias is a slice of a distance row
+and its cross-attention has no bias. Only the tests pass causal and
+alignment biases with ``-inf`` entries.
 
 A tape drops its records when its ``with`` block ends: every taped output
 points back at its tape, so a tape that kept its records would be a

@@ -22,13 +22,11 @@ from .config import ModelConfig
 from .encoder import AudioInput, EncodedAudio, encode
 from .errors import ShapeError
 from .params import Params
-from .positional import (
-    BiasMatrix,
-    alignment_bias,
-    decoder_self_bias,
-    head_slopes,
-    ppe_row,
-)
+from .positional import BiasMatrix, decoder_self_bias, head_slopes, ppe_rows
+
+# Not called here: a cached step reads its own audio window with no bias. The
+# benchmark's tracer (perfbench/spans.py) hooks ``decoder.alignment_bias``.
+from .positional import alignment_bias  # noqa: F401
 
 # Rows per vertex-head product (see decode_motion).
 HEAD_BLOCK = 32
@@ -39,10 +37,12 @@ def embed_step(
     motion_map: tuple[Var, Var],
     identity: int,
     t: int,
+    position: np.ndarray,
     params: Params,
     cfg: ModelConfig,
 ) -> Var:
-    """Decoder input row for step t: motion embedding + style + position.
+    """Decoder input row for step t: motion embedding + style + ``position``,
+    the step's 1 x d positional vector (row t of :func:`ppe_rows`).
 
     The motion embedding is ``prev @ w + b`` for ``(w, b) = motion_map``:
     ``rollout`` passes the previous step's hidden row with the folded map of
@@ -62,7 +62,7 @@ def embed_step(
         base = style
     else:
         base = ad.add(ad.linear(prev, *motion_map), style)
-    return ad.add_const(base, ppe_row(t, cfg))
+    return ad.add_const(base, position)
 
 
 def feedback_map(params: Params, detach_feedback: bool) -> tuple[Var, Var]:
@@ -125,67 +125,43 @@ def decoder_layer(
     enc: EncodedAudio,
     params: Params,
     cfg: ModelConfig,
-    layer: int = 0,
+    layer: int,
+    past: LayerCache,
     capture: bool = False,
-    past: LayerCache | None = None,
 ) -> tuple[Var, tuple[AttentionRecord, AttentionRecord] | None]:
-    """One decoder block over the rows ``fhat``.
+    """One decoder block over ``fhat``, the one row of step s = ``past.steps``.
 
-    With ``past=None``, ``fhat`` is a full prefix: self-attention is causal
-    under the mode-dependent temporal bias, and cross-attention reads the
-    first k * t rows of enc.a under the alignment bias. With a cache,
-    ``fhat`` is the one row of step s = ``past.steps``: its keys and values
-    are written into row s of the cache, it attends to cache rows [0, s]
-    under the last s + 1 columns of the cache's bias row, and to its own
-    audio window, enc.a rows [k*s, k*(s + 1)), with no bias (which is the
-    alignment bias with its -inf columns left out). The feed-forward uses a
-    rectifier. Residual + layer norm after each stage.
+    The row's keys and values are written into row s of the cache. It attends
+    to cache rows [0, s] under the last s + 1 columns of the cache's bias row
+    (the mode-dependent causal bias), and to its own audio window, enc.a rows
+    [k*s, k*(s + 1)), with no bias (the alignment bias with its -inf columns
+    left out). The feed-forward uses a rectifier. Residual + layer norm after
+    each stage. With ``capture``, also returns the step's self- and
+    cross-attention records: per head, 1 x (s + 1) and 1 x k weights.
     """
+    if fhat.rows != 1:
+        raise ShapeError(f"a cached step takes one row, got {fhat.rows}")
     p = f"dec.layer{layer}"
     k = enc.frame_ratio
+    s = past.steps
     self_proj = AttentionProjections.from_params(params, f"{p}.self")
-    if past is None:
-        total = fhat.rows
-        if total > enc.motion_len:
-            raise ShapeError(
-                f"prefix of {total} rows exceeds audio coverage of {enc.motion_len} frames"
-            )
-        self_kv, slopes = fhat, head_slopes(cfg.heads)
-        self_bias = decoder_self_bias(total, cfg)
-        cross_kv = ad.slice_rows(enc.a, 0, k * total)
-        cross_bias = alignment_bias(total, total, k)
-    else:
-        if fhat.rows != 1:
-            raise ShapeError(f"a cached step takes one row, got {fhat.rows}")
-        s = past.steps
-        total = s + 1
-        ad.write_row(past.keys, s, ad.matmul(fhat, self_proj.wk))
-        ad.write_row(past.values, s, ad.matmul(fhat, self_proj.wv))
-        past.steps = total
-        self_kv, slopes = KeyValues(past.keys, past.values, 0, total), None
-        self_bias = BiasMatrix(past.bias[:, :, -total:], "temporal")
-        cross_kv = KeyValues(past.audio.k, past.audio.v, k * s, k * total)
-        cross_bias = None
+    ad.write_row(past.keys, s, ad.matmul(fhat, self_proj.wk))
+    ad.write_row(past.values, s, ad.matmul(fhat, self_proj.wv))
+    past.steps = s + 1
 
     attn, rec_self = mh_attention(
-        fhat, self_kv, self_proj, cfg.heads, self_bias, slopes, capture=capture
+        fhat, KeyValues(past.keys, past.values, 0, s + 1), self_proj, cfg.heads,
+        BiasMatrix(past.bias[:, :, -(s + 1):], "temporal"), capture=capture,
     )
     x1 = add_norm(fhat, attn, params, f"{p}.ln1")
     cross, rec_cross = mh_attention(
-        x1, cross_kv, AttentionProjections.from_params(params, f"{p}.cross"),
-        cfg.heads, cross_bias, capture=capture,
+        x1, KeyValues(past.audio.k, past.audio.v, k * s, k * (s + 1)),
+        AttentionProjections.from_params(params, f"{p}.cross"), cfg.heads, None,
+        capture=capture,
     )
     x2 = add_norm(x1, cross, params, f"{p}.ln2")
     out = add_norm(x2, feed_forward(x2, params, f"{p}.ff"), params, f"{p}.ln3")
-
-    records = None
-    if capture:
-        for rec, name in ((rec_self, "decoder.self"), (rec_cross, "decoder.cross")):
-            rec.module = name
-            rec.layer = layer
-            rec.step = total - 1
-        records = (rec_self, rec_cross)
-    return out, records
+    return out, (rec_self, rec_cross) if capture else None
 
 
 def decode_motion(hidden, params: Params) -> Var:
@@ -217,8 +193,12 @@ def rollout(
     hidden row; the vertex head then decodes all T rows in one call.
     Gradients flow through the fed-back rows and the caches unless
     ``detach_feedback`` is set, which detaches the fed-back rows and builds
-    the map from a detached head. With ``capture``, the last step runs the
-    layers on the full prefix instead, so the recorded maps cover all rows.
+    the map from a detached head. With ``capture``, the steps' attention
+    weights are gathered per layer into a heads x T x T self map (row t,
+    columns [0, t]) and a heads x T x kT cross map (row t, columns
+    [kt, k(t + 1))), zero elsewhere, and appended as one ``decoder.self`` and
+    one ``decoder.cross`` record per layer at step T - 1. Capturing changes
+    no output bit.
     """
     if motion_len < 1:
         raise ShapeError(f"cannot generate an empty sequence (T={motion_len})")
@@ -226,26 +206,35 @@ def rollout(
         raise ShapeError(
             f"requested {motion_len} frames but audio covers {enc.motion_len}"
         )
+    k = enc.frame_ratio
     motion_map = feedback_map(params, detach_feedback)
     caches = layer_caches(enc, motion_len, params, cfg)
-    inputs: list[Var] = []  # layer 0's input rows, for a captured last step
+    positions = ppe_rows(np.arange(motion_len), cfg)
+    maps = []  # per layer, the captured self and cross weights
+    if capture is not None:
+        maps = [
+            (np.zeros((cfg.heads, motion_len, motion_len)),
+             np.zeros((cfg.heads, motion_len, k * motion_len)))
+            for _ in caches
+        ]
     hidden: list[Var] = []
     for t in range(motion_len):
         prev = None
         if t > 0:
             prev = ad.detach(hidden[-1]) if detach_feedback else hidden[-1]
-        x = embed_step(prev, motion_map, identity, t, params, cfg)
-        if capture is not None and t == motion_len - 1:
-            x = ad.concat_rows(inputs + [x])
-            for layer in range(cfg.decoder_layers):
-                x, records = decoder_layer(x, enc, params, cfg, layer, capture=True)
-                capture.extend(records)
-            x = ad.take_row(x, t)
-        else:
-            inputs.append(x)
-            for layer, cache in enumerate(caches):
-                x, _ = decoder_layer(x, enc, params, cfg, layer, past=cache)
+        x = embed_step(prev, motion_map, identity, t, positions[t : t + 1], params, cfg)
+        for layer, cache in enumerate(caches):
+            x, records = decoder_layer(
+                x, enc, params, cfg, layer, cache, capture=capture is not None
+            )
+            if records is not None:
+                (self_map, cross_map), (rec_self, rec_cross) = maps[layer], records
+                self_map[:, t, : t + 1] = np.concatenate(rec_self.head_weights)
+                cross_map[:, t, k * t : k * (t + 1)] = np.concatenate(rec_cross.head_weights)
         hidden.append(x)
+    for layer, pair in enumerate(maps):
+        for name, weights in zip(("decoder.self", "decoder.cross"), pair):
+            capture.append(AttentionRecord(name, layer, motion_len - 1, list(weights)))
     return decode_motion(ad.concat_rows(hidden), params)
 
 

@@ -102,7 +102,7 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
     attn, record = mh_attention(
-        x, x, proj, cfg.encoder_heads, base_bias=None, capture=capture is not None
+        x, x, proj, cfg.encoder_heads, bias=None, capture=capture is not None
     )
     if record is not None:
         record.module = "encoder.self"

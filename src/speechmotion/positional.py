@@ -32,13 +32,20 @@ def sinusoid_rows(positions, dim: int) -> np.ndarray:
     return rows
 
 
+def ppe_rows(steps, cfg: ModelConfig) -> np.ndarray:
+    """Decoder positional vectors for the 0-based ``steps`` under cfg.pe_mode,
+    one row each."""
+    steps = np.asarray(steps)
+    if cfg.pe_mode == "alibi":
+        return np.zeros((len(steps), cfg.dim))  # no positional information
+    return sinusoid_rows(steps % cfg.period if cfg.pe_mode == "tb_ppe" else steps, cfg.dim)
+
+
 def ppe_row(t: int, cfg: ModelConfig) -> np.ndarray:
     """Decoder positional vector for step t (0-based) under cfg.pe_mode."""
     if t < 0:
         raise ShapeError(f"step index must be >= 0, got {t}")
-    if cfg.pe_mode == "alibi":
-        return np.zeros((1, cfg.dim))  # no positional information
-    return sinusoid_rows([t % cfg.period if cfg.pe_mode == "tb_ppe" else t], cfg.dim)
+    return ppe_rows([t], cfg)
 
 
 def head_slopes(heads: int) -> list[float]:

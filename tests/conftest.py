@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from speechmotion import ModelConfig, init_params
+from speechmotion import EncodedAudio, ModelConfig, Var, decoder_layer, init_params
+from speechmotion.decoder import layer_caches
 
 
 def finite_diff(f, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -27,6 +28,26 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     if denom < 1e-12:
         return 0.0
     return float(np.linalg.norm(a - b) / denom)
+
+
+def cached_step(enc, params, cfg, rows, s, layer=0, bump=False):
+    """Output of cached decoder step s of ``layer`` after steps 0..s-1, each
+    step fed its row of ``rows``. With ``bump``, what step s must not read
+    is perturbed first: the enc.a rows outside its window [k*s, k*(s + 1))
+    and the cache's key and value rows after s."""
+    if bump:
+        k = enc.frame_ratio
+        a = enc.a.data.copy()
+        a[: k * s] += 1.0
+        a[k * (s + 1) :] += 1.0
+        enc = EncodedAudio(Var(a), k, enc.motion_len)
+    past = layer_caches(enc, len(rows), params, cfg)[layer]
+    for i in range(s):
+        decoder_layer(Var(rows[i : i + 1]), enc, params, cfg, layer, past)
+    if bump:
+        past.keys.data[s + 1 :] += 1.0
+        past.values.data[s + 1 :] += 1.0
+    return decoder_layer(Var(rows[s : s + 1]), enc, params, cfg, layer, past)[0].data
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 
 They are written for clarity, not speed: the attention oracle uses scalar
 loops so it cannot share bugs with the vectorized production path, the bias
-builders construct whole t x t matrices that the decoder never needs, and the
-positional rows are built one at a time.
+builders construct whole t x t matrices that the decoder never needs, the
+positional rows are built one at a time, and the dense decoder block reruns
+attention over a whole prefix where the package runs one cached row.
 """
 
 import math
@@ -12,7 +13,15 @@ import numpy as np
 
 from speechmotion import DegenerateRowError, ShapeError, Var
 from speechmotion import autodiff as ad
-from speechmotion.positional import NEG_INF, BiasMatrix, ppe_row
+from speechmotion.attention import AttentionProjections, add_norm, feed_forward, mh_attention
+from speechmotion.positional import (
+    NEG_INF,
+    BiasMatrix,
+    alignment_bias,
+    decoder_self_bias,
+    head_slopes,
+    ppe_row,
+)
 
 
 def sinusoid_row(t: int, dim: int) -> np.ndarray:
@@ -116,3 +125,30 @@ def attention_oracle(q, k, v, bias: BiasMatrix | None) -> np.ndarray:
                 acc += (exps[j] / denom) * vd[j, b]
             out[i, b] = acc
     return out
+
+
+def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0, capture: bool = False):
+    """One decoder block over a full prefix ``fhat`` of t rows.
+
+    Self-attention is causal under the mode-dependent temporal bias at the
+    heads' slopes, and cross-attention reads the first k * t rows of enc.a
+    under the alignment bias. Returns the t output rows and, with
+    ``capture``, the self- and cross-attention records (heads of t x t and
+    t x kt weights).
+    """
+    p = f"dec.layer{layer}"
+    total, k = fhat.rows, enc.frame_ratio
+    self_bias = decoder_self_bias(total, cfg).scaled(head_slopes(cfg.heads))
+    attn, rec_self = mh_attention(
+        fhat, fhat, AttentionProjections.from_params(params, f"{p}.self"), cfg.heads,
+        self_bias, capture=capture,
+    )
+    x1 = add_norm(fhat, attn, params, f"{p}.ln1")
+    cross, rec_cross = mh_attention(
+        x1, ad.slice_rows(enc.a, 0, k * total),
+        AttentionProjections.from_params(params, f"{p}.cross"), cfg.heads,
+        alignment_bias(total, total, k), capture=capture,
+    )
+    x2 = add_norm(x1, cross, params, f"{p}.ln2")
+    out = add_norm(x2, feed_forward(x2, params, f"{p}.ff"), params, f"{p}.ln3")
+    return out, (rec_self, rec_cross) if capture else None

@@ -13,7 +13,7 @@ import pytest
 
 import speechmotion as sm
 from speechmotion import autodiff as ad
-from speechmotion.decoder import decoder_layer, rollout
+from speechmotion.decoder import rollout
 from speechmotion.encoder import encode
 from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.synthetic import (
@@ -23,8 +23,14 @@ from speechmotion.synthetic import (
 )
 from speechmotion.training import rollout_loss
 
-from conftest import TINY, finite_diff, rel_err
-from reference import attention_oracle, biased_attention, positional_table, temporal_bias
+from conftest import TINY, cached_step, finite_diff, rel_err
+from reference import (
+    attention_oracle,
+    biased_attention,
+    dense_decoder_layer,
+    positional_table,
+    temporal_bias,
+)
 
 # ---------------------------------------------------------------------------
 # the documented overfit recipe (criterion 6)
@@ -172,16 +178,25 @@ def test_criterion_4_causality_and_prefix(rng, overfit):
             prefix = rollout(enc, 0, t, params, cfg).data
             assert np.array_equal(prefix, full[:t])
 
-        # perturbing a future decoder input never changes past outputs
+        # a cached step never reads a future key/value row or audio outside
+        # its window: perturbing them leaves its output bitwise unchanged
         fhat = np.random.Generator(np.random.PCG64(0)).normal(size=(frames, cfg.dim))
-        base, _ = decoder_layer(sm.Var(fhat), enc, params, cfg)
+        for layer in range(cfg.decoder_layers):
+            for s in (0, frames // 2, frames - 1):
+                base = cached_step(enc, params, cfg, fhat, s, layer)
+                bumped = cached_step(enc, params, cfg, fhat, s, layer, bump=True)
+                assert np.array_equal(base, bumped)
+
+        # the same holds for a future row of the dense reference block
+        base, _ = dense_decoder_layer(sm.Var(fhat), enc, params, cfg)
         for row in (frames - 1, frames // 2):
             bumped = fhat.copy()
             bumped[row] += 1.0
-            changed, _ = decoder_layer(sm.Var(bumped), enc, params, cfg)
+            changed, _ = dense_decoder_layer(sm.Var(bumped), enc, params, cfg)
             assert np.array_equal(base.data[:row], changed.data[:row])
-    print("ACCEPTANCE 4 PASS: rollout prefixes bitwise-identical and future "
-          "perturbations leave past rows unchanged (2 random + 1 trained bundle)")
+    print("ACCEPTANCE 4 PASS: rollout prefixes bitwise-identical; future cache rows "
+          "and out-of-window audio leave a cached step unchanged, and future rows leave "
+          "the dense reference's past rows unchanged (2 random + 1 trained bundle)")
 
 
 def test_criterion_5_positional_encoding_suite():

@@ -4,7 +4,6 @@ import pytest
 from speechmotion import (
     AttentionProjections,
     DegenerateRowError,
-    ShapeError,
     Var,
     head_slopes,
     mh_attention,
@@ -76,7 +75,7 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(3, d))
         base = temporal_bias(3, 2, 1.0)
-        out, _ = mh_attention(x, x, proj, 1, base, slopes=head_slopes(1))
+        out, _ = mh_attention(x, x, proj, 1, base.scaled(head_slopes(1)))
         q = x @ proj.wq.data
         k = x @ proj.wk.data
         v = x @ proj.wv.data
@@ -96,9 +95,7 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(1, d))
         bias = temporal_bias(1, 3, 1.0)
-        out, record = mh_attention(
-            x, x, proj, 2, bias, slopes=head_slopes(2), capture=True
-        )
+        out, record = mh_attention(x, x, proj, 2, bias.scaled(head_slopes(2)), capture=True)
         for w in record.head_weights:
             assert np.array_equal(w, [[1.0]])
         assert np.allclose(out.data, x @ proj.wv.data @ proj.wo.data, atol=1e-12)
@@ -109,9 +106,7 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(t, d))
         base = temporal_bias(t, 3, 1.0)
-        out, record = mh_attention(
-            x, x, proj, heads, base, slopes=head_slopes(2), capture=True
-        )
+        out, record = mh_attention(x, x, proj, heads, base.scaled(head_slopes(2)), capture=True)
         q, k, v = x @ proj.wq.data, x @ proj.wk.data, x @ proj.wv.data
         dk = d // heads
         head_outs = []
@@ -125,15 +120,6 @@ class TestMhAttention:
             )
         joined = np.concatenate(head_outs, axis=1) @ proj.wo.data
         assert np.abs(out.data - joined).max() < 1e-10
-
-    def test_slope_bias_consistency_enforced(self, rng):
-        d = 4
-        proj = _proj(rng, d)
-        x = rng.normal(size=(3, d))
-        with pytest.raises(ShapeError, match="slopes"):
-            mh_attention(x, x, proj, 2, temporal_bias(3, 1, 1.0))
-        with pytest.raises(ShapeError, match="slopes"):
-            mh_attention(x, x, proj, 2, alignment_bias(3, 3, 1), slopes=[1.0, 1.0])
 
     def test_alignment_bias_shared_across_heads(self, rng):
         d, t = 4, 3

@@ -19,8 +19,8 @@ from speechmotion import autodiff as ad
 from speechmotion import decoder, init_params, training
 from speechmotion.positional import head_slopes, ppe_row
 
-from conftest import finite_diff, rel_err
-from reference import causal_mask, temporal_bias
+from conftest import cached_step, finite_diff, rel_err
+from reference import causal_mask, dense_decoder_layer, temporal_bias
 
 
 def _audio(rng, rows=8):
@@ -42,9 +42,14 @@ def _vertex_map(params):
     return params["motion_enc.w"], params["motion_enc.b"]
 
 
+def _embed(prev, identity, t, params, cfg):
+    """embed_step with the vertex-space map and step t's positional row."""
+    return embed_step(prev, _vertex_map(params), identity, t, ppe_row(t, cfg), params, cfg)
+
+
 class TestEmbedStep:
     def test_step_zero_is_style_plus_position(self, tiny_cfg, tiny_params):
-        out = embed_step(None, _vertex_map(tiny_params), 1, 0, tiny_params, tiny_cfg)
+        out = _embed(None, 1, 0, tiny_params, tiny_cfg)
         style = tiny_params["style.table"].data[1]
         assert np.allclose(out.data[0] - ppe_row(0, tiny_cfg)[0], style, atol=1e-15)
 
@@ -54,77 +59,78 @@ class TestEmbedStep:
         params["motion_enc.b"] = Var(np.zeros((1, 8)))
         prev = rng.normal(size=(1, 9))
         for t in (1, 3):
-            out = embed_step(prev, _vertex_map(params), 0, t, params, tiny_cfg)
+            out = _embed(prev, 0, t, params, tiny_cfg)
             expect = params["style.table"].data[0:1] + ppe_row(t, tiny_cfg)
             assert np.allclose(out.data, expect, atol=1e-15)
 
     def test_identities_differ(self, tiny_cfg, tiny_params, rng):
         prev = rng.normal(size=(1, 9))
-        vmap = _vertex_map(tiny_params)
-        a = embed_step(prev, vmap, 0, 2, tiny_params, tiny_cfg)
-        b = embed_step(prev, vmap, 1, 2, tiny_params, tiny_cfg)
+        a = _embed(prev, 0, 2, tiny_params, tiny_cfg)
+        b = _embed(prev, 1, 2, tiny_params, tiny_cfg)
         assert not np.allclose(a.data, b.data)
 
     def test_identity_out_of_range(self, tiny_cfg, tiny_params):
         with pytest.raises(ShapeError, match="identity"):
-            embed_step(None, _vertex_map(tiny_params), 2, 0, tiny_params, tiny_cfg)
+            _embed(None, 2, 0, tiny_params, tiny_cfg)
 
     def test_prev_motion_presence_contract(self, tiny_cfg, tiny_params, rng):
-        vmap = _vertex_map(tiny_params)
         with pytest.raises(ShapeError):
-            embed_step(rng.normal(size=(1, 9)), vmap, 0, 0, tiny_params, tiny_cfg)
+            _embed(rng.normal(size=(1, 9)), 0, 0, tiny_params, tiny_cfg)
         with pytest.raises(ShapeError):
-            embed_step(None, vmap, 0, 1, tiny_params, tiny_cfg)
+            _embed(None, 0, 1, tiny_params, tiny_cfg)
 
 
 class TestDecoderLayer:
     def test_single_token_prefix(self, tiny_cfg, tiny_params, rng):
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
+        past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
         fhat = Var(rng.normal(size=(1, 8)))
-        out, records = decoder_layer(fhat, enc, tiny_params, tiny_cfg, capture=True)
+        out, records = decoder_layer(fhat, enc, tiny_params, tiny_cfg, 0, past, capture=True)
         assert out.shape == (1, 8)
         rec_self, _ = records
-        for w in rec_self.head_weights:  # single key: identity-weight pass
+        for w in rec_self.head_weights:  # step 0 has one key: identity-weight pass
             assert np.array_equal(w, [[1.0]])
 
     def test_row_count_preserved(self, tiny_cfg, tiny_params, rng):
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
-        for t in (1, 2, 4):
-            out, _ = decoder_layer(Var(rng.normal(size=(t, 8))), enc, tiny_params, tiny_cfg)
-            assert out.shape == (t, 8)
+        past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
+        for s in range(4):
+            row = Var(rng.normal(size=(1, 8)))
+            out, _ = decoder_layer(row, enc, tiny_params, tiny_cfg, 0, past)
+            assert out.shape == (1, 8) and past.steps == s + 1
 
     def test_cross_attention_stays_in_window(self, tiny_cfg, tiny_params, rng):
+        # step s's k cross weights are the window columns of row s of the
+        # dense alignment-biased map, which is exactly zero elsewhere
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
-        _, records = decoder_layer(
-            Var(rng.normal(size=(3, 8))), enc, tiny_params, tiny_cfg, capture=True
-        )
-        _, rec_cross = records
+        past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
+        rows = rng.normal(size=(4, 8))
         k = tiny_cfg.frame_ratio
-        for w in rec_cross.head_weights:
-            for i in range(3):
-                support = np.flatnonzero(w[i])
-                assert support.min() >= k * i and support.max() < k * (i + 1)
+        for s in range(4):
+            _, (_, rec_cross) = decoder_layer(
+                Var(rows[s : s + 1]), enc, tiny_params, tiny_cfg, 0, past, capture=True
+            )
+            _, (_, dense) = dense_decoder_layer(
+                Var(rows[: s + 1]), enc, tiny_params, tiny_cfg, capture=True
+            )
+            for w, ref in zip(rec_cross.head_weights, dense.head_weights):
+                window = ref[s, k * s : k * (s + 1)]
+                assert w.shape == (1, k) and np.abs(w[0] - window).max() <= 1e-12
+                assert not np.delete(ref[s], np.s_[k * s : k * (s + 1)]).any()
 
     def test_future_row_perturbation_leaves_past(self, tiny_cfg, tiny_params, rng):
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
-        fhat = rng.normal(size=(4, 8))
-        base, _ = decoder_layer(Var(fhat), enc, tiny_params, tiny_cfg)
-        bumped = fhat.copy()
-        bumped[3] += rng.normal(size=8)
-        changed, _ = decoder_layer(Var(bumped), enc, tiny_params, tiny_cfg)
-        assert np.array_equal(base.data[:3], changed.data[:3])
-        assert not np.allclose(base.data[3], changed.data[3])
+        rows = rng.normal(size=(4, 8))
+        for s in range(4):
+            base = cached_step(enc, tiny_params, tiny_cfg, rows, s)
+            bumped = cached_step(enc, tiny_params, tiny_cfg, rows, s, bump=True)
+            assert np.array_equal(base, bumped)
 
     def test_cached_step_takes_one_row(self, tiny_cfg, tiny_params, rng):
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
         past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
         with pytest.raises(ShapeError, match="one row"):
-            decoder_layer(Var(rng.normal(size=(2, 8))), enc, tiny_params, tiny_cfg, past=past)
-
-    def test_prefix_longer_than_audio_rejected(self, tiny_cfg, tiny_params, rng):
-        enc = encode(_audio(rng), 2, tiny_params, tiny_cfg)
-        with pytest.raises(ShapeError, match="exceeds"):
-            decoder_layer(Var(rng.normal(size=(3, 8))), enc, tiny_params, tiny_cfg)
+            decoder_layer(Var(rng.normal(size=(2, 8))), enc, tiny_params, tiny_cfg, 0, past)
 
 
 class TestDecodeMotion:
@@ -294,6 +300,23 @@ class TestAutoregress:
         with pytest.raises(ShapeError, match="empty"):
             rollout(enc, 0, 0, live_params, tiny_cfg)
 
+    @pytest.mark.parametrize("mode", ["tb_ppe", "alibi", "original_pe"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_capture_leaves_output_bitwise(self, tiny_cfg, rng, mode, layers):
+        cfg = dataclasses.replace(tiny_cfg, pe_mode=mode, decoder_layers=layers).validate()
+        params = init_params(cfg, seed=4)
+        params["motion_dec.w"] = Var(rng.normal(size=(8, 9)))
+        for rows in (2, 10, 80):
+            audio = _audio(rng, rows=rows)
+            records = []
+            captured = autoregress(audio, 0, None, params, cfg, capture=records)
+            assert records and np.array_equal(captured, autoregress(audio, 0, None, params, cfg))
+
+    def test_longer_than_audio_rejected(self, tiny_cfg, live_params, rng):
+        enc = encode(_audio(rng), 4, live_params, tiny_cfg)
+        with pytest.raises(ShapeError, match="audio covers 4"):
+            rollout(enc, 0, 5, live_params, tiny_cfg)
+
     def test_inferred_length_from_audio(self, tiny_cfg, live_params, rng):
         out = autoregress(_audio(rng, rows=8), 0, None, live_params, tiny_cfg)
         assert out.shape[0] == 4  # 8 rows at 50 Hz -> 4 frames at 25 fps
@@ -310,17 +333,22 @@ class TestAutoregress:
         assert np.isfinite(out).all()
 
 
-def _dense_rollout(enc, identity, motion_len, params, cfg, detach_feedback=False):
+def _dense_rollout(
+    enc, identity, motion_len, params, cfg, detach_feedback=False, capture=None
+):
     """Reference rollout: every step re-runs each layer on the full prefix,
     decodes its row and feeds that vertex-space frame back through the motion
-    encoder."""
+    encoder. With ``capture``, the last step's attention records are kept."""
     embeds, preds = [], []
     for t in range(motion_len):
         prev = (ad.detach(preds[-1]) if detach_feedback else preds[-1]) if t else None
-        embeds.append(embed_step(prev, _vertex_map(params), identity, t, params, cfg))
+        embeds.append(_embed(prev, identity, t, params, cfg))
         x = ad.concat_rows(embeds)
+        last = capture is not None and t == motion_len - 1
         for layer in range(cfg.decoder_layers):
-            x, _ = decoder_layer(x, enc, params, cfg, layer)
+            x, records = dense_decoder_layer(x, enc, params, cfg, layer, capture=last)
+            if last:
+                capture.extend(records)
         preds.append(ad.take_row(decode_motion(x, params), t))
     return ad.concat_rows(preds)
 
@@ -340,11 +368,11 @@ class TestPrefixCache:
         enc = encode(_audio(rng, rows=12), 6, params, cfg)
         rows = rng.normal(size=(6, 8))
         for layer in range(2):
-            full, _ = decoder_layer(Var(rows), enc, params, cfg, layer)
+            full, _ = dense_decoder_layer(Var(rows), enc, params, cfg, layer)
             for s, t in ((1, 1), (3, 2), (5, 1)):
                 past = decoder.layer_caches(enc, 6, params, cfg)[layer]
                 steps = [
-                    decoder_layer(Var(rows[i : i + 1]), enc, params, cfg, layer, past=past)[0]
+                    decoder_layer(Var(rows[i : i + 1]), enc, params, cfg, layer, past)[0]
                     for i in range(s + t)
                 ]
                 new = ad.concat_rows(steps[s:])
@@ -357,6 +385,26 @@ class TestPrefixCache:
         dense = _dense_rollout(enc, 1, 6, params, cfg).data
         assert np.abs(np.diff(dense, axis=0)).max() > 0
         assert np.abs(cached - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("frames", [1, 6])
+    def test_captured_maps_match_dense_reference(self, two_layer, rng, frames):
+        cfg, params = two_layer
+        enc = encode(_audio(rng, rows=12), 6, params, cfg)
+        cached, dense = [], []
+        rollout(enc, 1, frames, params, cfg, capture=cached)
+        _dense_rollout(enc, 1, frames, params, cfg, capture=dense)
+        k = cfg.frame_ratio
+        causal = np.tril(np.ones((frames, frames))) > 0
+        window = np.kron(np.eye(frames), np.ones((1, k))) > 0
+        assert [(r.module, r.layer, r.step) for r in cached] == [
+            (m, layer, frames - 1) for layer in range(2) for m in ("decoder.self", "decoder.cross")
+        ]
+        for got, ref in zip(cached, dense):
+            support = causal if got.module == "decoder.self" else window
+            for w, w_ref in zip(got.head_weights, ref.head_weights):
+                assert w.shape == w_ref.shape and np.abs(w - w_ref).max() <= 1e-12
+                assert np.array_equal(w == 0.0, w_ref == 0.0)
+                assert not w[~support].any()
 
     @pytest.mark.parametrize("detach_feedback", [False, True])
     def test_loss_gradients_match_dense_reference(

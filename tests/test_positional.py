@@ -14,7 +14,7 @@ from speechmotion import (
     ppe_row,
 )
 from speechmotion.errors import ShapeError
-from speechmotion.positional import decoder_self_bias, sinusoid_rows
+from speechmotion.positional import decoder_self_bias, ppe_rows, sinusoid_rows
 
 from reference import (
     causal_mask,
@@ -66,6 +66,20 @@ class TestPpe:
         expected = np.concatenate([sinusoid_row(t, dim) for t in positions])
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 64, 128, 768])
+    @pytest.mark.parametrize("mode, period", [
+        ("tb_ppe", 1), ("tb_ppe", 3), ("tb_ppe", 25), ("tb_ppe", 30), ("original_pe", 25),
+    ])
+    def test_ppe_rows_match_per_row_bitwise(self, mode, dim, period):
+        cfg = _cfg(mode=mode, period=period, dim=dim)
+        steps = 1200
+        expected = np.concatenate([
+            sinusoid_row(t % period if mode == "tb_ppe" else t, dim) for t in range(steps)
+        ])
+        table = ppe_rows(np.arange(steps), cfg)
+        assert table.tobytes() == expected.tobytes()
+        assert table.tobytes() == positional_table(cfg, steps).tobytes()
 
     def test_table_invariants_per_mode(self):
         p = 4
