@@ -69,22 +69,22 @@ def mh_attention(
     capture: bool = False,
 ) -> tuple[Var, AttentionRecord | None]:
     """Multi-head biased attention from the rows of x_q to ``x_kv``: rows that
-    ``proj`` projects, or :class:`KeyValues` projected before.
+    ``proj`` projects, or :class:`KeyValues` projected before. The query and
+    output projections are part of the one :func:`autodiff.attention` record.
 
     ``bias`` is None, a t x s matrix shared by every head (such as an
     alignment bias), or a heads x t x s stack already scaled per head (a
     temporal bias at the heads' slopes, see :meth:`BiasMatrix.scaled`).
     """
-    q = ad.matmul(x_q, proj.wq)
     kv = x_kv if isinstance(x_kv, KeyValues) else proj.keys_values(x_kv)
     out, weights = ad.attention(
-        q, kv.k, kv.v, None if bias is None else bias.data, heads,
+        x_q, proj.wq, kv.k, kv.v, proj.wo, None if bias is None else bias.data, heads,
         slice(kv.start, kv.stop),
     )
     record = None
     if capture:
         record = AttentionRecord("", 0, 0, list(weights.copy()))
-    return ad.matmul(out, proj.wo), record
+    return out, record
 
 
 def add_norm(x, sublayer_out, params: Params, prefix: str) -> Var:

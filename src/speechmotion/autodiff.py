@@ -7,13 +7,16 @@ replaying it in reverse and accumulating adjoints in that fixed order yields
 gradients that are bitwise reproducible for identical tapes. Outside a tape
 the same functions just compute values, which is what inference uses.
 
-Most records are one layer's worth of work: ``linear``, ``add_norm`` (residual
-add + layer norm), ``feed_forward`` (linear, rectifier, linear) and
-``attention`` (all heads) are one record each, with the bits of the
-elementary composition they replace. A decoder step writes its keys and
-values into preallocated buffers with ``write_row``, a record whose output is
-the buffer itself, and ``attention`` reads a row range of such a buffer and
-returns a gradient for the whole of it.
+Most records are one layer's worth of work, with the bits of the elementary
+composition they replace: ``linear``, ``add_norm`` (residual add + layer
+norm), ``feed_forward`` (linear, rectifier, linear) and ``attention`` (query
+projection, all heads and output projection) are one record each. A decoder
+step writes its projected keys and values into preallocated buffers with
+``write_row``, a record whose output is the buffer itself, and
+``attention`` reads a row range of such a buffer and returns a gradient for
+the whole of it. So a decoder step is two records for its input row and
+eight per layer (two writes, two attentions, three add-norms and a
+feed-forward): ten at one layer.
 
 ``-inf`` is the masking sentinel for attention biases. It may enter only
 through the bias of ``attention``, which maps it to exactly zero weight; no
@@ -130,8 +133,11 @@ def _as_var(x) -> Var:
 
 
 def _make(data: Array, inputs: tuple[Var, ...], vjp) -> Var:
+    """Wrap an operation's result, which is already a C-contiguous 2-D
+    float64 array, and record it on the active tape."""
     tape = _active_tape()
-    out = Var(data, tape)
+    out = Var.__new__(Var)
+    out.data, out.tape = data, tape
     if tape is not None:
         tape._records.append((out, inputs, vjp))
     return out
@@ -219,14 +225,15 @@ def add_const(a, const) -> Var:
     return _make(a.data + c, (a,), lambda g: (g,))
 
 
-def add_row(a, row) -> Var:
-    """Broadcast a 1xC row over all rows of a."""
+def add_row(a, row, start: int = 0) -> Var:
+    """Broadcast a 1xC row over rows [start, ...) of a."""
     a, row = _as_var(a), _as_var(row)
     if row.rows != 1 or row.cols != a.cols:
         raise ShapeError(f"add_row needs 1x{a.cols} row, got {row.shape}")
-    return _make(
-        a.data + row.data, (a, row), lambda g: (g, g.sum(axis=0, keepdims=True))
-    )
+    out = np.empty_like(a.data)
+    out[:start] = a.data[:start]
+    np.add(a.data[start:], row.data, out=out[start:])
+    return _make(out, (a, row), lambda g: (g, g[start:].sum(axis=0, keepdims=True)))
 
 
 def relu(a) -> Var:
@@ -243,8 +250,8 @@ def sum_all(a) -> Var:
     )
 
 
-def _check_linear(x_shape: tuple[int, int], w: Var, b: Var) -> None:
-    if x_shape[1] != w.rows or b.shape != (1, w.cols):
+def _check_linear(x_shape: tuple[int, int], w: Array, b: Array) -> None:
+    if x_shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear shape mismatch: {x_shape} x {w.shape} + {b.shape}")
 
 
@@ -252,8 +259,8 @@ def linear(x, w, b) -> Var:
     """x @ w + b with b broadcast over rows, recorded as one op (the same
     bits as ``add_row(matmul(x, w), b)``)."""
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
-    _check_linear(x.shape, w, b)
     xd, wd = x.data, w.data
+    _check_linear(xd.shape, wd, b.data)
     out = xd @ wd
     out += b.data
 
@@ -266,10 +273,10 @@ def linear(x, w, b) -> Var:
 def feed_forward(x, w1, b1, w2, b2) -> Var:
     """relu(x @ w1 + b1) @ w2 + b2, recorded as one op (the same bits as the
     composition of ``linear``, ``relu`` and ``linear``)."""
-    x, w1, b1, w2, b2 = (_as_var(a) for a in (x, w1, b1, w2, b2))
-    _check_linear(x.shape, w1, b1)
-    _check_linear((x.rows, w1.cols), w2, b2)
+    x, w1, b1, w2, b2 = _as_var(x), _as_var(w1), _as_var(b1), _as_var(w2), _as_var(b2)
     xd, w1d, w2d = x.data, w1.data, w2.data
+    _check_linear(xd.shape, w1d, b1.data)
+    _check_linear((xd.shape[0], w1d.shape[1]), w2d, b2.data)
     pre = xd @ w1d
     pre += b1.data
     mask = pre > 0.0
@@ -300,8 +307,8 @@ def linear_blocked(x, w, b, block: int) -> Var:
     result for a prefix of x is a prefix of the result.
     """
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
-    _check_linear(x.shape, w, b)
     t, xd, wd = x.rows, x.data, w.data
+    _check_linear(xd.shape, wd, b.data)
     padded = np.zeros((-(-t // block) * block, x.cols))
     padded[:t] = xd
     out = np.empty((padded.shape[0], w.cols))
@@ -316,57 +323,78 @@ def linear_blocked(x, w, b, block: int) -> Var:
     return _make(out, (x, w, b), vjp)
 
 
-def _require_unmasked_rows(x: Array) -> None:
-    """Raise :class:`DegenerateRowError` for the first row (last axis) of x
-    with no finite entry: a fully masked query."""
-    finite_any = np.isfinite(x).any(axis=-1)
-    if not finite_any.all():
-        bad = int(np.argwhere(~finite_any)[0][-1])
-        raise DegenerateRowError(f"softmax row {bad} has no finite entry")
-
-
 def _softmax_last(x: Array) -> Array:
     """Softmax over the last axis, in place, stabilized by the row max;
-    ``-inf`` entries become exact zeros."""
-    x -= x.max(axis=-1, keepdims=True)
+    ``-inf`` entries become exact zeros. A row (second-to-last axis) with no
+    finite entry is a fully masked query: :class:`DegenerateRowError`."""
+    top = np.maximum.reduce(x, axis=-1, keepdims=True)
+    if -math.inf in top.ravel().tolist():  # for a few rows, cheaper than a min
+        bad = int(np.argwhere(np.isneginf(top))[0][-2])
+        raise DegenerateRowError(f"softmax row {bad} has no finite entry")
+    x -= top
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
 
 
-def attention(q, k, v, bias, heads: int, keys: slice = slice(None)) -> tuple[Var, Array]:
-    """Multi-head softmax(q k^T / sqrt(d_k) + bias) v, recorded as one op.
+def _split(a: Array, heads: int) -> Array:
+    """rows x (heads * d) -> heads x rows x d"""
+    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _merge(a: Array) -> Array:
+    """heads x rows x d -> rows x (heads * d)"""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def attention(
+    x, wq, k, v, wo, bias, heads: int, keys: slice = slice(None)
+) -> tuple[Var, Array]:
+    """Multi-head attention from the rows of x, recorded as one op: the
+    query projection q = x wq, softmax(q k^T / sqrt(d_k) + bias) v per head,
+    and the output projection wo of the heads' results side by side. Its
+    bits, forward and backward, are those of three records: ``matmul(x,
+    wq)``, this attention with identity projections, and ``matmul(., wo)``.
 
     The keys and values are rows ``keys`` (a step-1 slice) of k and v, s of
     them; the gradients of k and v cover all their rows, zero outside
     ``keys``. Head h reads column block h of q and k (width d_k) and of v
-    (width d_v); the t x (heads * d_v) output holds the heads' results side
-    by side. ``bias`` is None, a t x s array shared by every head, or a
+    (width d_v). ``bias`` is None, a t x s array shared by every head, or a
     heads x t x s stack; its ``-inf`` entries get exactly zero weight, and a
     row with no finite entry raises :class:`DegenerateRowError`. Also
     returns the heads x t x s weights W, which the backward pass reads: do
     not modify them.
 
-    The backward pass is the standard softmax-attention VJP: dV = W^T dO,
-    dW = dO V^T, dS = W * (dW - rowsum(dW * W)), then dQ = dS K / sqrt(d_k)
-    and dK = dS^T Q / sqrt(d_k).
+    The backward pass is the standard softmax-attention VJP between the
+    projections' own: with the heads' output O and dO = g wo^T,
+    dV = W^T dO, dW = dO V^T, dS = W * (dW - rowsum(dW * W)),
+    dQ = dS K / sqrt(d_k) and dK = dS^T Q / sqrt(d_k); then dx = dQ wq^T,
+    dwq = x^T dQ and dwo = O^T g.
     """
-    q, k, v = _as_var(q), _as_var(k), _as_var(v)
+    x, wq, k, v, wo = _as_var(x), _as_var(wq), _as_var(k), _as_var(v), _as_var(wo)
+    xd, wqd, wod = x.data, wq.data, wo.data
     kd, vd = k.data[keys], v.data[keys]
-    t, s = q.rows, kd.shape[0]
-    if q.cols != k.cols or k.rows != v.rows or s == 0:
+    (t, n), (s, width) = xd.shape, kd.shape
+    k_rows, v_rows = k.data.shape[0], v.data.shape[0]
+    if (wqd.shape != (n, width) or k_rows != v_rows or vd.shape[1] != wod.shape[0]
+            or s == 0):
         raise ShapeError(
-            f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}, "
-            f"keys {keys}"
+            f"attention shape mismatch: x {xd.shape}, wq {wqd.shape}, k {k.shape}, "
+            f"v {v.shape}, wo {wod.shape}, keys {keys}"
         )
-    if heads < 1 or q.cols % heads or v.cols % heads:
-        raise ShapeError(f"widths {q.cols}/{v.cols} not divisible by {heads} heads")
-
-    def split(x: Array) -> Array:  # rows x (heads * d) -> heads x rows x d
-        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
-
-    def merge(x: Array) -> Array:  # heads x rows x d -> rows x (heads * d)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    if heads < 1 or width % heads or vd.shape[1] % heads:
+        raise ShapeError(f"widths {width}/{vd.shape[1]} not divisible by {heads} heads")
+    qh, vh = _split(xd @ wqd, heads), _split(vd, heads)
+    kt = kd.reshape(s, heads, -1).transpose(1, 2, 0)  # heads x d_k x s
+    c = 1.0 / math.sqrt(width // heads)
+    w = qh @ kt
+    w *= c
+    if bias is not None:
+        if bias.shape != (t, s) and bias.shape != (heads, t, s):
+            raise ShapeError(f"bias shape {bias.shape} does not match scores {(t, s)}")
+        w += bias
+    _softmax_last(w)
+    heads_out = _merge(w @ vh)
 
     def widen(g: Array, rows: int) -> Array:  # gradient of a keys slice
         if g.shape[0] == rows:
@@ -375,48 +403,47 @@ def attention(q, k, v, bias, heads: int, keys: slice = slice(None)) -> tuple[Var
         full[keys] = g
         return full
 
-    qh, kh, vh = split(q.data), split(kd), split(vd)
-    c = 1.0 / math.sqrt(qh.shape[2])
-    w = qh @ kh.transpose(0, 2, 1)
-    w *= c
-    if bias is not None:
-        if bias.shape not in ((t, s), (heads, t, s)):
-            raise ShapeError(f"bias shape {bias.shape} does not match scores {(t, s)}")
-        _require_unmasked_rows(bias)
-        w += bias
-    _softmax_last(w)
-
     def vjp(g: Array):
-        gh = split(g)
+        gh = _split(g @ wod.T, heads)
         ds = gh @ vh.transpose(0, 2, 1)
         ds -= (ds * w).sum(axis=2, keepdims=True)
         ds *= w
         ds *= c
+        dq = _merge(ds @ kt.transpose(0, 2, 1))
         return (
-            merge(ds @ kh),
-            widen(merge(ds.transpose(0, 2, 1) @ qh), k.rows),
-            widen(merge(w.transpose(0, 2, 1) @ gh), v.rows),
+            dq @ wqd.T,
+            xd.T @ dq,
+            widen(_merge(ds.transpose(0, 2, 1) @ qh), k_rows),
+            widen(_merge(w.transpose(0, 2, 1) @ gh), v_rows),
+            heads_out.T @ g,
         )
 
-    return _make(merge(w @ vh), (q, k, v), vjp), w
+    return _make(heads_out @ wod, (x, wq, k, v, wo), vjp), w
 
 
-def write_row(buf: Var, i: int, row) -> None:
-    """Set row i of ``buf`` to the 1-row ``row`` in place.
+def write_row(buf: Var, i: int, x, w) -> None:
+    """Set row i of ``buf`` to x @ w, for a one-row x, in place.
 
     ``buf`` is a buffer filled one row per step, each row written once:
-    the record's output is ``buf`` itself, and its VJP hands ``row`` row i of
-    the gradient accumulated on ``buf``. Every reader of row i is recorded
+    the record's output is ``buf`` itself, and its VJP reads row i of the
+    gradient accumulated on ``buf``. Every reader of row i is recorded
     after this write, so the reverse pass has added all of their
-    contributions by the time it reaches the write.
+    contributions by the time it reaches the write. The row has the bits of
+    ``matmul(x, w)``.
     """
-    row = _as_var(row)
-    if row.shape != (1, buf.cols) or not 0 <= i < buf.rows:
-        raise ShapeError(f"cannot write a {row.shape} row at row {i} of {buf.shape}")
-    buf.data[i] = row.data[0]
+    x, w = _as_var(x), _as_var(w)
+    xd, wd, bd = x.data, w.data, buf.data
+    if xd.shape != (1, wd.shape[0]) or wd.shape[1] != bd.shape[1] or not 0 <= i < bd.shape[0]:
+        raise ShapeError(f"cannot write {xd.shape} x {wd.shape} at row {i} of {bd.shape}")
+    np.matmul(xd, wd, out=bd[i : i + 1])
     tape = _active_tape()
     if tape is not None:
-        tape._records.append((buf, (row,), lambda g: (g[i : i + 1],)))
+
+        def vjp(g: Array):
+            gi = g[i : i + 1]
+            return gi @ wd.T, xd.T @ gi
+
+        tape._records.append((buf, (x, w), vjp))
 
 
 def _row_mean(x: Array) -> Array:
@@ -431,15 +458,19 @@ def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> V
     """layer_norm of the data x, which is the sum of ``inputs``: each input
     gets the same gradient."""
     gain, offset = _as_var(gain), _as_var(offset)
+    gd, od = gain.data, offset.data
     n = x.shape[1]
-    if gain.shape != (1, n) or offset.shape != (1, n):
+    if gd.shape != (1, n) or od.shape != (1, n):
         raise ShapeError(
-            f"layer_norm gain/offset must be 1x{n}, got {gain.shape}/{offset.shape}"
+            f"layer_norm gain/offset must be 1x{n}, got {gd.shape}/{od.shape}"
         )
-    xc = x - _row_mean(x)
-    inv = 1.0 / np.sqrt(_row_mean(np.square(xc)) + eps)
+    if x.shape[0] == 1:  # the same bits, with Python floats for the statistics
+        xc = x - float(np.add.reduce(x, axis=None)) / n
+        inv = 1.0 / math.sqrt(float(np.add.reduce(np.square(xc), axis=None)) / n + eps)
+    else:
+        xc = x - _row_mean(x)
+        inv = 1.0 / np.sqrt(_row_mean(np.square(xc)) + eps)
     xhat = xc * inv
-    gd = gain.data
 
     def vjp(g: Array):
         gy = g * gd
@@ -451,7 +482,9 @@ def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> V
             g.sum(axis=0, keepdims=True),
         )
 
-    return _make(xhat * gd + offset.data, inputs + (gain, offset), vjp)
+    out = xhat * gd
+    out += od
+    return _make(out, inputs + (gain, offset), vjp)
 
 
 def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
@@ -464,9 +497,10 @@ def add_norm(a, b, gain, offset, eps: float = 1e-5) -> Var:
     """``layer_norm(add(a, b), gain, offset)`` recorded as one op, with the
     same bits."""
     a, b = _as_var(a), _as_var(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _normalize(a.data + b.data, (a, b), gain, offset, eps)
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"add shape mismatch: {ad.shape} vs {bd.shape}")
+    return _normalize(ad + bd, (a, b), gain, offset, eps)
 
 
 def gather_patches(x, width: int, stride: int) -> Var:

@@ -8,6 +8,7 @@ seed configuration key.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 from . import synthetic
 from .config import build_configs, with_dataset_shape
 from .decoder import autoregress
-from .encoder import AudioInput
+from .encoder import AudioInput, infer_motion_len
 from .errors import AudioError, DivergenceError, SpeechMotionError, UsageError
 from .formats import (
     checkpoint_summary,
@@ -67,7 +68,10 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and then reused: parsing
+    does not change it."""
     parser = _Parser(prog="speechmotion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -125,11 +129,18 @@ def _load_audio(path: str, cfg) -> AudioInput:
 def _synthesize(args, capture=None):
     """Motion for ``args.audio`` from the ``args.ckpt`` model. A frame that is
     non-finite or outside the float32 range of the output file is an error
-    naming the checkpoint, raised before anything is written."""
+    naming the checkpoint, and a failed allocation one naming the audio file
+    and the frame count, raised before anything is written."""
     params, cfg = load_checkpoint(args.ckpt)
     audio = _load_audio(args.audio, cfg)
-    with np.errstate(all="ignore"):  # an overflow is reported below, by frame
-        motion = autoregress(audio, args.identity, args.frames, params, cfg, capture)
+    try:
+        with np.errstate(all="ignore"):  # an overflow is reported below, by frame
+            motion = autoregress(audio, args.identity, args.frames, params, cfg, capture)
+    except MemoryError:
+        frames = args.frames or infer_motion_len(audio.feature_rows, audio.rate, cfg)
+        raise SpeechMotionError(
+            f"{args.audio}: not enough memory to decode {frames} frames"
+        ) from None
     if not (-_F32_MAX <= motion.min() and motion.max() <= _F32_MAX):  # or NaN
         bad = np.flatnonzero(~(np.abs(motion) <= _F32_MAX).all(axis=1))[0]
         raise DivergenceError(

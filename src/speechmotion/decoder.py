@@ -9,14 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (
-    AttentionProjections,
-    AttentionRecord,
-    KeyValues,
-    add_norm,
-    feed_forward,
-    mh_attention,
-)
+from .attention import AttentionProjections, AttentionRecord, KeyValues, mh_attention
 from .autodiff import Var
 from .config import ModelConfig
 from .encoder import AudioInput, EncodedAudio, encode
@@ -32,37 +25,36 @@ from .positional import alignment_bias  # noqa: F401
 HEAD_BLOCK = 32
 
 
-def embed_step(
-    prev,
-    motion_map: tuple[Var, Var],
-    identity: int,
-    t: int,
-    position: np.ndarray,
-    params: Params,
-    cfg: ModelConfig,
+def embed_table(
+    identity: int, c: Var, motion_len: int, params: Params, cfg: ModelConfig
 ) -> Var:
-    """Decoder input row for step t: motion embedding + style + ``position``,
-    the step's 1 x d positional vector (row t of :func:`ppe_rows`).
-
-    The motion embedding is ``prev @ w + b`` for ``(w, b) = motion_map``:
-    ``rollout`` passes the previous step's hidden row with the folded map of
-    :func:`feedback_map`; a vertex-space frame with ``motion_enc.w/.b`` gives
-    the same embedding. Step 0 consumes no motion (there is no previous
-    prediction yet), so its row is just the style embedding plus the position
-    vector.
-    """
+    """The part of every step's input row that no prediction feeds: row t
+    is the style embedding plus the positional vector of step t
+    (:func:`ppe_rows`), plus the motion bias ``c`` from row 1 on."""
     if not 0 <= identity < cfg.identities:
         raise ShapeError(
             f"identity index {identity} out of range [0, {cfg.identities})"
         )
+    style = ad.take_row(params["style.table"], identity)
+    table = ad.add_row(Var(ppe_rows(np.arange(motion_len), cfg)), style)
+    return ad.add_row(table, c, start=1)
+
+
+def embed_step(prev, motion_w: Var, table: Var, t: int) -> Var:
+    """Decoder input row for step t: ``prev @ motion_w`` plus row t of
+    ``table`` (see :func:`embed_table`).
+
+    ``rollout`` passes the previous step's hidden row with ``M`` and the
+    table with ``c`` of :func:`feedback_map`; a vertex-space frame with
+    ``motion_enc.w`` and a table built with ``motion_enc.b`` gives the same
+    embedding. Step 0 consumes no motion (there is no previous prediction
+    yet), so its row is table row 0: the style embedding plus the position
+    vector.
+    """
     if (prev is None) != (t == 0):
         raise ShapeError("prev must be omitted exactly at step 0")
-    style = ad.take_row(params["style.table"], identity)
-    if t == 0:
-        base = style
-    else:
-        base = ad.add(ad.linear(prev, *motion_map), style)
-    return ad.add_const(base, position)
+    row = ad.take_row(table, t)
+    return row if t == 0 else ad.linear(prev, motion_w, row)
 
 
 def feedback_map(params: Params, detach_feedback: bool) -> tuple[Var, Var]:
@@ -83,19 +75,27 @@ def feedback_map(params: Params, detach_feedback: bool) -> tuple[Var, Var]:
 
 @dataclass
 class LayerCache:
-    """One decoder layer's attention inputs over a rollout of up to T steps.
+    """One decoder layer over a rollout of up to T steps: its weights, looked
+    up once, and its attention inputs.
 
     Row s of ``keys`` and ``values`` (T x d buffers) holds the self-attention
     projections of step s's input row once that step has run; ``steps``
     rows are written. ``audio`` holds the cross-attention keys and values of
-    every enc.a row. ``bias`` is the heads x 1 x T self-bias row of the
-    newest of T steps at the heads' slopes; it depends only on the distance
-    i - j, so its last s + 1 columns are step s's row, with no -inf.
+    every enc.a row, whose rows [k*s, k*(s + 1)) are step s's window.
+    ``bias`` is the heads x 1 x T self-bias row of the newest of T steps at
+    the heads' slopes; it depends only on the distance i - j, so its last
+    s + 1 columns are step s's row, with no -inf.
     """
 
+    self_proj: AttentionProjections
+    cross_proj: AttentionProjections
+    norms: tuple[tuple[Var, Var], ...]  # gain and offset of ln1, ln2, ln3
+    ff: tuple[Var, Var, Var, Var]       # w1, b1, w2, b2
+    heads: int
     keys: Var
     values: Var
     audio: KeyValues
+    frame_ratio: int
     bias: np.ndarray
     steps: int = 0
 
@@ -112,22 +112,26 @@ def layer_caches(
     row = bias.scaled(head_slopes(cfg.heads)).data
     caches = []
     for layer in range(cfg.decoder_layers):
-        proj = AttentionProjections.from_params(params, f"dec.layer{layer}.cross")
+        p = f"dec.layer{layer}"
+        cross = AttentionProjections.from_params(params, f"{p}.cross")
         caches.append(LayerCache(
-            Var(np.zeros((motion_len, cfg.dim))), Var(np.zeros((motion_len, cfg.dim))),
-            proj.keys_values(enc.a), row,
+            self_proj=AttentionProjections.from_params(params, f"{p}.self"),
+            cross_proj=cross,
+            norms=tuple((params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
+                        for ln in ("ln1", "ln2", "ln3")),
+            ff=tuple(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")),
+            heads=cfg.heads,
+            keys=Var(np.zeros((motion_len, cfg.dim))),
+            values=Var(np.zeros((motion_len, cfg.dim))),
+            audio=cross.keys_values(enc.a),
+            frame_ratio=enc.frame_ratio,
+            bias=row,
         ))
     return caches
 
 
 def decoder_layer(
-    fhat: Var,
-    enc: EncodedAudio,
-    params: Params,
-    cfg: ModelConfig,
-    layer: int,
-    past: LayerCache,
-    capture: bool = False,
+    fhat: Var, past: LayerCache, capture: bool = False
 ) -> tuple[Var, tuple[AttentionRecord, AttentionRecord] | None]:
     """One decoder block over ``fhat``, the one row of step s = ``past.steps``.
 
@@ -141,26 +145,23 @@ def decoder_layer(
     """
     if fhat.rows != 1:
         raise ShapeError(f"a cached step takes one row, got {fhat.rows}")
-    p = f"dec.layer{layer}"
-    k = enc.frame_ratio
-    s = past.steps
-    self_proj = AttentionProjections.from_params(params, f"{p}.self")
-    ad.write_row(past.keys, s, ad.matmul(fhat, self_proj.wk))
-    ad.write_row(past.values, s, ad.matmul(fhat, self_proj.wv))
+    s, k = past.steps, past.frame_ratio
+    (g1, o1), (g2, o2), (g3, o3) = past.norms
+    ad.write_row(past.keys, s, fhat, past.self_proj.wk)
+    ad.write_row(past.values, s, fhat, past.self_proj.wv)
     past.steps = s + 1
 
     attn, rec_self = mh_attention(
-        fhat, KeyValues(past.keys, past.values, 0, s + 1), self_proj, cfg.heads,
+        fhat, KeyValues(past.keys, past.values, 0, s + 1), past.self_proj, past.heads,
         BiasMatrix(past.bias[:, :, -(s + 1):], "temporal"), capture=capture,
     )
-    x1 = add_norm(fhat, attn, params, f"{p}.ln1")
+    x1 = ad.add_norm(fhat, attn, g1, o1)
     cross, rec_cross = mh_attention(
-        x1, KeyValues(past.audio.k, past.audio.v, k * s, k * (s + 1)),
-        AttentionProjections.from_params(params, f"{p}.cross"), cfg.heads, None,
-        capture=capture,
+        x1, KeyValues(past.audio.k, past.audio.v, k * s, k * (s + 1)), past.cross_proj,
+        past.heads, None, capture=capture,
     )
-    x2 = add_norm(x1, cross, params, f"{p}.ln2")
-    out = add_norm(x2, feed_forward(x2, params, f"{p}.ff"), params, f"{p}.ln3")
+    x2 = ad.add_norm(x1, cross, g2, o2)
+    out = ad.add_norm(x2, ad.feed_forward(x2, *past.ff), g3, o3)
     return out, (rec_self, rec_cross) if capture else None
 
 
@@ -187,9 +188,12 @@ def rollout(
 ) -> Var:
     """Autoregressive generation over already-encoded audio.
 
-    Each step embeds the previous step's last-layer hidden row with the
-    folded map of :func:`feedback_map`, feeds the new row through every
-    decoder layer against that layer's :class:`LayerCache`, and keeps its
+    Everything constant over the rollout is built once: the folded map of
+    :func:`feedback_map`, the :func:`embed_table` of style, positions and
+    motion bias, and per layer the weights, the audio keys and values and
+    the self-bias row of a :class:`LayerCache`. Each step embeds the
+    previous step's last-layer hidden row with the map, feeds the new row
+    through every decoder layer against that layer's cache, and keeps its
     hidden row; the vertex head then decodes all T rows in one call.
     Gradients flow through the fed-back rows and the caches unless
     ``detach_feedback`` is set, which detaches the fed-back rows and builds
@@ -207,9 +211,9 @@ def rollout(
             f"requested {motion_len} frames but audio covers {enc.motion_len}"
         )
     k = enc.frame_ratio
-    motion_map = feedback_map(params, detach_feedback)
+    motion_w, c = feedback_map(params, detach_feedback)
+    table = embed_table(identity, c, motion_len, params, cfg)
     caches = layer_caches(enc, motion_len, params, cfg)
-    positions = ppe_rows(np.arange(motion_len), cfg)
     maps = []  # per layer, the captured self and cross weights
     if capture is not None:
         maps = [
@@ -222,11 +226,9 @@ def rollout(
         prev = None
         if t > 0:
             prev = ad.detach(hidden[-1]) if detach_feedback else hidden[-1]
-        x = embed_step(prev, motion_map, identity, t, positions[t : t + 1], params, cfg)
+        x = embed_step(prev, motion_w, table, t)
         for layer, cache in enumerate(caches):
-            x, records = decoder_layer(
-                x, enc, params, cfg, layer, cache, capture=capture is not None
-            )
+            x, records = decoder_layer(x, cache, capture=capture is not None)
             if records is not None:
                 (self_map, cross_map), (rec_self, rec_cross) = maps[layer], records
                 self_map[:, t, : t + 1] = np.concatenate(rec_self.head_weights)

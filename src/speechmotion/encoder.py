@@ -58,6 +58,18 @@ class AudioInput:
         )
 
     @property
+    def feature_rows(self) -> int:
+        """Feature rows this input produces; for a waveform, the length of
+        the extractor's output by the conv length formula, without running
+        the extractor."""
+        if self.features is not None:
+            return self.features.shape[0]
+        rows = self.waveform.shape[0]
+        for width, stride in CONV_SCHEDULE:
+            rows = (rows - width) // stride + 1
+        return rows
+
+    @property
     def rate(self) -> float:
         """Feature rows per second this input produces."""
         if self.features is not None:

@@ -18,7 +18,7 @@ from .encoder import AudioInput, encode
 from .errors import DivergenceError, ShapeError
 from .formats import atomic_write_text
 from .optim import AdamState, adam_step, clip_global_norm
-from .params import CONV_SCHEDULE, Params
+from .params import Params
 
 log = logging.getLogger(__name__)
 
@@ -186,15 +186,7 @@ def train(
 
 def check_sample_alignment(sample: TrainingSample, cfg: ModelConfig, idx: int) -> None:
     """Motion length must match the audio duration within one frame."""
-    if sample.audio.features is not None:
-        feature_rows = sample.audio.features.shape[0]
-    else:
-        # trusting the conv length formula avoids running the extractor here
-        rows = sample.audio.waveform.shape[0]
-        for width, stride in CONV_SCHEDULE:
-            rows = (rows - width) // stride + 1
-        feature_rows = rows
-    implied = feature_rows * cfg.motion_rate / sample.audio.rate
+    implied = sample.audio.feature_rows * cfg.motion_rate / sample.audio.rate
     frames = sample.motion.shape[0]
     if abs(frames - implied) > 1.0 + 1e-9:
         raise ShapeError(

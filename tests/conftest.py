@@ -43,11 +43,11 @@ def cached_step(enc, params, cfg, rows, s, layer=0, bump=False):
         enc = EncodedAudio(Var(a), k, enc.motion_len)
     past = layer_caches(enc, len(rows), params, cfg)[layer]
     for i in range(s):
-        decoder_layer(Var(rows[i : i + 1]), enc, params, cfg, layer, past)
+        decoder_layer(Var(rows[i : i + 1]), past)
     if bump:
         past.keys.data[s + 1 :] += 1.0
         past.values.data[s + 1 :] += 1.0
-    return decoder_layer(Var(rows[s : s + 1]), enc, params, cfg, layer, past)[0].data
+    return decoder_layer(Var(rows[s : s + 1]), past)[0].data
 
 
 @pytest.fixture

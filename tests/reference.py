@@ -36,14 +36,13 @@ def sinusoid_row(t: int, dim: int) -> np.ndarray:
 
 
 def softmax_rows(a) -> Var:
-    """Row-wise softmax through the package's attention kernels, recorded on
+    """Row-wise softmax through the package's attention kernel, recorded on
     the active tape.
 
     ``-inf`` entries get exactly zero weight; a row with no finite entry is a
     fully masked query and raises :class:`DegenerateRowError`.
     """
     a = a if isinstance(a, Var) else Var(a)
-    ad._require_unmasked_rows(a.data)
     y = ad._softmax_last(a.data.copy())
 
     def vjp(g):
@@ -54,8 +53,12 @@ def softmax_rows(a) -> Var:
 
 def biased_attention(q, k, v, bias: BiasMatrix | None) -> tuple[Var, Var]:
     """Single-head softmax(q k^T / sqrt(d_k) + bias) v through the package's
-    attention op; returns (output, weights), the weights untaped."""
-    out, weights = ad.attention(q, k, v, None if bias is None else bias.data, 1)
+    attention op with identity projections; returns (output, weights), the
+    weights untaped."""
+    q, k, v = (x if isinstance(x, Var) else Var(x) for x in (q, k, v))
+    out, weights = ad.attention(
+        q, np.eye(q.cols), k, v, np.eye(v.cols), None if bias is None else bias.data, 1
+    )
     return out, Var(weights[0].copy())
 
 

@@ -109,9 +109,15 @@ class TestSoftmaxRows:
         assert rel_err(g, fd) < 1e-5
 
 
-def _attention_inputs(rng, heads, t, s, d_k=3, d_v=2):
-    return (Var(rng.normal(size=(t, heads * d_k))), Var(rng.normal(size=(s, heads * d_k))),
-            Var(rng.normal(size=(s, heads * d_v))))
+def _attention_inputs(rng, heads, t, rows, d=5, d_k=3, d_v=2):
+    """Query rows x (t x d) with the projections wq (d x heads*d_k) and wo
+    (heads*d_v x d), and keys and values of ``rows`` rows: the inputs of
+    ``ad.attention`` in order."""
+    return (
+        Var(rng.normal(size=(t, d))), Var(rng.normal(size=(d, heads * d_k))),
+        Var(rng.normal(size=(rows, heads * d_k))), Var(rng.normal(size=(rows, heads * d_v))),
+        Var(rng.normal(size=(heads * d_v, d))),
+    )
 
 
 def _attention_bias(kind, heads, t):
@@ -125,31 +131,37 @@ def _attention_bias(kind, heads, t):
 
 class TestAttention:
     @pytest.mark.parametrize("heads", [1, 4])
-    @pytest.mark.parametrize("kind", ["temporal", "alignment"])
+    @pytest.mark.parametrize("kind", ["temporal", "alignment", "none"])
     def test_gradients_match_finite_differences(self, rng, heads, kind):
+        # x, wq, k, v and wo; the keys are rows [1, s + 1) of 3 more rows
         t = 3
-        bias = _attention_bias(kind, heads, t)
-        q, k, v = _attention_inputs(rng, heads, t, bias.shape[-1])
-        readout = rng.normal(size=(t, v.cols))
-        assert np.isneginf(bias).any() and k.rows != t
+        bias = None if kind == "none" else _attention_bias(kind, heads, t)
+        s = 4 if bias is None else bias.shape[-1]
+        inputs = _attention_inputs(rng, heads, t, s + 3)
+        readout = rng.normal(size=(t, 5))
+        assert bias is None or (np.isneginf(bias).any() and s != t)
 
         def loss_var():
-            out, _ = ad.attention(q, k, v, bias, heads)
+            out, _ = ad.attention(*inputs, bias, heads, slice(1, s + 1))
             return ad.sum_all(ad.mul(out, readout))
 
-        for var in (q, k, v):
+        for var in inputs:
             with Tape():
                 g = grad(loss_var(), var)
             fd = finite_diff(lambda: loss_var().item(), var.data)
             assert rel_err(g, fd) < 1e-6
+        for var in inputs[2:4]:  # rows outside the range get exactly zero
+            with Tape():
+                g = grad(loss_var(), var)
+            assert not g[[0, s + 1, s + 2]].any() and g[1 : s + 1].any()
 
     def test_masked_keys_get_exactly_zero_gradient(self, rng):
         heads, t, s = 4, 3, 6
         bias = np.zeros((t, s))
         bias[:, [1, 4]] = -np.inf
-        q, k, v = _attention_inputs(rng, heads, t, s)
+        x, wq, k, v, wo = _attention_inputs(rng, heads, t, s)
         with Tape():
-            out, weights = ad.attention(q, k, v, bias, heads)
+            out, weights = ad.attention(x, wq, k, v, wo, bias, heads)
             grads = backward(ad.sum_all(ad.mul(out, out)), {"k": k, "v": v})
         assert np.array_equal(weights[:, :, [1, 4]], np.zeros((heads, t, 2)))
         for g in grads.values():
@@ -160,19 +172,18 @@ class TestAttention:
     def test_fully_masked_row_raises(self, rng, heads):
         bias = np.zeros((heads, 3, 4))
         bias[:, 2] = -np.inf
-        q, k, v = _attention_inputs(rng, heads, 3, 4)
         with pytest.raises(DegenerateRowError, match="row 2"):
-            ad.attention(q, k, v, bias, heads)
+            ad.attention(*_attention_inputs(rng, heads, 3, 4), bias, heads)
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_buffer_rows_gradients_match_finite_differences(self, rng, heads):
         # the decoder's cached step: row i of each buffer is written at step
-        # i, and step i's query reads buffer rows [0, i] under the last i + 1
+        # i, and step i's row reads buffer rows [0, i] under the last i + 1
         # columns of a per-head bias row, and rows [2i, 2i + 2) of a
         # projected audio matrix with no bias
         n, d = 4, 4
         xs, audio = Var(rng.normal(size=(n, d))), Var(rng.normal(size=(2 * n, d)))
-        wq, wk, wv = (Var(rng.normal(size=(d, d))) for _ in range(3))
+        wq, wk, wv, wo = (Var(rng.normal(size=(d, d))) for _ in range(4))
         bias_row = rng.normal(size=(heads, 1, n))
         readout = rng.normal(size=(2 * n, d))
 
@@ -182,34 +193,62 @@ class TestAttention:
             outs = []
             for i in range(n):
                 x = ad.take_row(xs, i)
-                ad.write_row(keys, i, ad.matmul(x, wk))
-                ad.write_row(values, i, ad.matmul(x, wv))
-                q = ad.matmul(x, wq)
+                ad.write_row(keys, i, x, wk)
+                ad.write_row(values, i, x, wv)
                 own, _ = ad.attention(
-                    q, keys, values, bias_row[:, :, n - 1 - i :], heads, slice(0, i + 1)
+                    x, wq, keys, values, wo, bias_row[:, :, n - 1 - i :], heads, slice(0, i + 1)
                 )
-                window, _ = ad.attention(q, audio_k, audio_v, None, heads, slice(2 * i, 2 * i + 2))
+                window, _ = ad.attention(
+                    x, wq, audio_k, audio_v, wo, None, heads, slice(2 * i, 2 * i + 2)
+                )
                 outs += [own, window]
             return ad.sum_all(ad.mul(ad.concat_rows(outs), readout))
 
-        for var in (xs, audio, wq, wk, wv):
+        for var in (xs, audio, wq, wk, wv, wo):
             with Tape():
                 g = grad(loss_var(), var)
             fd = finite_diff(lambda: loss_var().item(), var.data)
             assert rel_err(g, fd) < 1e-6
 
+    def test_write_row_gradients_match_finite_differences(self, rng):
+        x, w = Var(rng.normal(size=(1, 4))), Var(rng.normal(size=(4, 3)))
+        readout = rng.normal(size=(5, 3))
+
+        def loss_var():
+            buf = Var(np.zeros((5, 3)))
+            ad.write_row(buf, 2, x, w)
+            return ad.sum_all(ad.mul(buf, readout))
+
+        for var in (x, w):
+            with Tape():
+                g = grad(loss_var(), var)
+            fd = finite_diff(lambda: loss_var().item(), var.data)
+            assert rel_err(g, fd) < 1e-6
+
+    def test_write_row_has_the_bits_of_matmul(self, rng):
+        buf = Var(rng.normal(size=(5, 32)))
+        before = buf.data.copy()
+        x, w = Var(rng.normal(size=(1, 32))), Var(rng.normal(size=(32, 32)))
+        ad.write_row(buf, 3, x, w)
+        assert np.array_equal(buf.data[3:4], ad.matmul(x, w).data)
+        assert np.array_equal(np.delete(buf.data, 3, 0), np.delete(before, 3, 0))
+
     def test_write_row_checks_its_target(self, rng):
         buf = Var(np.zeros((3, 2)))
+        w = rng.normal(size=(2, 2))
         with pytest.raises(ShapeError, match="row 3"):
-            ad.write_row(buf, 3, rng.normal(size=(1, 2)))
+            ad.write_row(buf, 3, rng.normal(size=(1, 2)), w)
         with pytest.raises(ShapeError, match=r"\(2, 2\)"):
-            ad.write_row(buf, 0, rng.normal(size=(2, 2)))
+            ad.write_row(buf, 0, rng.normal(size=(2, 2)), w)
+        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+            ad.write_row(buf, 0, rng.normal(size=(1, 2)), rng.normal(size=(2, 3)))
 
     def test_training_rollout_records(self, rng):
-        # one record per multi-head attention, one per linear, add-norm and
-        # feed-forward, and a cached step that projects only its new row:
-        # the per-head composition of slices, transposes and softmaxes made
-        # 2,106 records, the fused attention alone 598
+        # one record per linear, add-norm, feed-forward, projecting write and
+        # attention (with its query and output projections), and a step
+        # input row of at most two records: ten per decoder step. The
+        # per-head composition of slices, transposes and softmaxes made 2,106
+        # records, the fused attention 598, and separate projections 387
         cfg = ModelConfig().validate()
         frames = 20
         sample = TrainingSample(
@@ -220,12 +259,12 @@ class TestAttention:
         )
         with Tape() as tape:
             rollout_loss(sample, init_params(cfg, seed=0), cfg)
-            assert len(tape) <= 387
+            assert len(tape) <= 227
 
 
 class TestFusedRecords:
-    """linear, add_norm and feed_forward are one record each, with the bits
-    of the composition they replace, forward and backward."""
+    """linear, add_norm, feed_forward and attention are one record each, with
+    the bits of the composition they replace, forward and backward."""
 
     @staticmethod
     def _compare(rng, fused, composed, inputs):
@@ -263,6 +302,36 @@ class TestFusedRecords:
 
         assert (inputs[0].data @ inputs[1].data + inputs[2].data < 0).any()
         self._compare(rng, ad.feed_forward, composed, inputs)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_attention(self, rng, heads, t):
+        # the query projection, the attention of the projected rows (identity
+        # projections change no bit) and the output projection, recorded
+        # one after another; the keys are a row range of a longer buffer
+        bias = np.multiply.outer(head_slopes(heads), -rng.random((t, 5)))
+        keys = slice(2, 7)
+
+        def fused(x, wq, k, v, wo):
+            return ad.attention(x, wq, k, v, wo, bias, heads, keys)[0]
+
+        def composed(x, wq, k, v, wo):
+            q = ad.matmul(x, wq)
+            out, _ = ad.attention(q, np.eye(q.cols), k, v, np.eye(v.cols), bias, heads, keys)
+            return ad.matmul(out, wo)
+
+        self._compare(rng, fused, composed, list(_attention_inputs(rng, heads, t, 9)))
+
+    @pytest.mark.parametrize("width", [1, 7, 32, 129, 768])
+    def test_add_norm_one_row_matches_rows(self, rng, width):
+        # a one-row input takes its statistics as Python floats: the same
+        # bits as that row of a many-row input
+        a, b = rng.normal(size=(6, width)) * 30.0, rng.normal(size=(6, width))
+        gain, offset = rng.normal(size=(1, width)), rng.normal(size=(1, width))
+        rows = ad.add_norm(a, b, gain, offset).data
+        for i in range(6):
+            one = ad.add_norm(a[i : i + 1], b[i : i + 1], gain, offset).data
+            assert np.array_equal(one, rows[i : i + 1])
 
 
 class TestLayerNorm:

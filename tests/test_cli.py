@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from speechmotion import Var, init_params, load_matrix, save_checkpoint, save_matrix
+from speechmotion import cli
 from speechmotion.cli import main
 
 from conftest import TINY
@@ -246,6 +247,30 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "huge.ckpt" in err and f"frame {frame} " in err
         assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "export-attn"])
+    @pytest.mark.parametrize("frames, count", [(["--frames", "100000"], 100000), ([], 4)])
+    def test_allocation_failure_is_data_error(
+        self, tmp_path, trained, dataset_dir, capsys, monkeypatch, command, frames, count
+    ):
+        # numpy reports a failed allocation as a MemoryError; the decoder is
+        # replaced so that none is really attempted
+        def fail(*args):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        monkeypatch.setattr(cli, "autoregress", fail)
+        out = tmp_path / "out"
+        flag = "--out" if command == "infer" else "--out-dir"
+        capsys.readouterr()
+        assert main([
+            command, "--ckpt", str(trained),
+            "--audio", str(dataset_dir / "seq000.audio.f32mat"),
+            "--identity", "0", *frames, flag, str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "seq000.audio.f32mat" in err and f" {count} frames" in err
+        assert "Traceback" not in err and "GiB" not in err
         assert not out.exists()
 
     def test_waveform_input(self, tmp_path, trained):

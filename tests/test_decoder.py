@@ -15,6 +15,7 @@ from speechmotion import (
     encode,
     rollout,
 )
+from speechmotion.decoder import embed_table
 from speechmotion import autodiff as ad
 from speechmotion import decoder, init_params, training
 from speechmotion.positional import head_slopes, ppe_row
@@ -37,14 +38,11 @@ def live_params(tiny_params, rng):
     return params
 
 
-def _vertex_map(params):
-    """The motion encoder, which embeds a vertex-space frame."""
-    return params["motion_enc.w"], params["motion_enc.b"]
-
-
 def _embed(prev, identity, t, params, cfg):
-    """embed_step with the vertex-space map and step t's positional row."""
-    return embed_step(prev, _vertex_map(params), identity, t, ppe_row(t, cfg), params, cfg)
+    """embed_step of a vertex-space frame: the motion encoder's weight, and a
+    table built with its bias."""
+    table = embed_table(identity, params["motion_enc.b"], t + 1, params, cfg)
+    return embed_step(prev, params["motion_enc.w"], table, t)
 
 
 class TestEmbedStep:
@@ -62,6 +60,19 @@ class TestEmbedStep:
             out = _embed(prev, 0, t, params, tiny_cfg)
             expect = params["style.table"].data[0:1] + ppe_row(t, tiny_cfg)
             assert np.allclose(out.data, expect, atol=1e-15)
+
+    def test_motion_bias_from_step_one(self, tiny_cfg, tiny_params, rng):
+        # the table holds the motion encoder's bias on rows 1.. only: step 0
+        # embeds no motion at all
+        params = dict(tiny_params)
+        params["motion_enc.b"] = Var(rng.normal(size=(1, 8)))
+        style = params["style.table"].data[1:2]
+        assert np.allclose(_embed(None, 1, 0, params, tiny_cfg).data,
+                           style + ppe_row(0, tiny_cfg), atol=1e-15)
+        prev = rng.normal(size=(1, 9))
+        expect = (prev @ params["motion_enc.w"].data + params["motion_enc.b"].data
+                  + style + ppe_row(3, tiny_cfg))
+        assert np.allclose(_embed(prev, 1, 3, params, tiny_cfg).data, expect, atol=1e-14)
 
     def test_identities_differ(self, tiny_cfg, tiny_params, rng):
         prev = rng.normal(size=(1, 9))
@@ -85,7 +96,7 @@ class TestDecoderLayer:
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
         past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
         fhat = Var(rng.normal(size=(1, 8)))
-        out, records = decoder_layer(fhat, enc, tiny_params, tiny_cfg, 0, past, capture=True)
+        out, records = decoder_layer(fhat, past, capture=True)
         assert out.shape == (1, 8)
         rec_self, _ = records
         for w in rec_self.head_weights:  # step 0 has one key: identity-weight pass
@@ -96,7 +107,7 @@ class TestDecoderLayer:
         past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
         for s in range(4):
             row = Var(rng.normal(size=(1, 8)))
-            out, _ = decoder_layer(row, enc, tiny_params, tiny_cfg, 0, past)
+            out, _ = decoder_layer(row, past)
             assert out.shape == (1, 8) and past.steps == s + 1
 
     def test_cross_attention_stays_in_window(self, tiny_cfg, tiny_params, rng):
@@ -107,9 +118,7 @@ class TestDecoderLayer:
         rows = rng.normal(size=(4, 8))
         k = tiny_cfg.frame_ratio
         for s in range(4):
-            _, (_, rec_cross) = decoder_layer(
-                Var(rows[s : s + 1]), enc, tiny_params, tiny_cfg, 0, past, capture=True
-            )
+            _, (_, rec_cross) = decoder_layer(Var(rows[s : s + 1]), past, capture=True)
             _, (_, dense) = dense_decoder_layer(
                 Var(rows[: s + 1]), enc, tiny_params, tiny_cfg, capture=True
             )
@@ -130,7 +139,7 @@ class TestDecoderLayer:
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
         past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
         with pytest.raises(ShapeError, match="one row"):
-            decoder_layer(Var(rng.normal(size=(2, 8))), enc, tiny_params, tiny_cfg, 0, past)
+            decoder_layer(Var(rng.normal(size=(2, 8))), past)
 
 
 class TestDecodeMotion:
@@ -372,7 +381,7 @@ class TestPrefixCache:
             for s, t in ((1, 1), (3, 2), (5, 1)):
                 past = decoder.layer_caches(enc, 6, params, cfg)[layer]
                 steps = [
-                    decoder_layer(Var(rows[i : i + 1]), enc, params, cfg, layer, past)[0]
+                    decoder_layer(Var(rows[i : i + 1]), past)[0]
                     for i in range(s + t)
                 ]
                 new = ad.concat_rows(steps[s:])

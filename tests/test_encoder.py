@@ -50,6 +50,12 @@ class TestExtractFeatures:
         out = extract_features(audio, tiny_params, tiny_cfg)
         assert out.shape == (49, tiny_cfg.feature_dim)
 
+    @pytest.mark.parametrize("samples", [extractor_min_samples(), 4001, 16000])
+    def test_feature_rows_match_extractor(self, tiny_cfg, tiny_params, rng, samples):
+        audio = AudioInput.from_waveform(rng.normal(size=samples) * 0.1, 16000.0)
+        assert audio.feature_rows == extract_features(audio, tiny_params, tiny_cfg).rows
+        assert AudioInput.from_features(rng.normal(size=(7, 4)), 50.0).feature_rows == 7
+
     def test_frame_ratio_from_published_rates(self):
         cfg = dataclasses.replace(ModelConfig(), feature_rate=49.0, motion_rate=25.0)
         assert cfg.frame_ratio == 2
