@@ -18,7 +18,6 @@ from .autodiff import (
     backward,
     conv1d_strided,
     grad,
-    layer_norm,
     linear,
     matmul,
 )
@@ -69,9 +68,9 @@ __all__ = [
     "autoregress", "backward", "conv1d_strided", "decode_motion",
     "decoder_layer", "embed_step", "encode", "evaluate_rmse",
     "export_attention", "extract_features", "frame_vertex_rmse",
-    "gen_synthetic", "grad", "head_slopes", "init_params", "layer_norm",
-    "linear", "lip_error", "lip_error_corpus", "load_checkpoint",
-    "load_dataset", "load_matrix", "matmul", "mh_attention", "mse_loss",
-    "param_shapes", "ppe_row", "profile", "rms_amplitude", "rollout",
-    "save_checkpoint", "save_matrix", "train",
+    "gen_synthetic", "grad", "head_slopes", "init_params", "linear",
+    "lip_error", "lip_error_corpus", "load_checkpoint", "load_dataset",
+    "load_matrix", "matmul", "mh_attention", "mse_loss", "param_shapes",
+    "ppe_row", "profile", "rms_amplitude", "rollout", "save_checkpoint",
+    "save_matrix", "train",
 ]

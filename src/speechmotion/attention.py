@@ -1,9 +1,9 @@
-"""Biased scaled dot-product attention, multi-head wrapper, and the residual
-and feed-forward sublayers shared by encoder and decoder layers."""
+"""Multi-head biased attention over projected keys and values, and the
+attention weights that ``export-attn`` writes out."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,53 +49,30 @@ class KeyValues:
 
 @dataclass
 class AttentionRecord:
-    """Per-head attention weights captured during one forward pass."""
+    """The heads x t x s attention weights of one module and layer, as of
+    one decoding step."""
 
     module: str
     layer: int
     step: int
-    head_weights: list[np.ndarray] = field(default_factory=list)
-
-    def head_mean(self) -> np.ndarray:
-        return np.mean(self.head_weights, axis=0)
+    weights: np.ndarray
 
 
 def mh_attention(
-    x_q,
-    x_kv,
-    proj: AttentionProjections,
-    heads: int,
-    bias: BiasMatrix | None,
-    capture: bool = False,
-) -> tuple[Var, AttentionRecord | None]:
+    x_q, x_kv, proj: AttentionProjections, heads: int, bias: BiasMatrix | None
+) -> tuple[Var, np.ndarray]:
     """Multi-head biased attention from the rows of x_q to ``x_kv``: rows that
     ``proj`` projects, or :class:`KeyValues` projected before. The query and
     output projections are part of the one :func:`autodiff.attention` record.
+    Returns the output rows and the heads x t x s weights, which the backward
+    pass reads: do not modify them.
 
     ``bias`` is None, a t x s matrix shared by every head (such as an
     alignment bias), or a heads x t x s stack already scaled per head (a
     temporal bias at the heads' slopes, see :meth:`BiasMatrix.scaled`).
     """
     kv = x_kv if isinstance(x_kv, KeyValues) else proj.keys_values(x_kv)
-    out, weights = ad.attention(
+    return ad.attention(
         x_q, proj.wq, kv.k, kv.v, proj.wo, None if bias is None else bias.data, heads,
         slice(kv.start, kv.stop),
-    )
-    record = None
-    if capture:
-        record = AttentionRecord("", 0, 0, list(weights.copy()))
-    return out, record
-
-
-def add_norm(x, sublayer_out, params: Params, prefix: str) -> Var:
-    """Residual connection, then layer norm with ``{prefix}.gain/offset``."""
-    return ad.add_norm(
-        x, sublayer_out, params[f"{prefix}.gain"], params[f"{prefix}.offset"]
-    )
-
-
-def feed_forward(x, params: Params, prefix: str) -> Var:
-    """Rectifier feed-forward with ``{prefix}.w1/b1/w2/b2``."""
-    return ad.feed_forward(
-        x, *(params[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
     )

@@ -10,9 +10,14 @@ the same functions just compute values, which is what inference uses.
 Most records are one layer's worth of work, with the bits of the elementary
 composition they replace: ``linear``, ``add_norm`` (residual add + layer
 norm), ``feed_forward`` (linear, rectifier, linear) and ``attention`` (query
-projection, all heads and output projection) are one record each. A decoder
-step writes its projected keys and values into preallocated buffers with
-``write_row``, a record whose output is the buffer itself, and
+projection, all heads and output projection) are one record each, and
+``conv1d_strided`` is ``linear`` over patch rows plus one rectifier record.
+There is no stand-alone add, rectifier or layer norm: the model needs none,
+and the tests keep them as references for the fused records. ``attention``
+also returns its heads' weights, which attention export copies out.
+
+A decoder step writes its projected keys and values into preallocated
+buffers with ``write_row``, a record whose output is the buffer itself, and
 ``attention`` reads a row range of such a buffer and returns a gradient for
 the whole of it. So a decoder step is two records for its input row and
 eight per layer (two writes, two attentions, three add-norms and a
@@ -193,13 +198,6 @@ def matmul(a, b) -> Var:
     return _make(ad @ bd, (a, b), vjp)
 
 
-def add(a, b) -> Var:
-    a, b = _as_var(a), _as_var(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _make(a.data + b.data, (a, b), lambda g: (g, g))
-
-
 def sub(a, b) -> Var:
     a, b = _as_var(a), _as_var(b)
     if a.shape != b.shape:
@@ -236,12 +234,6 @@ def add_row(a, row, start: int = 0) -> Var:
     return _make(out, (a, row), lambda g: (g, g[start:].sum(axis=0, keepdims=True)))
 
 
-def relu(a) -> Var:
-    a = _as_var(a)
-    mask = a.data > 0.0
-    return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
 def sum_all(a) -> Var:
     a = _as_var(a)
     shape = a.shape
@@ -271,8 +263,8 @@ def linear(x, w, b) -> Var:
 
 
 def feed_forward(x, w1, b1, w2, b2) -> Var:
-    """relu(x @ w1 + b1) @ w2 + b2, recorded as one op (the same bits as the
-    composition of ``linear``, ``relu`` and ``linear``)."""
+    """max(x @ w1 + b1, 0) @ w2 + b2, recorded as one op (the same bits as
+    ``linear``, a rectifier and ``linear``)."""
     x, w1, b1, w2, b2 = _as_var(x), _as_var(w1), _as_var(b1), _as_var(w2), _as_var(b2)
     xd, w1d, w2d = x.data, w1.data, w2.data
     _check_linear(xd.shape, w1d, b1.data)
@@ -455,7 +447,7 @@ def _row_mean(x: Array) -> Array:
 
 
 def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> Var:
-    """layer_norm of the data x, which is the sum of ``inputs``: each input
+    """Layer norm of the data x, which is the sum of ``inputs``: each input
     gets the same gradient."""
     gain, offset = _as_var(gain), _as_var(offset)
     gd, od = gain.data, offset.data
@@ -487,15 +479,10 @@ def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> V
     return _make(out, inputs + (gain, offset), vjp)
 
 
-def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
-    a = _as_var(a)
-    return _normalize(a.data, (a,), gain, offset, eps)
-
-
 def add_norm(a, b, gain, offset, eps: float = 1e-5) -> Var:
-    """``layer_norm(add(a, b), gain, offset)`` recorded as one op, with the
-    same bits."""
+    """Layer norm of a + b: each row normalized to zero mean and unit
+    variance, then scaled by ``gain`` and shifted by ``offset``. Recorded as
+    one op, with the bits of the residual add followed by the layer norm."""
     a, b = _as_var(a), _as_var(b)
     ad, bd = a.data, b.data
     if ad.shape != bd.shape:
@@ -528,8 +515,9 @@ def gather_patches(x, width: int, stride: int) -> Var:
     return _make(out, (x,), vjp)
 
 
-def conv1d_strided(x, kernels, stride: int, bias=None) -> Var:
-    """Valid strided 1-D convolution over the time axis, then a rectifier.
+def conv1d_strided(x, kernels, stride: int, bias) -> Var:
+    """Valid strided 1-D convolution over the time axis, then a rectifier:
+    ``linear`` over :func:`gather_patches` and one rectifier record.
 
     ``kernels`` is a (width*in_channels) x out_channels matrix laid out to
     match :func:`gather_patches`; output length is (time-width)//stride + 1.
@@ -540,11 +528,9 @@ def conv1d_strided(x, kernels, stride: int, bias=None) -> Var:
         raise ShapeError(
             f"kernel rows {kernels.rows} not a multiple of input channels {c_in}"
         )
-    width = kernels.rows // c_in
-    pre = matmul(gather_patches(x, width, stride), kernels)
-    if bias is not None:
-        pre = add_row(pre, bias)
-    return relu(pre)
+    pre = linear(gather_patches(x, kernels.rows // c_in, stride), kernels, bias)
+    mask = pre.data > 0.0
+    return _make(np.where(mask, pre.data, 0.0), (pre,), lambda g: (g * mask,))
 
 
 def resample_rows(x, target_len: int) -> Var:
@@ -575,22 +561,19 @@ def resample_rows(x, target_len: int) -> Var:
     return _make(out, (x,), vjp)
 
 
-def slice_rows(x, start: int, stop: int) -> Var:
+def take_row(x, i: int) -> Var:
+    """Row i of x, as a 1 x C copy."""
     x = _as_var(x)
-    if not (0 <= start < stop <= x.rows):
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for {x.shape}")
+    if not 0 <= i < x.rows:
+        raise ShapeError(f"row {i} out of range for {x.shape}")
     shape = x.shape
 
     def vjp(g: Array):
         gx = np.zeros(shape)
-        gx[start:stop] = g
+        gx[i : i + 1] = g
         return (gx,)
 
-    return _make(x.data[start:stop].copy(), (x,), vjp)
-
-
-def take_row(x, i: int) -> Var:
-    return slice_rows(x, i, i + 1)
+    return _make(x.data[i : i + 1].copy(), (x,), vjp)
 
 
 def concat_rows(parts: Sequence) -> Var:

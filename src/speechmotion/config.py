@@ -9,6 +9,7 @@ from .errors import ConfigError
 
 PE_MODES = ("tb_ppe", "original_pe", "alibi")
 OUTPUT_SPACES = ("absolute", "offset")
+_INT64_MAX = 2**63 - 1  # counts are used in numpy's int64 arithmetic
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -49,12 +50,20 @@ class ModelConfig:
         return 3 * self.vertices
 
     def validate(self) -> "ModelConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value > _INT64_MAX:
+                raise ConfigError(f"{f.name} = {value} does not fit in a 64-bit integer")
+        if self.encoder_layers < 0:
+            raise ConfigError("encoder_layers must be >= 0")
+        for name in ("dim", "period", "decoder_layers", "ff_dim", "vertices",
+                     "identities", "feature_dim", "encoder_dim", "encoder_heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not _is_power_of_two(self.heads):
             raise ConfigError(f"heads must be a power of two, got {self.heads}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.period < 1:
-            raise ConfigError(f"period must be >= 1, got {self.period}")
         if self.feature_rate <= 0 or self.motion_rate <= 0:
             raise ConfigError("feature_rate and motion_rate must be positive")
         if self.encoder_dim % self.encoder_heads != 0:
@@ -62,12 +71,6 @@ class ModelConfig:
                 f"encoder_dim {self.encoder_dim} not divisible by "
                 f"encoder_heads {self.encoder_heads}"
             )
-        for name in ("encoder_layers",):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        for name in ("decoder_layers", "ff_dim", "vertices", "identities", "feature_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if self.pe_mode not in PE_MODES:
             raise ConfigError(f"pe_mode must be one of {PE_MODES}, got {self.pe_mode!r}")
         if self.output_space not in OUTPUT_SPACES:

@@ -130,9 +130,7 @@ def layer_caches(
     return caches
 
 
-def decoder_layer(
-    fhat: Var, past: LayerCache, capture: bool = False
-) -> tuple[Var, tuple[AttentionRecord, AttentionRecord] | None]:
+def decoder_layer(fhat: Var, past: LayerCache) -> tuple[Var, tuple[np.ndarray, np.ndarray]]:
     """One decoder block over ``fhat``, the one row of step s = ``past.steps``.
 
     The row's keys and values are written into row s of the cache. It attends
@@ -140,8 +138,8 @@ def decoder_layer(
     (the mode-dependent causal bias), and to its own audio window, enc.a rows
     [k*s, k*(s + 1)), with no bias (the alignment bias with its -inf columns
     left out). The feed-forward uses a rectifier. Residual + layer norm after
-    each stage. With ``capture``, also returns the step's self- and
-    cross-attention records: per head, 1 x (s + 1) and 1 x k weights.
+    each stage. Also returns the step's self- and cross-attention weights:
+    heads x 1 x (s + 1) and heads x 1 x k.
     """
     if fhat.rows != 1:
         raise ShapeError(f"a cached step takes one row, got {fhat.rows}")
@@ -151,18 +149,18 @@ def decoder_layer(
     ad.write_row(past.values, s, fhat, past.self_proj.wv)
     past.steps = s + 1
 
-    attn, rec_self = mh_attention(
+    attn, w_self = mh_attention(
         fhat, KeyValues(past.keys, past.values, 0, s + 1), past.self_proj, past.heads,
-        BiasMatrix(past.bias[:, :, -(s + 1):], "temporal"), capture=capture,
+        BiasMatrix(past.bias[:, :, -(s + 1):], "temporal"),
     )
     x1 = ad.add_norm(fhat, attn, g1, o1)
-    cross, rec_cross = mh_attention(
+    cross, w_cross = mh_attention(
         x1, KeyValues(past.audio.k, past.audio.v, k * s, k * (s + 1)), past.cross_proj,
-        past.heads, None, capture=capture,
+        past.heads, None,
     )
     x2 = ad.add_norm(x1, cross, g2, o2)
     out = ad.add_norm(x2, ad.feed_forward(x2, *past.ff), g3, o3)
-    return out, (rec_self, rec_cross) if capture else None
+    return out, (w_self, w_cross)
 
 
 def decode_motion(hidden, params: Params) -> Var:
@@ -214,12 +212,14 @@ def rollout(
     motion_w, c = feedback_map(params, detach_feedback)
     table = embed_table(identity, c, motion_len, params, cfg)
     caches = layer_caches(enc, motion_len, params, cfg)
-    maps = []  # per layer, the captured self and cross weights
+    maps = []  # per layer, the self and cross records being filled
     if capture is not None:
         maps = [
-            (np.zeros((cfg.heads, motion_len, motion_len)),
-             np.zeros((cfg.heads, motion_len, k * motion_len)))
-            for _ in caches
+            (AttentionRecord("decoder.self", layer, motion_len - 1,
+                             np.zeros((cfg.heads, motion_len, motion_len))),
+             AttentionRecord("decoder.cross", layer, motion_len - 1,
+                             np.zeros((cfg.heads, motion_len, k * motion_len))))
+            for layer in range(len(caches))
         ]
     hidden: list[Var] = []
     for t in range(motion_len):
@@ -228,15 +228,14 @@ def rollout(
             prev = ad.detach(hidden[-1]) if detach_feedback else hidden[-1]
         x = embed_step(prev, motion_w, table, t)
         for layer, cache in enumerate(caches):
-            x, records = decoder_layer(x, cache, capture=capture is not None)
-            if records is not None:
-                (self_map, cross_map), (rec_self, rec_cross) = maps[layer], records
-                self_map[:, t, : t + 1] = np.concatenate(rec_self.head_weights)
-                cross_map[:, t, k * t : k * (t + 1)] = np.concatenate(rec_cross.head_weights)
+            x, (w_self, w_cross) = decoder_layer(x, cache)
+            if maps:
+                rec_self, rec_cross = maps[layer]
+                rec_self.weights[:, t, : t + 1] = w_self[:, 0]
+                rec_cross.weights[:, t, k * t : k * (t + 1)] = w_cross[:, 0]
         hidden.append(x)
-    for layer, pair in enumerate(maps):
-        for name, weights in zip(("decoder.self", "decoder.cross"), pair):
-            capture.append(AttentionRecord(name, layer, motion_len - 1, list(weights)))
+    for pair in maps:
+        capture.extend(pair)
     return decode_motion(ad.concat_rows(hidden), params)
 
 

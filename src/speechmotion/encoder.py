@@ -8,13 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (
-    AttentionProjections,
-    AttentionRecord,
-    add_norm,
-    feed_forward,
-    mh_attention,
-)
+from .attention import AttentionProjections, AttentionRecord, mh_attention
 from .autodiff import Var
 from .config import ModelConfig
 from .errors import AudioError
@@ -41,6 +35,8 @@ class AudioInput:
         if has_feat and (self.feature_rate is None or self.feature_rate <= 0):
             raise AudioError("feature input needs a positive feature_rate")
         kind, data = ("waveform", self.waveform) if has_wave else ("features", self.features)
+        if data.shape[0] == 0:
+            raise AudioError(f"{kind} input has no rows")
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
         if bad.size:
             raise AudioError(f"{kind} row {bad[0]} holds a non-finite value")
@@ -113,16 +109,12 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
                    capture: list[AttentionRecord] | None) -> Var:
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
-    attn, record = mh_attention(
-        x, x, proj, cfg.encoder_heads, bias=None, capture=capture is not None
-    )
-    if record is not None:
-        record.module = "encoder.self"
-        record.layer = i
-        record.step = x.rows - 1
-        capture.append(record)
-    x = add_norm(x, attn, params, f"{p}.ln1")
-    return add_norm(x, feed_forward(x, params, f"{p}.ff"), params, f"{p}.ln2")
+    attn, weights = mh_attention(x, x, proj, cfg.encoder_heads, None)
+    if capture is not None:
+        capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
+    x = ad.add_norm(x, attn, params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"])
+    ff = ad.feed_forward(x, *(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")))
+    return ad.add_norm(x, ff, params[f"{p}.ln2.gain"], params[f"{p}.ln2.offset"])
 
 
 def encode(

@@ -120,6 +120,3 @@ def validate_shapes(params: Params, cfg: ModelConfig) -> None:
             f"missing={missing} extra={extra} mismatched={wrong}"
         )
 
-
-def params_arrays(params: Params) -> dict[str, np.ndarray]:
-    return {name: p.data for name, p in params.items()}

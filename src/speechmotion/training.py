@@ -251,10 +251,11 @@ def export_attention(records: Sequence[AttentionRecord], path) -> None:
         raise ShapeError("no attention records to export")
     lines: list[str] = []
     for rec in records:
-        mean = rec.head_mean()
+        heads, rows, cols = rec.weights.shape
+        mean = np.mean(rec.weights, axis=0)
         lines.append(
             f"# module={rec.module} layer={rec.layer} step={rec.step} "
-            f"rows={mean.shape[0]} cols={mean.shape[1]} heads={len(rec.head_weights)}"
+            f"rows={rows} cols={cols} heads={heads}"
         )
         for row in mean:
             lines.append(",".join(format(x, ".17g") for x in row))

@@ -4,7 +4,9 @@ They are written for clarity, not speed: the attention oracle uses scalar
 loops so it cannot share bugs with the vectorized production path, the bias
 builders construct whole t x t matrices that the decoder never needs, the
 positional rows are built one at a time, and the dense decoder block reruns
-attention over a whole prefix where the package runs one cached row.
+attention over a whole prefix where the package runs one cached row. The
+elementary add, rectifier and layer norm records are the compositions that
+the package's fused records must match bit for bit.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 
 from speechmotion import DegenerateRowError, ShapeError, Var
 from speechmotion import autodiff as ad
-from speechmotion.attention import AttentionProjections, add_norm, feed_forward, mh_attention
+from speechmotion.attention import AttentionProjections, KeyValues, mh_attention
 from speechmotion.positional import (
     NEG_INF,
     BiasMatrix,
@@ -33,6 +35,28 @@ def sinusoid_row(t: int, dim: int) -> np.ndarray:
     row[0, 0::2] = np.sin(angles)
     row[0, 1::2] = np.cos(angles[: dim // 2])
     return row
+
+
+def add(a, b) -> Var:
+    """Elementwise sum, recorded on the active tape."""
+    a, b = ad._as_var(a), ad._as_var(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    return ad._make(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def relu(a) -> Var:
+    """Rectifier, recorded on the active tape."""
+    a = ad._as_var(a)
+    mask = a.data > 0.0
+    return ad._make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+
+
+def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
+    """Normalize each row to zero mean / unit variance, then scale and shift;
+    recorded on the active tape."""
+    a = ad._as_var(a)
+    return ad._normalize(a.data, (a,), gain, offset, eps)
 
 
 def softmax_rows(a) -> Var:
@@ -130,28 +154,32 @@ def attention_oracle(q, k, v, bias: BiasMatrix | None) -> np.ndarray:
     return out
 
 
-def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0, capture: bool = False):
+def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
     """One decoder block over a full prefix ``fhat`` of t rows.
 
     Self-attention is causal under the mode-dependent temporal bias at the
     heads' slopes, and cross-attention reads the first k * t rows of enc.a
-    under the alignment bias. Returns the t output rows and, with
-    ``capture``, the self- and cross-attention records (heads of t x t and
-    t x kt weights).
+    under the alignment bias. Returns the t output rows and the self- and
+    cross-attention weights (heads x t x t and heads x t x kt).
     """
     p = f"dec.layer{layer}"
     total, k = fhat.rows, enc.frame_ratio
+
+    def norm(x, sublayer_out, ln):
+        return ad.add_norm(x, sublayer_out, params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
+
     self_bias = decoder_self_bias(total, cfg).scaled(head_slopes(cfg.heads))
-    attn, rec_self = mh_attention(
+    attn, w_self = mh_attention(
         fhat, fhat, AttentionProjections.from_params(params, f"{p}.self"), cfg.heads,
-        self_bias, capture=capture,
+        self_bias,
     )
-    x1 = add_norm(fhat, attn, params, f"{p}.ln1")
-    cross, rec_cross = mh_attention(
-        x1, ad.slice_rows(enc.a, 0, k * total),
-        AttentionProjections.from_params(params, f"{p}.cross"), cfg.heads,
-        alignment_bias(total, total, k), capture=capture,
+    x1 = norm(fhat, attn, "ln1")
+    cross_proj = AttentionProjections.from_params(params, f"{p}.cross")
+    audio = cross_proj.keys_values(enc.a)
+    cross, w_cross = mh_attention(
+        x1, KeyValues(audio.k, audio.v, 0, k * total), cross_proj, cfg.heads,
+        alignment_bias(total, total, k),
     )
-    x2 = add_norm(x1, cross, params, f"{p}.ln2")
-    out = add_norm(x2, feed_forward(x2, params, f"{p}.ff"), params, f"{p}.ln3")
-    return out, (rec_self, rec_cross) if capture else None
+    x2 = norm(x1, cross, "ln2")
+    ff = ad.feed_forward(x2, *(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")))
+    return norm(x2, ff, "ln3"), (w_self, w_cross)

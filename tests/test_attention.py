@@ -95,9 +95,8 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(1, d))
         bias = temporal_bias(1, 3, 1.0)
-        out, record = mh_attention(x, x, proj, 2, bias.scaled(head_slopes(2)), capture=True)
-        for w in record.head_weights:
-            assert np.array_equal(w, [[1.0]])
+        out, weights = mh_attention(x, x, proj, 2, bias.scaled(head_slopes(2)))
+        assert np.array_equal(weights, np.ones((2, 1, 1)))
         assert np.allclose(out.data, x @ proj.wv.data @ proj.wo.data, atol=1e-12)
 
     def test_per_head_weights_match_oracle_with_slopes(self, rng):
@@ -106,7 +105,7 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(t, d))
         base = temporal_bias(t, 3, 1.0)
-        out, record = mh_attention(x, x, proj, heads, base.scaled(head_slopes(2)), capture=True)
+        out, weights = mh_attention(x, x, proj, heads, base.scaled(head_slopes(2)))
         q, k, v = x @ proj.wq.data, x @ proj.wk.data, x @ proj.wv.data
         dk = d // heads
         head_outs = []
@@ -115,9 +114,7 @@ class TestMhAttention:
             scaled = BiasMatrix(base.data * slope, "temporal")
             expect = attention_oracle(q[:, cols], k[:, cols], v[:, cols], scaled)
             head_outs.append(expect)
-            assert np.allclose(
-                record.head_weights[h].sum(axis=1), 1.0, atol=1e-9
-            )
+            assert np.allclose(weights[h].sum(axis=1), 1.0, atol=1e-9)
         joined = np.concatenate(head_outs, axis=1) @ proj.wo.data
         assert np.abs(out.data - joined).max() < 1e-10
 
@@ -126,8 +123,8 @@ class TestMhAttention:
         bias = alignment_bias(t, t, 2)
         x_q = rng.normal(size=(t, d))
         x_kv = rng.normal(size=(2 * t, d))
-        _, record = mh_attention(x_q, x_kv, _proj(rng, d), 2, bias, capture=True)
-        for w in record.head_weights:
+        _, weights = mh_attention(x_q, x_kv, _proj(rng, d), 2, bias)
+        for w in weights:
             assert np.array_equal(w != 0.0, np.isfinite(bias.data))
 
 

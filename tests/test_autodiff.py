@@ -25,7 +25,7 @@ from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.training import rollout_loss
 
 from conftest import finite_diff, rel_err
-from reference import softmax_rows, temporal_bias
+from reference import add, layer_norm, relu, softmax_rows, temporal_bias
 
 
 class TestMatmul:
@@ -263,8 +263,9 @@ class TestAttention:
 
 
 class TestFusedRecords:
-    """linear, add_norm, feed_forward and attention are one record each, with
-    the bits of the composition they replace, forward and backward."""
+    """linear, add_norm, feed_forward and attention are one record each, and
+    conv1d_strided is linear plus one rectifier record, with the bits of the
+    composition they replace, forward and backward."""
 
     @staticmethod
     def _compare(rng, fused, composed, inputs):
@@ -290,18 +291,28 @@ class TestFusedRecords:
     def test_add_norm(self, rng):
         inputs = [Var(rng.normal(size=s)) for s in ((5, 6), (5, 6), (1, 6), (1, 6))]
         self._compare(
-            rng, ad.add_norm, lambda a, b, g, o: ad.layer_norm(ad.add(a, b), g, o), inputs
+            rng, ad.add_norm, lambda a, b, g, o: layer_norm(add(a, b), g, o), inputs
         )
 
     def test_feed_forward(self, rng):
         inputs = [Var(rng.normal(size=s)) for s in ((5, 6), (6, 7), (1, 7), (7, 6), (1, 6))]
 
         def composed(x, w1, b1, w2, b2):
-            hidden = ad.relu(ad.add_row(ad.matmul(x, w1), b1))
+            hidden = relu(ad.add_row(ad.matmul(x, w1), b1))
             return ad.add_row(ad.matmul(hidden, w2), b2)
 
         assert (inputs[0].data @ inputs[1].data + inputs[2].data < 0).any()
         self._compare(rng, ad.feed_forward, composed, inputs)
+
+    def test_conv1d_strided(self, rng):
+        inputs = [Var(rng.normal(size=s)) for s in ((9, 2), (6, 3), (1, 3))]
+
+        def composed(x, k, b):  # kernel width 6 // 2 channels = 3, stride 2
+            return relu(ad.add_row(ad.matmul(ad.gather_patches(x, 3, 2), k), b))
+
+        pre = ad.gather_patches(inputs[0], 3, 2).data @ inputs[1].data + inputs[2].data
+        assert (pre < 0).any() and (pre > 0).any()
+        self._compare(rng, lambda x, k, b: ad.conv1d_strided(x, k, 2, b), composed, inputs)
 
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("t", [1, 3])
@@ -337,16 +348,16 @@ class TestFusedRecords:
 class TestLayerNorm:
     def test_constant_row_zeroed_by_eps(self):
         gain, offset = np.ones((1, 4)), np.zeros((1, 4))
-        out = ad.layer_norm(np.full((2, 4), 3.0), gain, offset, eps=1e-5)
+        out = layer_norm(np.full((2, 4), 3.0), gain, offset, eps=1e-5)
         assert np.allclose(out.data, 0.0, atol=1e-12)
 
     def test_already_normalized_row(self):
-        out = ad.layer_norm([[1.0, -1.0]], np.ones((1, 2)), np.zeros((1, 2)), eps=1e-12)
+        out = layer_norm([[1.0, -1.0]], np.ones((1, 2)), np.zeros((1, 2)), eps=1e-12)
         assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-6)
 
     def test_row_statistics(self, rng):
         x = rng.normal(size=(3, 8)) * 2.0 + 1.0
-        out = ad.layer_norm(x, np.ones((1, 8)), np.zeros((1, 8)), eps=1e-12).data
+        out = layer_norm(x, np.ones((1, 8)), np.zeros((1, 8)), eps=1e-12).data
         assert np.abs(out.mean(axis=1)).max() < 1e-12
         assert np.abs(out.var(axis=1) - 1.0).max() < 1e-6
 
@@ -357,7 +368,7 @@ class TestLayerNorm:
         w = rng.normal(size=(6, 1))
 
         def loss_var():
-            return ad.sum_all(ad.matmul(ad.layer_norm(x, gain, offset), w))
+            return ad.sum_all(ad.matmul(layer_norm(x, gain, offset), w))
 
         for var in (x, gain, offset):
             with Tape():
@@ -395,18 +406,20 @@ class TestLinear:
 class TestConv1dStrided:
     def test_width_one_identity_is_rectifier(self, rng):
         x = rng.normal(size=(6, 3))
-        out = ad.conv1d_strided(x, np.eye(3), stride=1)
+        out = ad.conv1d_strided(x, np.eye(3), 1, np.zeros((1, 3)))
         assert np.array_equal(out.data, np.maximum(x, 0.0))
 
     def test_output_length_formula(self, rng):
         x = rng.normal(size=(10, 2))
         kernels = rng.normal(size=(3 * 2, 5))
-        out = ad.conv1d_strided(x, kernels, stride=2)
+        out = ad.conv1d_strided(x, kernels, 2, np.zeros((1, 5)))
         assert out.shape == (4, 5)
 
     def test_too_short_input(self, rng):
         with pytest.raises(ShapeError, match="shorter"):
-            ad.conv1d_strided(rng.normal(size=(2, 1)), rng.normal(size=(3, 2)), 1)
+            ad.conv1d_strided(
+                rng.normal(size=(2, 1)), rng.normal(size=(3, 2)), 1, np.zeros((1, 2))
+            )
 
     def test_gradient(self, rng):
         x = Var(rng.normal(size=(9, 2)))
@@ -430,7 +443,7 @@ class TestStructuralOps:
 
         def build():
             joined = ad.concat_rows([a, b])
-            piece = ad.slice_rows(joined, 1, 5)
+            piece = ad.concat_rows([ad.take_row(joined, i) for i in range(1, 5)])
             return ad.sum_all(ad.mul(piece, piece))
 
         for var in (a, b):
@@ -511,7 +524,7 @@ class TestBackward:
     def test_reused_variable_accumulates(self, rng):
         x = Var(rng.normal(size=(2, 2)))
         with Tape():
-            loss = ad.sum_all(ad.add(x, x))
+            loss = ad.sum_all(add(x, x))
             grads = backward(loss, {"x": x})
         assert np.array_equal(grads["x"], np.full((2, 2), 2.0))
 
@@ -522,7 +535,7 @@ class TestBackward:
         gc.disable()
         try:
             with Tape():
-                hidden = ad.relu(ad.matmul(x, w))
+                hidden = relu(ad.matmul(x, w))
                 ref = weakref.ref(hidden.data)
                 loss = ad.sum_all(ad.mul(hidden, hidden))
                 del hidden

@@ -198,6 +198,20 @@ class TestInfer:
         assert "softmax" not in err
 
     @pytest.mark.parametrize("command", ["infer", "export-attn"])
+    def test_zero_row_features_name_the_file(self, tmp_path, trained, capsys, command):
+        empty = tmp_path / "empty.f32mat"
+        save_matrix(empty, np.zeros((0, 3)))
+        out = ["--out", str(tmp_path / "m.f32mat")] if command == "infer" else [
+            "--out-dir", str(tmp_path / "attn")]
+        capsys.readouterr()
+        assert main([
+            command, "--ckpt", str(trained), "--audio", str(empty), "--identity", "0", *out,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "empty.f32mat" in err and "no rows" in err and "Traceback" not in err
+        assert not (tmp_path / "m.f32mat").exists() and not (tmp_path / "attn").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "export-attn"])
     @pytest.mark.parametrize("frames", ["0", "-3"])
     def test_frames_below_one_is_usage_error(
         self, tmp_path, trained, dataset_dir, capsys, command, frames

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from speechmotion import (
+    AttentionRecord,
     AudioInput,
     ModelConfig,
     ShapeError,
@@ -96,11 +97,10 @@ class TestDecoderLayer:
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
         past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
         fhat = Var(rng.normal(size=(1, 8)))
-        out, records = decoder_layer(fhat, past, capture=True)
+        out, (w_self, _) = decoder_layer(fhat, past)
         assert out.shape == (1, 8)
-        rec_self, _ = records
-        for w in rec_self.head_weights:  # step 0 has one key: identity-weight pass
-            assert np.array_equal(w, [[1.0]])
+        # step 0 has one key: identity-weight pass
+        assert np.array_equal(w_self, np.ones((tiny_cfg.heads, 1, 1)))
 
     def test_row_count_preserved(self, tiny_cfg, tiny_params, rng):
         enc = encode(_audio(rng), 4, tiny_params, tiny_cfg)
@@ -118,11 +118,9 @@ class TestDecoderLayer:
         rows = rng.normal(size=(4, 8))
         k = tiny_cfg.frame_ratio
         for s in range(4):
-            _, (_, rec_cross) = decoder_layer(Var(rows[s : s + 1]), past, capture=True)
-            _, (_, dense) = dense_decoder_layer(
-                Var(rows[: s + 1]), enc, tiny_params, tiny_cfg, capture=True
-            )
-            for w, ref in zip(rec_cross.head_weights, dense.head_weights):
+            _, (_, w_cross) = decoder_layer(Var(rows[s : s + 1]), past)
+            _, (_, dense) = dense_decoder_layer(Var(rows[: s + 1]), enc, tiny_params, tiny_cfg)
+            for w, ref in zip(w_cross, dense):
                 window = ref[s, k * s : k * (s + 1)]
                 assert w.shape == (1, k) and np.abs(w[0] - window).max() <= 1e-12
                 assert not np.delete(ref[s], np.s_[k * s : k * (s + 1)]).any()
@@ -353,11 +351,13 @@ def _dense_rollout(
         prev = (ad.detach(preds[-1]) if detach_feedback else preds[-1]) if t else None
         embeds.append(_embed(prev, identity, t, params, cfg))
         x = ad.concat_rows(embeds)
-        last = capture is not None and t == motion_len - 1
         for layer in range(cfg.decoder_layers):
-            x, records = dense_decoder_layer(x, enc, params, cfg, layer, capture=last)
-            if last:
-                capture.extend(records)
+            x, weights = dense_decoder_layer(x, enc, params, cfg, layer)
+            if capture is not None and t == motion_len - 1:
+                capture.extend(
+                    AttentionRecord(m, layer, t, w)
+                    for m, w in zip(("decoder.self", "decoder.cross"), weights)
+                )
         preds.append(ad.take_row(decode_motion(x, params), t))
     return ad.concat_rows(preds)
 
@@ -410,7 +410,7 @@ class TestPrefixCache:
         ]
         for got, ref in zip(cached, dense):
             support = causal if got.module == "decoder.self" else window
-            for w, w_ref in zip(got.head_weights, ref.head_weights):
+            for w, w_ref in zip(got.weights, ref.weights):
                 assert w.shape == w_ref.shape and np.abs(w - w_ref).max() <= 1e-12
                 assert np.array_equal(w == 0.0, w_ref == 0.0)
                 assert not w[~support].any()

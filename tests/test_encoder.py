@@ -37,6 +37,12 @@ class TestAudioInput:
         with pytest.raises(AudioError, match="waveform row 7"):
             AudioInput.from_waveform(wave, 16000.0)
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(AudioError, match="features input has no rows"):
+            AudioInput.from_features(np.zeros((0, 2)), 50.0)
+        with pytest.raises(AudioError, match="waveform input has no rows"):
+            AudioInput.from_waveform(np.zeros(0), 16000.0)
+
 
 class TestExtractFeatures:
     def test_feature_mode_passthrough_bitwise(self, tiny_cfg, tiny_params, rng):

@@ -150,6 +150,8 @@ class TestCheckpoint:
         (13, -1.0, "pe_mode code -1"),
         (13, 3.0, "pe_mode code 3"),
         (14, 2.0, "output_space code 2"),
+        (0, 0.0, "dim must be >= 1"),
+        (0, 1e20, "dim = 100000000000000000000 does not fit"),
     ])
     def test_bad_config_vector_rejected(self, tmp_path, index, value, match):
         path = tmp_path / "model.ckpt"
@@ -455,6 +457,15 @@ class TestConfigText:
             build_configs(parse_config_lines("heads = 3\ndim = 9\n"))
         with pytest.raises(ConfigError, match="pe_mode"):
             build_configs(parse_config_lines("pe_mode = sometimes\n"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim", "0"), ("dim", "-8"), ("encoder_dim", "0"), ("encoder_heads", "0"),
+        ("period", "9223372036854775808"), ("vertices", str(2**70)),
+    ])
+    def test_model_sizes_validated(self, key, value):
+        # each used to escape as ZeroDivisionError, ValueError or OverflowError
+        with pytest.raises(ConfigError, match=key):
+            build_configs(parse_config_lines(f"{key} = {value}\n"))
 
 
 class TestWav:
