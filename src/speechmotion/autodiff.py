@@ -171,9 +171,11 @@ def backward(loss: Var, params: Mapping[str, Var]) -> dict[str, Array]:
             acc = grads.get(id(inp))
             # rebind instead of += so aliased contributions stay independent
             grads[id(inp)] = contrib if acc is None else acc + contrib
-    return {
-        name: grads.get(id(v), np.zeros_like(v.data)) for name, v in params.items()
-    }
+    out = {}
+    for name, v in params.items():
+        g = grads.get(id(v))
+        out[name] = np.zeros_like(v.data) if g is None else g
+    return out
 
 
 def grad(loss: Var, wrt: Var) -> Array:

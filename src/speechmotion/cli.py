@@ -60,12 +60,21 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level[name], format="%(levelname)s %(name)s: %(message)s")
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for seeds, which must be at least 0."""
+    return _int_at_least(text, 0)
 
 
 @functools.cache
@@ -82,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=20)
     p.add_argument("--vertices", type=int, default=10)
     p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
 
     p = sub.add_parser("train", help="train on a dataset directory")
     p.add_argument("--config", required=True, help="key = value configuration file")
@@ -131,7 +140,7 @@ def _synthesize(args, capture=None):
     non-finite or outside the float32 range of the output file is an error
     naming the checkpoint, and a failed allocation one naming the audio file
     and the frame count, raised before anything is written."""
-    params, cfg = load_checkpoint(args.ckpt)
+    params, cfg = load_checkpoint(args.ckpt, for_inference=True)
     audio = _load_audio(args.audio, cfg)
     try:
         with np.errstate(all="ignore"):  # an overflow is reported below, by frame

@@ -95,8 +95,10 @@ class TrainConfig:
     detach_rollout: bool = False
 
     def validate(self) -> "TrainConfig":
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         # the negated comparisons reject NaN as well
         for name in ("lr", "eps", "grad_clip"):
             value = getattr(self, name)

@@ -23,6 +23,8 @@ from .positional import alignment_bias  # noqa: F401
 
 # Rows per vertex-head product (see decode_motion).
 HEAD_BLOCK = 32
+# The checkpoint entries that hold M and c of feedback_map.
+FOLD_ENTRIES = ("motion_fold.M", "motion_fold.c")
 
 
 def embed_table(
@@ -65,7 +67,13 @@ def feedback_map(params: Params, detach_feedback: bool) -> tuple[Var, Var]:
     ``detach_feedback`` the map is built from detached ``Wd`` and ``bd``:
     ``We`` and ``be`` still get the gradient they would get from the
     detached prediction, and none reaches the head through the feedback.
+
+    Parameters loaded from a checkpoint for inference carry the pair that
+    was stored when it was saved, under ``FOLD_ENTRIES``; it is returned
+    as it is.
     """
+    if FOLD_ENTRIES[0] in params:
+        return params[FOLD_ENTRIES[0]], params[FOLD_ENTRIES[1]]
     wd, bd = params["motion_dec.w"], params["motion_dec.b"]
     if detach_feedback:
         wd, bd = ad.detach(wd), ad.detach(bd)

@@ -1,38 +1,51 @@
-"""On-disk formats: f32 matrix files, f64 checkpoints with CRC, key=value
+"""On-disk formats: f32 matrix files, f64 checkpoints with CRCs, key=value
 configuration text, WAV input, and dataset directories.
 
-MatrixFile ("F32M"): magic, version u32, rows u32, cols u32, then rows*cols
-little-endian float32 values in row-major order.
+MatrixFile ("F32M"): magic, version u32 (MATRIX_VERSION), rows u32, cols u32,
+then rows*cols little-endian float32 values in row-major order.
 
-Checkpoint ("FFCK"): magic, version u32, entry count u32, then per entry
-name length u16 + UTF-8 name + rows u32 + cols u32 + little-endian float64
-payload, and a trailing CRC32 of all preceding bytes. The model configuration
-rides along as a reserved "__config__" entry (a 1x18 numeric vector, field
-order in _CONFIG_FIELDS; pe_mode/output_space as indices into their
-enumerations).
+Checkpoint ("FFCK"), version 2 (CHECKPOINT_VERSION), written by
+save_checkpoint: a header block, then the payloads. The header block is the
+magic, version u32, entry count u32, entry table length u32, the entry table
+(per entry: name length u16 + UTF-8 name + rows u32 + cols u32 + CRC32 of
+its payload), and a CRC32 of all of the block before it. The payloads follow
+in table order, each rows*cols little-endian float64 values, and end the
+file. Entries are the parameters in name order plus two derived entries,
+FOLD_ENTRIES (the feedback fold M and c of decoder.feedback_map, computed on
+every save, so never stale), and last a reserved "__config__" entry for the
+model configuration (a 1x18 numeric vector, field order in _CONFIG_FIELDS;
+pe_mode/output_space as indices into their enumerations).
+
+Every byte a load uses is checked before it is used: the header block
+against its CRC before the table is parsed, and each payload it reads
+against its entry's CRC. The full load (training, ``inspect``) reads and
+checks every payload and drops the derived entries. The inference load
+seeks past the motion encoder's payloads, which inference uses only through
+the stored fold, so a corrupt byte there is caught by the full load and
+``inspect``, not by ``infer``.
+
+Version 1 files still load: magic, version u32, entry count u32, then per
+entry name length u16 + name + rows u32 + cols u32 + float64 payload, and a
+trailing CRC32 of all preceding bytes; no derived entries, so inference
+computes the fold. The whole file is read and its CRC is checked before any
+structural problem is reported, so a corrupt file reads as corrupt.
 
 All writers go through a temp file + atomic rename, so failures never leave
 partial files behind. They stream their chunks (a header, then each array's
 own buffer) to that file without joining them into one byte string first.
 
-A checkpoint is read in one pass over the open file (no mmap, so the bytes
-cannot change after the CRC check). Each entry header is parsed as it is
-read, and each payload is read in chunks straight into an array of its own,
-which is aligned (numpy hands only aligned arrays to BLAS) and owns its
-memory, so no whole-file buffer is kept. Every byte read is handed, in file
-order, to one helper thread that computes the CRC while the next chunk is
-read (see _CheckedReader). After the first structural problem nothing more is
-allocated and the rest of the file only goes through the CRC, so a corrupt
-file reports the CRC mismatch first.
+A checkpoint is read from the open file (no mmap, so the bytes cannot change
+after their check). Each payload is read in chunks straight into an array of
+its own, which is aligned (numpy hands only aligned arrays to BLAS) and owns
+its memory, and each chunk is checksummed as soon as it is read. Sizes are
+checked against the file size before anything is allocated.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import struct
 import tempfile
-import threading
 import wave
 import zlib
 from pathlib import Path
@@ -41,14 +54,18 @@ import numpy as np
 
 from .autodiff import Var
 from .config import OUTPUT_SPACES, PE_MODES, ModelConfig
-from .errors import ConfigError, FormatError
-from .params import Params, validate_shapes
+from .decoder import FOLD_ENTRIES, feedback_map
+from .errors import ConfigError, FormatError, ShapeError
+from .params import Params, param_shapes, validate_shapes
 
 MATRIX_MAGIC = b"F32M"
 CHECKPOINT_MAGIC = b"FFCK"
-FORMAT_VERSION = 1
+MATRIX_VERSION = 1
+CHECKPOINT_VERSION = 2
 CONFIG_ENTRY = "__config__"
-_CHUNK = 4 << 20  # bytes per checkpoint readinto, and the least per CRC batch
+# Inference uses the motion encoder only through the stored fold.
+_UNREAD_FOR_INFERENCE = ("motion_enc.w", "motion_enc.b")
+_CHUNK = 4 << 20  # bytes per checkpoint readinto and CRC fold
 
 _CONFIG_FIELDS = (
     "dim", "heads", "period", "feature_rate", "motion_rate",
@@ -84,7 +101,7 @@ def save_matrix(path, matrix) -> None:
     m = np.asarray(matrix.data if isinstance(matrix, Var) else matrix, dtype=np.float64)
     if m.ndim != 2:
         raise FormatError(f"matrix files hold 2-D data, got shape {m.shape}")
-    header = MATRIX_MAGIC + struct.pack("<III", FORMAT_VERSION, m.shape[0], m.shape[1])
+    header = MATRIX_MAGIC + struct.pack("<III", MATRIX_VERSION, m.shape[0], m.shape[1])
     atomic_write_bytes(path, header, np.ascontiguousarray(m, dtype="<f4"))
 
 
@@ -93,7 +110,7 @@ def load_matrix(path) -> np.ndarray:
     if len(blob) < 16 or blob[:4] != MATRIX_MAGIC:
         raise FormatError(f"{path}: not a matrix file (bad magic)")
     version, rows, cols = struct.unpack("<III", blob[4:16])
-    if version != FORMAT_VERSION:
+    if version != MATRIX_VERSION:
         raise FormatError(f"{path}: unsupported matrix file version {version}")
     expected = 16 + 4 * rows * cols
     if len(blob) != expected:
@@ -167,96 +184,79 @@ def _config_from_vector(vec: np.ndarray, path) -> ModelConfig:
 
 
 def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
-    entries = dict(sorted((name, p.data) for name, p in params.items()))
-    if CONFIG_ENTRY in entries:
+    """Write ``params`` and ``cfg`` as a version 2 checkpoint. The feedback
+    fold of :func:`decoder.feedback_map` is computed on every save and
+    stored as the derived entries ``FOLD_ENTRIES``."""
+    if CONFIG_ENTRY in params:
         raise FormatError(f"parameter name {CONFIG_ENTRY!r} is reserved")
+    try:
+        validate_shapes(params, param_shapes(cfg))
+    except ShapeError as exc:
+        raise FormatError(f"cannot save {path}: {exc}") from None
+    with np.errstate(all="ignore"):  # infer reports an overflowed fold, by frame
+        fold = feedback_map(params, detach_feedback=False)
+    entries = {name: p.data for name, p in params.items()}
+    entries.update(zip(FOLD_ENTRIES, (v.data for v in fold)))
+    entries = dict(sorted(entries.items()))
     entries[CONFIG_ENTRY] = _config_vector(cfg)
-    chunks = [CHECKPOINT_MAGIC + struct.pack("<II", FORMAT_VERSION, len(entries))]
-    for name, data in entries.items():
-        encoded = name.encode("utf-8")
-        chunks.append(
-            struct.pack("<H", len(encoded)) + encoded
-            + struct.pack("<II", data.shape[0], data.shape[1])
-        )
-        chunks.append(np.ascontiguousarray(data, dtype="<f8"))
-    crc = 0
-    for chunk in chunks:
+    names = [name.encode("utf-8") for name in entries]
+    payloads = [np.ascontiguousarray(data, dtype="<f8") for data in entries.values()]
+    table = b"".join(
+        struct.pack("<H", len(name)) + name
+        + struct.pack("<III", *payload.shape, zlib.crc32(payload))
+        for name, payload in zip(names, payloads)
+    )
+    header = CHECKPOINT_MAGIC + struct.pack(
+        "<III", CHECKPOINT_VERSION, len(entries), len(table)
+    ) + table
+    atomic_write_bytes(path, header, struct.pack("<I", zlib.crc32(header)), *payloads)
+
+
+def _read_payload(fh, array: np.ndarray, path, offset: int, crc: int = 0) -> int:
+    """Fill a C-contiguous array from ``fh`` in ``_CHUNK`` pieces, each
+    checksummed while it is still in cache; ``crc`` folded over its bytes.
+    ``offset``: where in the file its payload starts."""
+    buf = memoryview(array.reshape(-1).view(np.uint8))
+    for start in range(0, len(buf), _CHUNK):
+        chunk = buf[start : start + _CHUNK]
+        if fh.readinto(chunk) != len(chunk):
+            raise FormatError(
+                f"{path}: short read at byte {offset + start}, file changed while loading"
+            )
         crc = zlib.crc32(chunk, crc)
-    atomic_write_bytes(path, *chunks, struct.pack("<I", crc))
+    return crc
 
 
 class _CheckedReader:
-    """Reads a file front to back, handing every byte it reads, in file order,
-    to a helper thread that folds ``zlib.crc32`` over them. ``readinto`` and
-    ``zlib.crc32`` both release the GIL, so reading and checksumming overlap.
-
-    Chunks go over in batches of at least ``_CHUNK`` bytes, and the thread
-    starts with the first batch; :meth:`close` joins it and folds the last,
-    partial batch itself. A file smaller than one batch (a desk-scale
-    checkpoint) is thus checksummed without a thread, which would cost more
-    than it saves there. Call :meth:`close` when done."""
+    """Reads a version 1 checkpoint front to back, folding the CRC32 of
+    every byte it reads into ``crc``."""
 
     def __init__(self, fh, path, head: bytes):
         """``head``: the bytes already read from ``fh``, checksummed first."""
         self.fh, self.path, self.offset = fh, path, len(head)
-        self.crc = 0
-        self._batch, self._batch_bytes = [head], len(head)
-        self._batches: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
-
-    def _fold(self) -> None:
-        crc = 0
-        for batch in iter(self._batches.get, None):
-            for chunk in batch:
-                crc = zlib.crc32(chunk, crc)
-        self.crc = crc
-
-    def _hand_off(self, chunk) -> None:
-        self._batch.append(chunk)
-        self._batch_bytes += len(chunk)
-        if self._batch_bytes >= _CHUNK:
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._fold, name="checkpoint-crc32")
-                self._thread.start()
-            self._batches.put(self._batch)
-            self._batch, self._batch_bytes = [], 0
-
-    def _advance(self, got: int, wanted: int) -> None:
-        if got != wanted:
-            raise FormatError(
-                f"{self.path}: short read at byte {self.offset}, file changed while loading"
-            )
-        self.offset += got
+        self.crc = zlib.crc32(head)
 
     def read(self, n: int, checked: bool = True) -> bytes:
         """The next n bytes; ``checked=False`` keeps them out of the CRC."""
         data = self.fh.read(n)
-        self._advance(len(data), n)
+        if len(data) != n:
+            raise FormatError(
+                f"{self.path}: short read at byte {self.offset}, file changed while loading"
+            )
+        self.offset += n
         if checked:
-            self._hand_off(data)
+            self.crc = zlib.crc32(data, self.crc)
         return data
 
     def read_into(self, array: np.ndarray) -> None:
-        """Fill a C-contiguous array with its payload, in CRC-sized chunks."""
-        buf = memoryview(array.reshape(-1).view(np.uint8))
-        for start in range(0, len(buf), _CHUNK):
-            chunk = buf[start : start + _CHUNK]
-            self._advance(self.fh.readinto(chunk), len(chunk))
-            self._hand_off(chunk)
+        """Fill a C-contiguous array with its payload."""
+        self.crc = _read_payload(self.fh, array, self.path, self.offset, self.crc)
+        self.offset += array.nbytes
 
     def skip_to(self, end: int) -> None:
         """Checksum the bytes up to ``end`` without keeping them."""
         while self.offset < end:
             self.read(min(_CHUNK, end - self.offset))
-
-    def close(self) -> int:
-        """Join the helper thread; the CRC of everything read."""
-        if self._thread is not None:
-            self._batches.put(None)
-            self._thread.join()
-        for chunk in self._batch:
-            self.crc = zlib.crc32(chunk, self.crc)
-        return self.crc
 
 
 def _parse_entries(src: _CheckedReader, count: int, end: int) -> dict[str, np.ndarray]:
@@ -288,58 +288,143 @@ def _parse_entries(src: _CheckedReader, count: int, end: int) -> dict[str, np.nd
     return entries
 
 
-def _read_checkpoint_entries(path) -> dict[str, np.ndarray]:
-    """All entries of a checkpoint, each an aligned, writable float64 array
-    that owns its memory. The CRC is checked before any structural problem
-    is reported, so a corrupt file always reads as corrupt."""
-    with open(path, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size - 4
-        magic = fh.read(4)
-        if end < 12 or magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint (bad magic)")
-        src = _CheckedReader(fh, path, magic)
-        try:
-            problem = None
-            try:
-                version, count = struct.unpack("<II", src.read(8))
-                if version != FORMAT_VERSION:
-                    raise FormatError(f"{path}: unsupported checkpoint version {version}")
-                entries = _parse_entries(src, count, end)
-            except FormatError as exc:
-                problem = exc
-                src.skip_to(end)
-            (stored,) = struct.unpack("<I", src.read(4, checked=False))
-        finally:
-            crc = src.close()
-    if crc != stored:
+def _read_v1(fh, path, head: bytes, size: int) -> dict[str, np.ndarray]:
+    """The entries of a version 1 checkpoint, after the 8 bytes ``head``.
+    The whole-file CRC is checked before any structural problem is
+    reported, so a corrupt file always reads as corrupt."""
+    end = size - 4
+    src = _CheckedReader(fh, path, head)
+    problem = None
+    try:
+        (version,) = struct.unpack("<I", head[4:])
+        if version != 1:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        (count,) = struct.unpack("<I", src.read(4))
+        entries = _parse_entries(src, count, end)
+    except FormatError as exc:
+        problem = exc
+        src.skip_to(end)
+    (stored,) = struct.unpack("<I", src.read(4, checked=False))
+    if src.crc != stored:
         raise FormatError(f"{path}: CRC mismatch, file is corrupt")
     if problem is not None:
         raise problem
     return entries
 
 
-def load_checkpoint(path) -> tuple[Params, ModelConfig]:
-    entries = _read_checkpoint_entries(path)
+def _parse_table(path, table: bytes, count: int, room: int) -> dict:
+    """name -> (shape, payload CRC) of the ``count`` entries of a version 2
+    entry table, in table order; their payloads must fit in ``room`` bytes."""
+    entries, at = {}, 0
+    for _ in range(count):
+        if at + 2 > len(table):
+            raise FormatError(f"{path}: truncated entry header")
+        (name_len,) = struct.unpack_from("<H", table, at)
+        at += 2 + name_len
+        if at + 12 > len(table):
+            raise FormatError(f"{path}: truncated entry header")
+        try:
+            name = table[at - name_len : at].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry name at byte {16 + at - name_len} is not UTF-8")
+        rows, cols, crc = struct.unpack_from("<III", table, at)
+        at += 12
+        if name in entries:
+            raise FormatError(f"{path}: duplicate entry {name!r}")
+        room -= 8 * rows * cols
+        if room < 0:
+            raise FormatError(f"{path}: truncated payload for {name!r}")
+        entries[name] = (rows, cols), crc
+    if at != len(table):
+        raise FormatError(f"{path}: {len(table) - at} stray bytes in the entry table")
+    return entries
+
+
+def _read_v2(fh, path, head: bytes, size: int, skip) -> dict[str, np.ndarray]:
+    """The entries of a version 2 checkpoint, after the 8 bytes ``head``,
+    but for those named in ``skip``, whose payloads are neither read nor
+    checked. The header block is checked before anything in it is used,
+    and each payload read before it is returned."""
+    fixed = fh.read(8)
+    count, table_len = struct.unpack("<II", fixed)
+    offset = 16 + table_len + 4  # the first payload byte
+    sealed = fh.read(table_len + 4) if offset <= size else b""
+    table, stored = sealed[:-4], sealed[-4:]
+    header_crc = zlib.crc32(table, zlib.crc32(head + fixed))
+    if len(sealed) != table_len + 4 or stored != struct.pack("<I", header_crc):
+        raise FormatError(f"{path}: header CRC mismatch, file is corrupt")
+    entries = {}
+    for name, (shape, crc) in _parse_table(path, table, count, size - offset).items():
+        nbytes = 8 * shape[0] * shape[1]
+        if name in skip:
+            fh.seek(nbytes, os.SEEK_CUR)
+        else:
+            entries[name] = np.empty(shape, dtype="<f8")
+            if _read_payload(fh, entries[name], path, offset) != crc:
+                raise FormatError(f"{path}: CRC mismatch in entry {name!r}, file is corrupt")
+        offset += nbytes
+    if offset != size:
+        if fh.read(1):
+            raise FormatError(f"{path}: {size - offset} stray bytes after entries")
+        raise FormatError(f"{path}: short read at byte {offset}, file changed while loading")
+    return entries
+
+
+def _read_checkpoint(path, skip=()) -> tuple[int, dict[str, np.ndarray]]:
+    """The version of a checkpoint and its entries, each an aligned,
+    writable float64 array that owns its memory. ``skip``: entries a
+    version 2 file is read without; a version 1 file is always read whole."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if size < 16 or head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint (bad magic)")
+        if head[4:] == struct.pack("<I", CHECKPOINT_VERSION):
+            return CHECKPOINT_VERSION, _read_v2(fh, path, head, size, skip)
+        return 1, _read_v1(fh, path, head, size)
+
+
+def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelConfig]:
+    """The parameters and configuration stored in a checkpoint.
+
+    The full load reads and checks every entry and returns the trainable
+    parameters only. With ``for_inference``, a version 2 file is read
+    without the motion encoder, which inference uses only through the
+    fold, and the parameters carry the stored fold instead (see
+    :func:`decoder.feedback_map`). A version 1 file is read whole and
+    carries no fold.
+    """
+    skip = _UNREAD_FOR_INFERENCE if for_inference else ()
+    version, entries = _read_checkpoint(path, skip)
     if CONFIG_ENTRY not in entries:
         raise FormatError(f"{path}: missing {CONFIG_ENTRY!r} entry")
     cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)
+    expected = param_shapes(cfg)
+    if version == CHECKPOINT_VERSION:
+        expected.update(zip(FOLD_ENTRIES, ((cfg.dim, cfg.dim), (1, cfg.dim))))
+        for name in skip:
+            del expected[name]
     params = {name: Var(data) for name, data in entries.items()}
     try:
-        validate_shapes(params, cfg)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}")
+        validate_shapes(params, expected)
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if not for_inference:
+        for name in FOLD_ENTRIES:
+            params.pop(name, None)
     return params, cfg
 
 
 def checkpoint_summary(path) -> list[str]:
-    entries = _read_checkpoint_entries(path)
-    lines = []
+    version, entries = _read_checkpoint(path)
+    lines = [f"checkpoint file version {version}"]
     if CONFIG_ENTRY in entries:
         cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)
         lines.append(f"config: {cfg}")
     lines.append(f"entries: {len(entries)}")
     for name, data in entries.items():
-        lines.append(f"  {name}  {data.shape[0]}x{data.shape[1]}")
+        derived = "  (derived)" if name in FOLD_ENTRIES else ""
+        lines.append(f"  {name}  {data.shape[0]}x{data.shape[1]}{derived}")
     return lines
 
 

@@ -106,8 +106,9 @@ def init_params(cfg: ModelConfig, seed: int) -> Params:
     return params
 
 
-def validate_shapes(params: Params, cfg: ModelConfig) -> None:
-    expected = param_shapes(cfg)
+def validate_shapes(params: Params, expected: dict[str, tuple[int, int]]) -> None:
+    """Check that ``params`` holds exactly the ``expected`` names and shapes
+    (:func:`param_shapes` of a configuration, for a full bundle)."""
     got = {name: p.shape for name, p in params.items()}
     if got != expected:
         missing = sorted(set(expected) - set(got))
@@ -116,7 +117,6 @@ def validate_shapes(params: Params, cfg: ModelConfig) -> None:
             k for k in set(got) & set(expected) if got[k] != expected[k]
         )
         raise ShapeError(
-            "parameter bundle does not match the configuration: "
+            "entries do not match the configuration: "
             f"missing={missing} extra={extra} mismatched={wrong}"
         )
-

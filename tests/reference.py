@@ -6,14 +6,20 @@ builders construct whole t x t matrices that the decoder never needs, the
 positional rows are built one at a time, and the dense decoder block reruns
 attention over a whole prefix where the package runs one cached row. The
 elementary add, rectifier and layer norm records are the compositions that
-the package's fused records must match bit for bit.
+the package's fused records must match bit for bit. The checkpoint helpers
+pack and parse both file versions field by field from the format
+description, and write the version 1 files the package no longer writes.
 """
 
 import math
+import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 
 from speechmotion import DegenerateRowError, ShapeError, Var
+from speechmotion.formats import CONFIG_ENTRY, _config_vector
 from speechmotion import autodiff as ad
 from speechmotion.attention import AttentionProjections, KeyValues, mh_attention
 from speechmotion.positional import (
@@ -183,3 +189,76 @@ def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
     x2 = norm(x1, cross, "ln2")
     ff = ad.feed_forward(x2, *(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")))
     return norm(x2, ff, "ln3"), (w_self, w_cross)
+
+
+def checkpoint_bytes(entries, version: int) -> bytes:
+    """A checkpoint holding ``entries`` ((name, 2-D array) pairs) in the
+    given order, with every CRC the version carries."""
+    payloads = [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in entries]
+    heads = [
+        struct.pack("<H", len(name.encode())) + name.encode() + struct.pack("<II", *a.shape)
+        for name, a in entries
+    ]
+    if version == 1:
+        body = b"FFCK" + struct.pack("<II", 1, len(entries))
+        body += b"".join(h + p for h, p in zip(heads, payloads))
+        return body + struct.pack("<I", zlib.crc32(body))
+    table = b"".join(h + struct.pack("<I", zlib.crc32(p)) for h, p in zip(heads, payloads))
+    header = b"FFCK" + struct.pack("<III", 2, len(entries), len(table)) + table
+    return header + struct.pack("<I", zlib.crc32(header)) + b"".join(payloads)
+
+
+def save_checkpoint_v1(path, params, cfg) -> None:
+    """``params`` (any names and shapes) and ``cfg`` as a version 1
+    checkpoint, as the package wrote it before version 2."""
+    entries = dict(sorted((name, p.data) for name, p in params.items()))
+    entries[CONFIG_ENTRY] = _config_vector(cfg)
+    Path(path).write_bytes(checkpoint_bytes(list(entries.items()), 1))
+
+
+def parse_checkpoint(blob: bytes) -> dict:
+    """Plain parse of intact checkpoint bytes of either version:
+    name -> (payload offset, values)."""
+    version, count = struct.unpack_from("<II", blob, 4)
+    at = 12 if version == 1 else 16
+    entries, offset = {}, at + struct.unpack_from("<I", blob, 12)[0] + 4
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, at)
+        name = blob[at + 2 : at + 2 + name_len].decode()
+        rows, cols = struct.unpack_from("<II", blob, at + 2 + name_len)
+        at += 2 + name_len + (8 if version == 1 else 12)
+        if version == 1:
+            offset = at
+        values = struct.unpack_from(f"<{rows * cols}d", blob, offset)
+        entries[name] = (offset, np.array(values).reshape(rows, cols))
+        offset += 8 * rows * cols
+        if version == 1:
+            at = offset
+    return entries
+
+
+def reseal(blob: bytearray) -> None:
+    """Recompute in place the CRCs of checkpoint bytes, as far as their
+    structure still parses: the trailing CRC of a version 1 file; each
+    payload CRC and the header CRC of a version 2 one."""
+    if blob[4:8] != struct.pack("<I", 2):
+        if len(blob) >= 4:
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        return
+    if len(blob) < 16:
+        return
+    count, table_len = struct.unpack_from("<II", blob, 8)
+    end = 16 + table_len
+    if end + 4 > len(blob):
+        return
+    at, offset = 16, end + 4
+    for _ in range(count):
+        if at + 2 > end:
+            break
+        at += 2 + struct.unpack_from("<H", blob, at)[0]
+        if at + 12 > end:
+            break
+        rows, cols = struct.unpack_from("<II", blob, at)
+        struct.pack_into("<I", blob, at + 8, zlib.crc32(blob[offset : offset + 8 * rows * cols]))
+        at, offset = at + 12, offset + 8 * rows * cols
+    struct.pack_into("<I", blob, end, zlib.crc32(blob[:end]))

@@ -1,13 +1,22 @@
 import warnings
+import wave
 
 import numpy as np
 import pytest
 
-from speechmotion import Var, init_params, load_matrix, save_checkpoint, save_matrix
+from speechmotion import (
+    Var,
+    init_params,
+    load_checkpoint,
+    load_matrix,
+    save_checkpoint,
+    save_matrix,
+)
 from speechmotion import cli
 from speechmotion.cli import main
 
 from conftest import TINY
+from reference import checkpoint_bytes, parse_checkpoint, save_checkpoint_v1
 
 
 TINY_CONFIG = """
@@ -57,8 +66,27 @@ class TestGenSynthetic:
                      "seq000.audio.f32mat", "seq001.motion.f32mat"):
             assert (dataset_dir / name).exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(out), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
+    def test_negative_seed_is_config_error(self, tmp_path, dataset_dir, capsys):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("seed = 5", "seed = -1"))
+        out = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_writes_checkpoint_and_loss_csv(self, tmp_path, trained):
         assert trained.exists()
         loss_csv = tmp_path / "model.ckpt.loss.csv"
@@ -365,10 +393,93 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "entries:" in out and "motion_dec.w" in out
 
+    def test_checkpoint_lists_derived_entries(self, trained, capsys):
+        assert main(["inspect", str(trained)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "checkpoint file version 2"
+        assert "  motion_fold.M  8x8  (derived)" in lines
+        assert "  motion_fold.c  1x8  (derived)" in lines
+        assert "  motion_enc.w  6x8" in lines
+
     def test_unknown_magic(self, tmp_path, capsys):
         path = tmp_path / "junk"
         path.write_bytes(b"????1234")
         assert main(["inspect", str(path)]) == 2
+
+
+class TestCheckpointVersions:
+    """infer and export-attn read a version 2 file without the motion
+    encoder, with the same output bytes as for the version 1 file of the
+    same parameters, and fail by name on a damaged one."""
+
+    @staticmethod
+    def _outputs(ckpt, audio, out):
+        assert main([
+            "infer", "--ckpt", str(ckpt), "--audio", str(audio), "--identity", "1",
+            "--out", str(out / "motion.f32mat"),
+        ]) == 0
+        assert main([
+            "export-attn", "--ckpt", str(ckpt), "--audio", str(audio), "--identity", "1",
+            "--out-dir", str(out / "attn"),
+        ]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+
+    @pytest.mark.parametrize("audio", ["features", "wav"])
+    def test_v2_outputs_match_v1_bytes(self, tmp_path, trained, dataset_dir, audio):
+        params, cfg = load_checkpoint(trained)
+        v1 = tmp_path / "v1.ckpt"
+        save_checkpoint_v1(v1, params, cfg)
+        clip = dataset_dir / "seq001.audio.f32mat"
+        if audio == "wav":
+            clip = tmp_path / "clip.wav"
+            t = np.arange(4000)
+            with wave.open(str(clip), "wb") as fh:
+                fh.setnchannels(1)
+                fh.setsampwidth(2)
+                fh.setframerate(16000)
+                fh.writeframes((np.sin(t * 0.03) * 9000).astype("<i2").tobytes())
+        outputs = []
+        for ckpt in (trained, v1):
+            out = tmp_path / ckpt.stem
+            out.mkdir()
+            outputs.append(self._outputs(ckpt, clip, out))
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["infer", "export-attn"])
+    @pytest.mark.parametrize("damage, message", [
+        ("header", "header CRC mismatch"),
+        ("payload", "CRC mismatch in entry 'motion_fold.M'"),
+        ("no fold", "missing=['motion_fold.M', 'motion_fold.c']"),
+        ("fold shape", "mismatched=['motion_fold.c']"),
+    ])
+    def test_damaged_file_is_data_error(
+        self, tmp_path, trained, dataset_dir, capsys, command, damage, message
+    ):
+        blob = bytearray(trained.read_bytes())
+        entries = parse_checkpoint(blob)
+        if damage == "header":
+            blob[13] ^= 0x80
+        elif damage == "payload":
+            blob[entries["motion_fold.M"][0] + 5] ^= 0x01
+        else:
+            kept = [(name, values) for name, (_, values) in entries.items()
+                    if damage == "fold shape" or name not in ("motion_fold.M", "motion_fold.c")]
+            if damage == "fold shape":
+                kept = [(name, np.zeros((8, 1)) if name == "motion_fold.c" else values)
+                        for name, values in kept]
+            blob = checkpoint_bytes(kept, 2)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        flag = "--out" if command == "infer" else "--out-dir"
+        capsys.readouterr()
+        assert main([
+            command, "--ckpt", str(bad), "--audio", str(dataset_dir / "seq000.audio.f32mat"),
+            "--identity", "0", flag, str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "bad.ckpt" in err and message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestExitCodes:

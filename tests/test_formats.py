@@ -1,11 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import os
 import struct
 import tempfile
 import threading
 import warnings
 import wave
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from speechmotion import (
 from speechmotion import formats
 from speechmotion.cli import main
 from speechmotion.config import build_configs
+from speechmotion.decoder import FOLD_ENTRIES, feedback_map
 from speechmotion.formats import (
     load_motion,
     matrix_header,
@@ -35,6 +37,7 @@ from speechmotion.formats import (
 )
 
 from conftest import TINY
+from reference import checkpoint_bytes, parse_checkpoint, reseal, save_checkpoint_v1
 
 
 class TestMatrixFile:
@@ -117,9 +120,19 @@ class TestCheckpoint:
         params = init_params(cfg, seed=3)
         params["motion_dec.w"] = Var(np.zeros((2, 2)))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, cfg)
+        save_checkpoint_v1(path, params, cfg)  # save_checkpoint refuses it
         with pytest.raises(FormatError, match="mismatched"):
             load_checkpoint(path)
+
+    def test_shape_mismatch_with_config_rejected_on_save(self, tmp_path):
+        params = init_params(TINY, seed=3)
+        params["motion_dec.w"] = Var(np.zeros((2, 2)))
+        del params["motion_enc.b"]
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(FormatError, match=r"model.ckpt.*missing=\['motion_enc.b'\] "
+                           r"extra=\[\] mismatched=\['motion_dec.w'\]"):
+            save_checkpoint(path, params, TINY)
+        assert list(tmp_path.iterdir()) == []
 
     def test_reserved_name_rejected(self, tmp_path):
         cfg = TINY
@@ -157,29 +170,25 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(TINY, 0), TINY)
         blob = bytearray(path.read_bytes())
-        start = blob.index(b"__config__") + len(b"__config__") + 8 + 8 * index
+        start = parse_checkpoint(blob)["__config__"][0] + 8 * index
         blob[start : start + 8] = struct.pack("<d", value)
-        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        reseal(blob)
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
     def test_duplicate_entry_names_rejected(self, tmp_path):
-        body = bytearray()
-        body += b"FFCK" + struct.pack("<II", 1, 2)
-        entry = struct.pack("<H", 3) + b"dup" + struct.pack("<II", 1, 1)
-        entry += np.zeros(1, dtype="<f8").tobytes()
-        body += entry + entry
-        body += struct.pack("<I", zlib.crc32(bytes(body)))
+        entry = ("dup", np.zeros((1, 1)))
         path = tmp_path / "dup.ckpt"
-        path.write_bytes(bytes(body))
-        with pytest.raises(FormatError, match="duplicate"):
-            load_checkpoint(path)
+        for version in (1, 2):
+            path.write_bytes(checkpoint_bytes([entry, entry], version))
+            with pytest.raises(FormatError, match="duplicate"):
+                load_checkpoint(path)
 
     def test_file_bytes_pinned(self, tmp_path):
         cfg = dataclasses.replace(TINY, pe_mode="alibi", output_space="offset")
-        a = np.arange(6.0).reshape(2, 3) / 7.0
-        params = {"w": Var(a), "b": Var(np.array([[-1.5]]))}
+        params = init_params(cfg, seed=2)
+        params["motion_dec.w"] = Var(np.arange(72.0).reshape(8, 9) / 7.0)  # init: zeros
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, cfg)
 
@@ -189,79 +198,84 @@ class TestCheckpoint:
             cfg.identities, cfg.feature_dim, cfg.encoder_dim, cfg.encoder_heads,
             2, 1, 0, 0, 0,
         ]  # pe_mode "alibi" is code 2, output_space "offset" code 1
-        body = b"FFCK" + struct.pack("<II", 1, 3)
-        for name, rows, cols, values in (
-            (b"b", 1, 1, [-1.5]),
-            (b"w", 2, 3, a.ravel()),
-            (b"__config__", 1, 18, config),
-        ):
-            body += struct.pack("<H", len(name)) + name + struct.pack("<II", rows, cols)
-            body += struct.pack(f"<{len(values)}d", *values)
-        body += struct.pack("<I", zlib.crc32(body))
-        assert path.read_bytes() == body
+        wd, bd = params["motion_dec.w"].data, params["motion_dec.b"].data
+        we, be = params["motion_enc.w"].data, params["motion_enc.b"].data
+        entries = sorted(
+            [(name, p.data) for name, p in params.items()]
+            + [("motion_fold.M", wd @ we), ("motion_fold.c", bd @ we + be)]
+        )
+        entries.append(("__config__", np.array([config], dtype=float)))
+        blob = path.read_bytes()
+        assert blob == checkpoint_bytes(entries, 2)
+        table_len = sum(2 + len(name) + 12 for name, _ in entries)
+        assert blob[:16] == b"FFCK" + struct.pack("<III", 2, len(entries), table_len)
 
     def test_loaded_entries_are_aligned_writable_float64(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(TINY, seed=3), TINY)
-        offsets = {name: offset for name, (offset, _) in _parse(path.read_bytes()).items()}
-        # Sorted first, the 19-byte "dec.layer0.cross.wk" puts its payload at
-        # 12 + 2 + 19 + 8 = 41, which is 1 (mod 8).
-        assert offsets["dec.layer0.cross.wk"] % 8 == 1
-        assert {o % 8 for o in offsets.values()} > {0}
-        loaded, _ = load_checkpoint(path)
-        assert set(loaded) == set(offsets) - {"__config__"}
-        for name, p in loaded.items():
-            flags = p.data.flags
-            assert p.data.dtype == np.float64, name
-            assert flags.c_contiguous and flags.aligned and flags.writeable, name
-            assert flags.owndata, name
+        offsets = {name: o for name, (o, _) in parse_checkpoint(path.read_bytes()).items()}
+        # The header block is 1751 bytes and every payload a whole number of
+        # float64s, so every payload starts at 7 (mod 8) in the file.
+        assert {o % 8 for o in offsets.values()} == {7}
+        for for_inference in (False, True):
+            loaded, _ = load_checkpoint(path, for_inference=for_inference)
+            assert set(loaded) < set(offsets)
+            for name, p in loaded.items():
+                flags = p.data.flags
+                assert p.data.dtype == np.float64, name
+                assert flags.c_contiguous and flags.aligned and flags.writeable, name
+                assert flags.owndata, name
 
     @pytest.mark.parametrize("chunk", [4096, formats._CHUNK])
     def test_loaded_arrays_match_plain_parse_bitwise(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(formats, "_CHUNK", chunk)
         path = tmp_path / "model.ckpt"
-        _fuzz_checkpoint(path)
-        expected = _parse(path.read_bytes())
-        loaded = formats._read_checkpoint_entries(path)
-        assert list(loaded) == list(expected)
-        for name, (_, values) in expected.items():
-            assert loaded[name].shape == values.shape, name
-            assert loaded[name].tobytes() == values.tobytes(), name
+        for save in (save_checkpoint, save_checkpoint_v1):
+            save(path, init_params(TINY, seed=5), TINY)
+            expected = parse_checkpoint(path.read_bytes())
+            _, loaded = formats._read_checkpoint(path)
+            assert list(loaded) == list(expected)
+            for name, (_, values) in expected.items():
+                assert loaded[name].shape == values.shape, name
+                assert loaded[name].tobytes() == values.tobytes(), name
 
-    def test_corrupt_name_length_reports_crc_first(self, tmp_path, crc_threads):
+    def test_corrupt_name_length_reports_crc_first(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(TINY, seed=3), TINY)
-        blob = bytearray(path.read_bytes())
-        blob[12 + 1] ^= 0x80  # high byte of the first entry's name length
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="CRC mismatch"):
-            load_checkpoint(path)
-        assert crc_threads == ["checkpoint-crc32"]
+        # byte 13: in version 1 the high byte of the first entry's name
+        # length, in version 2 the second byte of the entry table's length
+        for save in (save_checkpoint, save_checkpoint_v1):
+            save(path, init_params(TINY, seed=3), TINY)
+            blob = bytearray(path.read_bytes())
+            blob[13] ^= 0x80
+            path.write_bytes(bytes(blob))
+            for for_inference in (False, True):
+                with pytest.raises(FormatError, match="CRC mismatch"):
+                    load_checkpoint(path, for_inference=for_inference)
 
-    def test_short_read_names_file(self, tmp_path, monkeypatch, crc_threads):
+    def test_short_read_names_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(TINY, seed=3), TINY)
         real_fstat = os.fstat
 
         def grown(fd):  # the file looks 8 bytes longer than it reads
             st = real_fstat(fd)
             return os.stat_result((*st[:6], st.st_size + 8, *st[7:]))
 
-        monkeypatch.setattr(os, "fstat", grown)
-        before = threading.active_count()
-        with pytest.raises(FormatError, match="model.ckpt: short read"):
-            load_checkpoint(path)
-        assert threading.active_count() == before
-        assert crc_threads == ["checkpoint-crc32"]
+        for save in (save_checkpoint, save_checkpoint_v1):
+            save(path, init_params(TINY, seed=3), TINY)
+            with monkeypatch.context() as m:
+                m.setattr(os, "fstat", grown)
+                with pytest.raises(FormatError, match="model.ckpt: short read"):
+                    load_checkpoint(path)
 
     @pytest.mark.parametrize("damage, match", [
         ("truncate", "CRC mismatch"),
         ("flip", "CRC mismatch"),
         ("name", "not UTF-8"),
     ])
-    def test_failed_load_leaves_no_thread(self, tmp_path, damage, match, crc_threads):
+    def test_failed_load_leaves_no_thread(self, tmp_path, damage, match):
+        """The version 1 reader reports the CRC before the structure."""
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        save_checkpoint_v1(path, init_params(TINY, seed=3), TINY)
         blob = bytearray(path.read_bytes())
         if damage == "truncate":
             del blob[len(blob) // 2 :]
@@ -269,43 +283,100 @@ class TestCheckpoint:
             blob[len(blob) // 2] ^= 0x01
         else:
             blob[12 + 2] = 0xFF  # first byte of the first entry's name
-            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+            reseal(blob)
         path.write_bytes(bytes(blob))
         before = threading.active_count()
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
         assert threading.active_count() == before
-        assert crc_threads == ["checkpoint-crc32"]
 
 
-@pytest.fixture
-def crc_threads(monkeypatch):
-    """4 KB CRC batches, so a desk-scale checkpoint is checksummed on the
-    helper thread; the list of threads that folded batches, by name."""
-    monkeypatch.setattr(formats, "_CHUNK", 4096)
-    names = []
-    fold = formats._CheckedReader._fold
+class TestCheckpointV2:
+    """The stored fold, the inference load that skips the motion encoder,
+    and a message naming the entry for every kind of damage."""
 
-    def spy(self):
-        names.append(threading.current_thread().name)
-        fold(self)
+    @pytest.fixture
+    def saved(self, tmp_path):
+        params = init_params(TINY, seed=3)
+        rng = np.random.Generator(np.random.PCG64(1))
+        params["motion_dec.w"] = Var(rng.normal(size=(8, 9)))
+        params["motion_dec.b"] = Var(rng.normal(size=(1, 9)))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, TINY)
+        return path, params
 
-    monkeypatch.setattr(formats._CheckedReader, "_fold", spy)
-    return names
+    def test_stored_fold_is_feedback_map_bitwise(self, saved):
+        path, params = saved
+        _, entries = formats._read_checkpoint(path)
+        for name, value in zip(FOLD_ENTRIES, feedback_map(params, detach_feedback=False)):
+            assert entries[name].tobytes() == value.data.tobytes(), name
 
+    def test_only_the_inference_load_carries_the_fold(self, saved, tmp_path):
+        path, params = saved
+        full, _ = load_checkpoint(path)
+        assert list(full) == sorted(params)
+        for name in params:
+            assert full[name].data.tobytes() == params[name].data.tobytes(), name
+        inference, _ = load_checkpoint(path, for_inference=True)
+        assert set(inference) == (
+            set(params) - {"motion_enc.w", "motion_enc.b"} | set(FOLD_ENTRIES)
+        )
+        v1 = tmp_path / "v1.ckpt"
+        save_checkpoint_v1(v1, params, TINY)
+        for for_inference in (False, True):
+            loaded, cfg = load_checkpoint(v1, for_inference=for_inference)
+            assert cfg == TINY and list(loaded) == sorted(params)
 
-def _parse(blob: bytes) -> dict[str, tuple[int, np.ndarray]]:
-    """Plain struct parse of checkpoint bytes: name -> (payload offset, values)."""
-    entries, offset = {}, 12
-    for _ in range(struct.unpack_from("<I", blob, 8)[0]):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        name = blob[offset + 2 : offset + 2 + name_len].decode()
-        rows, cols = struct.unpack_from("<II", blob, offset + 2 + name_len)
-        offset += 2 + name_len + 8
-        values = struct.unpack_from(f"<{rows * cols}d", blob, offset)
-        entries[name] = (offset, np.array(values).reshape(rows, cols))
-        offset += 8 * rows * cols
-    return entries
+    def test_skipped_payload_is_checked_by_full_load_and_inspect(self, saved, capsys):
+        path, params = saved
+        blob = bytearray(path.read_bytes())
+        blob[parse_checkpoint(blob)["motion_enc.w"][0] + 3] ^= 0x10
+        path.write_bytes(bytes(blob))
+        loaded, _ = load_checkpoint(path, for_inference=True)
+        assert "motion_enc.w" not in loaded
+        with pytest.raises(FormatError, match="CRC mismatch in entry 'motion_enc.w'"):
+            load_checkpoint(path)
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == 2
+        assert "'motion_enc.w'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, match", [
+        ("header", "header CRC mismatch"),
+        ("table", "header CRC mismatch"),
+        ("payload", "CRC mismatch in entry 'dec.layer0.self.wq'"),
+        ("truncate", "truncated payload for '__config__'"),
+        ("append", "3 stray bytes after entries"),
+        ("name", "entry name at byte 18 is not UTF-8"),
+        ("no fold", r"missing=\['motion_fold.M', 'motion_fold.c'\]"),
+        ("fold shape", r"mismatched=\['motion_fold.M'\]"),
+    ])
+    def test_damage_is_named(self, saved, damage, match):
+        path, _ = saved
+        blob = bytearray(path.read_bytes())
+        entries = {name: values for name, (_, values) in parse_checkpoint(blob).items()}
+        if damage == "header":
+            blob[13] ^= 0x80
+        elif damage == "table":
+            blob[40] ^= 0x01
+        elif damage == "payload":
+            blob[parse_checkpoint(blob)["dec.layer0.self.wq"][0]] ^= 0x01
+        elif damage == "truncate":
+            del blob[-9:]
+        elif damage == "append":
+            blob += b"abc"
+        elif damage == "name":
+            blob[18] = 0xFF  # first byte of the first entry's name
+            reseal(blob)
+        else:
+            if damage == "no fold":
+                del entries["motion_fold.M"], entries["motion_fold.c"]
+            else:
+                entries["motion_fold.M"] = np.zeros((4, 8))
+            blob = checkpoint_bytes(list(entries.items()), 2)
+        path.write_bytes(bytes(blob))
+        for for_inference in (False, True):
+            with pytest.raises(FormatError, match=match):
+                load_checkpoint(path, for_inference=for_inference)
 
 
 _MUTATION = st.one_of(
@@ -317,56 +388,88 @@ _MUTATION = st.one_of(
 )
 
 
-def _fuzz_checkpoint(path):
-    save_checkpoint(path, init_params(TINY, seed=5), TINY)
+def _fuzz_checkpoint(path, save=save_checkpoint):
+    save(path, init_params(TINY, seed=5), TINY)
 
 
 def _top_byte_of_first_value(name: str) -> int:
-    """Offset in the fuzz checkpoint of the byte holding the sign and top
-    exponent bits of entry ``name``'s first value (the last byte of a
-    little-endian float64)."""
+    """Offset in the (version 2) fuzz checkpoint of the byte holding the
+    sign and top exponent bits of entry ``name``'s first value (the last
+    byte of a little-endian float64)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         _fuzz_checkpoint(path)
-        blob = path.read_bytes()
-    header = struct.pack("<H", len(name)) + name.encode()
-    return blob.index(header) + len(header) + 8 + 7
+        return parse_checkpoint(path.read_bytes())[name][0] + 7
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and standard error of the CLI."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 class TestFuzz:
-    """Any mutation of a checkpoint or matrix file loads or raises
-    FormatError, and the CLI answers it with an exit code, never a traceback."""
+    """Any mutation of a checkpoint (either version) or matrix file loads or
+    raises FormatError, and the CLI answers it with an exit code, never a
+    traceback."""
 
     @pytest.fixture(scope="class")
     def originals(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("fuzz")
         _fuzz_checkpoint(root / "model.ckpt")
+        _fuzz_checkpoint(root / "v1.ckpt", save_checkpoint_v1)
         feats = np.random.Generator(np.random.PCG64(5)).normal(size=(6, TINY.feature_dim))
         save_matrix(root / "audio.f32mat", feats)
+        assert main([
+            "infer", "--ckpt", str(root / "model.ckpt"), "--audio", str(root / "audio.f32mat"),
+            "--identity", "0", "--out", str(root / "expected.f32mat"),
+        ]) == 0
         return root, {
             kind: (root / name).read_bytes()
-            for kind, name in (("ckpt", "model.ckpt"), ("mat", "audio.f32mat"))
+            for kind, name in (
+                ("ckpt", "model.ckpt"), ("ckpt_v1", "v1.ckpt"), ("mat", "audio.f32mat")
+            )
         }
 
-    # Fixed draws, so every run checks the same cases.
+    # Fixed draws, so every run checks the same cases. ``expect`` is None for
+    # drawn cases; an example gives per command its (exit code, text on
+    # standard error), and under "load" the text the full load's FormatError
+    # must hold (None: it loads).
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
-        kind=st.sampled_from(["ckpt", "mat"]),
+        kind=st.sampled_from(["ckpt", "ckpt_v1", "mat"]),
         mutations=st.lists(_MUTATION, min_size=1, max_size=3),
         fix_crc=st.booleans(),
+        expect=st.none(),
     )
     # Flipping 0x40 in the top byte of enc.input_proj.w[0, 0] (0.37) makes it
-    # ~1e308, still finite, so the file loads and passes its CRC; infer then
+    # ~1e308, still finite, so the file loads and passes its CRCs; infer then
     # overflows in the encoder. Its errstate guard must turn that into exit
     # code 2 naming the checkpoint, not a RuntimeWarning.
     @example(
         kind="ckpt",
         mutations=[("flip", _top_byte_of_first_value("enc.input_proj.w"), 0x40)],
         fix_crc=True,
+        expect={"infer": (2, "mutated.ckpt"), "inspect": (0, ""), "load": None},
+    )
+    # The inference load skips the motion encoder's payloads, so infer writes
+    # what it writes for the intact file; inspect and the full load check
+    # them and name the entry.
+    @example(
+        kind="ckpt",
+        mutations=[("flip", _top_byte_of_first_value("motion_enc.w"), 0x40)],
+        fix_crc=False,
+        expect={
+            "infer": (0, ""),
+            "inspect": (2, "CRC mismatch in entry 'motion_enc.w'"),
+            "load": "CRC mismatch in entry 'motion_enc.w'",
+        },
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mutated_file_loads_or_is_format_error(
-        self, originals, kind, mutations, fix_crc
+        self, originals, kind, mutations, fix_crc, expect
     ):
         root, blobs = originals
         blob = bytearray(blobs[kind])
@@ -378,25 +481,45 @@ class TestFuzz:
                 del blob[pos:]
             elif op == "insert":
                 blob[pos:pos] = arg
-        if fix_crc and len(blob) >= 4:
-            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
-        path = root / f"mutated.{kind}"
+        if fix_crc:
+            reseal(blob)
+        path = root / f"mutated.{kind.split('_')[0]}"
         path.write_bytes(bytes(blob))
-        for load in (load_checkpoint, load_matrix):
-            try:
-                load(path)
-            except FormatError:
-                pass
+        load_error = None
+        try:
+            load_checkpoint(path)
+        except FormatError as exc:
+            load_error = str(exc)
+        try:
+            load_matrix(path)
+        except FormatError:
+            pass
         ckpt, audio = root / "model.ckpt", root / "audio.f32mat"
-        if kind == "ckpt":
-            ckpt = path
-        else:
+        if kind == "mat":
             audio = path
-        assert main(["inspect", str(path)]) in (0, 1, 2)
-        assert main([
-            "infer", "--ckpt", str(ckpt), "--audio", str(audio),
-            "--identity", "0", "--out", str(root / "out.f32mat"),
-        ]) in (0, 1, 2)
+        else:
+            ckpt = path
+        out = root / "out.f32mat"
+        out.unlink(missing_ok=True)
+        runs = {
+            "inspect": _run(["inspect", str(path)]),
+            "infer": _run([
+                "infer", "--ckpt", str(ckpt), "--audio", str(audio),
+                "--identity", "0", "--out", str(out),
+            ]),
+        }
+        for code, _ in runs.values():
+            assert code in (0, 1, 2)
+        if expect is not None:
+            if expect["load"] is None:
+                assert load_error is None
+            else:
+                assert expect["load"] in load_error
+            for command in runs:
+                code, text = expect[command]
+                assert runs[command][0] == code and text in runs[command][1], command
+            if runs["infer"][0] == 0:
+                assert out.read_bytes() == (root / "expected.f32mat").read_bytes()
 
 
 class TestConfigText:
@@ -446,7 +569,7 @@ class TestConfigText:
 
     @pytest.mark.parametrize("key, value", [
         ("grad_clip", "-1"), ("grad_clip", "0"), ("grad_clip", "nan"),
-        ("beta1", "1"), ("beta2", "1.5"), ("eps", "0"),
+        ("beta1", "1"), ("beta2", "1.5"), ("eps", "0"), ("seed", "-1"),
     ])
     def test_out_of_range_train_values(self, key, value):
         with pytest.raises(ConfigError, match=key):
