@@ -18,8 +18,9 @@ also returns its heads' weights, which attention export copies out.
 
 A decoder step writes its projected keys and values into preallocated
 buffers with ``write_row``, a record whose output is the buffer itself, and
-``attention`` reads a row range of such a buffer and returns a gradient for
-the whole of it. So a decoder step is two records for its input row and
+``attention`` reads a row range of such a buffer and returns the gradient
+of those rows only, which :func:`backward` adds into that range of the
+buffer's gradient. So a decoder step is two records for its input row and
 eight per layer (two writes, two attentions, three add-norms and a
 feed-forward): ten at one layer.
 
@@ -148,11 +149,43 @@ def _make(data: Array, inputs: tuple[Var, ...], vjp) -> Var:
     return out
 
 
-def backward(loss: Var, params: Mapping[str, Var]) -> dict[str, Array]:
+class Gradients(dict):
+    """Named gradients that are consecutive views, in the order of the
+    bundle they were taken for, of one flat float64 vector ``flat``: a check
+    or an update of every gradient is one numpy call on it."""
+
+    __slots__ = ("flat",)
+
+    @classmethod
+    def views(cls, flat: Array, like: Mapping) -> "Gradients":
+        """Views of ``flat`` with the names and shapes of the values of
+        ``like`` (arrays or :class:`Var`), in its order."""
+        out = cls()
+        out.flat = flat
+        at = 0
+        for name, v in like.items():
+            rows, cols = v.shape
+            out[name] = flat[at : at + rows * cols].reshape(rows, cols)
+            at += rows * cols
+        return out
+
+
+def backward(loss: Var, params: Mapping[str, Var]) -> Gradients:
     """Gradients of a scalar taped value for every named parameter.
 
     Parameters not reachable from ``loss`` get zero gradients. Two calls on
     the same tape produce bitwise-identical results.
+
+    A VJP gives each input None (no gradient), an array, or ``(rows,
+    array)``: the gradient of the row slice ``rows`` of that input, zero
+    elsewhere. The pass keeps an input's first whole array as it is, since
+    other records may hold it; a second is added into a buffer the pass
+    owns, and later ones and every row range are added to that buffer in
+    place. A parameter's buffer is its view of the result. ``acc +
+    contrib`` and ``acc += contrib`` have the same bits, so the gradients
+    are those of adding widened copies, up to the sign of an exact zero
+    outside the rows read. A record may return its incoming gradient only if
+    no other record has the same output (a ``write_row`` buffer has many).
     """
     if loss.data.shape != (1, 1):
         raise GradientError(f"loss must be a 1x1 scalar, got shape {loss.data.shape}")
@@ -160,7 +193,12 @@ def backward(loss: Var, params: Mapping[str, Var]) -> dict[str, Array]:
         raise GradientError("loss was not produced by taped operations")
     if not loss.tape._records:
         raise GradientError("the tape of loss has ended; call backward inside its block")
+    result = Gradients.views(np.zeros(sum(v.data.size for v in params.values())), params)
+    unset: dict[int, Array] = {}  # parameter views no contribution has reached
+    for name, v in params.items():
+        unset.setdefault(id(v), result[name])
     grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
+    owned: set[int] = set()
     for out, inputs, vjp in reversed(loss.tape._records):
         g = grads.get(id(out))
         if g is None:
@@ -168,14 +206,37 @@ def backward(loss: Var, params: Mapping[str, Var]) -> dict[str, Array]:
         for inp, contrib in zip(inputs, vjp(g)):
             if contrib is None:
                 continue
-            acc = grads.get(id(inp))
-            # rebind instead of += so aliased contributions stay independent
-            grads[id(inp)] = contrib if acc is None else acc + contrib
-    out = {}
+            rows = ...
+            if type(contrib) is tuple:
+                rows, contrib = contrib
+            key = id(inp)
+            acc = grads.get(key)
+            if key in owned:
+                if rows is ...:
+                    acc += contrib
+                else:
+                    acc[rows] += contrib
+                continue
+            if acc is None:
+                acc = unset.pop(key, None)
+                if acc is None:
+                    if rows is ...:
+                        grads[key] = contrib
+                        continue
+                    acc = np.zeros(inp.data.shape)
+                acc[rows] = contrib
+            elif rows is ...:
+                acc = acc + contrib
+            else:
+                acc = acc.copy()
+                acc[rows] += contrib
+            grads[key] = acc
+            owned.add(key)
     for name, v in params.items():
         g = grads.get(id(v))
-        out[name] = np.zeros_like(v.data) if g is None else g
-    return out
+        if g is not None and g is not result[name]:
+            np.copyto(result[name], g)
+    return result
 
 
 def grad(loss: Var, wrt: Var) -> Array:
@@ -351,8 +412,9 @@ def attention(
     wq)``, this attention with identity projections, and ``matmul(., wo)``.
 
     The keys and values are rows ``keys`` (a step-1 slice) of k and v, s of
-    them; the gradients of k and v cover all their rows, zero outside
-    ``keys``. Head h reads column block h of q and k (width d_k) and of v
+    them; the VJP gives k and v the gradient of those rows only, as ``(keys,
+    array)`` (see :func:`backward`), or a whole array when they are all
+    the rows. Head h reads column block h of q and k (width d_k) and of v
     (width d_v). ``bias`` is None, a t x s array shared by every head, or a
     heads x t x s stack; its ``-inf`` entries get exactly zero weight, and a
     row with no finite entry raises :class:`DegenerateRowError`. Also
@@ -369,8 +431,8 @@ def attention(
     xd, wqd, wod = x.data, wq.data, wo.data
     kd, vd = k.data[keys], v.data[keys]
     (t, n), (s, width) = xd.shape, kd.shape
-    k_rows, v_rows = k.data.shape[0], v.data.shape[0]
-    if (wqd.shape != (n, width) or k_rows != v_rows or vd.shape[1] != wod.shape[0]
+    k_rows = k.data.shape[0]
+    if (wqd.shape != (n, width) or k_rows != v.data.shape[0] or vd.shape[1] != wod.shape[0]
             or s == 0):
         raise ShapeError(
             f"attention shape mismatch: x {xd.shape}, wq {wqd.shape}, k {k.shape}, "
@@ -390,12 +452,8 @@ def attention(
     _softmax_last(w)
     heads_out = _merge(w @ vh)
 
-    def widen(g: Array, rows: int) -> Array:  # gradient of a keys slice
-        if g.shape[0] == rows:
-            return g
-        full = np.zeros((rows, g.shape[1]))
-        full[keys] = g
-        return full
+    def read(g: Array):  # the gradient of the rows read
+        return g if s == k_rows else (keys, g)
 
     def vjp(g: Array):
         gh = _split(g @ wod.T, heads)
@@ -407,8 +465,8 @@ def attention(
         return (
             dq @ wqd.T,
             xd.T @ dq,
-            widen(_merge(ds.transpose(0, 2, 1) @ qh), k_rows),
-            widen(_merge(w.transpose(0, 2, 1) @ gh), v_rows),
+            read(_merge(ds.transpose(0, 2, 1) @ qh)),
+            read(_merge(w.transpose(0, 2, 1) @ gh)),
             heads_out.T @ g,
         )
 
@@ -448,6 +506,11 @@ def _row_mean(x: Array) -> Array:
     return m
 
 
+def _one_row_mean(x: Array) -> float:
+    """:func:`_row_mean` of a one-row x, bit for bit, as a Python float."""
+    return float(np.add.reduce(x, axis=None)) / x.shape[1]
+
+
 def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> Var:
     """Layer norm of the data x, which is the sum of ``inputs``: each input
     gets the same gradient."""
@@ -458,18 +521,17 @@ def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> V
         raise ShapeError(
             f"layer_norm gain/offset must be 1x{n}, got {gd.shape}/{od.shape}"
         )
-    if x.shape[0] == 1:  # the same bits, with Python floats for the statistics
-        xc = x - float(np.add.reduce(x, axis=None)) / n
-        inv = 1.0 / math.sqrt(float(np.add.reduce(np.square(xc), axis=None)) / n + eps)
-    else:
-        xc = x - _row_mean(x)
-        inv = 1.0 / np.sqrt(_row_mean(np.square(xc)) + eps)
+    one_row = x.shape[0] == 1  # the same bits, with Python float statistics
+    mean = _one_row_mean if one_row else _row_mean
+    xc = x - mean(x)
+    var = mean(np.square(xc)) + eps
+    inv = 1.0 / (math.sqrt(var) if one_row else np.sqrt(var))
     xhat = xc * inv
 
     def vjp(g: Array):
         gy = g * gd
-        term = gy - _row_mean(gy)
-        term -= xhat * _row_mean(gy * xhat)
+        term = gy - mean(gy)
+        term -= xhat * mean(gy * xhat)
         term *= inv
         return (term,) * len(inputs) + (
             (g * xhat).sum(axis=0, keepdims=True),
@@ -568,14 +630,8 @@ def take_row(x, i: int) -> Var:
     x = _as_var(x)
     if not 0 <= i < x.rows:
         raise ShapeError(f"row {i} out of range for {x.shape}")
-    shape = x.shape
-
-    def vjp(g: Array):
-        gx = np.zeros(shape)
-        gx[i : i + 1] = g
-        return (gx,)
-
-    return _make(x.data[i : i + 1].copy(), (x,), vjp)
+    rows = slice(i, i + 1)
+    return _make(x.data[rows].copy(), (x,), lambda g: ((rows, g),))
 
 
 def concat_rows(parts: Sequence) -> Var:
@@ -585,9 +641,10 @@ def concat_rows(parts: Sequence) -> Var:
     cols = parts[0].cols
     if any(p.cols != cols for p in parts):
         raise ShapeError("concat_rows parts disagree on column count")
-    splits = np.cumsum([p.rows for p in parts])[:-1]
+    stops = np.cumsum([p.rows for p in parts]).tolist()
+    bounds = tuple(zip([0] + stops[:-1], stops))
 
-    def vjp(g: Array):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits))
+    def vjp(g: Array):  # views of g
+        return tuple(g[a:b] for a, b in bounds)
 
     return _make(np.concatenate([p.data for p in parts]), tuple(parts), vjp)

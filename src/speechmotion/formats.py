@@ -212,14 +212,20 @@ def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
     atomic_write_bytes(path, header, struct.pack("<I", zlib.crc32(header)), *payloads)
 
 
-def _read_payload(fh, array: np.ndarray, path, offset: int, crc: int = 0) -> int:
+def _read_payload(
+    fh, array: np.ndarray, path, offset: int, crc: int = 0, scratch: bytearray | None = None
+) -> int:
     """Fill a C-contiguous array from ``fh`` in ``_CHUNK`` pieces, each
     checksummed while it is still in cache; ``crc`` folded over its bytes.
-    ``offset``: where in the file its payload starts."""
-    buf = memoryview(array.reshape(-1).view(np.uint8))
-    for start in range(0, len(buf), _CHUNK):
-        chunk = buf[start : start + _CHUNK]
-        if fh.readinto(chunk) != len(chunk):
+    With ``scratch``, a buffer of up to ``_CHUNK`` bytes, each piece is read
+    into it instead and only the array's size is used. ``offset``: where in
+    the file its payload starts."""
+    nbytes = array.nbytes
+    buf = memoryview(array.reshape(-1).view(np.uint8) if scratch is None else scratch)
+    for start in range(0, nbytes, _CHUNK):
+        size = min(_CHUNK, nbytes - start)
+        chunk = buf[start : start + size] if scratch is None else buf[:size]
+        if fh.readinto(chunk) != size:
             raise FormatError(
                 f"{path}: short read at byte {offset + start}, file changed while loading"
             )
@@ -248,9 +254,10 @@ class _CheckedReader:
             self.crc = zlib.crc32(data, self.crc)
         return data
 
-    def read_into(self, array: np.ndarray) -> None:
-        """Fill a C-contiguous array with its payload."""
-        self.crc = _read_payload(self.fh, array, self.path, self.offset, self.crc)
+    def read_into(self, array: np.ndarray, scratch: bytearray | None) -> None:
+        """Fill a C-contiguous array with its payload (see
+        :func:`_read_payload` for ``scratch``)."""
+        self.crc = _read_payload(self.fh, array, self.path, self.offset, self.crc, scratch)
         self.offset += array.nbytes
 
     def skip_to(self, end: int) -> None:
@@ -259,10 +266,23 @@ class _CheckedReader:
             self.read(min(_CHUNK, end - self.offset))
 
 
-def _parse_entries(src: _CheckedReader, count: int, end: int) -> dict[str, np.ndarray]:
+def _new_entry(name: str, shape: tuple[int, int], keep, scratch):
+    """The array an entry's payload is read into and the buffer it is read
+    through (see :func:`_read_payload`): a new array and None for an entry
+    in ``keep`` (every entry when it is None), else a read-only zero of the
+    entry's shape, which holds no memory, and ``scratch``."""
+    if keep is None or name in keep:
+        return np.empty(shape, dtype="<f8"), None
+    return np.broadcast_to(np.float64(0.0), shape), scratch
+
+
+def _parse_entries(
+    src: _CheckedReader, count: int, end: int, keep, scratch
+) -> dict[str, np.ndarray]:
     """Parse ``count`` entries ending at byte ``end``; each payload is read
-    straight into an array of its own. A structural problem raises
-    FormatError before anything for that entry is allocated."""
+    straight into an array of its own, or only checked (see
+    :func:`_read_checkpoint` for ``keep`` and ``scratch``). A structural
+    problem raises FormatError before anything for that entry is allocated."""
     path = src.path
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -281,14 +301,14 @@ def _parse_entries(src: _CheckedReader, count: int, end: int) -> dict[str, np.nd
             raise FormatError(f"{path}: truncated payload for {name!r}")
         if name in entries:
             raise FormatError(f"{path}: duplicate entry {name!r}")
-        entries[name] = np.empty((rows, cols), dtype="<f8")
-        src.read_into(entries[name])
+        entries[name], through = _new_entry(name, (rows, cols), keep, scratch)
+        src.read_into(entries[name], through)
     if src.offset != end:
         raise FormatError(f"{path}: {end - src.offset} stray bytes after entries")
     return entries
 
 
-def _read_v1(fh, path, head: bytes, size: int) -> dict[str, np.ndarray]:
+def _read_v1(fh, path, head: bytes, size: int, keep, scratch) -> dict[str, np.ndarray]:
     """The entries of a version 1 checkpoint, after the 8 bytes ``head``.
     The whole-file CRC is checked before any structural problem is
     reported, so a corrupt file always reads as corrupt."""
@@ -300,7 +320,7 @@ def _read_v1(fh, path, head: bytes, size: int) -> dict[str, np.ndarray]:
         if version != 1:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (count,) = struct.unpack("<I", src.read(4))
-        entries = _parse_entries(src, count, end)
+        entries = _parse_entries(src, count, end, keep, scratch)
     except FormatError as exc:
         problem = exc
         src.skip_to(end)
@@ -340,11 +360,12 @@ def _parse_table(path, table: bytes, count: int, room: int) -> dict:
     return entries
 
 
-def _read_v2(fh, path, head: bytes, size: int, skip) -> dict[str, np.ndarray]:
+def _read_v2(fh, path, head: bytes, size: int, skip, keep, scratch) -> dict[str, np.ndarray]:
     """The entries of a version 2 checkpoint, after the 8 bytes ``head``,
     but for those named in ``skip``, whose payloads are neither read nor
     checked. The header block is checked before anything in it is used,
-    and each payload read before it is returned."""
+    and each payload read before it is returned (see
+    :func:`_read_checkpoint` for ``keep`` and ``scratch``)."""
     fixed = fh.read(8)
     count, table_len = struct.unpack("<II", fixed)
     offset = 16 + table_len + 4  # the first payload byte
@@ -359,8 +380,8 @@ def _read_v2(fh, path, head: bytes, size: int, skip) -> dict[str, np.ndarray]:
         if name in skip:
             fh.seek(nbytes, os.SEEK_CUR)
         else:
-            entries[name] = np.empty(shape, dtype="<f8")
-            if _read_payload(fh, entries[name], path, offset) != crc:
+            entries[name], through = _new_entry(name, shape, keep, scratch)
+            if _read_payload(fh, entries[name], path, offset, 0, through) != crc:
                 raise FormatError(f"{path}: CRC mismatch in entry {name!r}, file is corrupt")
         offset += nbytes
     if offset != size:
@@ -370,18 +391,22 @@ def _read_v2(fh, path, head: bytes, size: int, skip) -> dict[str, np.ndarray]:
     return entries
 
 
-def _read_checkpoint(path, skip=()) -> tuple[int, dict[str, np.ndarray]]:
+def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarray]]:
     """The version of a checkpoint and its entries, each an aligned,
     writable float64 array that owns its memory. ``skip``: entries a
-    version 2 file is read without; a version 1 file is always read whole."""
+    version 2 file is read without; a version 1 file is always read whole.
+    ``keep``: when given, the only entries whose payloads are held; every
+    other payload is checked through one reused buffer of up to ``_CHUNK``
+    bytes and stands as a read-only zero of its shape."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(8)
         if size < 16 or head[:4] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
+        scratch = None if keep is None else bytearray(min(_CHUNK, size))
         if head[4:] == struct.pack("<I", CHECKPOINT_VERSION):
-            return CHECKPOINT_VERSION, _read_v2(fh, path, head, size, skip)
-        return 1, _read_v1(fh, path, head, size)
+            return CHECKPOINT_VERSION, _read_v2(fh, path, head, size, skip, keep, scratch)
+        return 1, _read_v1(fh, path, head, size, keep, scratch)
 
 
 def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelConfig]:
@@ -416,7 +441,9 @@ def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelCon
 
 
 def checkpoint_summary(path) -> list[str]:
-    version, entries = _read_checkpoint(path)
+    """The lines ``inspect`` prints for a checkpoint. Every payload is
+    checked; only the configuration's is held."""
+    version, entries = _read_checkpoint(path, keep=(CONFIG_ENTRY,))
     lines = [f"checkpoint file version {version}"]
     if CONFIG_ENTRY in entries:
         cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)

@@ -2,7 +2,14 @@
 
 A bundle is a plain ``dict[str, Var]`` keyed by dot-separated paths; shapes
 are fully determined by :class:`ModelConfig`, so checkpoints can be validated
-against it. Bundles are treated as immutable: the optimizer returns a new one.
+against it.
+
+Bundles are treated as immutable: the optimizer returns a new one, whose
+arrays are views of one fresh vector, and changes neither the bundle it was
+given nor that bundle's arrays. So ``train`` can keep its best epoch's bundle
+without a copy, and a caller that holds on to the bundle a training step
+was given can recompute that step's loss from it afterwards, as the
+benchmark's training oracle does.
 """
 
 from __future__ import annotations

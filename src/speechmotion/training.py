@@ -156,8 +156,8 @@ def train(
                         f"non-finite loss at epoch {epoch}, sample {int(sample_idx)}"
                     )
                 grads = backward(loss_var, params)
-            bad = next((k for k, g in grads.items() if not np.isfinite(g).all()), None)
-            if bad is not None:
+            if not np.isfinite(grads.flat).all():
+                bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
                 raise DivergenceError(
                     f"non-finite gradient at epoch {epoch}, sample {int(sample_idx)}, "
                     f"first in parameter {bad!r}"
@@ -178,7 +178,7 @@ def train(
         if keep_best:
             eval_rmse = evaluate_rmse(dataset, params, cfg)
             if eval_rmse < best[0]:
-                best = (eval_rmse, {k: Var(v.data.copy()) for k, v in params.items()})
+                best = (eval_rmse, params)
     if keep_best and best[1] is not None:
         params = best[1]
     return params, history

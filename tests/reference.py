@@ -6,7 +6,10 @@ builders construct whole t x t matrices that the decoder never needs, the
 positional rows are built one at a time, and the dense decoder block reruns
 attention over a whole prefix where the package runs one cached row. The
 elementary add, rectifier and layer norm records are the compositions that
-the package's fused records must match bit for bit. The checkpoint helpers
+the package's fused records must match bit for bit. The reverse pass and the
+optimizer are the package's earlier ones: every gradient widened to its
+whole input and added into a new array, and clipping and Adam run parameter
+by parameter into new arrays; the package's must match them bit for bit. The checkpoint helpers
 pack and parse both file versions field by field from the format
 description, and write the version 1 files the package no longer writes.
 """
@@ -14,6 +17,7 @@ description, and write the version 1 files the package no longer writes.
 import math
 import struct
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,78 @@ def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
     recorded on the active tape."""
     a = ad._as_var(a)
     return ad._normalize(a.data, (a,), gain, offset, eps)
+
+
+def backward(loss: Var, params) -> dict:
+    """Gradients of a scalar taped value for every named parameter: each
+    VJP output widened to the whole of its input (zeros outside a returned
+    row range) and added with ``acc + contrib``, a new array each time."""
+    grads = {id(loss): np.ones((1, 1))}
+    for out, inputs, vjp in reversed(loss.tape._records):
+        g = grads.get(id(out))
+        if g is None:
+            continue
+        for inp, contrib in zip(inputs, vjp(g)):
+            if contrib is None:
+                continue
+            if isinstance(contrib, tuple):
+                rows, part = contrib
+                contrib = np.zeros(inp.data.shape)
+                contrib[rows] = part
+            acc = grads.get(id(inp))
+            grads[id(inp)] = contrib if acc is None else acc + contrib
+    return {
+        name: grads[id(v)] if id(v) in grads else np.zeros_like(v.data)
+        for name, v in params.items()
+    }
+
+
+@dataclass
+class AdamMoments:
+    """Per-parameter first and second moments and the step counter."""
+
+    step: int
+    m: dict
+    v: dict
+
+    @classmethod
+    def fresh(cls, params) -> "AdamMoments":
+        return cls(
+            0,
+            {k: np.zeros_like(p.data) for k, p in params.items()},
+            {k: np.zeros_like(p.data) for k, p in params.items()},
+        )
+
+
+def adam_step(params, grads, state: AdamMoments, lr, beta1, beta2, eps):
+    """One bias-corrected Adam update, parameter by parameter; returns a new
+    bundle and new moments. A missing gradient is zero."""
+    t = state.step + 1
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    new_params, new_state = {}, AdamMoments(t, {}, {})
+    for name, p in params.items():
+        g = grads.get(name, np.zeros_like(p.data))
+        m = beta1 * state.m[name] + (1.0 - beta1) * g
+        v = beta2 * state.v[name] + (1.0 - beta2) * np.square(g)
+        update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        new_params[name] = Var(p.data - update)
+        new_state.m[name] = m
+        new_state.v[name] = v
+    return new_params, new_state
+
+
+def clip_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
+    """Scale all gradients into new arrays so their joint L2 norm is at most
+    max_norm; returns them and the norm before clipping."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.square(g).sum())
+    norm = float(np.sqrt(total))
+    if norm <= max_norm or norm == 0.0:
+        return grads, norm
+    factor = max_norm / norm
+    return {k: g * factor for k, g in grads.items()}, norm
 
 
 def softmax_rows(a) -> Var:

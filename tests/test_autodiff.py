@@ -25,6 +25,7 @@ from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.training import rollout_loss
 
 from conftest import finite_diff, rel_err
+import reference
 from reference import add, layer_norm, relu, softmax_rows, temporal_bias
 
 
@@ -339,10 +340,18 @@ class TestFusedRecords:
         # bits as that row of a many-row input
         a, b = rng.normal(size=(6, width)) * 30.0, rng.normal(size=(6, width))
         gain, offset = rng.normal(size=(1, width)), rng.normal(size=(1, width))
-        rows = ad.add_norm(a, b, gain, offset).data
+        readout = rng.normal(size=(6, width))
+        a_all = Var(a)
+        with Tape():
+            rows = ad.add_norm(a_all, b, gain, offset)
+            grad_rows = grad(ad.sum_all(ad.mul(rows, readout)), a_all)
         for i in range(6):
-            one = ad.add_norm(a[i : i + 1], b[i : i + 1], gain, offset).data
-            assert np.array_equal(one, rows[i : i + 1])
+            a_one = Var(a[i : i + 1])
+            with Tape():
+                one = ad.add_norm(a_one, b[i : i + 1], gain, offset)
+                grad_one = grad(ad.sum_all(ad.mul(one, readout[i : i + 1])), a_one)
+            assert one.data.tobytes() == rows.data[i : i + 1].tobytes()
+            assert grad_one.tobytes() == grad_rows[i : i + 1].tobytes()
 
 
 class TestLayerNorm:
@@ -551,6 +560,54 @@ class TestBackward:
             loss = ad.sum_all(ad.mul(w, w))
         with pytest.raises(GradientError, match="ended"):
             backward(loss, {"w": w})
+
+    @staticmethod
+    def _same_as_reference(loss, params):
+        got, want = backward(loss, params), reference.backward(loss, params)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        return got
+
+    def test_one_array_for_two_inputs(self, rng):
+        # add_norm's VJP returns one array for both summands, add its
+        # incoming gradient for both, and mul(d, d) two equal arrays. A later
+        # contribution to one input must not be added into an array another
+        # holds: c reads a before the add-norm of a and b, so the reverse
+        # pass adds to a's gradient before it reaches b's record
+        x, y, w, gain, offset = (
+            Var(rng.normal(size=s)) for s in ((3, 5), (3, 5), (5, 5), (1, 5), (1, 5))
+        )
+        readout = rng.normal(size=(3, 5))
+        with Tape():
+            b = ad.matmul(y, w)
+            a = ad.matmul(x, w)
+            c = ad.mul(a, readout)
+            twice = ad.add_norm(x, x, gain, offset)
+            d = ad.sub(add(ad.add_norm(a, b, gain, offset), c), twice)
+            loss = ad.sum_all(ad.mul(d, d))
+            grads = self._same_as_reference(
+                loss, {"x": x, "y": y, "w": w, "gain": gain, "offset": offset}
+            )
+        assert all(grads[name].any() for name in ("x", "y", "w", "gain"))
+
+    def test_buffer_rows_no_window_reads(self, rng):
+        # attention windows [1, 3), [2, 5) and [6, 8) of a 9-row buffer
+        # leave rows 0, 5 and 8 unread, and the first two overlap
+        heads = 2
+        x, wq, k, v, wo = _attention_inputs(rng, heads, 2, 9, d_k=4, d_v=4)
+        readout = rng.normal(size=(2, 5))
+        with Tape():
+            outs = [
+                ad.attention(x, wq, k, v, wo, None, heads, slice(a, b))[0]
+                for a, b in ((1, 3), (2, 5), (6, 8))
+            ]
+            total = ad.concat_rows([ad.concat_rows(outs[:2]), outs[2]])
+            loss = ad.sum_all(ad.mul(total, np.concatenate([readout] * 3)))
+            grads = self._same_as_reference(loss, {"x": x, "k": k, "v": v, "wq": wq})
+        for name in ("k", "v"):
+            assert not grads[name][[0, 5, 8]].any()
+            assert np.abs(grads[name][[1, 2, 3, 4, 6, 7]]).min() > 0
 
     def test_no_tape_means_plain_computation(self, rng):
         out = ad.matmul(rng.normal(size=(2, 3)), rng.normal(size=(3, 2)))

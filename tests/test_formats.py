@@ -5,6 +5,7 @@ import os
 import struct
 import tempfile
 import threading
+import tracemalloc
 import warnings
 import wave
 from pathlib import Path
@@ -289,6 +290,37 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_summary_checks_payloads_without_holding_them(tmp_path, monkeypatch, version):
+    # inspect reads every payload through one reused buffer of _CHUNK bytes:
+    # a 1 MB payload in 64 KB pieces never sits in memory whole
+    monkeypatch.setattr(formats, "_CHUNK", 1 << 16)
+    big = np.random.default_rng(0).normal(size=(256, 512))
+    entries = [
+        ("big", big), ("small", big[:1, :3]),
+        (formats.CONFIG_ENTRY, formats._config_vector(TINY)),
+    ]
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(checkpoint_bytes(entries, version))
+    tracemalloc.start()
+    try:
+        lines = formats.checkpoint_summary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big.nbytes
+    assert lines == [
+        f"checkpoint file version {version}", f"config: {TINY}", "entries: 2",
+        "  big  256x512", "  small  1x3",
+    ]
+    blob = bytearray(path.read_bytes())
+    blob[parse_checkpoint(blob)["big"][0] + 5 * (1 << 16) + 3] ^= 0x08
+    path.write_bytes(bytes(blob))
+    match = "CRC mismatch, file is corrupt" if version == 1 else "CRC mismatch in entry 'big'"
+    with pytest.raises(FormatError, match=match):
+        formats.checkpoint_summary(path)
 
 
 class TestCheckpointV2:

@@ -5,17 +5,23 @@ from speechmotion import (
     AudioInput,
     ConfigError,
     DivergenceError,
+    ModelConfig,
     ShapeError,
+    Tape,
     TrainingSample,
     Var,
     autoregress,
+    backward,
     export_attention,
+    init_params,
     lip_error,
     lip_error_corpus,
     mse_loss,
     train,
 )
-from speechmotion.training import check_sample_alignment, frame_vertex_rmse
+from speechmotion.training import check_sample_alignment, frame_vertex_rmse, rollout_loss
+
+import reference
 
 
 def _sample(rng, frames=4, vertices=3, identity=0):
@@ -227,6 +233,58 @@ class TestTrain:
         assert any(
             not np.array_equal(live[n].data, tiny_params[n].data) for n in conv_names
         )
+
+    def test_each_step_sees_a_bundle_no_later_step_changes(
+        self, tiny_cfg, tiny_params, rng, monkeypatch
+    ):
+        # the benchmark's oracle recomputes every step's loss, after training,
+        # from the bundle that step was given
+        from speechmotion import training
+
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append((args, kwargs))
+            return rollout_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "rollout_loss", recording)
+        tiny_params = dict(tiny_params)
+        tiny_params["motion_dec.w"] = Var(rng.normal(size=(8, 9)) * 0.1)
+        before = {k: v.data.tobytes() for k, v in tiny_params.items()}
+        data = [_sample(rng, identity=0), _sample(rng, identity=1)]
+        _, history = train(
+            data, tiny_params, tiny_cfg, epochs=3, seed=2, lr=1e-2, grad_clip=0.5,
+            keep_best=True,
+        )
+        assert len(seen) == len(history) == 6
+        assert len({id(args[1]) for args, _ in seen}) == 6
+        for step, (args, kwargs) in zip(history, seen):
+            assert rollout_loss(*args, **kwargs)[0].item() == step.loss
+        assert {k: v.data.tobytes() for k, v in tiny_params.items()} == before
+
+
+@pytest.mark.parametrize("frames", [20, 37])
+@pytest.mark.parametrize("detach", [False, True])
+def test_rollout_gradients_match_reference_backward(rng, frames, detach):
+    # row-range and in-place accumulation keep every bit of widened copies
+    # added into new arrays, through the caches, the embed table and the fold
+    cfg = ModelConfig().validate()
+    params = init_params(cfg, seed=1)
+    params["motion_dec.w"] = Var(rng.normal(size=(cfg.dim, cfg.motion_dim)) * 0.05)
+    sample = TrainingSample(
+        AudioInput.from_features(
+            rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate
+        ),
+        rng.normal(size=(frames, cfg.motion_dim)) * 0.3, identity=1,
+    )
+    with Tape():
+        loss, _ = rollout_loss(sample, params, cfg, detach_feedback=detach)
+        got = backward(loss, params)
+        want = reference.backward(loss, params)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert all(want[name].any() for name in want if name.startswith(("dec.", "motion_")))
 
 
 class TestExportAttention:
