@@ -17,7 +17,6 @@ from .autodiff import (
     Var,
     backward,
     conv1d_strided,
-    grad,
     linear,
     matmul,
 )
@@ -42,7 +41,7 @@ from .positional import (
     BiasMatrix,
     alignment_bias,
     head_slopes,
-    ppe_row,
+    ppe_rows,
 )
 from .synthetic import gen_synthetic, load_dataset
 from .training import (
@@ -68,9 +67,9 @@ __all__ = [
     "autoregress", "backward", "conv1d_strided", "decode_motion",
     "decoder_layer", "embed_step", "encode", "evaluate_rmse",
     "export_attention", "extract_features", "frame_vertex_rmse",
-    "gen_synthetic", "grad", "head_slopes", "init_params", "linear",
+    "gen_synthetic", "head_slopes", "init_params", "linear",
     "lip_error", "lip_error_corpus", "load_checkpoint", "load_dataset",
     "load_matrix", "matmul", "mh_attention", "mse_loss", "param_shapes",
-    "ppe_row", "profile", "rms_amplitude", "rollout", "save_checkpoint",
+    "ppe_rows", "profile", "rms_amplitude", "rollout", "save_checkpoint",
     "save_matrix", "train",
 ]

@@ -157,14 +157,13 @@ class Gradients(dict):
     __slots__ = ("flat",)
 
     @classmethod
-    def views(cls, flat: Array, like: Mapping) -> "Gradients":
-        """Views of ``flat`` with the names and shapes of the values of
-        ``like`` (arrays or :class:`Var`), in its order."""
+    def views(cls, flat: Array, shapes: Mapping[str, tuple[int, int]]) -> "Gradients":
+        """Views of ``flat`` with the names and shapes of ``shapes``, in its
+        order."""
         out = cls()
         out.flat = flat
         at = 0
-        for name, v in like.items():
-            rows, cols = v.shape
+        for name, (rows, cols) in shapes.items():
             out[name] = flat[at : at + rows * cols].reshape(rows, cols)
             at += rows * cols
         return out
@@ -193,7 +192,8 @@ def backward(loss: Var, params: Mapping[str, Var]) -> Gradients:
         raise GradientError("loss was not produced by taped operations")
     if not loss.tape._records:
         raise GradientError("the tape of loss has ended; call backward inside its block")
-    result = Gradients.views(np.zeros(sum(v.data.size for v in params.values())), params)
+    shapes = {name: v.shape for name, v in params.items()}
+    result = Gradients.views(np.zeros(sum(r * c for r, c in shapes.values())), shapes)
     unset: dict[int, Array] = {}  # parameter views no contribution has reached
     for name, v in params.items():
         unset.setdefault(id(v), result[name])
@@ -237,11 +237,6 @@ def backward(loss: Var, params: Mapping[str, Var]) -> Gradients:
         if g is not None and g is not result[name]:
             np.copyto(result[name], g)
     return result
-
-
-def grad(loss: Var, wrt: Var) -> Array:
-    """Gradient of a scalar taped value for one variable."""
-    return backward(loss, {"_": wrt})["_"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 from . import synthetic
 from .config import build_configs, with_dataset_shape
 from .decoder import autoregress
-from .encoder import AudioInput, infer_motion_len
-from .errors import AudioError, DivergenceError, SpeechMotionError, UsageError
+from .encoder import AudioInput, check_feature_width, infer_motion_len
+from .errors import AudioError, ConfigError, DivergenceError, SpeechMotionError, UsageError
 from .formats import (
     checkpoint_summary,
     load_checkpoint,
@@ -30,6 +30,7 @@ from .formats import (
     matrix_header,
     parse_config_lines,
     read_lip_indices,
+    read_text,
     read_wav,
     save_checkpoint,
     save_matrix,
@@ -130,7 +131,9 @@ def _load_audio(path: str, cfg) -> AudioInput:
         if path.suffix.lower() == ".wav":
             samples, rate = read_wav(path)
             return AudioInput.from_waveform(samples, rate)
-        return AudioInput.from_features(load_matrix(path), cfg.feature_rate)
+        features = load_matrix(path)
+        check_feature_width(features.shape[1], cfg.feature_dim)
+        return AudioInput.from_features(features, cfg.feature_rate)
     except AudioError as exc:
         raise AudioError(f"{path}: {exc}") from None
 
@@ -169,7 +172,10 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    parsed = build_configs(parse_config_lines(Path(args.config).read_text()))
+    try:
+        parsed = build_configs(parse_config_lines(read_text(args.config)))
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
     for notice in parsed.notices:
         log.info("%s", notice)
     dataset, meta = synthetic.load_dataset(args.data)

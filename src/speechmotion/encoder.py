@@ -117,6 +117,14 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
     return ad.add_norm(x, ff, params[f"{p}.ln2.gain"], params[f"{p}.ln2.offset"])
 
 
+def check_feature_width(width: int, feature_dim: int) -> None:
+    """Feature rows must be ``feature_dim`` wide; an AudioError says so."""
+    if width != feature_dim:
+        raise AudioError(
+            f"feature width {width} does not match configured feature_dim {feature_dim}"
+        )
+
+
 def encode(
     audio: AudioInput,
     motion_len: int | None,
@@ -136,11 +144,7 @@ def encode(
         feats = ad.detach(feats)
     else:
         feats = extract_features(audio, params, cfg)
-    if feats.cols != cfg.feature_dim:
-        raise AudioError(
-            f"feature width {feats.cols} does not match configured "
-            f"feature_dim {cfg.feature_dim}"
-        )
+    check_feature_width(feats.cols, cfg.feature_dim)
     if motion_len is None:
         motion_len = infer_motion_len(feats.rows, audio.rate, cfg)
     target = cfg.frame_ratio * motion_len

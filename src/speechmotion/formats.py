@@ -459,6 +459,14 @@ def checkpoint_summary(path) -> list[str]:
 # key = value configuration text
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file; other bytes are a FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+
+
 def parse_config_lines(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -528,7 +536,10 @@ def read_dataset_meta(directory) -> dict:
     path = Path(directory) / DATASET_META
     if not path.exists():
         raise FormatError(f"{directory}: missing {DATASET_META}")
-    values = parse_config_lines(path.read_text())
+    try:
+        values = parse_config_lines(read_text(path))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     unknown = sorted(set(values) - set(_META_KEYS))
     if unknown:
         raise FormatError(f"{path}: unknown keys {unknown}")
@@ -552,7 +563,7 @@ def read_dataset_meta(directory) -> dict:
 
 
 def read_lip_indices(path) -> list[int]:
-    lines = Path(path).read_text().split()
+    lines = read_text(path).split()
     try:
         return [int(tok) for tok in lines]
     except ValueError as exc:

@@ -4,12 +4,12 @@ A bundle is a plain ``dict[str, Var]`` keyed by dot-separated paths; shapes
 are fully determined by :class:`ModelConfig`, so checkpoints can be validated
 against it.
 
-Bundles are treated as immutable: the optimizer returns a new one, whose
-arrays are views of one fresh vector, and changes neither the bundle it was
-given nor that bundle's arrays. So ``train`` can keep its best epoch's bundle
-without a copy, and a caller that holds on to the bundle a training step
-was given can recompute that step's loss from it afterwards, as the
-benchmark's training oracle does.
+Bundles are treated as immutable: the optimizer copies the starting bundle
+once into its state, and each step returns a new bundle whose arrays are
+views of a fresh vector; no bundle's arrays are ever written. So ``train``
+can keep its best epoch's bundle without a copy, and a caller that holds on
+to the bundle a training step was given can recompute that step's loss
+from it afterwards, as the benchmark's training oracle does.
 """
 
 from __future__ import annotations

@@ -41,13 +41,6 @@ def ppe_rows(steps, cfg: ModelConfig) -> np.ndarray:
     return sinusoid_rows(steps % cfg.period if cfg.pe_mode == "tb_ppe" else steps, cfg.dim)
 
 
-def ppe_row(t: int, cfg: ModelConfig) -> np.ndarray:
-    """Decoder positional vector for step t (0-based) under cfg.pe_mode."""
-    if t < 0:
-        raise ShapeError(f"step index must be >= 0, got {t}")
-    return ppe_rows([t], cfg)
-
-
 def head_slopes(heads: int) -> list[float]:
     """Per-head temporal-bias slopes 2^(-8h/H) for h = 1..H.
 

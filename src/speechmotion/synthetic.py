@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import AudioInput
+from .encoder import AudioInput, check_feature_width
 from .errors import AudioError, FormatError, ShapeError
 from .formats import (
     DATASET_LIPS,
@@ -28,6 +28,7 @@ from .formats import (
     load_matrix,
     load_motion,
     read_dataset_meta,
+    read_text,
     save_matrix,
     write_dataset_meta,
 )
@@ -162,7 +163,7 @@ def load_dataset(directory) -> tuple[list[TrainingSample], dict]:
     if not samples_path.exists():
         raise FormatError(f"{directory}: missing {DATASET_SAMPLES}")
     samples = []
-    for lineno, line in enumerate(samples_path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(samples_path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -171,9 +172,9 @@ def load_dataset(directory) -> tuple[list[TrainingSample], dict]:
                 f"{samples_path}:{lineno}: expected 'audio<TAB>motion<TAB>identity'"
             )
         try:
-            audio = AudioInput.from_features(
-                load_matrix(directory / parts[0]), meta["feature_rate"]
-            )
+            features = load_matrix(directory / parts[0])
+            check_feature_width(features.shape[1], meta["feature_dim"])
+            audio = AudioInput.from_features(features, meta["feature_rate"])
         except AudioError as exc:
             raise FormatError(f"{directory / parts[0]}: {exc}") from None
         motion = load_motion(directory / parts[1])

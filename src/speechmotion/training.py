@@ -169,7 +169,7 @@ def train(
                     norm, tc.grad_clip, epoch, int(sample_idx),
                 )
             params, state = adam_step(
-                params, grads, state,
+                grads, state,
                 lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps,
             )
             rmse = frame_vertex_rmse(pred, _target_motion(sample, cfg))

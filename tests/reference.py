@@ -32,7 +32,7 @@ from speechmotion.positional import (
     alignment_bias,
     decoder_self_bias,
     head_slopes,
-    ppe_row,
+    ppe_rows,
 )
 
 
@@ -112,13 +112,13 @@ class AdamMoments:
 
 def adam_step(params, grads, state: AdamMoments, lr, beta1, beta2, eps):
     """One bias-corrected Adam update, parameter by parameter; returns a new
-    bundle and new moments. A missing gradient is zero."""
+    bundle and new moments."""
     t = state.step + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     new_params, new_state = {}, AdamMoments(t, {}, {})
     for name, p in params.items():
-        g = grads.get(name, np.zeros_like(p.data))
+        g = grads[name]
         m = beta1 * state.m[name] + (1.0 - beta1) * g
         v = beta2 * state.v[name] + (1.0 - beta2) * np.square(g)
         update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
@@ -170,7 +170,7 @@ def biased_attention(q, k, v, bias: BiasMatrix | None) -> tuple[Var, Var]:
 
 def positional_table(cfg, max_steps: int) -> np.ndarray:
     """Rows 0..max_steps-1 of the decoder positional encoding."""
-    return np.concatenate([ppe_row(t, cfg) for t in range(max_steps)])
+    return np.concatenate([ppe_rows([t], cfg) for t in range(max_steps)])
 
 
 def temporal_bias(t: int, period: int, slope: float) -> BiasMatrix:

@@ -203,11 +203,11 @@ def test_criterion_5_positional_encoding_suite():
     for period in (1, 3, 10):
         cfg = dataclasses.replace(sm.ModelConfig(), period=period, dim=16)
         for t in range(4 * period):
-            assert np.array_equal(sm.ppe_row(t, cfg), sm.ppe_row(t + period, cfg))
+            assert np.array_equal(sm.ppe_rows([t], cfg), sm.ppe_rows([t + period], cfg))
 
     cfg = dataclasses.replace(sm.ModelConfig(), pe_mode="original_pe", dim=16)
     for t in range(40):
-        row = sm.ppe_row(t, cfg)[0]
+        row = sm.ppe_rows([t], cfg)[0]
         i = np.arange(8)
         angles = t / np.power(10000.0, 2.0 * i / 16)
         assert np.allclose(row[0::2], np.sin(angles), atol=1e-15)

@@ -17,7 +17,6 @@ from speechmotion import (
     TrainingSample,
     Var,
     backward,
-    grad,
     init_params,
 )
 from speechmotion import autodiff as ad
@@ -27,6 +26,11 @@ from speechmotion.training import rollout_loss
 from conftest import finite_diff, rel_err
 import reference
 from reference import add, layer_norm, relu, softmax_rows, temporal_bias
+
+
+def grad(loss, wrt):
+    """The gradient of a scalar taped value for one variable."""
+    return backward(loss, {"_": wrt})["_"]
 
 
 class TestMatmul:

@@ -531,3 +531,68 @@ class TestExitCodes:
     def test_bad_ff_log_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("FF_LOG", "loudly")
         assert main(["inspect", "whatever"]) == 1
+
+    @pytest.mark.parametrize("target", ["train.cfg", "dataset.cfg", "samples.tsv", "lips.txt"])
+    def test_non_utf8_text_names_the_file(self, tmp_path, dataset_dir, capsys, target):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        bad = cfg_path if target == "train.cfg" else dataset_dir / target
+        bad.write_bytes(b"dim = 8\n\xff\xfe\n")
+        motion = str(dataset_dir / "seq000.motion.f32mat")
+        argv = ["eval-lip", motion, motion, str(bad)] if target == "lips.txt" else [
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target, line, message", [
+        ("train.cfg", "dim 8", "line 2: expected 'key = value', got 'dim 8'"),
+        ("train.cfg", "dimm = 8", "unknown configuration keys: dimm"),
+        ("dataset.cfg", "frames 4", "line 2: expected 'key = value', got 'frames 4'"),
+    ])
+    def test_config_errors_name_the_file(
+        self, tmp_path, dataset_dir, capsys, target, line, message
+    ):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        bad = cfg_path if target == "train.cfg" else dataset_dir / target
+        bad.write_text(f"heads = 2\n{line}\n")
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infer", "export-attn"])
+    def test_wrong_feature_width_names_the_file(self, tmp_path, trained, capsys, command):
+        wide = tmp_path / "wide.f32mat"
+        save_matrix(wide, np.zeros((8, 5)))
+        out = ["--out", str(tmp_path / "m.f32mat")] if command == "infer" else [
+            "--out-dir", str(tmp_path / "attn")]
+        capsys.readouterr()
+        assert main([
+            command, "--ckpt", str(trained), "--audio", str(wide), "--identity", "0", *out,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{wide}: feature width 5 does not match configured feature_dim 3" in err
+        assert not (tmp_path / "m.f32mat").exists() and not (tmp_path / "attn").exists()
+
+    def test_wrong_feature_width_in_dataset_names_the_file(
+        self, tmp_path, dataset_dir, capsys, monkeypatch
+    ):
+        wide = dataset_dir / "seq001.audio.f32mat"
+        save_matrix(wide, np.zeros((8, 5)))
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        monkeypatch.setattr(cli, "train", None)  # rejected before training starts
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{wide}: feature width 5 does not match configured feature_dim 3" in err
+        assert not (tmp_path / "m.ckpt").exists()

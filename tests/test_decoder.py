@@ -19,7 +19,7 @@ from speechmotion import (
 from speechmotion.decoder import embed_table
 from speechmotion import autodiff as ad
 from speechmotion import decoder, init_params, training
-from speechmotion.positional import head_slopes, ppe_row
+from speechmotion.positional import head_slopes, ppe_rows
 
 from conftest import cached_step, finite_diff, rel_err
 from reference import causal_mask, dense_decoder_layer, temporal_bias
@@ -50,7 +50,7 @@ class TestEmbedStep:
     def test_step_zero_is_style_plus_position(self, tiny_cfg, tiny_params):
         out = _embed(None, 1, 0, tiny_params, tiny_cfg)
         style = tiny_params["style.table"].data[1]
-        assert np.allclose(out.data[0] - ppe_row(0, tiny_cfg)[0], style, atol=1e-15)
+        assert np.allclose(out.data[0] - ppe_rows([0], tiny_cfg)[0], style, atol=1e-15)
 
     def test_zero_motion_encoder_leaves_style_plus_position(self, tiny_cfg, tiny_params, rng):
         params = dict(tiny_params)
@@ -59,7 +59,7 @@ class TestEmbedStep:
         prev = rng.normal(size=(1, 9))
         for t in (1, 3):
             out = _embed(prev, 0, t, params, tiny_cfg)
-            expect = params["style.table"].data[0:1] + ppe_row(t, tiny_cfg)
+            expect = params["style.table"].data[0:1] + ppe_rows([t], tiny_cfg)
             assert np.allclose(out.data, expect, atol=1e-15)
 
     def test_motion_bias_from_step_one(self, tiny_cfg, tiny_params, rng):
@@ -69,10 +69,10 @@ class TestEmbedStep:
         params["motion_enc.b"] = Var(rng.normal(size=(1, 8)))
         style = params["style.table"].data[1:2]
         assert np.allclose(_embed(None, 1, 0, params, tiny_cfg).data,
-                           style + ppe_row(0, tiny_cfg), atol=1e-15)
+                           style + ppe_rows([0], tiny_cfg), atol=1e-15)
         prev = rng.normal(size=(1, 9))
         expect = (prev @ params["motion_enc.w"].data + params["motion_enc.b"].data
-                  + style + ppe_row(3, tiny_cfg))
+                  + style + ppe_rows([3], tiny_cfg))
         assert np.allclose(_embed(prev, 1, 3, params, tiny_cfg).data, expect, atol=1e-14)
 
     def test_identities_differ(self, tiny_cfg, tiny_params, rng):

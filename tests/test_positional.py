@@ -11,7 +11,6 @@ from speechmotion import (
     ModelConfig,
     alignment_bias,
     head_slopes,
-    ppe_row,
 )
 from speechmotion.errors import ShapeError
 from speechmotion.positional import decoder_self_bias, ppe_rows, sinusoid_rows
@@ -33,31 +32,27 @@ class TestPpe:
     def test_periodicity_bitwise(self):
         cfg = _cfg(period=5, dim=8)
         for t in range(3 * 5):
-            assert np.array_equal(ppe_row(t, cfg), ppe_row(t + 5, cfg))
+            assert np.array_equal(ppe_rows([t], cfg), ppe_rows([t + 5], cfg))
 
     def test_step_zero(self):
-        row = ppe_row(0, _cfg(dim=6))[0]
+        row = ppe_rows([0], _cfg(dim=6))[0]
         assert np.array_equal(row[0::2], np.zeros(3))
         assert np.array_equal(row[1::2], np.ones(3))
 
     def test_direct_scalar_evaluation(self):
         # component 0 at t=3, p=10, d=4 is sin(3 / 10000^0) = sin(3)
-        row = ppe_row(3, _cfg(period=10, dim=4))[0]
+        row = ppe_rows([3], _cfg(period=10, dim=4))[0]
         assert row[0] == pytest.approx(0.1411200080598672, abs=1e-15)
         assert row[1] == pytest.approx(math.cos(3.0), abs=1e-15)
         assert row[2] == pytest.approx(math.sin(3.0 / 10000 ** 0.5), abs=1e-15)
 
     def test_original_mode_drops_modulus(self):
         cfg = _cfg(mode="original_pe", period=2, dim=4)
-        assert np.array_equal(ppe_row(7, cfg), sinusoid_row(7, 4))
-        assert not np.array_equal(ppe_row(7, cfg), ppe_row(5, cfg))
+        assert np.array_equal(ppe_rows([7], cfg), sinusoid_row(7, 4))
+        assert not np.array_equal(ppe_rows([7], cfg), ppe_rows([5], cfg))
 
     def test_alibi_mode_is_zero(self):
-        assert not np.any(ppe_row(9, _cfg(mode="alibi")))
-
-    def test_negative_step_rejected(self):
-        with pytest.raises(ShapeError):
-            ppe_row(-1, _cfg())
+        assert not np.any(ppe_rows([9], _cfg(mode="alibi")))
 
     @pytest.mark.parametrize("dim", [1, 7, 8, 63, 64, 767, 768])
     def test_sinusoid_rows_match_per_row_bitwise(self, dim):
