@@ -18,10 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import synthetic
-from .config import build_configs, with_dataset_shape
+from .config import build_configs
 from .decoder import autoregress
 from .encoder import AudioInput, check_feature_width, infer_motion_len
-from .errors import AudioError, ConfigError, DivergenceError, SpeechMotionError, UsageError
+from .errors import (
+    AudioError,
+    ConfigError,
+    DivergenceError,
+    ShapeError,
+    SpeechMotionError,
+    UsageError,
+)
 from .formats import (
     checkpoint_summary,
     load_checkpoint,
@@ -87,11 +94,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-synthetic", help="write a deterministic synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--identities", type=int, default=2)
-    p.add_argument("--sequences", type=int, default=8)
-    p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--vertices", type=int, default=10)
-    p.add_argument("--feature-dim", type=int, default=8)
+    p.add_argument("--identities", type=positive_int, default=2)
+    p.add_argument("--sequences", type=positive_int, default=8)
+    p.add_argument("--frames", type=positive_int, default=20)
+    p.add_argument("--vertices", type=positive_int, default=10)
+    p.add_argument("--feature-dim", type=positive_int, default=8)
     p.add_argument("--seed", type=non_negative_int, default=0)
 
     p = sub.add_parser("train", help="train on a dataset directory")
@@ -123,6 +130,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("inspect", help="print matrix/checkpoint header information")
     p.add_argument("path")
     return parser
+
+
+def _check_out_dirs(*paths) -> None:
+    """Fail before any work if an output file's directory does not exist."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise SpeechMotionError(f"{path}: no such directory to write into")
 
 
 def _load_audio(path: str, cfg) -> AudioInput:
@@ -172,25 +186,19 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    try:
-        parsed = build_configs(parse_config_lines(read_text(args.config)))
+    loss_csv = args.loss_csv or f"{args.out}.loss.csv"
+    _check_out_dirs(args.out, loss_csv)
+    try:  # load_dataset reports its own errors as FormatErrors naming its files
+        values = parse_config_lines(read_text(args.config))
+        dataset, meta = synthetic.load_dataset(args.data)
+        cfg, tc = build_configs(values, meta, args.data)
     except ConfigError as exc:
         raise ConfigError(f"{args.config}: {exc}") from None
-    for notice in parsed.notices:
-        log.info("%s", notice)
-    dataset, meta = synthetic.load_dataset(args.data)
-    cfg = with_dataset_shape(
-        parsed,
-        vertices=meta["vertices"],
-        identities=meta["identities"],
-        feature_dim=meta["feature_dim"],
-        feature_rate=meta["feature_rate"],
-        motion_rate=meta["motion_rate"],
-    )
-    params = init_params(cfg, parsed.train.seed)
-    params, history = train(dataset, params, cfg, **asdict(parsed.train))
+    log.info("model config: %s", cfg)
+    log.info("training config: %s", tc)
+    params = init_params(cfg, tc.seed)
+    params, history = train(dataset, params, cfg, **asdict(tc))
     save_checkpoint(args.out, params, cfg)
-    loss_csv = args.loss_csv or f"{args.out}.loss.csv"
     lines = ["step,epoch,sample,loss,rmse"]
     lines += [
         f"{h.step},{h.epoch},{h.sample},{h.loss:.17g},{h.rmse:.17g}" for h in history
@@ -206,6 +214,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    _check_out_dirs(args.out)
     motion = _synthesize(args)
     save_matrix(args.out, motion)
     log.info("wrote %dx%d motion to %s", motion.shape[0], motion.shape[1], args.out)
@@ -216,7 +225,12 @@ def _cmd_eval_lip(args) -> int:
     pred = load_motion(args.pred)
     truth = load_motion(args.truth)
     lips = read_lip_indices(args.lips)
-    print(format(lip_error(pred, truth, lips), ".12g"))
+    blame = args.lips if pred.shape == truth.shape else f"{args.pred} vs {args.truth}"
+    try:
+        error = lip_error(pred, truth, lips)
+    except ShapeError as exc:
+        raise ShapeError(f"{blame}: {exc}") from None
+    print(format(error, ".12g"))
     return EXIT_OK
 
 

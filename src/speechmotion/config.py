@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -18,7 +18,10 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture shape knobs; defaults are the desk-scale synthetic profile."""
+    """Architecture shape knobs; defaults are the desk-scale synthetic profile.
+
+    A config checks itself when built: an out-of-range field is a
+    ``ConfigError`` naming it."""
 
     dim: int = 32                # decoder model dimension
     heads: int = 4               # decoder attention heads (power of two)
@@ -35,6 +38,9 @@ class ModelConfig:
     encoder_heads: int = 2
     pe_mode: str = "tb_ppe"
     output_space: str = "absolute"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def frame_ratio(self) -> int:
@@ -82,7 +88,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization knobs."""
+    """Optimization knobs, checked when built like :class:`ModelConfig`."""
 
     epochs: int = 100
     seed: int = 0
@@ -94,16 +100,24 @@ class TrainConfig:
     freeze_extractor: bool = True
     detach_rollout: bool = False
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "TrainConfig":
         for name in ("epochs", "seed"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-        # the negated comparisons reject NaN as well
+        # the negated comparisons reject NaN as well; an infinite grad_clip
+        # never clips
         for name in ("lr", "eps", "grad_clip"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0 <= value < 1:
@@ -157,61 +171,42 @@ CONFIG_KEYS: dict[str, tuple[str, type | object]] = {
 }
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
-    model: ModelConfig
-    train: TrainConfig
-    explicit_model_keys: frozenset[str]
-    notices: tuple[str, ...]
+def build_configs(
+    values: dict[str, str], dataset: dict, dataset_name: str
+) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs for the key/value strings ``values``,
+    to train on the dataset ``dataset_name`` whose ``dataset.cfg`` holds
+    ``dataset``.
 
-
-def build_configs(values: dict[str, str]) -> ParsedConfig:
-    """Turn raw key/value strings into validated configs.
-
-    Unknown keys are errors (misspelling guard); missing keys fall back to the
-    defaults and are reported in the notice list.
+    Unknown keys are errors (misspelling guard); missing keys take the
+    defaults. Every ModelConfig field the dataset holds (the vertex count,
+    the identities, the feature width and both rates) is taken from it; a
+    key may repeat such a field but not contradict it.
     """
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    model_kwargs: dict = {}
-    train_kwargs: dict = {}
-    checks: dict[str, int] = {}
+    kwargs: dict[str, dict] = {"model": {}, "train": {}, "check": {}}
     for key, raw in values.items():
         target, parser = CONFIG_KEYS[key]
         try:
-            parsed = parser(raw)
+            kwargs[target][key] = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}")
-        if target == "model":
-            model_kwargs[key] = parsed
-        elif target == "train":
-            train_kwargs[key] = parsed
-        else:
-            checks[key] = parsed
-    model = ModelConfig(**model_kwargs).validate()
-    train = TrainConfig(**train_kwargs).validate()
-    for attr, claimed in checks.items():
+    model_kwargs = kwargs["model"]
+    for name in (f.name for f in fields(ModelConfig) if f.name in dataset):
+        if name in model_kwargs and model_kwargs[name] != dataset[name]:
+            raise ConfigError(
+                f"{name} = {model_kwargs[name]}, but the dataset in {dataset_name} "
+                f"has {name} = {dataset[name]}"
+            )
+        model_kwargs[name] = dataset[name]
+    model = ModelConfig(**model_kwargs)
+    train = TrainConfig(**kwargs["train"])
+    for attr, claimed in kwargs["check"].items():
         actual = getattr(model, attr)
         if claimed != actual:
             raise ConfigError(
                 f"{attr} = {claimed} conflicts with derived value {actual}"
             )
-    defaulted = sorted(
-        {f.name for f in fields(ModelConfig)} - set(model_kwargs)
-    ) + sorted({f.name for f in fields(TrainConfig)} - set(train_kwargs))
-    notices = tuple(f"using default for {name}" for name in defaulted)
-    return ParsedConfig(model, train, frozenset(model_kwargs), notices)
-
-
-def with_dataset_shape(parsed: ParsedConfig, **data_fields) -> ModelConfig:
-    """Overlay data-determined fields (vertices, identities, feature_dim,
-    feature_rate, motion_rate), rejecting conflicting explicit config values."""
-    for name, value in data_fields.items():
-        if name in parsed.explicit_model_keys:
-            claimed = getattr(parsed.model, name)
-            if claimed != value:
-                raise ConfigError(
-                    f"config sets {name} = {claimed} but the dataset has {value}"
-                )
-    return replace(parsed.model, **data_fields).validate()
+    return model, train

@@ -77,7 +77,10 @@ _CONFIG_FIELDS = (
 def atomic_write_bytes(path, *chunks) -> None:
     """Write the buffers in ``chunks`` one after another to ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    except OSError as exc:  # it would name the temp file, not the output
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
@@ -178,7 +181,7 @@ def _config_from_vector(vec: np.ndarray, path) -> ModelConfig:
             )
         kwargs[name] = codes[kwargs[name]]
     try:
-        return ModelConfig(**kwargs).validate()
+        return ModelConfig(**kwargs)
     except ConfigError as exc:
         raise FormatError(f"{path}: checkpoint config is invalid: {exc}")
 

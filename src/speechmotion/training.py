@@ -119,7 +119,7 @@ def train(
     returns the parameters with the lowest autoregressive RMSE instead of the
     last epoch's (a simple best-loss checkpoint).
     """
-    tc = TrainConfig(epochs=epochs, seed=seed, **knobs).validate()
+    tc = TrainConfig(epochs=epochs, seed=seed, **knobs)
     if not dataset:
         raise ShapeError("training needs a nonempty dataset")
     widths = {s.motion.shape[1] for s in dataset}

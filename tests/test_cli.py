@@ -73,6 +73,16 @@ class TestGenSynthetic:
         assert "--seed" in err and "got -1" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag", ["--identities", "--sequences", "--frames", "--vertices", "--feature-dim"]
+    )
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(out), flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "got 0" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_negative_seed_is_config_error(self, tmp_path, dataset_dir, capsys):
@@ -116,17 +126,42 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value", [
         ("grad_clip", "-1"), ("grad_clip", "0"), ("beta1", "1"),
-        ("beta2", "1.5"), ("eps", "0"),
+        ("beta2", "1.5"), ("eps", "0"), ("eps", "inf"), ("lr", "inf"),
     ])
     def test_out_of_range_knob_is_data_error(self, tmp_path, dataset_dir, capsys, key, value):
         cfg_path = tmp_path / "train.cfg"
-        cfg_path.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        cfg_path.write_text(TINY_CONFIG.replace("lr = 0.001\n", "") + f"{key} = {value}\n")
         code = main([
             "train", "--config", str(cfg_path), "--data", str(dataset_dir),
             "--out", str(tmp_path / "x.ckpt"),
         ])
         assert code == 2
-        assert key in capsys.readouterr().err
+        assert f"{cfg_path}: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("repeat", [
+        "",
+        "vertices = 2\nidentities = 2\nfeature_dim = 3\nfeature_rate = 50\n"
+        "motion_rate = 25\n",
+    ])
+    def test_logs_the_configs_it_trains_with(self, tmp_path, dataset_dir, caplog, repeat):
+        import logging
+
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG + repeat)
+        with caplog.at_level(logging.INFO, logger="speechmotion"):
+            assert main([
+                "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+                "--out", str(tmp_path / "m.ckpt"),
+            ]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        models = [m for m in messages if m.startswith("model config: ")]
+        trains = [m for m in messages if m.startswith("training config: ")]
+        assert len(models) == 1 and len(trains) == 1
+        assert "vertices=2," in models[0] and "feature_dim=3," in models[0]
+        assert "identities=2," in models[0] and "feature_rate=50.0," in models[0]
+        assert "dim=8," in models[0] and "seed=5," in trains[0]
+        assert not [m for m in messages if "default" in m]
 
     @pytest.mark.parametrize("key, value", [("frames", "abc"), ("feature_rate", "nan")])
     def test_bad_dataset_meta_value_is_data_error(
@@ -369,6 +404,33 @@ class TestEvalLip:
         captured = capsys.readouterr()
         assert f"{which}.f32mat" in captured.err and captured.out == ""
 
+    def test_shape_mismatch_names_both_motion_files(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred.f32mat", tmp_path / "truth.f32mat"
+        save_matrix(pred, np.zeros((4, 6)))
+        save_matrix(truth, np.zeros((8, 3)))
+        lips = tmp_path / "lips.txt"
+        lips.write_text("0\n")
+        assert main(["eval-lip", str(pred), str(truth), str(lips)]) == 2
+        captured = capsys.readouterr()
+        assert f"{pred} vs {truth}: prediction (4, 6) vs truth (8, 3)" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("indices, expected", [
+        ("0\n99\n", "lip indices must be unique and in [0, 2), got [0, 99]"),
+        ("1\n1\n", "lip indices must be unique and in [0, 2), got [1, 1]"),
+        ("", "lip index set is empty"),
+    ])
+    def test_bad_lip_indices_name_the_lips_file(
+        self, tmp_path, dataset_dir, capsys, indices, expected
+    ):
+        motion = str(dataset_dir / "seq000.motion.f32mat")
+        lips = tmp_path / "lips.txt"
+        lips.write_text(indices)
+        assert main(["eval-lip", motion, motion, str(lips)]) == 2
+        captured = capsys.readouterr()
+        assert f"{lips}: {expected}" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
 
 class TestExportAttn:
     def test_writes_per_module_csvs(self, tmp_path, trained, dataset_dir):
@@ -565,6 +627,59 @@ class TestExitCodes:
             "--out", str(tmp_path / "m.ckpt"),
         ]) == 2
         assert f"{bad}: {message}" in capsys.readouterr().err
+
+    def test_dataset_conflict_names_file_key_values_and_dataset(
+        self, tmp_path, dataset_dir, capsys, monkeypatch
+    ):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG + "vertices = 99\n")
+        monkeypatch.setattr(cli, "train", None)  # rejected before training starts
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"{cfg_path}: vertices = 99, but the dataset in {dataset_dir} has vertices = 2"
+            in err
+        )
+        assert "Traceback" not in err and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--loss-csv"])
+    def test_train_into_missing_directory_fails_first(
+        self, tmp_path, dataset_dir, capsys, monkeypatch, flag
+    ):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
+        missing = tmp_path / "missing" / "out.file"
+        outs = {"--out": str(tmp_path / "m.ckpt"), "--loss-csv": str(tmp_path / "l.csv")}
+        outs[flag] = str(missing)
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            *(arg for pair in outs.items() for arg in pair),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{missing}: no such directory to write into" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "train.cfg"]
+
+    def test_infer_into_missing_directory_fails_first(
+        self, tmp_path, trained, dataset_dir, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "autoregress", lambda *a: pytest.fail("decoded"))
+        missing = tmp_path / "missing" / "m.f32mat"
+        capsys.readouterr()
+        assert main([
+            "infer", "--ckpt", str(trained),
+            "--audio", str(dataset_dir / "seq000.audio.f32mat"),
+            "--identity", "0", "--out", str(missing),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{missing}: no such directory to write into" in err
+        assert "Traceback" not in err and not missing.parent.exists()
 
     @pytest.mark.parametrize("command", ["infer", "export-attn"])
     def test_wrong_feature_width_names_the_file(self, tmp_path, trained, capsys, command):

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from speechmotion import (
     ConfigError,
     FormatError,
+    ModelConfig,
+    TrainConfig,
     Var,
     init_params,
     load_checkpoint,
@@ -90,6 +92,13 @@ class TestMatrixFile:
         expected = b"F32M" + struct.pack("<III", 1, 3, 5)
         expected += b"".join(struct.pack("<5f", *row) for row in m)
         assert path.read_bytes() == expected
+
+    def test_missing_directory_names_the_output(self, tmp_path):
+        path = tmp_path / "missing" / "m.f32mat"
+        with pytest.raises(FileNotFoundError) as info:
+            save_matrix(path, np.zeros((2, 3)))
+        assert info.value.filename == str(path)
+        assert str(info.value).endswith(f"No such file or directory: '{path}'")
 
 
 class TestCheckpoint:
@@ -554,17 +563,50 @@ class TestFuzz:
                 assert out.read_bytes() == (root / "expected.f32mat").read_bytes()
 
 
+# what read_dataset_meta returns for a generated dataset
+DATA = {
+    "identities": 2, "sequences": 2, "frames": 4, "vertices": 3,
+    "feature_dim": 8, "feature_rate": 50.0, "motion_rate": 25.0, "seed": 7,
+}
+
+
+def _configs(text: str, dataset=DATA):
+    return build_configs(parse_config_lines(text), dataset, "data")
+
+
 class TestConfigText:
-    def test_parse_and_defaults_notice(self):
-        parsed = build_configs(parse_config_lines("dim = 16\nheads = 2\nlr = 0.001\n"))
-        assert parsed.model.dim == 16
-        assert parsed.model.heads == 2
-        assert parsed.train.lr == 0.001
-        assert any("period" in n for n in parsed.notices)
+    def test_parse_and_defaults(self):
+        model, train = _configs("dim = 16\nheads = 2\nlr = 0.001\n")
+        assert model.dim == 16
+        assert model.heads == 2
+        assert train.lr == 0.001
+        assert model.period == ModelConfig().period
+        assert train.epochs == TrainConfig().epochs
+
+    def test_dataset_fields_come_from_the_dataset(self):
+        model, train = _configs("dim = 16\nheads = 2\n")
+        assert (model.vertices, model.identities, model.feature_dim) == (3, 2, 8)
+        assert (model.feature_rate, model.motion_rate) == (50.0, 25.0)
+        assert train.seed == TrainConfig().seed  # the generator's seed is not taken
+        repeated = _configs(
+            "dim = 16\nheads = 2\nvertices = 3\nidentities = 2\nfeature_dim = 8\n"
+            "feature_rate = 50\nmotion_rate = 25.0\n"
+        )
+        assert repeated == (model, train)
+
+    @pytest.mark.parametrize("key, value, held", [
+        ("vertices", "99", "3"), ("identities", "3", "2"), ("feature_rate", "49", "50.0"),
+    ])
+    def test_dataset_conflict_names_key_values_and_dataset(self, key, value, held):
+        with pytest.raises(ConfigError) as info:
+            _configs(f"{key} = {value}\n")
+        message = str(info.value)
+        assert message.startswith(f"{key} = {value}")
+        assert f"the dataset in data has {key} = {held}" in message
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="perod"):
-            build_configs(parse_config_lines("perod = 10\n"))
+            _configs("perod = 10\n")
 
     def test_comments_and_blank_lines(self):
         values = parse_config_lines("# header\n\ndim = 8  # trailing\n")
@@ -579,48 +621,80 @@ class TestConfigText:
             parse_config_lines("dim 8\n")
 
     def test_bool_and_mode_values(self):
-        parsed = build_configs(
-            parse_config_lines(
-                "freeze_extractor = false\ndetach_rollout = TRUE\npe_mode = alibi\n"
-            )
+        model, train = _configs(
+            "freeze_extractor = false\ndetach_rollout = TRUE\npe_mode = alibi\n"
         )
-        assert parsed.train.freeze_extractor is False
-        assert parsed.train.detach_rollout is True
-        assert parsed.model.pe_mode == "alibi"
+        assert train.freeze_extractor is False
+        assert train.detach_rollout is True
+        assert model.pe_mode == "alibi"
 
     def test_derived_field_cross_check(self):
-        build_configs(parse_config_lines("dim = 8\nheads = 2\nhead_dim = 4\n"))
+        _configs("dim = 8\nheads = 2\nhead_dim = 4\n")
         with pytest.raises(ConfigError, match="head_dim"):
-            build_configs(parse_config_lines("dim = 8\nheads = 2\nhead_dim = 3\n"))
+            _configs("dim = 8\nheads = 2\nhead_dim = 3\n")
         with pytest.raises(ConfigError, match="frame_ratio"):
-            build_configs(
-                parse_config_lines(
-                    "feature_rate = 50\nmotion_rate = 25\nframe_ratio = 3\n"
-                )
-            )
+            _configs("feature_rate = 50\nmotion_rate = 25\nframe_ratio = 3\n")
 
     @pytest.mark.parametrize("key, value", [
         ("grad_clip", "-1"), ("grad_clip", "0"), ("grad_clip", "nan"),
         ("beta1", "1"), ("beta2", "1.5"), ("eps", "0"), ("seed", "-1"),
+        ("lr", "inf"), ("eps", "inf"), ("lr", "nan"),
     ])
     def test_out_of_range_train_values(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            build_configs(parse_config_lines(f"{key} = {value}\n"))
+            _configs(f"{key} = {value}\n")
 
     def test_invalid_model_values(self):
         with pytest.raises(ConfigError, match="power of two"):
-            build_configs(parse_config_lines("heads = 3\ndim = 9\n"))
+            _configs("heads = 3\ndim = 9\n")
         with pytest.raises(ConfigError, match="pe_mode"):
-            build_configs(parse_config_lines("pe_mode = sometimes\n"))
+            _configs("pe_mode = sometimes\n")
 
     @pytest.mark.parametrize("key, value", [
         ("dim", "0"), ("dim", "-8"), ("encoder_dim", "0"), ("encoder_heads", "0"),
         ("period", "9223372036854775808"), ("vertices", str(2**70)),
     ])
     def test_model_sizes_validated(self, key, value):
-        # each used to escape as ZeroDivisionError, ValueError or OverflowError
+        # each used to escape as ZeroDivisionError, ValueError or OverflowError;
+        # a field the dataset fixes is given the same value there
+        dataset = {**DATA, key: int(value)} if key in DATA else DATA
         with pytest.raises(ConfigError, match=key):
-            build_configs(parse_config_lines(f"{key} = {value}\n"))
+            _configs(f"{key} = {value}\n", dataset)
+
+
+class TestConfigChecks:
+    """A config checks itself when built, wherever it is built."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"pe_mode": "bogus"}, "pe_mode must be one of"),
+        ({"output_space": "relative"}, "output_space must be one of"),
+        ({"period": 0}, "period must be >= 1, got 0"),
+        ({"dim": 30}, "dim 30 not divisible by heads 4"),
+        ({"heads": 3, "dim": 30}, "heads must be a power of two"),
+        ({"motion_rate": 0.0}, "motion_rate must be positive"),
+    ])
+    def test_model_config(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(**kwargs)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(ModelConfig(), **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lr": -1}, "lr must be positive, got -1"),
+        ({"lr": float("inf")}, "lr must be finite, got inf"),
+        ({"eps": float("inf")}, "eps must be finite, got inf"),
+        ({"epochs": -1}, "epochs must be >= 0"),
+        ({"beta2": 1.0}, "beta2 must be in"),
+    ])
+    def test_train_config(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**kwargs)
+
+    def test_validate_returns_the_config(self):
+        cfg = ModelConfig()
+        assert cfg.validate() is cfg
+        tc = TrainConfig(grad_clip=float("inf"))
+        assert tc.validate() is tc
 
 
 class TestWav:

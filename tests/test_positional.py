@@ -25,7 +25,10 @@ from reference import (
 
 
 def _cfg(mode="tb_ppe", period=10, dim=4):
-    return dataclasses.replace(ModelConfig(), pe_mode=mode, period=period, dim=dim)
+    # one head, so that every width tested is a valid model
+    return dataclasses.replace(
+        ModelConfig(), pe_mode=mode, period=period, dim=dim, heads=1
+    )
 
 
 class TestPpe:

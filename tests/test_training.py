@@ -172,6 +172,9 @@ class TestTrain:
         data = [_sample(rng)]
         with pytest.raises(ConfigError, match="grad_clip"):
             train(data, tiny_params, tiny_cfg, epochs=1, seed=0, grad_clip=0)
+        # an infinite eps would leave every parameter at its initial value
+        with pytest.raises(ConfigError, match="eps must be finite"):
+            train(data, tiny_params, tiny_cfg, epochs=1, seed=0, eps=float("inf"))
         with pytest.raises(TypeError, match="stop_rmse"):
             train(data, tiny_params, tiny_cfg, epochs=1, seed=0, stop_rmse=0.1)
 
