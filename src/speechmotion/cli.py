@@ -30,6 +30,7 @@ from .errors import (
     UsageError,
 )
 from .formats import (
+    check_unchanged,
     checkpoint_summary,
     load_checkpoint,
     load_matrix,
@@ -156,7 +157,8 @@ def _synthesize(args, capture=None):
     """Motion for ``args.audio`` from the ``args.ckpt`` model. A frame that is
     non-finite or outside the float32 range of the output file is an error
     naming the checkpoint, and a failed allocation one naming the audio file
-    and the frame count, raised before anything is written."""
+    and the frame count, raised before anything is written. So is a
+    checkpoint rewritten in place while its payloads were mapped."""
     params, cfg = load_checkpoint(args.ckpt, for_inference=True)
     audio = _load_audio(args.audio, cfg)
     try:
@@ -167,6 +169,7 @@ def _synthesize(args, capture=None):
         raise SpeechMotionError(
             f"{args.audio}: not enough memory to decode {frames} frames"
         ) from None
+    check_unchanged(args.ckpt, params)
     if not (-_F32_MAX <= motion.min() and motion.max() <= _F32_MAX):  # or NaN
         bad = np.flatnonzero(~(np.abs(motion) <= _F32_MAX).all(axis=1))[0]
         raise DivergenceError(

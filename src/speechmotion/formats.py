@@ -4,45 +4,65 @@ configuration text, WAV input, and dataset directories.
 MatrixFile ("F32M"): magic, version u32 (MATRIX_VERSION), rows u32, cols u32,
 then rows*cols little-endian float32 values in row-major order.
 
-Checkpoint ("FFCK"), version 2 (CHECKPOINT_VERSION), written by
+Checkpoint ("FFCK"), version 3 (CHECKPOINT_VERSION), written by
 save_checkpoint: a header block, then the payloads. The header block is the
 magic, version u32, entry count u32, entry table length u32, the entry table
 (per entry: name length u16 + UTF-8 name + rows u32 + cols u32 + CRC32 of
-its payload), and a CRC32 of all of the block before it. The payloads follow
-in table order, each rows*cols little-endian float64 values, and end the
+its payload), zero padding, and a CRC32 of all of the block before it. The
+padding makes the block end, and the first payload start, on a multiple of
+_ALIGN (64) bytes. The payloads follow in table order, each rows*cols
+little-endian float64 values, so each starts 8-byte aligned, and end the
 file. Entries are the parameters in name order plus two derived entries,
 FOLD_ENTRIES (the feedback fold M and c of decoder.feedback_map, computed on
 every save, so never stale), and last a reserved "__config__" entry for the
 model configuration (a 1x18 numeric vector, field order in _CONFIG_FIELDS;
 pe_mode/output_space as indices into their enumerations).
 
-Every byte a load uses is checked before it is used: the header block
-against its CRC before the table is parsed, and each payload it reads
-against its entry's CRC. The full load (training, ``inspect``) reads and
-checks every payload and drops the derived entries. The inference load
-seeks past the motion encoder's payloads, which inference uses only through
-the stored fold, so a corrupt byte there is caught by the full load and
-``inspect``, not by ``infer``.
+Version 2 files still load: version 3 without the padding, so their
+payloads start wherever the table ends. Version 1 files still load: magic,
+version u32, entry count u32, then per entry name length u16 + name + rows
+u32 + cols u32 + float64 payload, and a trailing CRC32 of all preceding
+bytes; no derived entries, so inference computes the fold. The whole file
+is read and its CRC is checked before any structural problem is reported,
+so a corrupt file reads as corrupt.
 
-Version 1 files still load: magic, version u32, entry count u32, then per
-entry name length u16 + name + rows u32 + cols u32 + float64 payload, and a
-trailing CRC32 of all preceding bytes; no derived entries, so inference
-computes the fold. The whole file is read and its CRC is checked before any
-structural problem is reported, so a corrupt file reads as corrupt.
+Every byte a load uses is checked before it is used: the header block
+against its CRC before the table is parsed, and each payload it uses
+against its entry's CRC. The full load (training, ``inspect``) checks every
+payload and drops the derived entries. The inference load seeks past the
+motion encoder's payloads, which inference uses only through the stored
+fold, so a corrupt byte there is caught by the full load and ``inspect``,
+not by ``infer``. Sizes are checked against the file size before anything
+is allocated or mapped.
+
+A version 3 payload of at least _MAP_BYTES (32 MiB) is not read but mapped:
+the file is mapped read-only, and the entry is a read-only float64 view of
+its payload, handed out only after zlib.crc32 over the mapped bytes matches
+its entry. 32 MiB is the largest value glibc's dynamic mmap threshold
+reaches, so a new array that large always gets fresh pages from the kernel,
+and reading into it pays page faults, zeroing and a copy that the map
+saves. Smaller arrays reuse freed heap, where a map would only add resident
+file pages. Every other payload, and every payload of a version 1 or 2
+file, is read in chunks straight into an array of its own, which is aligned
+(numpy hands only aligned arrays to BLAS) and owns its memory, and each
+chunk is checksummed as soon as it is read.
 
 All writers go through a temp file + atomic rename, so failures never leave
 partial files behind. They stream their chunks (a header, then each array's
 own buffer) to that file without joining them into one byte string first.
 
-A checkpoint is read from the open file (no mmap, so the bytes cannot change
-after their check). Each payload is read in chunks straight into an array of
-its own, which is aligned (numpy hands only aligned arrays to BLAS) and owns
-its memory, and each chunk is checksummed as soon as it is read. Sizes are
-checked against the file size before anything is allocated.
+A map sees later writes to its file. A rename over the file leaves a mapped
+file intact, but a rewrite in place (``cp`` over the file, say) would change
+mapped bytes after their check. So a load that maps records the file's
+inode, size and mtime, and check_unchanged, which ``infer`` and
+``export-attn`` call before they write, reports the file as changed while
+in use when the path still names that inode with another size or mtime.
+Truncating a mapped checkpoint in place can end the process with SIGBUS.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import tempfile
@@ -61,11 +81,13 @@ from .params import Params, param_shapes, validate_shapes
 MATRIX_MAGIC = b"F32M"
 CHECKPOINT_MAGIC = b"FFCK"
 MATRIX_VERSION = 1
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 CONFIG_ENTRY = "__config__"
 # Inference uses the motion encoder only through the stored fold.
 _UNREAD_FOR_INFERENCE = ("motion_enc.w", "motion_enc.b")
 _CHUNK = 4 << 20  # bytes per checkpoint readinto and CRC fold
+_ALIGN = 64  # version 3: the first payload starts on a multiple of this
+_MAP_BYTES = 32 << 20  # version 3 payloads this large are mapped, not read
 
 _CONFIG_FIELDS = (
     "dim", "heads", "period", "feature_rate", "motion_rate",
@@ -187,7 +209,7 @@ def _config_from_vector(vec: np.ndarray, path) -> ModelConfig:
 
 
 def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
-    """Write ``params`` and ``cfg`` as a version 2 checkpoint. The feedback
+    """Write ``params`` and ``cfg`` as a version 3 checkpoint. The feedback
     fold of :func:`decoder.feedback_map` is computed on every save and
     stored as the derived entries ``FOLD_ENTRIES``."""
     if CONFIG_ENTRY in params:
@@ -211,8 +233,15 @@ def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
     )
     header = CHECKPOINT_MAGIC + struct.pack(
         "<III", CHECKPOINT_VERSION, len(entries), len(table)
-    ) + table
+    ) + table + bytes(_padding(CHECKPOINT_VERSION, len(table)))
     atomic_write_bytes(path, header, struct.pack("<I", zlib.crc32(header)), *payloads)
+
+
+def _padding(version: int, table_len: int) -> int:
+    """The zero bytes between the entry table and the header CRC: none in
+    version 2, and in version 3 enough to end the header block on a
+    multiple of ``_ALIGN``."""
+    return 0 if version == 2 else -(20 + table_len) % _ALIGN
 
 
 def _read_payload(
@@ -337,7 +366,8 @@ def _read_v1(fh, path, head: bytes, size: int, keep, scratch) -> dict[str, np.nd
 
 def _parse_table(path, table: bytes, count: int, room: int) -> dict:
     """name -> (shape, payload CRC) of the ``count`` entries of a version 2
-    entry table, in table order; their payloads must fit in ``room`` bytes."""
+    or 3 entry table, in table order; their payloads must fit in ``room``
+    bytes."""
     entries, at = {}, 0
     for _ in range(count):
         if at + 2 > len(table):
@@ -363,29 +393,65 @@ def _parse_table(path, table: bytes, count: int, room: int) -> dict:
     return entries
 
 
-def _read_v2(fh, path, head: bytes, size: int, skip, keep, scratch) -> dict[str, np.ndarray]:
-    """The entries of a version 2 checkpoint, after the 8 bytes ``head``,
-    but for those named in ``skip``, whose payloads are neither read nor
-    checked. The header block is checked before anything in it is used,
-    and each payload read before it is returned (see
+class _Mapping(mmap.mmap):
+    """A read-only map of a checkpoint file. ``identity``: the file's
+    (inode, size, mtime in ns) when the load opened it."""
+
+    identity: tuple[int, int, int]
+
+
+def _map(fh, path, st) -> _Mapping:
+    """A read-only map of the ``st.st_size`` bytes of the open file ``fh``."""
+    try:
+        mapping = _Mapping(fh.fileno(), st.st_size, access=mmap.ACCESS_READ)
+    except ValueError:  # the file is shorter than when it was opened
+        raise FormatError(
+            f"{path}: short read at byte {fh.tell()}, file changed while loading"
+        ) from None
+    mapping.identity = (st.st_ino, st.st_size, st.st_mtime_ns)
+    return mapping
+
+
+def _read_tabled(fh, path, head: bytes, st, skip, keep, scratch) -> dict[str, np.ndarray]:
+    """The entries of a version 2 or 3 checkpoint, after the 8 bytes
+    ``head``, but for those named in ``skip``, whose payloads are neither
+    read nor checked. The header block is checked before anything in it is
+    used, and each payload before it is returned. A version 3 payload of at
+    least ``_MAP_BYTES`` that is held is a view of a map of the file (see
     :func:`_read_checkpoint` for ``keep`` and ``scratch``)."""
+    size = st.st_size
+    (version,) = struct.unpack("<I", head[4:])
     fixed = fh.read(8)
     count, table_len = struct.unpack("<II", fixed)
-    offset = 16 + table_len + 4  # the first payload byte
-    sealed = fh.read(table_len + 4) if offset <= size else b""
-    table, stored = sealed[:-4], sealed[-4:]
-    header_crc = zlib.crc32(table, zlib.crc32(head + fixed))
-    if len(sealed) != table_len + 4 or stored != struct.pack("<I", header_crc):
+    pad = _padding(version, table_len)
+    offset = 16 + table_len + pad + 4  # the first payload byte
+    sealed = fh.read(offset - 16) if offset <= size else b""
+    header_crc = zlib.crc32(sealed[:-4], zlib.crc32(head + fixed))
+    if len(sealed) != offset - 16 or sealed[-4:] != struct.pack("<I", header_crc):
         raise FormatError(f"{path}: header CRC mismatch, file is corrupt")
-    entries = {}
-    for name, (shape, crc) in _parse_table(path, table, count, size - offset).items():
+    if any(sealed[table_len:-4]):
+        raise FormatError(f"{path}: header padding is not zero")
+    entries, mapping = {}, None
+    for name, (shape, crc) in _parse_table(
+        path, sealed[:table_len], count, size - offset
+    ).items():
         nbytes = 8 * shape[0] * shape[1]
         if name in skip:
             fh.seek(nbytes, os.SEEK_CUR)
+            offset += nbytes
+            continue
+        if version == 3 and nbytes >= _MAP_BYTES and (keep is None or name in keep):
+            if mapping is None:
+                mapping = _map(fh, path, st)
+            data = np.frombuffer(mapping, "<f8", nbytes // 8, offset).reshape(shape)
+            fh.seek(nbytes, os.SEEK_CUR)
+            got = zlib.crc32(data)
         else:
-            entries[name], through = _new_entry(name, shape, keep, scratch)
-            if _read_payload(fh, entries[name], path, offset, 0, through) != crc:
-                raise FormatError(f"{path}: CRC mismatch in entry {name!r}, file is corrupt")
+            data, through = _new_entry(name, shape, keep, scratch)
+            got = _read_payload(fh, data, path, offset, 0, through)
+        if got != crc:
+            raise FormatError(f"{path}: CRC mismatch in entry {name!r}, file is corrupt")
+        entries[name] = data
         offset += nbytes
     if offset != size:
         if fh.read(1):
@@ -395,32 +461,37 @@ def _read_v2(fh, path, head: bytes, size: int, skip, keep, scratch) -> dict[str,
 
 
 def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarray]]:
-    """The version of a checkpoint and its entries, each an aligned,
-    writable float64 array that owns its memory. ``skip``: entries a
-    version 2 file is read without; a version 1 file is always read whole.
-    ``keep``: when given, the only entries whose payloads are held; every
-    other payload is checked through one reused buffer of up to ``_CHUNK``
-    bytes and stands as a read-only zero of its shape."""
+    """The version of a checkpoint and its entries, each an aligned float64
+    array: a read-only view of a map of the file for a version 3 payload of
+    at least ``_MAP_BYTES``, else a writable array that owns its memory.
+    ``skip``: entries a version 2 or 3 file is read without; a version 1
+    file is always read whole. ``keep``: when given, the only entries whose
+    payloads are held; every other payload is checked through one reused
+    buffer of up to ``_CHUNK`` bytes and stands as a read-only zero of its
+    shape."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        st = os.fstat(fh.fileno())
         head = fh.read(8)
-        if size < 16 or head[:4] != CHECKPOINT_MAGIC:
+        if st.st_size < 16 or head[:4] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
-        scratch = None if keep is None else bytearray(min(_CHUNK, size))
-        if head[4:] == struct.pack("<I", CHECKPOINT_VERSION):
-            return CHECKPOINT_VERSION, _read_v2(fh, path, head, size, skip, keep, scratch)
-        return 1, _read_v1(fh, path, head, size, keep, scratch)
+        scratch = None if keep is None else bytearray(min(_CHUNK, st.st_size))
+        (version,) = struct.unpack("<I", head[4:])
+        if version in (2, 3):
+            return version, _read_tabled(fh, path, head, st, skip, keep, scratch)
+        return 1, _read_v1(fh, path, head, st.st_size, keep, scratch)
 
 
 def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelConfig]:
     """The parameters and configuration stored in a checkpoint.
 
     The full load reads and checks every entry and returns the trainable
-    parameters only. With ``for_inference``, a version 2 file is read
+    parameters only. With ``for_inference``, a version 2 or 3 file is read
     without the motion encoder, which inference uses only through the
     fold, and the parameters carry the stored fold instead (see
     :func:`decoder.feedback_map`). A version 1 file is read whole and
-    carries no fold.
+    carries no fold. A parameter from a version 3 payload of at least
+    ``_MAP_BYTES`` is a read-only view of a map of the file; copy it to
+    change it.
     """
     skip = _UNREAD_FOR_INFERENCE if for_inference else ()
     version, entries = _read_checkpoint(path, skip)
@@ -428,7 +499,7 @@ def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelCon
         raise FormatError(f"{path}: missing {CONFIG_ENTRY!r} entry")
     cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)
     expected = param_shapes(cfg)
-    if version == CHECKPOINT_VERSION:
+    if version > 1:
         expected.update(zip(FOLD_ENTRIES, ((cfg.dim, cfg.dim), (1, cfg.dim))))
         for name in skip:
             del expected[name]
@@ -441,6 +512,32 @@ def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelCon
         for name in FOLD_ENTRIES:
             params.pop(name, None)
     return params, cfg
+
+
+def _mapping_of(array: np.ndarray) -> _Mapping | None:
+    """The checkpoint map that ``array`` views, if any."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    mapping = getattr(array, "obj", None)  # np.frombuffer's base is a memoryview
+    return mapping if isinstance(mapping, _Mapping) else None
+
+
+def check_unchanged(path, params: Params) -> None:
+    """Raise FormatError if ``params`` map a checkpoint that has been
+    rewritten in place since it was loaded from ``path``: ``path`` names
+    the same inode with another size or mtime. Another inode (a file
+    renamed over ``path``) or no file leaves the mapped file intact."""
+    mapped = (_mapping_of(p.data) for p in params.values())
+    mapping = next((m for m in mapped if m is not None), None)
+    if mapping is None:
+        return
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return
+    inode, size, mtime = mapping.identity
+    if st.st_ino == inode and (st.st_size, st.st_mtime_ns) != (size, mtime):
+        raise FormatError(f"{path}: changed while in use")
 
 
 def checkpoint_summary(path) -> list[str]:
@@ -555,6 +652,10 @@ def read_dataset_meta(directory) -> dict:
             value = kind(values[key])
         except ValueError:
             value = None
+        if kind is int and value is not None and not -(1 << 63) <= value < 1 << 63:
+            raise FormatError(
+                f"{path}: {key} = {values[key]} does not fit in a 64-bit integer"
+            )
         if value is None or not np.isfinite(value):
             raise FormatError(
                 f"{path}: {key} must be a finite {kind.__name__}, got {values[key]!r}"

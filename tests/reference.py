@@ -267,6 +267,12 @@ def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
     return norm(x2, ff, "ln3"), (w_self, w_cross)
 
 
+def header_padding(version: int, table_len: int) -> int:
+    """Zero bytes before the header CRC: version 3 pads the header block to
+    a multiple of 64 bytes, version 2 does not pad."""
+    return (-(20 + table_len)) % 64 if version == 3 else 0
+
+
 def checkpoint_bytes(entries, version: int) -> bytes:
     """A checkpoint holding ``entries`` ((name, 2-D array) pairs) in the
     given order, with every CRC the version carries."""
@@ -280,7 +286,8 @@ def checkpoint_bytes(entries, version: int) -> bytes:
         body += b"".join(h + p for h, p in zip(heads, payloads))
         return body + struct.pack("<I", zlib.crc32(body))
     table = b"".join(h + struct.pack("<I", zlib.crc32(p)) for h, p in zip(heads, payloads))
-    header = b"FFCK" + struct.pack("<III", 2, len(entries), len(table)) + table
+    header = b"FFCK" + struct.pack("<III", version, len(entries), len(table)) + table
+    header += bytes(header_padding(version, len(table)))
     return header + struct.pack("<I", zlib.crc32(header)) + b"".join(payloads)
 
 
@@ -293,11 +300,12 @@ def save_checkpoint_v1(path, params, cfg) -> None:
 
 
 def parse_checkpoint(blob: bytes) -> dict:
-    """Plain parse of intact checkpoint bytes of either version:
+    """Plain parse of intact checkpoint bytes of any version:
     name -> (payload offset, values)."""
     version, count = struct.unpack_from("<II", blob, 4)
     at = 12 if version == 1 else 16
-    entries, offset = {}, at + struct.unpack_from("<I", blob, 12)[0] + 4
+    table_len = struct.unpack_from("<I", blob, 12)[0]
+    entries, offset = {}, 20 + table_len + header_padding(version, table_len)
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, at)
         name = blob[at + 2 : at + 2 + name_len].decode()
@@ -316,23 +324,24 @@ def parse_checkpoint(blob: bytes) -> dict:
 def reseal(blob: bytearray) -> None:
     """Recompute in place the CRCs of checkpoint bytes, as far as their
     structure still parses: the trailing CRC of a version 1 file; each
-    payload CRC and the header CRC of a version 2 one."""
-    if blob[4:8] != struct.pack("<I", 2):
+    payload CRC and the header CRC of a version 2 or 3 one."""
+    version = struct.unpack_from("<I", blob, 4)[0] if len(blob) >= 8 else 1
+    if version not in (2, 3):
         if len(blob) >= 4:
             blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
         return
     if len(blob) < 16:
         return
     count, table_len = struct.unpack_from("<II", blob, 8)
-    end = 16 + table_len
+    end = 16 + table_len + header_padding(version, table_len)
     if end + 4 > len(blob):
         return
     at, offset = 16, end + 4
     for _ in range(count):
-        if at + 2 > end:
+        if at + 2 > 16 + table_len:
             break
         at += 2 + struct.unpack_from("<H", blob, at)[0]
-        if at + 12 > end:
+        if at + 12 > 16 + table_len:
             break
         rows, cols = struct.unpack_from("<II", blob, at)
         struct.pack_into("<I", blob, at + 8, zlib.crc32(blob[offset : offset + 8 * rows * cols]))

@@ -458,7 +458,7 @@ class TestInspect:
     def test_checkpoint_lists_derived_entries(self, trained, capsys):
         assert main(["inspect", str(trained)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "checkpoint file version 2"
+        assert lines[0] == "checkpoint file version 3"
         assert "  motion_fold.M  8x8  (derived)" in lines
         assert "  motion_fold.c  1x8  (derived)" in lines
         assert "  motion_enc.w  6x8" in lines
@@ -470,7 +470,7 @@ class TestInspect:
 
 
 class TestCheckpointVersions:
-    """infer and export-attn read a version 2 file without the motion
+    """infer and export-attn read a version 2 or 3 file without the motion
     encoder, with the same output bytes as for the version 1 file of the
     same parameters, and fail by name on a damaged one."""
 
@@ -491,6 +491,9 @@ class TestCheckpointVersions:
         params, cfg = load_checkpoint(trained)
         v1 = tmp_path / "v1.ckpt"
         save_checkpoint_v1(v1, params, cfg)
+        v2 = tmp_path / "v2.ckpt"
+        entries = parse_checkpoint(trained.read_bytes()).items()
+        v2.write_bytes(checkpoint_bytes([(name, v) for name, (_, v) in entries], 2))
         clip = dataset_dir / "seq001.audio.f32mat"
         if audio == "wav":
             clip = tmp_path / "clip.wav"
@@ -501,11 +504,11 @@ class TestCheckpointVersions:
                 fh.setframerate(16000)
                 fh.writeframes((np.sin(t * 0.03) * 9000).astype("<i2").tobytes())
         outputs = []
-        for ckpt in (trained, v1):
+        for ckpt in (trained, v2, v1):
             out = tmp_path / ckpt.stem
             out.mkdir()
             outputs.append(self._outputs(ckpt, clip, out))
-        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("command", ["infer", "export-attn"])
     @pytest.mark.parametrize("damage, message", [
@@ -589,6 +592,25 @@ class TestExitCodes:
         bad = self._checkpoint(tmp_path / "bad.ckpt", b"__config__", values)
         assert main(["inspect", str(bad)]) == 2
         assert "bad.ckpt" in capsys.readouterr().err
+
+    def test_dataset_meta_integer_beyond_int64_is_data_error(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        meta = dataset_dir / "dataset.cfg"
+        meta.write_text("\n".join(
+            "vertices = 1180591620717411303424" if line.startswith("vertices =") else line
+            for line in meta.read_text().splitlines()
+        ) + "\n")
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        code = main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{meta}: vertices = 1180591620717411303424 does not fit" in err
+        assert "Traceback" not in err and not (tmp_path / "m.ckpt").exists()
 
     def test_bad_ff_log_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("FF_LOG", "loudly")

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import warnings
 import wave
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from speechmotion import (
     save_checkpoint,
     save_matrix,
 )
-from speechmotion import formats
+from speechmotion import cli, formats
 from speechmotion.cli import main
 from speechmotion.config import build_configs
 from speechmotion.decoder import FOLD_ENTRIES, feedback_map
@@ -40,7 +41,13 @@ from speechmotion.formats import (
 )
 
 from conftest import TINY
-from reference import checkpoint_bytes, parse_checkpoint, reseal, save_checkpoint_v1
+from reference import (
+    checkpoint_bytes,
+    header_padding,
+    parse_checkpoint,
+    reseal,
+    save_checkpoint_v1,
+)
 
 
 class TestMatrixFile:
@@ -190,7 +197,7 @@ class TestCheckpoint:
     def test_duplicate_entry_names_rejected(self, tmp_path):
         entry = ("dup", np.zeros((1, 1)))
         path = tmp_path / "dup.ckpt"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             path.write_bytes(checkpoint_bytes([entry, entry], version))
             with pytest.raises(FormatError, match="duplicate"):
                 load_checkpoint(path)
@@ -216,17 +223,34 @@ class TestCheckpoint:
         )
         entries.append(("__config__", np.array([config], dtype=float)))
         blob = path.read_bytes()
-        assert blob == checkpoint_bytes(entries, 2)
+        assert blob == checkpoint_bytes(entries, 3)
         table_len = sum(2 + len(name) + 12 for name, _ in entries)
-        assert blob[:16] == b"FFCK" + struct.pack("<III", 2, len(entries), table_len)
+        assert blob[:16] == b"FFCK" + struct.pack("<III", 3, len(entries), table_len)
+        # Version 3 pads the header block with zeros, under its CRC, to a
+        # multiple of 64 bytes; version 2 has the same table and payloads
+        # with no padding, and still loads to the same arrays.
+        start = 20 + table_len + header_padding(3, table_len)
+        assert start % 64 == 0 and start - 64 < 20 + table_len
+        assert blob[16 + table_len : start - 4] == bytes(start - 20 - table_len)
+        assert blob[start - 4 : start] == struct.pack("<I", zlib.crc32(blob[: start - 4]))
+        v2 = checkpoint_bytes(entries, 2)
+        assert v2[:16] == b"FFCK" + struct.pack("<III", 2, len(entries), table_len)
+        assert v2[16 : 16 + table_len] == blob[16 : 16 + table_len]
+        assert v2[16 + table_len : 20 + table_len] == struct.pack(
+            "<I", zlib.crc32(v2[: 16 + table_len])
+        )
+        assert v2[20 + table_len :] == blob[start:]
+        v2_path = tmp_path / "v2.ckpt"
+        v2_path.write_bytes(v2)
+        for for_inference in (False, True):
+            got, _ = load_checkpoint(v2_path, for_inference=for_inference)
+            want, _ = load_checkpoint(path, for_inference=for_inference)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].data.tobytes() == want[name].data.tobytes(), name
 
-    def test_loaded_entries_are_aligned_writable_float64(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(TINY, seed=3), TINY)
-        offsets = {name: o for name, (o, _) in parse_checkpoint(path.read_bytes()).items()}
-        # The header block is 1751 bytes and every payload a whole number of
-        # float64s, so every payload starts at 7 (mod 8) in the file.
-        assert {o % 8 for o in offsets.values()} == {7}
+    @staticmethod
+    def _assert_loads_aligned_writable_float64(path, offsets):
         for for_inference in (False, True):
             loaded, _ = load_checkpoint(path, for_inference=for_inference)
             assert set(loaded) < set(offsets)
@@ -235,6 +259,27 @@ class TestCheckpoint:
                 assert p.data.dtype == np.float64, name
                 assert flags.c_contiguous and flags.aligned and flags.writeable, name
                 assert flags.owndata, name
+
+    def test_loaded_entries_are_aligned_writable_float64(self, tmp_path):
+        save_checkpoint(tmp_path / "v3.ckpt", init_params(TINY, seed=3), TINY)
+        entries = parse_checkpoint((tmp_path / "v3.ckpt").read_bytes())
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_bytes([(n, v) for n, (_, v) in entries.items()], 2))
+        offsets = {name: o for name, (o, _) in parse_checkpoint(path.read_bytes()).items()}
+        # The version 2 header block is 1751 bytes and every payload a whole
+        # number of float64s, so every payload starts at 7 (mod 8) in the file.
+        assert {o % 8 for o in offsets.values()} == {7}
+        self._assert_loads_aligned_writable_float64(path, offsets)
+
+    def test_loaded_v3_entries_are_aligned_writable_float64(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        offsets = {name: o for name, (o, _) in parse_checkpoint(path.read_bytes()).items()}
+        # The version 3 header block is padded from 1751 to 1792 bytes, so
+        # the first payload starts at 0 (mod 64) and every payload at 0 (mod 8).
+        assert min(offsets.values()) == 1792
+        assert {o % 8 for o in offsets.values()} == {0}
+        self._assert_loads_aligned_writable_float64(path, offsets)
 
     @pytest.mark.parametrize("chunk", [4096, formats._CHUNK])
     def test_loaded_arrays_match_plain_parse_bitwise(self, tmp_path, monkeypatch, chunk):
@@ -252,7 +297,8 @@ class TestCheckpoint:
     def test_corrupt_name_length_reports_crc_first(self, tmp_path):
         path = tmp_path / "model.ckpt"
         # byte 13: in version 1 the high byte of the first entry's name
-        # length, in version 2 the second byte of the entry table's length
+        # length, in versions 2 and 3 the second byte of the entry table's
+        # length
         for save in (save_checkpoint, save_checkpoint_v1):
             save(path, init_params(TINY, seed=3), TINY)
             blob = bytearray(path.read_bytes())
@@ -301,7 +347,7 @@ class TestCheckpoint:
         assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_summary_checks_payloads_without_holding_them(tmp_path, monkeypatch, version):
     # inspect reads every payload through one reused buffer of _CHUNK bytes:
     # a 1 MB payload in 64 KB pieces never sits in memory whole
@@ -420,6 +466,134 @@ class TestCheckpointV2:
                 load_checkpoint(path, for_inference=for_inference)
 
 
+class TestCheckpointV3:
+    """Payloads of at least ``_MAP_BYTES`` are read-only views of a map of
+    the file, checked before they are handed out; ``infer`` refuses to
+    write when the mapped file was rewritten in place. ``_MAP_BYTES`` is
+    lowered to 512 bytes, so that of the desk model's entries the 8 x 9
+    vertex head and larger are mapped and the rest are read."""
+
+    MAP_BYTES = 512
+
+    @pytest.fixture
+    def saved(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_MAP_BYTES", self.MAP_BYTES)
+        params = init_params(TINY, seed=3)
+        rng = np.random.Generator(np.random.PCG64(1))
+        params["motion_dec.w"] = Var(rng.normal(size=(8, 9)))
+        params["motion_dec.b"] = Var(rng.normal(size=(1, 9)))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, TINY)
+        save_matrix(tmp_path / "audio.f32mat", rng.normal(size=(6, TINY.feature_dim)))
+        return path
+
+    @staticmethod
+    def _infer(path, tmp_path, name="out.f32mat"):
+        out = tmp_path / name
+        code, err = _run([
+            "infer", "--ckpt", str(path), "--audio", str(tmp_path / "audio.f32mat"),
+            "--identity", "1", "--out", str(out),
+        ])
+        return code, err, out
+
+    def test_large_entries_are_read_only_aligned_views(self, saved):
+        expected = parse_checkpoint(saved.read_bytes())
+        for for_inference in (False, True):
+            loaded, _ = load_checkpoint(saved, for_inference=for_inference)
+            mapped = {name for name, p in loaded.items() if p.data.nbytes >= self.MAP_BYTES}
+            assert "motion_dec.w" in mapped and "motion_dec.b" not in mapped
+            for name, p in loaded.items():
+                flags = p.data.flags
+                assert p.data.dtype == np.float64, name
+                assert flags.c_contiguous and flags.aligned, name
+                assert flags.writeable == flags.owndata == (name not in mapped), name
+                assert (formats._mapping_of(p.data) is not None) == (name in mapped), name
+                assert p.data.tobytes() == expected[name][1].tobytes(), name
+
+    def test_version_2_payloads_are_read(self, saved, tmp_path):
+        entries = parse_checkpoint(saved.read_bytes())
+        v2 = tmp_path / "v2.ckpt"
+        v2.write_bytes(checkpoint_bytes([(n, v) for n, (_, v) in entries.items()], 2))
+        loaded, _ = load_checkpoint(v2)
+        assert all(p.data.flags.owndata and p.data.flags.writeable for p in loaded.values())
+
+    @pytest.mark.parametrize("for_inference", [False, True])
+    def test_corrupt_mapped_entry_is_named(self, saved, for_inference):
+        blob = bytearray(saved.read_bytes())
+        blob[parse_checkpoint(blob)["motion_dec.w"][0] + 100] ^= 0x04
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="CRC mismatch in entry 'motion_dec.w'"):
+            load_checkpoint(saved, for_inference=for_inference)
+
+    def test_file_shorter_than_its_map_is_named(self, saved, monkeypatch):
+        real_fstat = os.fstat
+
+        def grown(fd):  # the file looks 8 bytes longer than it can be mapped
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], st.st_size + 8, *st[7:]))
+
+        monkeypatch.setattr(os, "fstat", grown)
+        with pytest.raises(FormatError, match="model.ckpt: short read"):
+            load_checkpoint(saved)
+
+    def test_nonzero_padding_is_rejected(self, saved):
+        blob = bytearray(saved.read_bytes())
+        blob[min(o for o, _ in parse_checkpoint(blob).values()) - 5] = 1
+        reseal(blob)
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="header padding is not zero"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("rewrite", ["in place", "rename"])
+    def test_rewrite_while_mapped(self, saved, tmp_path, monkeypatch, rewrite):
+        """A same-size rewrite in place between the load and the write
+        fails and writes nothing; a file renamed over the path leaves the
+        mapped one intact."""
+        _, _, expected = self._infer(saved, tmp_path, "expected.f32mat")
+        other = tmp_path / "other.ckpt"
+        save_checkpoint(other, init_params(TINY, seed=4), TINY)
+        assert other.stat().st_size == saved.stat().st_size
+        real_load = cli.load_checkpoint
+
+        def load_then_rewrite(path, for_inference=False):
+            loaded = real_load(path, for_inference=for_inference)
+            st = os.stat(path)
+            if rewrite == "in place":
+                with open(path, "r+b") as fh:
+                    fh.write(other.read_bytes())
+                # as a copy made a second later would set it
+                os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            else:
+                os.replace(other, path)
+            return loaded
+
+        monkeypatch.setattr(cli, "load_checkpoint", load_then_rewrite)
+        code, err, out = self._infer(saved, tmp_path)
+        if rewrite == "in place":
+            assert code == 2 and f"{saved}: changed while in use" in err
+            assert not out.exists()
+        else:
+            assert code == 0 and out.read_bytes() == expected.read_bytes()
+
+    def test_outputs_match_across_versions(self, saved, tmp_path, monkeypatch):
+        """infer writes the same bytes from the version 1, 2 and 3 files of
+        the same parameters, with large payloads mapped or read."""
+        entries = [(n, v) for n, (_, v) in parse_checkpoint(saved.read_bytes()).items()]
+        v1_entries = [(n, v) for n, v in entries if n not in FOLD_ENTRIES]
+        files = [saved]
+        for version, kept in ((1, v1_entries), (2, entries)):
+            files.append(tmp_path / f"v{version}.ckpt")
+            files[-1].write_bytes(checkpoint_bytes(kept, version))
+        outputs = set()
+        for map_bytes in (self.MAP_BYTES, 32 << 20):
+            monkeypatch.setattr(formats, "_MAP_BYTES", map_bytes)
+            for path in files:
+                code, err, out = self._infer(path, tmp_path)
+                assert code == 0, err
+                outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
+
 _MUTATION = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
     st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.just(b"")),
@@ -434,7 +608,7 @@ def _fuzz_checkpoint(path, save=save_checkpoint):
 
 
 def _top_byte_of_first_value(name: str) -> int:
-    """Offset in the (version 2) fuzz checkpoint of the byte holding the
+    """Offset in the (version 3) fuzz checkpoint of the byte holding the
     sign and top exponent bits of entry ``name``'s first value (the last
     byte of a little-endian float64)."""
     with tempfile.TemporaryDirectory() as tmp:
