@@ -120,18 +120,14 @@ def _active_tape() -> Tape | None:
 
 @contextmanager
 def no_tape() -> Iterator[None]:
-    """Run a block without recording (frozen submodules, detached values)."""
+    """Run a block without recording: its outputs are leaves, so no
+    gradient reaches what it read (the frozen extractor)."""
     saved = _TAPE_STACK[:]
     _TAPE_STACK.clear()
     try:
         yield
     finally:
         _TAPE_STACK.extend(saved)
-
-
-def detach(v: Var) -> Var:
-    """A leaf holding the same data; gradients stop here."""
-    return Var(v.data)
 
 
 def _as_var(x) -> Var:

@@ -8,7 +8,6 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 PE_MODES = ("tb_ppe", "original_pe", "alibi")
-OUTPUT_SPACES = ("absolute", "offset")
 _INT64_MAX = 2**63 - 1  # counts are used in numpy's int64 arithmetic
 
 
@@ -37,7 +36,6 @@ class ModelConfig:
     encoder_dim: int = 32        # width of the encoder transformer stack
     encoder_heads: int = 2
     pe_mode: str = "tb_ppe"
-    output_space: str = "absolute"
 
     def __post_init__(self) -> None:
         self.validate()
@@ -79,10 +77,6 @@ class ModelConfig:
             )
         if self.pe_mode not in PE_MODES:
             raise ConfigError(f"pe_mode must be one of {PE_MODES}, got {self.pe_mode!r}")
-        if self.output_space not in OUTPUT_SPACES:
-            raise ConfigError(
-                f"output_space must be one of {OUTPUT_SPACES}, got {self.output_space!r}"
-            )
         return self
 
 
@@ -97,8 +91,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     grad_clip: float = 1.0
-    freeze_extractor: bool = True
-    detach_rollout: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
@@ -149,18 +141,9 @@ def profile(name: str) -> ModelConfig:
         raise ConfigError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 # Configuration-file schema: key -> (target, parser), one key per dataclass
 # field, parsed by the field's annotated type.
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 CONFIG_KEYS: dict[str, tuple[str, type | object]] = {
     **{f.name: ("model", _PARSERS[f.type]) for f in fields(ModelConfig)},

@@ -59,14 +59,11 @@ def embed_step(prev, motion_w: Var, table: Var, t: int) -> Var:
     return row if t == 0 else ad.linear(prev, motion_w, row)
 
 
-def feedback_map(params: Params, detach_feedback: bool) -> tuple[Var, Var]:
+def feedback_map(params: Params) -> tuple[Var, Var]:
     """The motion embedding of a fed-back prediction, as a map of hidden rows.
 
     A prediction is ``h Wd + bd``, so its embedding ``(h Wd + bd) We + be``
-    is ``h M + c`` with ``M = Wd We`` (d x d) and ``c = bd We + be``. With
-    ``detach_feedback`` the map is built from detached ``Wd`` and ``bd``:
-    ``We`` and ``be`` still get the gradient they would get from the
-    detached prediction, and none reaches the head through the feedback.
+    is ``h M + c`` with ``M = Wd We`` (d x d) and ``c = bd We + be``.
 
     Parameters loaded from a checkpoint for inference carry the pair that
     was stored when it was saved, under ``FOLD_ENTRIES``; it is returned
@@ -75,8 +72,6 @@ def feedback_map(params: Params, detach_feedback: bool) -> tuple[Var, Var]:
     if FOLD_ENTRIES[0] in params:
         return params[FOLD_ENTRIES[0]], params[FOLD_ENTRIES[1]]
     wd, bd = params["motion_dec.w"], params["motion_dec.b"]
-    if detach_feedback:
-        wd, bd = ad.detach(wd), ad.detach(bd)
     we = params["motion_enc.w"]
     return ad.matmul(wd, we), ad.linear(bd, we, params["motion_enc.b"])
 
@@ -189,7 +184,6 @@ def rollout(
     motion_len: int,
     params: Params,
     cfg: ModelConfig,
-    detach_feedback: bool = False,
     capture: list[AttentionRecord] | None = None,
 ) -> Var:
     """Autoregressive generation over already-encoded audio.
@@ -201,9 +195,8 @@ def rollout(
     previous step's last-layer hidden row with the map, feeds the new row
     through every decoder layer against that layer's cache, and keeps its
     hidden row; the vertex head then decodes all T rows in one call.
-    Gradients flow through the fed-back rows and the caches unless
-    ``detach_feedback`` is set, which detaches the fed-back rows and builds
-    the map from a detached head. With ``capture``, the steps' attention
+    Gradients flow through the fed-back rows, the map and the caches. With
+    ``capture``, the steps' attention
     weights are gathered per layer into a heads x T x T self map (row t,
     columns [0, t]) and a heads x T x kT cross map (row t, columns
     [kt, k(t + 1))), zero elsewhere, and appended as one ``decoder.self`` and
@@ -217,7 +210,7 @@ def rollout(
             f"requested {motion_len} frames but audio covers {enc.motion_len}"
         )
     k = enc.frame_ratio
-    motion_w, c = feedback_map(params, detach_feedback)
+    motion_w, c = feedback_map(params)
     table = embed_table(identity, c, motion_len, params, cfg)
     caches = layer_caches(enc, motion_len, params, cfg)
     maps = []  # per layer, the self and cross records being filled
@@ -231,10 +224,7 @@ def rollout(
         ]
     hidden: list[Var] = []
     for t in range(motion_len):
-        prev = None
-        if t > 0:
-            prev = ad.detach(hidden[-1]) if detach_feedback else hidden[-1]
-        x = embed_step(prev, motion_w, table, t)
+        x = embed_step(hidden[-1] if t else None, motion_w, table, t)
         for layer, cache in enumerate(caches):
             x, (w_self, w_cross) = decoder_layer(x, cache)
             if maps:

@@ -131,19 +131,17 @@ def encode(
     params: Params,
     cfg: ModelConfig,
     capture: list[AttentionRecord] | None = None,
-    freeze_extractor: bool = True,
 ) -> EncodedAudio:
     """Full encoder pass producing frame_ratio * motion_len rows of width dim.
 
-    With ``freeze_extractor`` (the default) the conv stack runs off-tape, so
-    its kernels receive no gradients.
+    The extractor is frozen: a waveform's conv stack runs off-tape, so its
+    kernels receive no gradients.
     """
-    if freeze_extractor and audio.waveform is not None:
+    if audio.waveform is None:
+        feats = extract_features(audio, params, cfg)
+    else:
         with ad.no_tape():
             feats = extract_features(audio, params, cfg)
-        feats = ad.detach(feats)
-    else:
-        feats = extract_features(audio, params, cfg)
     check_feature_width(feats.cols, cfg.feature_dim)
     if motion_len is None:
         motion_len = infer_motion_len(feats.rows, audio.rate, cfg)

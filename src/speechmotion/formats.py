@@ -15,8 +15,10 @@ little-endian float64 values, so each starts 8-byte aligned, and end the
 file. Entries are the parameters in name order plus two derived entries,
 FOLD_ENTRIES (the feedback fold M and c of decoder.feedback_map, computed on
 every save, so never stale), and last a reserved "__config__" entry for the
-model configuration (a 1x18 numeric vector, field order in _CONFIG_FIELDS;
-pe_mode/output_space as indices into their enumerations).
+model configuration (a 1x18 numeric vector: the fields in _CONFIG_FIELDS,
+the pe_mode as an index into PE_MODES, then four zeros). Slot 14 is retired:
+it held an output-space code, and a file whose slot 14 is not 0 was trained
+on offsets from its first frame, so it is rejected naming output_space.
 
 Version 2 files still load: version 3 without the padding, so their
 payloads start wherever the table ends. Version 1 files still load: magic,
@@ -24,7 +26,9 @@ version u32, entry count u32, then per entry name length u16 + name + rows
 u32 + cols u32 + float64 payload, and a trailing CRC32 of all preceding
 bytes; no derived entries, so inference computes the fold. The whole file
 is read and its CRC is checked before any structural problem is reported,
-so a corrupt file reads as corrupt.
+so a corrupt file reads as corrupt. The version is read before any CRC is
+checked, and any other version is unsupported: a file from a newer writer,
+or one whose version bytes are corrupt, reads as an unsupported version.
 
 Every byte a load uses is checked before it is used: the header block
 against its CRC before the table is parsed, and each payload it uses
@@ -73,7 +77,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Var
-from .config import OUTPUT_SPACES, PE_MODES, ModelConfig
+from .config import PE_MODES, ModelConfig
 from .decoder import FOLD_ENTRIES, feedback_map
 from .errors import ConfigError, FormatError, ShapeError
 from .params import Params, param_shapes, validate_shapes
@@ -83,6 +87,7 @@ CHECKPOINT_MAGIC = b"FFCK"
 MATRIX_VERSION = 1
 CHECKPOINT_VERSION = 3
 CONFIG_ENTRY = "__config__"
+_RETIRED_SLOT = 14  # of __config__; see the module docstring
 # Inference uses the motion encoder only through the stored fold.
 _UNREAD_FOR_INFERENCE = ("motion_enc.w", "motion_enc.b")
 _CHUNK = 4 << 20  # bytes per checkpoint readinto and CRC fold
@@ -93,7 +98,7 @@ _CONFIG_FIELDS = (
     "dim", "heads", "period", "feature_rate", "motion_rate",
     "encoder_layers", "decoder_layers", "ff_dim", "vertices", "identities",
     "feature_dim", "encoder_dim", "encoder_heads",
-)  # + pe_mode code, output_space code, and 3 reserved slots = 18 values
+)  # + pe_mode code, the retired slot and 3 reserved slots = 18 values
 
 
 def atomic_write_bytes(path, *chunks) -> None:
@@ -174,8 +179,7 @@ def matrix_header(path) -> tuple[int, int, int]:
 def _config_vector(cfg: ModelConfig) -> np.ndarray:
     values = [float(getattr(cfg, name)) for name in _CONFIG_FIELDS]
     values.append(float(PE_MODES.index(cfg.pe_mode)))
-    values.append(float(OUTPUT_SPACES.index(cfg.output_space)))
-    values.extend([0.0, 0.0, 0.0])  # reserved
+    values.extend([0.0, 0.0, 0.0, 0.0])  # the retired slot, then reserved
     return np.asarray([values])
 
 
@@ -185,7 +189,12 @@ def _config_from_vector(vec: np.ndarray, path) -> ModelConfig:
         raise FormatError(f"{path}: config entry has {flat.size} values, expected 18")
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: config entry holds non-finite values")
-    names = _CONFIG_FIELDS + ("pe_mode", "output_space")
+    if flat[_RETIRED_SLOT] != 0:
+        raise FormatError(
+            f"{path}: config entry output_space code {flat[_RETIRED_SLOT]:g} is not "
+            f"supported; only 0 (absolute motion) loads"
+        )
+    names = _CONFIG_FIELDS + ("pe_mode",)
     for name, value in zip(names, flat):
         if not name.endswith("_rate") and value != int(value):
             raise FormatError(
@@ -195,13 +204,12 @@ def _config_from_vector(vec: np.ndarray, path) -> ModelConfig:
         name: float(value) if name.endswith("_rate") else int(value)
         for name, value in zip(names, flat)
     }
-    for name, codes in (("pe_mode", PE_MODES), ("output_space", OUTPUT_SPACES)):
-        if not 0 <= kwargs[name] < len(codes):
-            raise FormatError(
-                f"{path}: config entry {name} code {kwargs[name]} is not in "
-                f"[0, {len(codes)})"
-            )
-        kwargs[name] = codes[kwargs[name]]
+    if not 0 <= kwargs["pe_mode"] < len(PE_MODES):
+        raise FormatError(
+            f"{path}: config entry pe_mode code {kwargs['pe_mode']} is not in "
+            f"[0, {len(PE_MODES)})"
+        )
+    kwargs["pe_mode"] = PE_MODES[kwargs["pe_mode"]]
     try:
         return ModelConfig(**kwargs)
     except ConfigError as exc:
@@ -219,7 +227,7 @@ def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
     except ShapeError as exc:
         raise FormatError(f"cannot save {path}: {exc}") from None
     with np.errstate(all="ignore"):  # infer reports an overflowed fold, by frame
-        fold = feedback_map(params, detach_feedback=False)
+        fold = feedback_map(params)
     entries = {name: p.data for name, p in params.items()}
     entries.update(zip(FOLD_ENTRIES, (v.data for v in fold)))
     entries = dict(sorted(entries.items()))
@@ -348,9 +356,6 @@ def _read_v1(fh, path, head: bytes, size: int, keep, scratch) -> dict[str, np.nd
     src = _CheckedReader(fh, path, head)
     problem = None
     try:
-        (version,) = struct.unpack("<I", head[4:])
-        if version != 1:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (count,) = struct.unpack("<I", src.read(4))
         entries = _parse_entries(src, count, end, keep, scratch)
     except FormatError as exc:
@@ -476,9 +481,11 @@ def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarra
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
         scratch = None if keep is None else bytearray(min(_CHUNK, st.st_size))
         (version,) = struct.unpack("<I", head[4:])
+        if version == 1:
+            return 1, _read_v1(fh, path, head, st.st_size, keep, scratch)
         if version in (2, 3):
             return version, _read_tabled(fh, path, head, st, skip, keep, scratch)
-        return 1, _read_v1(fh, path, head, st.st_size, keep, scratch)
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
 
 
 def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelConfig]:

@@ -69,29 +69,14 @@ class TrainStep(NamedTuple):
     rmse: float
 
 
-def _target_motion(sample: TrainingSample, cfg: ModelConfig) -> np.ndarray:
-    if cfg.output_space == "offset":
-        return sample.motion - sample.motion[0:1]
-    return sample.motion
-
-
 def rollout_loss(
-    sample: TrainingSample,
-    params: Params,
-    cfg: ModelConfig,
-    detach_feedback: bool = False,
-    freeze_extractor: bool = True,
+    sample: TrainingSample, params: Params, cfg: ModelConfig
 ) -> tuple[Var, np.ndarray]:
     """Loss of a full autoregressive rollout against the sample's motion."""
-    truth = _target_motion(sample, cfg)
-    frames = truth.shape[0]
-    enc = encode(
-        sample.audio, frames, params, cfg, freeze_extractor=freeze_extractor
-    )
-    pred = rollout(
-        enc, sample.identity, frames, params, cfg, detach_feedback=detach_feedback
-    )
-    return mse_loss(pred, truth), pred.data
+    frames = sample.motion.shape[0]
+    enc = encode(sample.audio, frames, params, cfg)
+    pred = rollout(enc, sample.identity, frames, params, cfg)
+    return mse_loss(pred, sample.motion), pred.data
 
 
 def train(
@@ -145,11 +130,7 @@ def train(
         for sample_idx in order:
             sample = dataset[int(sample_idx)]
             with Tape():
-                loss_var, pred = rollout_loss(
-                    sample, params, cfg,
-                    detach_feedback=tc.detach_rollout,
-                    freeze_extractor=tc.freeze_extractor,
-                )
+                loss_var, pred = rollout_loss(sample, params, cfg)
                 loss = loss_var.item()
                 if not np.isfinite(loss):
                     raise DivergenceError(
@@ -172,7 +153,7 @@ def train(
                 grads, state,
                 lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps,
             )
-            rmse = frame_vertex_rmse(pred, _target_motion(sample, cfg))
+            rmse = frame_vertex_rmse(pred, sample.motion)
             history.append(TrainStep(step, epoch, int(sample_idx), loss, rmse))
             step += 1
         if keep_best:
@@ -202,12 +183,10 @@ def evaluate_rmse(
     total_sq = 0.0
     total_items = 0
     for sample in dataset:
-        truth = _target_motion(sample, cfg)
-        frames = truth.shape[0]
+        frames, cols = sample.motion.shape
         enc = encode(sample.audio, frames, params, cfg)
         pred = rollout(enc, sample.identity, frames, params, cfg).data
-        frames, cols = truth.shape
-        total_sq += float(np.square(pred - truth).sum())
+        total_sq += float(np.square(pred - sample.motion).sum())
         total_items += frames * (cols // 3)
     return float(np.sqrt(total_sq / total_items))
 

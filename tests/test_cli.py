@@ -97,6 +97,19 @@ class TestTrain:
         assert "seed must be >= 0, got -1" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_retired_switch_is_config_error(self, tmp_path, dataset_dir, capsys):
+        # training always feeds back live predictions; the switch is gone
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG + "detach_rollout = true\n")
+        out = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: unknown configuration keys: detach_rollout" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_writes_checkpoint_and_loss_csv(self, tmp_path, trained):
         assert trained.exists()
         loss_csv = tmp_path / "model.ckpt.loss.csv"

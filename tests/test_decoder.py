@@ -340,16 +340,13 @@ class TestAutoregress:
         assert np.isfinite(out).all()
 
 
-def _dense_rollout(
-    enc, identity, motion_len, params, cfg, detach_feedback=False, capture=None
-):
+def _dense_rollout(enc, identity, motion_len, params, cfg, capture=None):
     """Reference rollout: every step re-runs each layer on the full prefix,
     decodes its row and feeds that vertex-space frame back through the motion
     encoder. With ``capture``, the last step's attention records are kept."""
     embeds, preds = [], []
     for t in range(motion_len):
-        prev = (ad.detach(preds[-1]) if detach_feedback else preds[-1]) if t else None
-        embeds.append(_embed(prev, identity, t, params, cfg))
+        embeds.append(_embed(preds[-1] if t else None, identity, t, params, cfg))
         x = ad.concat_rows(embeds)
         for layer in range(cfg.decoder_layers):
             x, weights = dense_decoder_layer(x, enc, params, cfg, layer)
@@ -415,20 +412,20 @@ class TestPrefixCache:
                 assert np.array_equal(w == 0.0, w_ref == 0.0)
                 assert not w[~support].any()
 
-    @pytest.mark.parametrize("detach_feedback", [False, True])
+    @pytest.mark.parametrize("waveform", [False, True])
     def test_loss_gradients_match_dense_reference(
-        self, two_layer, rng, monkeypatch, detach_feedback
+        self, two_layer, rng, monkeypatch, waveform
     ):
         cfg, params = two_layer
-        sample = training.TrainingSample(
-            _audio(rng, rows=10), rng.normal(size=(5, 9)) * 0.3, identity=0
+        audio = (
+            AudioInput.from_waveform(rng.normal(size=3280) * 0.3, 16000.0)
+            if waveform else _audio(rng, rows=10)
         )
+        sample = training.TrainingSample(audio, rng.normal(size=(5, 9)) * 0.3, identity=0)
 
         def grads():
             with ad.Tape():
-                loss, _ = training.rollout_loss(
-                    sample, params, cfg, detach_feedback=detach_feedback
-                )
+                loss, _ = training.rollout_loss(sample, params, cfg)
                 return ad.backward(loss, params)
 
         cached = grads()

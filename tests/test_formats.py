@@ -167,18 +167,18 @@ class TestCheckpoint:
         assert leftovers == []
 
     def test_nondefault_modes_roundtrip(self, tmp_path):
-        cfg = dataclasses.replace(TINY, pe_mode="alibi", output_space="offset")
+        cfg = dataclasses.replace(TINY, pe_mode="alibi")
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(cfg, 1), cfg)
         _, loaded_cfg = load_checkpoint(path)
-        assert loaded_cfg.pe_mode == "alibi"
-        assert loaded_cfg.output_space == "offset"
+        assert loaded_cfg == cfg
 
     @pytest.mark.parametrize("index, value, match", [
         (0, 8.9, "dim = 8.9 is not an integer"),
         (13, 0.5, "pe_mode = 0.5 is not an integer"),
         (13, -1.0, "pe_mode code -1"),
         (13, 3.0, "pe_mode code 3"),
+        (14, 1.0, "output_space code 1 is not supported"),
         (14, 2.0, "output_space code 2"),
         (0, 0.0, "dim must be >= 1"),
         (0, 1e20, "dim = 100000000000000000000 does not fit"),
@@ -203,7 +203,7 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     def test_file_bytes_pinned(self, tmp_path):
-        cfg = dataclasses.replace(TINY, pe_mode="alibi", output_space="offset")
+        cfg = dataclasses.replace(TINY, pe_mode="alibi")
         params = init_params(cfg, seed=2)
         params["motion_dec.w"] = Var(np.arange(72.0).reshape(8, 9) / 7.0)  # init: zeros
         path = tmp_path / "model.ckpt"
@@ -213,8 +213,8 @@ class TestCheckpoint:
             cfg.dim, cfg.heads, cfg.period, cfg.feature_rate, cfg.motion_rate,
             cfg.encoder_layers, cfg.decoder_layers, cfg.ff_dim, cfg.vertices,
             cfg.identities, cfg.feature_dim, cfg.encoder_dim, cfg.encoder_heads,
-            2, 1, 0, 0, 0,
-        ]  # pe_mode "alibi" is code 2, output_space "offset" code 1
+            2, 0, 0, 0, 0,
+        ]  # pe_mode "alibi" is code 2; slot 14, retired, is always 0
         wd, bd = params["motion_dec.w"].data, params["motion_dec.b"].data
         we, be = params["motion_enc.w"].data, params["motion_enc.b"].data
         entries = sorted(
@@ -308,6 +308,31 @@ class TestCheckpoint:
                 with pytest.raises(FormatError, match="CRC mismatch"):
                     load_checkpoint(path, for_inference=for_inference)
 
+    @pytest.mark.parametrize("version", [0, 4, 2**32 - 1])
+    def test_unknown_version_is_unsupported_not_corrupt(self, tmp_path, version):
+        # The version is read before any CRC: a file from a newer writer, its
+        # header CRC resealed or not, and a v1 file whose version bytes are
+        # damaged, read as an unsupported version rather than as corrupt.
+        path = tmp_path / "model.ckpt"
+        message = f"model.ckpt: unsupported checkpoint version {version}$"
+        for save in (save_checkpoint, save_checkpoint_v1):
+            save(path, init_params(TINY, seed=3), TINY)
+            blob = bytearray(path.read_bytes())
+            blob[4:8] = struct.pack("<I", version)
+            for sealed in (False, True):
+                if sealed and save is save_checkpoint:
+                    table_len = struct.unpack_from("<I", blob, 12)[0]
+                    end = 16 + table_len + header_padding(3, table_len)
+                    blob[end : end + 4] = struct.pack("<I", zlib.crc32(blob[:end]))
+                elif sealed:
+                    reseal(blob)  # the trailing CRC of a version 1 file
+                path.write_bytes(bytes(blob))
+                for for_inference in (False, True):
+                    with pytest.raises(FormatError, match=message):
+                        load_checkpoint(path, for_inference=for_inference)
+                code, err = _run(["inspect", str(path)])
+                assert code == 2 and f"unsupported checkpoint version {version}\n" in err
+
     def test_short_read_names_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
         real_fstat = os.fstat
@@ -395,7 +420,7 @@ class TestCheckpointV2:
     def test_stored_fold_is_feedback_map_bitwise(self, saved):
         path, params = saved
         _, entries = formats._read_checkpoint(path)
-        for name, value in zip(FOLD_ENTRIES, feedback_map(params, detach_feedback=False)):
+        for name, value in zip(FOLD_ENTRIES, feedback_map(params)):
             assert entries[name].tobytes() == value.data.tobytes(), name
 
     def test_only_the_inference_load_carries_the_fold(self, saved, tmp_path):
@@ -795,12 +820,14 @@ class TestConfigText:
             parse_config_lines("dim 8\n")
 
     def test_bool_and_mode_values(self):
-        model, train = _configs(
-            "freeze_extractor = false\ndetach_rollout = TRUE\npe_mode = alibi\n"
-        )
-        assert train.freeze_extractor is False
-        assert train.detach_rollout is True
+        # the former switches are misspellings now, like any unknown key
+        model, _ = _configs("pe_mode = alibi\n")
         assert model.pe_mode == "alibi"
+        for line in ("freeze_extractor = false", "detach_rollout = TRUE",
+                     "output_space = offset"):
+            key = line.split(" = ")[0]
+            with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}$"):
+                _configs(line + "\n")
 
     def test_derived_field_cross_check(self):
         _configs("dim = 8\nheads = 2\nhead_dim = 4\n")
@@ -841,7 +868,7 @@ class TestConfigChecks:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"pe_mode": "bogus"}, "pe_mode must be one of"),
-        ({"output_space": "relative"}, "output_space must be one of"),
+        ({"encoder_dim": 31}, "encoder_dim 31 not divisible by encoder_heads 2"),
         ({"period": 0}, "period must be >= 1, got 0"),
         ({"dim": 30}, "dim 30 not divisible by heads 4"),
         ({"heads": 3, "dim": 30}, "heads must be a power of two"),
