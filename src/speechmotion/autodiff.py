@@ -9,10 +9,13 @@ the same functions just compute values, which is what inference uses.
 
 Most records are one layer's worth of work, with the bits of the elementary
 composition they replace: ``linear``, ``add_norm`` (residual add + layer
-norm), ``feed_forward`` (linear, rectifier, linear) and ``attention`` (query
-projection, all heads and output projection) are one record each, and
-``conv1d_strided`` is ``linear`` over patch rows plus one rectifier record.
-There is no stand-alone add, rectifier or layer norm: the model needs none,
+norm), ``feed_forward`` (linear, rectifier, linear), ``attention`` (query
+projection, all heads and output projection), ``conv1d_strided`` (patch
+gather, linear, rectifier) and ``squared_error`` (subtraction, product and
+sum: the training loss) are one record each. The other records are
+``matmul``, ``linear_blocked``, ``add_row``, ``add_const``, ``write_row``,
+``take_row`` and ``concat_rows``. There is no stand-alone add, subtraction,
+product, sum, rectifier, layer norm or patch gather: the model needs none,
 and the tests keep them as references for the fused records. ``attention``
 also returns its heads' weights, which attention export copies out.
 
@@ -252,22 +255,6 @@ def matmul(a, b) -> Var:
     return _make(ad @ bd, (a, b), vjp)
 
 
-def sub(a, b) -> Var:
-    a, b = _as_var(a), _as_var(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a, b) -> Var:
-    """Elementwise product."""
-    a, b = _as_var(a), _as_var(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
 def add_const(a, const) -> Var:
     """Add a constant matrix, such as positional rows."""
     a = _as_var(a)
@@ -286,14 +273,6 @@ def add_row(a, row, start: int = 0) -> Var:
     out[:start] = a.data[:start]
     np.add(a.data[start:], row.data, out=out[start:])
     return _make(out, (a, row), lambda g: (g, g[start:].sum(axis=0, keepdims=True)))
-
-
-def sum_all(a) -> Var:
-    a = _as_var(a)
-    shape = a.shape
-    return _make(
-        np.array([[a.data.sum()]]), (a,), lambda g: (np.full(shape, g[0, 0]),)
-    )
 
 
 def _check_linear(x_shape: tuple[int, int], w: Array, b: Array) -> None:
@@ -545,75 +524,58 @@ def add_norm(a, b, gain, offset, eps: float = 1e-5) -> Var:
     return _normalize(ad + bd, (a, b), gain, offset, eps)
 
 
-def gather_patches(x, width: int, stride: int) -> Var:
-    """Unfold a time x channels matrix into rows of flattened windows.
+def conv1d_strided(x, kernels, stride: int, bias) -> Var:
+    """Valid strided 1-D convolution over the time axis, then a rectifier,
+    recorded as one op (the same bits as a patch gather, ``linear`` and a
+    rectifier).
 
-    Output row u is ``x[u*stride : u*stride+width]`` flattened time-major,
-    i.e. column ``o*C + c`` holds channel ``c`` at window offset ``o``.
+    Patch row u is ``x[u*stride : u*stride+width]`` flattened time-major, so
+    ``kernels`` is a (width*in_channels) x out_channels matrix whose row
+    ``o*C + c`` weighs channel ``c`` at window offset ``o``; output length is
+    (time-width)//stride + 1.
     """
-    x = _as_var(x)
-    t, c = x.shape
+    x, kernels, bias = _as_var(x), _as_var(kernels), _as_var(bias)
+    (t, c), kd = x.shape, kernels.data
+    if kernels.rows % c != 0:
+        raise ShapeError(
+            f"kernel rows {kernels.rows} not a multiple of input channels {c}"
+        )
+    width = kernels.rows // c
     if width < 1 or stride < 1:
         raise ShapeError(f"width/stride must be >= 1, got {width}/{stride}")
     if t < width:
         raise ShapeError(f"input length {t} shorter than kernel width {width}")
     t_out = (t - width) // stride + 1
     idx = np.arange(t_out)[:, None] * stride + np.arange(width)[None, :]
-    out = x.data[idx].reshape(t_out, width * c)
-    shape = x.shape
+    patches = x.data[idx].reshape(t_out, width * c)
+    _check_linear(patches.shape, kd, bias.data)
+    pre = patches @ kd
+    pre += bias.data
+    mask = pre > 0.0
 
     def vjp(g: Array):
-        gx = np.zeros(shape)
-        np.add.at(gx, idx, g.reshape(t_out, width, c))
-        return (gx,)
+        g = g * mask
+        gx = np.zeros((t, c))
+        np.add.at(gx, idx, (g @ kd.T).reshape(t_out, width, c))
+        return gx, patches.T @ g, g.sum(axis=0, keepdims=True)
 
-    return _make(out, (x,), vjp)
-
-
-def conv1d_strided(x, kernels, stride: int, bias) -> Var:
-    """Valid strided 1-D convolution over the time axis, then a rectifier:
-    ``linear`` over :func:`gather_patches` and one rectifier record.
-
-    ``kernels`` is a (width*in_channels) x out_channels matrix laid out to
-    match :func:`gather_patches`; output length is (time-width)//stride + 1.
-    """
-    x, kernels = _as_var(x), _as_var(kernels)
-    c_in = x.cols
-    if kernels.rows % c_in != 0:
-        raise ShapeError(
-            f"kernel rows {kernels.rows} not a multiple of input channels {c_in}"
-        )
-    pre = linear(gather_patches(x, kernels.rows // c_in, stride), kernels, bias)
-    mask = pre.data > 0.0
-    return _make(np.where(mask, pre.data, 0.0), (pre,), lambda g: (g * mask,))
+    return _make(np.where(mask, pre, 0.0), (x, kernels, bias), vjp)
 
 
-def resample_rows(x, target_len: int) -> Var:
-    """Linear-interpolation resampling along the row (time) axis.
-
-    Row u of the output samples source coordinate u*(T-1)/(target_len-1), so
-    endpoints are preserved exactly. Degenerate cases (one source row or one
-    target row) repeat / take the first row, with interpolation weight zero on
-    the clamped neighbour.
-    """
-    x = _as_var(x)
-    t = x.rows
-    if target_len < 1:
-        raise ShapeError(f"target_len must be >= 1, got {target_len}")
-    pos = np.arange(target_len) * ((t - 1) / max(target_len - 1, 1))
-    lo = np.minimum(pos.astype(np.intp), max(t - 2, 0))
-    hi = np.minimum(lo + 1, t - 1)
-    frac = (pos - lo)[:, None]
-    out = x.data[lo] * (1.0 - frac) + x.data[hi] * frac
-    shape = x.shape
+def squared_error(pred, truth) -> Var:
+    """The 1x1 sum of squared differences of pred and truth, recorded as one
+    op (the same bits as a subtraction, a product and a sum). Only ``pred``
+    gets a gradient: the truth is data."""
+    pred, truth = _as_var(pred), _as_var(truth)
+    if pred.shape != truth.shape:
+        raise ShapeError(f"prediction {pred.shape} vs truth {truth.shape}")
+    d = pred.data - truth.data
 
     def vjp(g: Array):
-        gx = np.zeros(shape)
-        np.add.at(gx, lo, g * (1.0 - frac))
-        np.add.at(gx, hi, g * frac)
-        return (gx,)
+        gd = g[0, 0] * d
+        return gd + gd, None
 
-    return _make(out, (x,), vjp)
+    return _make(np.array([[(d * d).sum()]]), (pred, truth), vjp)
 
 
 def take_row(x, i: int) -> Var:

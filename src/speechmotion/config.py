@@ -46,10 +46,6 @@ class ModelConfig:
         return math.ceil(self.feature_rate / self.motion_rate)
 
     @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
-    @property
     def motion_dim(self) -> int:
         return 3 * self.vertices
 
@@ -68,8 +64,10 @@ class ModelConfig:
             raise ConfigError(f"heads must be a power of two, got {self.heads}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.feature_rate <= 0 or self.motion_rate <= 0:
-            raise ConfigError("feature_rate and motion_rate must be positive")
+        for name in ("feature_rate", "motion_rate"):  # NaN fails the comparison too
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.encoder_dim % self.encoder_heads != 0:
             raise ConfigError(
                 f"encoder_dim {self.encoder_dim} not divisible by "
@@ -147,9 +145,6 @@ _PARSERS = {"int": int, "float": float, "str": str}
 
 CONFIG_KEYS: dict[str, tuple[str, type | object]] = {
     **{f.name: ("model", _PARSERS[f.type]) for f in fields(ModelConfig)},
-    # derived ModelConfig fields, accepted only for cross-checking
-    "frame_ratio": ("check", int),
-    "head_dim": ("check", int),
     **{f.name: ("train", _PARSERS[f.type]) for f in fields(TrainConfig)},
 }
 
@@ -169,7 +164,7 @@ def build_configs(
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    kwargs: dict[str, dict] = {"model": {}, "train": {}, "check": {}}
+    kwargs: dict[str, dict] = {"model": {}, "train": {}}
     for key, raw in values.items():
         target, parser = CONFIG_KEYS[key]
         try:
@@ -184,12 +179,4 @@ def build_configs(
                 f"has {name} = {dataset[name]}"
             )
         model_kwargs[name] = dataset[name]
-    model = ModelConfig(**model_kwargs)
-    train = TrainConfig(**kwargs["train"])
-    for attr, claimed in kwargs["check"].items():
-        actual = getattr(model, attr)
-        if claimed != actual:
-            raise ConfigError(
-                f"{attr} = {claimed} conflicts with derived value {actual}"
-            )
-    return model, train
+    return ModelConfig(**model_kwargs), TrainConfig(**kwargs["train"])

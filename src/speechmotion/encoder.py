@@ -3,6 +3,7 @@ timeline, an unmasked transformer stack, and projection to the model width."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ from . import autodiff as ad
 from .attention import AttentionProjections, AttentionRecord, mh_attention
 from .autodiff import Var
 from .config import ModelConfig
-from .errors import AudioError
+from .errors import AudioError, ShapeError
 from .params import CONV_SCHEDULE, EXTRACTOR_TOTAL_STRIDE, Params, extractor_min_samples
 from .positional import sinusoid_rows
 
@@ -30,11 +31,13 @@ class AudioInput:
         has_feat = self.features is not None
         if has_wave == has_feat:
             raise AudioError("exactly one of waveform/features must be set")
-        if has_wave and (self.sample_rate is None or self.sample_rate <= 0):
-            raise AudioError("waveform input needs a positive sample_rate")
-        if has_feat and (self.feature_rate is None or self.feature_rate <= 0):
-            raise AudioError("feature input needs a positive feature_rate")
-        kind, data = ("waveform", self.waveform) if has_wave else ("features", self.features)
+        kind, data, rate_name = (
+            ("waveform", self.waveform, "sample_rate") if has_wave
+            else ("features", self.features, "feature_rate")
+        )
+        rate = getattr(self, rate_name)
+        if rate is None or not 0 < rate < math.inf:  # NaN fails the comparison too
+            raise AudioError(f"{kind} input needs a positive finite {rate_name}, got {rate}")
         if data.shape[0] == 0:
             raise AudioError(f"{kind} input has no rows")
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
@@ -100,6 +103,26 @@ def extract_features(audio: AudioInput, params: Params, cfg: ModelConfig) -> Var
     return x
 
 
+def resample_rows(x, target_len: int) -> np.ndarray:
+    """Linear-interpolation resampling along the row (time) axis.
+
+    Row u of the output samples source coordinate u*(T-1)/(target_len-1), so
+    endpoints are preserved exactly. Degenerate cases (one source row or one
+    target row) repeat / take the first row, with interpolation weight zero on
+    the clamped neighbour. The feature rows are data, not parameters, so this
+    runs off the tape.
+    """
+    x = ad.as_matrix(x)
+    t = x.shape[0]
+    if target_len < 1:
+        raise ShapeError(f"target_len must be >= 1, got {target_len}")
+    pos = np.arange(target_len) * ((t - 1) / max(target_len - 1, 1))
+    lo = np.minimum(pos.astype(np.intp), max(t - 2, 0))
+    hi = np.minimum(lo + 1, t - 1)
+    frac = (pos - lo)[:, None]
+    return x[lo] * (1.0 - frac) + x[hi] * frac
+
+
 def infer_motion_len(feature_rows: int, audio_rate: float, cfg: ModelConfig) -> int:
     """Motion frames covered by the audio: round(T' * f_m / f_a), at least 1."""
     return max(1, int(feature_rows * cfg.motion_rate / audio_rate + 0.5))
@@ -146,7 +169,7 @@ def encode(
     if motion_len is None:
         motion_len = infer_motion_len(feats.rows, audio.rate, cfg)
     target = cfg.frame_ratio * motion_len
-    x = ad.resample_rows(feats, target)
+    x = Var(resample_rows(feats.data, target))
     x = ad.linear(x, params["enc.input_proj.w"], params["enc.input_proj.b"])
     x = ad.add_const(x, sinusoid_rows(np.arange(target), cfg.encoder_dim))
     for i in range(cfg.encoder_layers):

@@ -39,11 +39,7 @@ def mse_loss(pred, truth) -> Var:
     float. The per-frame-per-vertex RMSE reported in logs is derived from this
     sum, not part of the objective.
     """
-    pred, truth = ad._as_var(pred), ad._as_var(truth)
-    if pred.shape != truth.shape:
-        raise ShapeError(f"prediction {pred.shape} vs truth {truth.shape}")
-    diff = ad.sub(pred, truth)
-    return ad.sum_all(ad.mul(diff, diff))
+    return ad.squared_error(pred, truth)
 
 
 def frame_vertex_rmse(pred: np.ndarray, truth: np.ndarray) -> float:

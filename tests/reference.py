@@ -5,8 +5,10 @@ loops so it cannot share bugs with the vectorized production path, the bias
 builders construct whole t x t matrices that the decoder never needs, the
 positional rows are built one at a time, and the dense decoder block reruns
 attention over a whole prefix where the package runs one cached row. The
-elementary add, rectifier and layer norm records are the compositions that
-the package's fused records must match bit for bit. The reverse pass and the
+elementary add, subtraction, product, sum, rectifier, layer norm and patch
+gather records are the compositions that the package's fused records (the
+layers, the strided convolution and the loss) must match bit for bit; the
+tests also build their losses from them. The reverse pass and the
 optimizer are the package's earlier ones: every gradient widened to its
 whole input and added into a new array, and clipping and Adam run parameter
 by parameter into new arrays; the package's must match them bit for bit. The checkpoint helpers
@@ -53,6 +55,49 @@ def add(a, b) -> Var:
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return ad._make(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def sub(a, b) -> Var:
+    """Elementwise difference, recorded on the active tape."""
+    a, b = ad._as_var(a), ad._as_var(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
+    return ad._make(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def mul(a, b) -> Var:
+    """Elementwise product, recorded on the active tape."""
+    a, b = ad._as_var(a), ad._as_var(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+    x, y = a.data, b.data
+    return ad._make(x * y, (a, b), lambda g: (g * y, g * x))
+
+
+def sum_all(a) -> Var:
+    """The 1x1 sum of every entry, recorded on the active tape."""
+    a = ad._as_var(a)
+    shape = a.shape
+    return ad._make(
+        np.array([[a.data.sum()]]), (a,), lambda g: (np.full(shape, g[0, 0]),)
+    )
+
+
+def gather_patches(x, width: int, stride: int) -> Var:
+    """Unfold a time x channels matrix into rows of flattened windows,
+    recorded on the active tape: row u is ``x[u*stride : u*stride+width]``
+    flattened time-major."""
+    x = ad._as_var(x)
+    t, c = x.shape
+    t_out = (t - width) // stride + 1
+    idx = np.arange(t_out)[:, None] * stride + np.arange(width)[None, :]
+
+    def vjp(g):
+        gx = np.zeros((t, c))
+        np.add.at(gx, idx, g.reshape(t_out, width, c))
+        return (gx,)
+
+    return ad._make(x.data[idx].reshape(t_out, width * c), (x,), vjp)
 
 
 def relu(a) -> Var:

@@ -29,6 +29,7 @@ from reference import (
     biased_attention,
     dense_decoder_layer,
     positional_table,
+    sum_all,
     temporal_bias,
 )
 
@@ -140,7 +141,7 @@ def test_criterion_3_full_model_gradient_audit(rng):
     def extractor_loss():
         audio = sm.AudioInput.from_waveform(wave, 16000.0)
         feats = sm.extract_features(audio, params, cfg)
-        return ad.sum_all(ad.matmul(feats, readout))
+        return sum_all(ad.matmul(feats, readout))
 
     with sm.Tape():
         conv_grads = sm.backward(extractor_loss(), params)

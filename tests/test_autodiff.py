@@ -25,7 +25,9 @@ from speechmotion.training import rollout_loss
 
 from conftest import finite_diff, rel_err
 import reference
-from reference import add, layer_norm, relu, softmax_rows, temporal_bias
+from reference import (
+    add, gather_patches, layer_norm, mul, relu, softmax_rows, sub, sum_all, temporal_bias,
+)
 
 
 def grad(loss, wrt):
@@ -51,12 +53,12 @@ class TestMatmul:
         a = Var(rng.normal(size=(4, 5)))
         b = Var(rng.normal(size=(5, 3)))
         with Tape():
-            loss = ad.sum_all(ad.matmul(a, b))
+            loss = sum_all(ad.matmul(a, b))
             ga = grad(loss, a)
         with Tape():
-            gb = grad(ad.sum_all(ad.matmul(a, b)), b)
-        fa = finite_diff(lambda: ad.sum_all(ad.matmul(a, b)).item(), a.data)
-        fb = finite_diff(lambda: ad.sum_all(ad.matmul(a, b)).item(), b.data)
+            gb = grad(sum_all(ad.matmul(a, b)), b)
+        fa = finite_diff(lambda: sum_all(ad.matmul(a, b)).item(), a.data)
+        fb = finite_diff(lambda: sum_all(ad.matmul(a, b)).item(), b.data)
         assert rel_err(ga, fa) < 1e-6
         assert rel_err(gb, fb) < 1e-6
 
@@ -106,7 +108,7 @@ class TestSoftmaxRows:
         w = rng.normal(size=(4, 1))
 
         def loss_var():
-            return ad.sum_all(ad.matmul(softmax_rows(x), w))
+            return sum_all(ad.matmul(softmax_rows(x), w))
 
         with Tape():
             g = grad(loss_var(), x)
@@ -148,7 +150,7 @@ class TestAttention:
 
         def loss_var():
             out, _ = ad.attention(*inputs, bias, heads, slice(1, s + 1))
-            return ad.sum_all(ad.mul(out, readout))
+            return sum_all(mul(out, readout))
 
         for var in inputs:
             with Tape():
@@ -167,7 +169,7 @@ class TestAttention:
         x, wq, k, v, wo = _attention_inputs(rng, heads, t, s)
         with Tape():
             out, weights = ad.attention(x, wq, k, v, wo, bias, heads)
-            grads = backward(ad.sum_all(ad.mul(out, out)), {"k": k, "v": v})
+            grads = backward(sum_all(mul(out, out)), {"k": k, "v": v})
         assert np.array_equal(weights[:, :, [1, 4]], np.zeros((heads, t, 2)))
         for g in grads.values():
             assert np.array_equal(g[[1, 4]], np.zeros_like(g[[1, 4]]))
@@ -207,7 +209,7 @@ class TestAttention:
                     x, wq, audio_k, audio_v, wo, None, heads, slice(2 * i, 2 * i + 2)
                 )
                 outs += [own, window]
-            return ad.sum_all(ad.mul(ad.concat_rows(outs), readout))
+            return sum_all(mul(ad.concat_rows(outs), readout))
 
         for var in (xs, audio, wq, wk, wv, wo):
             with Tape():
@@ -222,7 +224,7 @@ class TestAttention:
         def loss_var():
             buf = Var(np.zeros((5, 3)))
             ad.write_row(buf, 2, x, w)
-            return ad.sum_all(ad.mul(buf, readout))
+            return sum_all(mul(buf, readout))
 
         for var in (x, w):
             with Tape():
@@ -251,26 +253,26 @@ class TestAttention:
     def test_training_rollout_records(self, rng):
         # one record per linear, add-norm, feed-forward, projecting write and
         # attention (with its query and output projections), and a step
-        # input row of at most two records: ten per decoder step. The
-        # per-head composition of slices, transposes and softmaxes made 2,106
-        # records, the fused attention 598, and separate projections 387
+        # input row of at most two records: ten per decoder step. The loss is
+        # one record, and neither the resampling of the feature rows nor the
+        # frozen extractor is recorded, so a waveform adds no record
         cfg = ModelConfig().validate()
-        frames = 20
-        sample = TrainingSample(
-            AudioInput.from_features(
-                rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate
-            ),
-            rng.normal(size=(frames, cfg.motion_dim)), identity=0,
-        )
-        with Tape() as tape:
-            rollout_loss(sample, init_params(cfg, seed=0), cfg)
-            assert len(tape) <= 227
+        params, frames = init_params(cfg, seed=0), 20
+        features = rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim))
+        for audio in (
+            AudioInput.from_features(features, cfg.feature_rate),
+            AudioInput.from_waveform(rng.normal(size=12800) * 0.3, 16000.0),
+        ):
+            sample = TrainingSample(audio, rng.normal(size=(frames, cfg.motion_dim)), identity=0)
+            with Tape() as tape:
+                rollout_loss(sample, params, cfg)
+                assert len(tape) == 224
 
 
 class TestFusedRecords:
-    """linear, add_norm, feed_forward and attention are one record each, and
-    conv1d_strided is linear plus one rectifier record, with the bits of the
-    composition they replace, forward and backward."""
+    """linear, add_norm, feed_forward, attention, conv1d_strided and
+    squared_error are one record each, with the bits of the composition they
+    replace, forward and backward."""
 
     @staticmethod
     def _compare(rng, fused, composed, inputs):
@@ -281,7 +283,7 @@ class TestFusedRecords:
                 out = build(*inputs)
                 if readout is None:
                     readout = rng.normal(size=out.shape)
-                loss = ad.sum_all(ad.mul(out, readout))
+                loss = sum_all(mul(out, readout))
                 grads = backward(loss, {str(i): v for i, v in enumerate(inputs)})
             results.append((out.data, grads))
         (out_f, grads_f), (out_c, grads_c) = results
@@ -313,11 +315,30 @@ class TestFusedRecords:
         inputs = [Var(rng.normal(size=s)) for s in ((9, 2), (6, 3), (1, 3))]
 
         def composed(x, k, b):  # kernel width 6 // 2 channels = 3, stride 2
-            return relu(ad.add_row(ad.matmul(ad.gather_patches(x, 3, 2), k), b))
+            return relu(ad.add_row(ad.matmul(gather_patches(x, 3, 2), k), b))
 
-        pre = ad.gather_patches(inputs[0], 3, 2).data @ inputs[1].data + inputs[2].data
+        pre = gather_patches(inputs[0], 3, 2).data @ inputs[1].data + inputs[2].data
         assert (pre < 0).any() and (pre > 0).any()
         self._compare(rng, lambda x, k, b: ad.conv1d_strided(x, k, 2, b), composed, inputs)
+
+    def test_squared_error(self, rng):
+        # a non-unit incoming gradient; only pred is compared, since the truth
+        # is data and the fused record gives it no gradient
+        pred, truth = Var(rng.normal(size=(4, 6))), rng.normal(size=(4, 6))
+        scale = rng.normal(size=(1, 1))
+
+        def composed(pred, truth):
+            diff = sub(pred, truth)
+            return sum_all(mul(diff, diff))
+
+        results = []
+        for loss_of in (ad.squared_error, composed):
+            with Tape():
+                out = loss_of(pred, truth)
+                results.append((out.data, grad(mul(out, scale), pred)))
+        (out_f, grad_f), (out_c, grad_c) = results
+        assert out_f.tobytes() == out_c.tobytes()
+        assert grad_f.tobytes() == grad_c.tobytes()
 
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("t", [1, 3])
@@ -348,12 +369,12 @@ class TestFusedRecords:
         a_all = Var(a)
         with Tape():
             rows = ad.add_norm(a_all, b, gain, offset)
-            grad_rows = grad(ad.sum_all(ad.mul(rows, readout)), a_all)
+            grad_rows = grad(sum_all(mul(rows, readout)), a_all)
         for i in range(6):
             a_one = Var(a[i : i + 1])
             with Tape():
                 one = ad.add_norm(a_one, b[i : i + 1], gain, offset)
-                grad_one = grad(ad.sum_all(ad.mul(one, readout[i : i + 1])), a_one)
+                grad_one = grad(sum_all(mul(one, readout[i : i + 1])), a_one)
             assert one.data.tobytes() == rows.data[i : i + 1].tobytes()
             assert grad_one.tobytes() == grad_rows[i : i + 1].tobytes()
 
@@ -381,7 +402,7 @@ class TestLayerNorm:
         w = rng.normal(size=(6, 1))
 
         def loss_var():
-            return ad.sum_all(ad.matmul(layer_norm(x, gain, offset), w))
+            return sum_all(ad.matmul(layer_norm(x, gain, offset), w))
 
         for var in (x, gain, offset):
             with Tape():
@@ -407,7 +428,7 @@ class TestLinear:
         b = Var(rng.normal(size=(1, 2)))
 
         def loss_var():
-            return ad.sum_all(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b)))
+            return sum_all(mul(ad.linear(x, w, b), ad.linear(x, w, b)))
 
         for var in (x, w, b):
             with Tape():
@@ -440,7 +461,7 @@ class TestConv1dStrided:
         b = Var(rng.normal(size=(1, 3)))
 
         def loss_var():
-            return ad.sum_all(ad.conv1d_strided(x, k, 2, b))
+            return sum_all(ad.conv1d_strided(x, k, 2, b))
 
         for var in (x, k, b):
             with Tape():
@@ -457,7 +478,7 @@ class TestStructuralOps:
         def build():
             joined = ad.concat_rows([a, b])
             piece = ad.concat_rows([ad.take_row(joined, i) for i in range(1, 5)])
-            return ad.sum_all(ad.mul(piece, piece))
+            return sum_all(mul(piece, piece))
 
         for var in (a, b):
             with Tape():
@@ -465,24 +486,10 @@ class TestStructuralOps:
             fd = finite_diff(lambda: build().item(), var.data)
             assert rel_err(g, fd) < 1e-6
 
-    def test_resample_gradient(self, rng):
-        # (source rows, target rows), including one source row and one target row
-        for rows, target in ((5, 8), (1, 4), (5, 1)):
-            x = Var(rng.normal(size=(rows, 3)))
-
-            def build():
-                y = ad.resample_rows(x, target)
-                return ad.sum_all(ad.mul(y, y))
-
-            with Tape():
-                g = grad(build(), x)
-            fd = finite_diff(lambda: build().item(), x.data)
-            assert rel_err(g, fd) < 1e-6
-
     def test_take_row_gradient_scatters(self, rng):
         x = Var(rng.normal(size=(4, 3)))
         with Tape():
-            g = grad(ad.sum_all(ad.take_row(x, 2)), x)
+            g = grad(sum_all(ad.take_row(x, 2)), x)
         expect = np.zeros((4, 3))
         expect[2] = 1.0
         assert np.array_equal(g, expect)
@@ -492,7 +499,7 @@ class TestBackward:
     def test_sum_of_parameter_gives_ones(self, rng):
         w = Var(rng.normal(size=(3, 4)))
         with Tape():
-            grads = backward(ad.sum_all(w), {"w": w})
+            grads = backward(sum_all(w), {"w": w})
         assert np.array_equal(grads["w"], np.ones((3, 4)))
 
     def test_least_squares_matches_analytic(self, rng):
@@ -500,8 +507,8 @@ class TestBackward:
         y = rng.normal(size=(5, 2))
         w = Var(rng.normal(size=(3, 2)))
         with Tape():
-            diff = ad.sub(ad.matmul(x, w), y)
-            grads = backward(ad.sum_all(ad.mul(diff, diff)), {"w": w})
+            diff = sub(ad.matmul(x, w), y)
+            grads = backward(sum_all(mul(diff, diff)), {"w": w})
         analytic = 2.0 * x.T @ (x @ w.data - y)
         assert rel_err(grads["w"], analytic) < 1e-12
 
@@ -521,14 +528,14 @@ class TestBackward:
         w = Var(rng.normal(size=(2, 2)))
         other = Var(rng.normal(size=(3, 3)))
         with Tape():
-            grads = backward(ad.sum_all(ad.mul(w, w)), {"w": w, "other": other})
+            grads = backward(sum_all(mul(w, w)), {"w": w, "other": other})
         assert np.array_equal(grads["other"], np.zeros((3, 3)))
 
     def test_deterministic_bitwise(self, rng):
         x = Var(rng.normal(size=(4, 4)))
         w = Var(rng.normal(size=(4, 4)))
         with Tape():
-            loss = ad.sum_all(softmax_rows(ad.matmul(x, w)))
+            loss = sum_all(softmax_rows(ad.matmul(x, w)))
             first = backward(loss, {"x": x, "w": w})
             second = backward(loss, {"x": x, "w": w})
         for key in first:
@@ -537,7 +544,7 @@ class TestBackward:
     def test_reused_variable_accumulates(self, rng):
         x = Var(rng.normal(size=(2, 2)))
         with Tape():
-            loss = ad.sum_all(add(x, x))
+            loss = sum_all(add(x, x))
             grads = backward(loss, {"x": x})
         assert np.array_equal(grads["x"], np.full((2, 2), 2.0))
 
@@ -550,7 +557,7 @@ class TestBackward:
             with Tape():
                 hidden = relu(ad.matmul(x, w))
                 ref = weakref.ref(hidden.data)
-                loss = ad.sum_all(ad.mul(hidden, hidden))
+                loss = sum_all(mul(hidden, hidden))
                 del hidden
                 assert ref() is not None
             assert ref() is None
@@ -561,7 +568,7 @@ class TestBackward:
     def test_backward_after_block_end_rejected(self, rng):
         w = Var(rng.normal(size=(2, 2)))
         with Tape():
-            loss = ad.sum_all(ad.mul(w, w))
+            loss = sum_all(mul(w, w))
         with pytest.raises(GradientError, match="ended"):
             backward(loss, {"w": w})
 
@@ -586,10 +593,10 @@ class TestBackward:
         with Tape():
             b = ad.matmul(y, w)
             a = ad.matmul(x, w)
-            c = ad.mul(a, readout)
+            c = mul(a, readout)
             twice = ad.add_norm(x, x, gain, offset)
-            d = ad.sub(add(ad.add_norm(a, b, gain, offset), c), twice)
-            loss = ad.sum_all(ad.mul(d, d))
+            d = sub(add(ad.add_norm(a, b, gain, offset), c), twice)
+            loss = sum_all(mul(d, d))
             grads = self._same_as_reference(
                 loss, {"x": x, "y": y, "w": w, "gain": gain, "offset": offset}
             )
@@ -607,7 +614,7 @@ class TestBackward:
                 for a, b in ((1, 3), (2, 5), (6, 8))
             ]
             total = ad.concat_rows([ad.concat_rows(outs[:2]), outs[2]])
-            loss = ad.sum_all(ad.mul(total, np.concatenate([readout] * 3)))
+            loss = sum_all(mul(total, np.concatenate([readout] * 3)))
             grads = self._same_as_reference(loss, {"x": x, "k": k, "v": v, "wq": wq})
         for name in ("k", "v"):
             assert not grads[name][[0, 5, 8]].any()

@@ -22,7 +22,7 @@ from speechmotion import decoder, init_params, training
 from speechmotion.positional import head_slopes, ppe_rows
 
 from conftest import cached_step, finite_diff, rel_err
-from reference import causal_mask, dense_decoder_layer, temporal_bias
+from reference import causal_mask, dense_decoder_layer, mul, sum_all, temporal_bias
 
 
 def _audio(rng, rows=8):
@@ -179,7 +179,7 @@ class TestDecodeMotion:
 
         def loss_var():
             out = decode_motion(hidden, params)
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(mul(out, out))
 
         for name in params:
             with ad.Tape():

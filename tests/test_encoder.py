@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import AudioError, AudioInput, ModelConfig, encode, extract_features
-from speechmotion import autodiff as ad
-from speechmotion.encoder import infer_motion_len
+from speechmotion import (
+    AudioError, AudioInput, ModelConfig, ShapeError, encode, extract_features,
+)
+from speechmotion.encoder import infer_motion_len, resample_rows
 from speechmotion.params import extractor_min_samples
 from speechmotion.params import init_params
 
@@ -25,6 +26,13 @@ class TestAudioInput:
     def test_rates_positive(self):
         with pytest.raises(AudioError):
             AudioInput.from_features(np.zeros((2, 2)), feature_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rates_rejected(self, rate):
+        with pytest.raises(AudioError, match="feature_rate"):
+            AudioInput.from_features(np.zeros((2, 2)), feature_rate=rate)
+        with pytest.raises(AudioError, match="sample_rate"):
+            AudioInput.from_waveform(np.zeros(4000), sample_rate=rate)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -76,32 +84,36 @@ class TestExtractFeatures:
 class TestResampleLinear:
     def test_same_length_is_identity(self, rng):
         x = rng.normal(size=(7, 3))
-        assert np.array_equal(ad.resample_rows(x, 7).data, x)
+        assert np.array_equal(resample_rows(x, 7), x)
 
     def test_upsampling_three_to_five(self):
-        out = ad.resample_rows(np.array([[0.0], [1.0], [2.0]]), 5)
-        assert np.allclose(out.data, [[0.0], [0.5], [1.0], [1.5], [2.0]], atol=1e-15)
+        out = resample_rows(np.array([[0.0], [1.0], [2.0]]), 5)
+        assert np.allclose(out, [[0.0], [0.5], [1.0], [1.5], [2.0]], atol=1e-15)
 
     def test_endpoints_preserved(self, rng):
         x = rng.normal(size=(9, 2))
         for target in (3, 9, 17):
-            out = ad.resample_rows(x, target).data
+            out = resample_rows(x, target)
             assert np.array_equal(out[0], x[0])
             assert np.array_equal(out[-1], x[-1])
 
     def test_degenerate_lengths(self, rng):
         x = rng.normal(size=(1, 3))
-        assert np.array_equal(ad.resample_rows(x, 4).data, np.repeat(x, 4, axis=0))
+        assert np.array_equal(resample_rows(x, 4), np.repeat(x, 4, axis=0))
         y = rng.normal(size=(5, 3))
-        assert np.array_equal(ad.resample_rows(y, 1).data, y[0:1])
+        assert np.array_equal(resample_rows(y, 1), y[0:1])
+
+    def test_empty_target_rejected(self, rng):
+        with pytest.raises(ShapeError, match="target_len must be >= 1, got 0"):
+            resample_rows(rng.normal(size=(3, 2)), 0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-2, 2), st.floats(-2, 2))
     def test_linearity(self, seed, alpha, beta):
         r = np.random.Generator(np.random.PCG64(seed))
         x, y = r.normal(size=(6, 2)), r.normal(size=(6, 2))
-        combined = ad.resample_rows(alpha * x + beta * y, 10).data
-        separate = alpha * ad.resample_rows(x, 10).data + beta * ad.resample_rows(y, 10).data
+        combined = resample_rows(alpha * x + beta * y, 10)
+        separate = alpha * resample_rows(x, 10) + beta * resample_rows(y, 10)
         assert np.allclose(combined, separate, atol=1e-12)
 
 
