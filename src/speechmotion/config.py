@@ -68,6 +68,12 @@ class ModelConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        ratio = self.feature_rate / self.motion_rate
+        if not ratio <= _INT64_MAX:  # frame_ratio would overflow or pass int64
+            raise ConfigError(
+                f"feature_rate {self.feature_rate} / motion_rate {self.motion_rate} "
+                f"gives a frame ratio that does not fit in a 64-bit integer"
+            )
         if self.encoder_dim % self.encoder_heads != 0:
             raise ConfigError(
                 f"encoder_dim {self.encoder_dim} not divisible by "

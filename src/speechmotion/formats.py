@@ -21,14 +21,11 @@ it held an output-space code, and a file whose slot 14 is not 0 was trained
 on offsets from its first frame, so it is rejected naming output_space.
 
 Version 2 files still load: version 3 without the padding, so their
-payloads start wherever the table ends. Version 1 files still load: magic,
-version u32, entry count u32, then per entry name length u16 + name + rows
-u32 + cols u32 + float64 payload, and a trailing CRC32 of all preceding
-bytes; no derived entries, so inference computes the fold. The whole file
-is read and its CRC is checked before any structural problem is reported,
-so a corrupt file reads as corrupt. The version is read before any CRC is
-checked, and any other version is unsupported: a file from a newer writer,
-or one whose version bytes are corrupt, reads as an unsupported version.
+payloads start wherever the table ends. The version is read before any CRC
+is checked, and any other version is unsupported: a file from a newer
+writer, one whose version bytes are corrupt, or a version 1 file (an older
+layout with one CRC over the whole file and no derived entries) reads as an
+unsupported version.
 
 Every byte a load uses is checked before it is used: the header block
 against its CRC before the table is parsed, and each payload it uses
@@ -46,8 +43,8 @@ its entry. 32 MiB is the largest value glibc's dynamic mmap threshold
 reaches, so a new array that large always gets fresh pages from the kernel,
 and reading into it pays page faults, zeroing and a copy that the map
 saves. Smaller arrays reuse freed heap, where a map would only add resident
-file pages. Every other payload, and every payload of a version 1 or 2
-file, is read in chunks straight into an array of its own, which is aligned
+file pages. Every other payload, and every payload of a version 2 file, is
+read in chunks straight into an array of its own, which is aligned
 (numpy hands only aligned arrays to BLAS) and owns its memory, and each
 chunk is checksummed as soon as it is read.
 
@@ -252,15 +249,13 @@ def _padding(version: int, table_len: int) -> int:
     return 0 if version == 2 else -(20 + table_len) % _ALIGN
 
 
-def _read_payload(
-    fh, array: np.ndarray, path, offset: int, crc: int = 0, scratch: bytearray | None = None
-) -> int:
+def _read_payload(fh, array: np.ndarray, path, offset: int, scratch: bytearray | None) -> int:
     """Fill a C-contiguous array from ``fh`` in ``_CHUNK`` pieces, each
-    checksummed while it is still in cache; ``crc`` folded over its bytes.
-    With ``scratch``, a buffer of up to ``_CHUNK`` bytes, each piece is read
-    into it instead and only the array's size is used. ``offset``: where in
-    the file its payload starts."""
-    nbytes = array.nbytes
+    checksummed while it is still in cache, and return the CRC32 of its
+    bytes. With ``scratch``, a buffer of up to ``_CHUNK`` bytes, each piece
+    is read into it instead and only the array's size is used. ``offset``:
+    where in the file its payload starts."""
+    nbytes, crc = array.nbytes, 0
     buf = memoryview(array.reshape(-1).view(np.uint8) if scratch is None else scratch)
     for start in range(0, nbytes, _CHUNK):
         size = min(_CHUNK, nbytes - start)
@@ -271,102 +266,6 @@ def _read_payload(
             )
         crc = zlib.crc32(chunk, crc)
     return crc
-
-
-class _CheckedReader:
-    """Reads a version 1 checkpoint front to back, folding the CRC32 of
-    every byte it reads into ``crc``."""
-
-    def __init__(self, fh, path, head: bytes):
-        """``head``: the bytes already read from ``fh``, checksummed first."""
-        self.fh, self.path, self.offset = fh, path, len(head)
-        self.crc = zlib.crc32(head)
-
-    def read(self, n: int, checked: bool = True) -> bytes:
-        """The next n bytes; ``checked=False`` keeps them out of the CRC."""
-        data = self.fh.read(n)
-        if len(data) != n:
-            raise FormatError(
-                f"{self.path}: short read at byte {self.offset}, file changed while loading"
-            )
-        self.offset += n
-        if checked:
-            self.crc = zlib.crc32(data, self.crc)
-        return data
-
-    def read_into(self, array: np.ndarray, scratch: bytearray | None) -> None:
-        """Fill a C-contiguous array with its payload (see
-        :func:`_read_payload` for ``scratch``)."""
-        self.crc = _read_payload(self.fh, array, self.path, self.offset, self.crc, scratch)
-        self.offset += array.nbytes
-
-    def skip_to(self, end: int) -> None:
-        """Checksum the bytes up to ``end`` without keeping them."""
-        while self.offset < end:
-            self.read(min(_CHUNK, end - self.offset))
-
-
-def _new_entry(name: str, shape: tuple[int, int], keep, scratch):
-    """The array an entry's payload is read into and the buffer it is read
-    through (see :func:`_read_payload`): a new array and None for an entry
-    in ``keep`` (every entry when it is None), else a read-only zero of the
-    entry's shape, which holds no memory, and ``scratch``."""
-    if keep is None or name in keep:
-        return np.empty(shape, dtype="<f8"), None
-    return np.broadcast_to(np.float64(0.0), shape), scratch
-
-
-def _parse_entries(
-    src: _CheckedReader, count: int, end: int, keep, scratch
-) -> dict[str, np.ndarray]:
-    """Parse ``count`` entries ending at byte ``end``; each payload is read
-    straight into an array of its own, or only checked (see
-    :func:`_read_checkpoint` for ``keep`` and ``scratch``). A structural
-    problem raises FormatError before anything for that entry is allocated."""
-    path = src.path
-    entries: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        if src.offset + 2 > end:
-            raise FormatError(f"{path}: truncated entry header")
-        (name_len,) = struct.unpack("<H", src.read(2))
-        at = src.offset
-        try:
-            name = src.read(min(name_len, end - at)).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: entry name at byte {at} is not UTF-8")
-        if at + name_len + 8 > end:
-            raise FormatError(f"{path}: truncated entry shape")
-        rows, cols = struct.unpack("<II", src.read(8))
-        if src.offset + 8 * rows * cols > end:
-            raise FormatError(f"{path}: truncated payload for {name!r}")
-        if name in entries:
-            raise FormatError(f"{path}: duplicate entry {name!r}")
-        entries[name], through = _new_entry(name, (rows, cols), keep, scratch)
-        src.read_into(entries[name], through)
-    if src.offset != end:
-        raise FormatError(f"{path}: {end - src.offset} stray bytes after entries")
-    return entries
-
-
-def _read_v1(fh, path, head: bytes, size: int, keep, scratch) -> dict[str, np.ndarray]:
-    """The entries of a version 1 checkpoint, after the 8 bytes ``head``.
-    The whole-file CRC is checked before any structural problem is
-    reported, so a corrupt file always reads as corrupt."""
-    end = size - 4
-    src = _CheckedReader(fh, path, head)
-    problem = None
-    try:
-        (count,) = struct.unpack("<I", src.read(4))
-        entries = _parse_entries(src, count, end, keep, scratch)
-    except FormatError as exc:
-        problem = exc
-        src.skip_to(end)
-    (stored,) = struct.unpack("<I", src.read(4, checked=False))
-    if src.crc != stored:
-        raise FormatError(f"{path}: CRC mismatch, file is corrupt")
-    if problem is not None:
-        raise problem
-    return entries
 
 
 def _parse_table(path, table: bytes, count: int, room: int) -> dict:
@@ -445,15 +344,18 @@ def _read_tabled(fh, path, head: bytes, st, skip, keep, scratch) -> dict[str, np
             fh.seek(nbytes, os.SEEK_CUR)
             offset += nbytes
             continue
-        if version == 3 and nbytes >= _MAP_BYTES and (keep is None or name in keep):
+        if keep is not None and name not in keep:  # a read-only zero holds no memory
+            data = np.broadcast_to(np.float64(0.0), shape)
+            got = _read_payload(fh, data, path, offset, scratch)
+        elif version == 3 and nbytes >= _MAP_BYTES:
             if mapping is None:
                 mapping = _map(fh, path, st)
             data = np.frombuffer(mapping, "<f8", nbytes // 8, offset).reshape(shape)
             fh.seek(nbytes, os.SEEK_CUR)
             got = zlib.crc32(data)
         else:
-            data, through = _new_entry(name, shape, keep, scratch)
-            got = _read_payload(fh, data, path, offset, 0, through)
+            data = np.empty(shape, dtype="<f8")
+            got = _read_payload(fh, data, path, offset, None)
         if got != crc:
             raise FormatError(f"{path}: CRC mismatch in entry {name!r}, file is corrupt")
         entries[name] = data
@@ -469,11 +371,10 @@ def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarra
     """The version of a checkpoint and its entries, each an aligned float64
     array: a read-only view of a map of the file for a version 3 payload of
     at least ``_MAP_BYTES``, else a writable array that owns its memory.
-    ``skip``: entries a version 2 or 3 file is read without; a version 1
-    file is always read whole. ``keep``: when given, the only entries whose
-    payloads are held; every other payload is checked through one reused
-    buffer of up to ``_CHUNK`` bytes and stands as a read-only zero of its
-    shape."""
+    ``skip``: entries whose payloads are neither read nor checked.
+    ``keep``: when given, the only entries whose payloads are held; every
+    other payload is checked through one reused buffer of up to ``_CHUNK``
+    bytes and stands as a read-only zero of its shape."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         head = fh.read(8)
@@ -481,8 +382,6 @@ def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarra
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
         scratch = None if keep is None else bytearray(min(_CHUNK, st.st_size))
         (version,) = struct.unpack("<I", head[4:])
-        if version == 1:
-            return 1, _read_v1(fh, path, head, st.st_size, keep, scratch)
         if version in (2, 3):
             return version, _read_tabled(fh, path, head, st, skip, keep, scratch)
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
@@ -492,24 +391,22 @@ def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelCon
     """The parameters and configuration stored in a checkpoint.
 
     The full load reads and checks every entry and returns the trainable
-    parameters only. With ``for_inference``, a version 2 or 3 file is read
-    without the motion encoder, which inference uses only through the
-    fold, and the parameters carry the stored fold instead (see
-    :func:`decoder.feedback_map`). A version 1 file is read whole and
-    carries no fold. A parameter from a version 3 payload of at least
-    ``_MAP_BYTES`` is a read-only view of a map of the file; copy it to
-    change it.
+    parameters only. With ``for_inference``, the file is read without the
+    motion encoder, which inference uses only through the fold, and the
+    parameters carry the stored fold instead (see
+    :func:`decoder.feedback_map`). A parameter from a version 3 payload of
+    at least ``_MAP_BYTES`` is a read-only view of a map of the file; copy
+    it to change it.
     """
     skip = _UNREAD_FOR_INFERENCE if for_inference else ()
-    version, entries = _read_checkpoint(path, skip)
+    _, entries = _read_checkpoint(path, skip)
     if CONFIG_ENTRY not in entries:
         raise FormatError(f"{path}: missing {CONFIG_ENTRY!r} entry")
     cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)
     expected = param_shapes(cfg)
-    if version > 1:
-        expected.update(zip(FOLD_ENTRIES, ((cfg.dim, cfg.dim), (1, cfg.dim))))
-        for name in skip:
-            del expected[name]
+    expected.update(zip(FOLD_ENTRIES, ((cfg.dim, cfg.dim), (1, cfg.dim))))
+    for name in skip:
+        del expected[name]
     params = {name: Var(data) for name, data in entries.items()}
     try:
         validate_shapes(params, expected)
@@ -517,7 +414,7 @@ def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelCon
         raise FormatError(f"{path}: {exc}") from None
     if not for_inference:
         for name in FOLD_ENTRIES:
-            params.pop(name, None)
+            del params[name]
     return params, cfg
 
 
@@ -604,12 +501,17 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             width = fh.getsampwidth()
             rate = fh.getframerate()
             frames = fh.readframes(fh.getnframes())
-    except (wave.Error, EOFError) as exc:
-        raise FormatError(f"{path}: not a readable WAV file ({exc})")
+    except (wave.Error, EOFError, RuntimeError) as exc:  # wave seeks past a chunk
+        raise FormatError(f"{path}: not a readable WAV file ({str(exc) or 'bad chunk size'})")
     if channels != 1 or width != 2:
         raise FormatError(
             f"{path}: expected 16-bit mono PCM, got {channels} channel(s) "
             f"at {8 * width} bits"
+        )
+    if len(frames) % 2:  # a RIFF size that ends the file inside a sample
+        raise FormatError(
+            f"{path}: not a readable WAV file (data ends inside a sample, "
+            f"after {len(frames)} bytes)"
         )
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0
     return samples, rate

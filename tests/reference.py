@@ -11,21 +11,20 @@ layers, the strided convolution and the loss) must match bit for bit; the
 tests also build their losses from them. The reverse pass and the
 optimizer are the package's earlier ones: every gradient widened to its
 whole input and added into a new array, and clipping and Adam run parameter
-by parameter into new arrays; the package's must match them bit for bit. The checkpoint helpers
-pack and parse both file versions field by field from the format
-description, and write the version 1 files the package no longer writes.
+by parameter into new arrays; the package's must match them bit for bit.
+The checkpoint helpers pack and parse the file versions field by field from
+the format description; they also pack the version 1 layout, which the
+package refuses.
 """
 
 import math
 import struct
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from speechmotion import DegenerateRowError, ShapeError, Var
-from speechmotion.formats import CONFIG_ENTRY, _config_vector
 from speechmotion import autodiff as ad
 from speechmotion.attention import AttentionProjections, KeyValues, mh_attention
 from speechmotion.positional import (
@@ -320,7 +319,9 @@ def header_padding(version: int, table_len: int) -> int:
 
 def checkpoint_bytes(entries, version: int) -> bytes:
     """A checkpoint holding ``entries`` ((name, 2-D array) pairs) in the
-    given order, with every CRC the version carries."""
+    given order, with every CRC the version carries. Version 1 is the old
+    layout: each entry's header followed by its payload, and one CRC of all
+    preceding bytes at the end."""
     payloads = [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in entries]
     heads = [
         struct.pack("<H", len(name.encode())) + name.encode() + struct.pack("<II", *a.shape)
@@ -336,46 +337,29 @@ def checkpoint_bytes(entries, version: int) -> bytes:
     return header + struct.pack("<I", zlib.crc32(header)) + b"".join(payloads)
 
 
-def save_checkpoint_v1(path, params, cfg) -> None:
-    """``params`` (any names and shapes) and ``cfg`` as a version 1
-    checkpoint, as the package wrote it before version 2."""
-    entries = dict(sorted((name, p.data) for name, p in params.items()))
-    entries[CONFIG_ENTRY] = _config_vector(cfg)
-    Path(path).write_bytes(checkpoint_bytes(list(entries.items()), 1))
-
-
 def parse_checkpoint(blob: bytes) -> dict:
-    """Plain parse of intact checkpoint bytes of any version:
+    """Plain parse of intact version 2 or 3 checkpoint bytes:
     name -> (payload offset, values)."""
-    version, count = struct.unpack_from("<II", blob, 4)
-    at = 12 if version == 1 else 16
-    table_len = struct.unpack_from("<I", blob, 12)[0]
-    entries, offset = {}, 20 + table_len + header_padding(version, table_len)
+    version, count, table_len = struct.unpack_from("<III", blob, 4)
+    entries, at = {}, 16
+    offset = 20 + table_len + header_padding(version, table_len)
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, at)
         name = blob[at + 2 : at + 2 + name_len].decode()
         rows, cols = struct.unpack_from("<II", blob, at + 2 + name_len)
-        at += 2 + name_len + (8 if version == 1 else 12)
-        if version == 1:
-            offset = at
+        at += 2 + name_len + 12
         values = struct.unpack_from(f"<{rows * cols}d", blob, offset)
         entries[name] = (offset, np.array(values).reshape(rows, cols))
         offset += 8 * rows * cols
-        if version == 1:
-            at = offset
     return entries
 
 
 def reseal(blob: bytearray) -> None:
-    """Recompute in place the CRCs of checkpoint bytes, as far as their
-    structure still parses: the trailing CRC of a version 1 file; each
-    payload CRC and the header CRC of a version 2 or 3 one."""
-    version = struct.unpack_from("<I", blob, 4)[0] if len(blob) >= 8 else 1
+    """Recompute in place each payload CRC and the header CRC of version 2
+    or 3 checkpoint bytes, as far as their structure still parses; other
+    bytes are left as they are."""
+    version = struct.unpack_from("<I", blob, 4)[0] if len(blob) >= 16 else None
     if version not in (2, 3):
-        if len(blob) >= 4:
-            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
-        return
-    if len(blob) < 16:
         return
     count, table_len = struct.unpack_from("<II", blob, 8)
     end = 16 + table_len + header_padding(version, table_len)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from speechmotion import (
+    FormatError,
     Var,
     init_params,
     load_checkpoint,
@@ -12,11 +13,11 @@ from speechmotion import (
     save_checkpoint,
     save_matrix,
 )
-from speechmotion import cli
+from speechmotion import cli, formats
 from speechmotion.cli import main
 
 from conftest import TINY
-from reference import checkpoint_bytes, parse_checkpoint, save_checkpoint_v1
+from reference import checkpoint_bytes, parse_checkpoint, reseal
 
 
 TINY_CONFIG = """
@@ -484,8 +485,8 @@ class TestInspect:
 
 class TestCheckpointVersions:
     """infer and export-attn read a version 2 or 3 file without the motion
-    encoder, with the same output bytes as for the version 1 file of the
-    same parameters, and fail by name on a damaged one."""
+    encoder, with the same output bytes from either version of the same
+    parameters, and fail by name on a damaged file or a version 1 one."""
 
     @staticmethod
     def _outputs(ckpt, audio, out):
@@ -500,10 +501,7 @@ class TestCheckpointVersions:
         return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
 
     @pytest.mark.parametrize("audio", ["features", "wav"])
-    def test_v2_outputs_match_v1_bytes(self, tmp_path, trained, dataset_dir, audio):
-        params, cfg = load_checkpoint(trained)
-        v1 = tmp_path / "v1.ckpt"
-        save_checkpoint_v1(v1, params, cfg)
+    def test_v2_outputs_match_v3_bytes(self, tmp_path, trained, dataset_dir, audio):
         v2 = tmp_path / "v2.ckpt"
         entries = parse_checkpoint(trained.read_bytes()).items()
         v2.write_bytes(checkpoint_bytes([(name, v) for name, (_, v) in entries], 2))
@@ -517,11 +515,39 @@ class TestCheckpointVersions:
                 fh.setframerate(16000)
                 fh.writeframes((np.sin(t * 0.03) * 9000).astype("<i2").tobytes())
         outputs = []
-        for ckpt in (trained, v2, v1):
+        for ckpt in (trained, v2):
             out = tmp_path / ckpt.stem
             out.mkdir()
             outputs.append(self._outputs(ckpt, clip, out))
-        assert len(outputs[0]) == 4 and outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+    def test_version_1_is_refused(self, tmp_path, trained, dataset_dir, capsys):
+        """A version 1 file (each entry's header and payload in turn, one
+        CRC at the end, no stored fold) of trained parameters is refused
+        as unsupported by every reader."""
+        params, cfg = load_checkpoint(trained)
+        entries = sorted((name, p.data) for name, p in params.items())
+        entries.append((formats.CONFIG_ENTRY, formats._config_vector(cfg)))
+        v1 = tmp_path / "v1.ckpt"
+        v1.write_bytes(checkpoint_bytes(entries, 1))
+        message = f"{v1}: unsupported checkpoint version 1"
+        for for_inference in (False, True):
+            with pytest.raises(FormatError, match=f"^{message}$"):
+                load_checkpoint(v1, for_inference=for_inference)
+        audio = str(dataset_dir / "seq000.audio.f32mat")
+        out = tmp_path / "out"
+        for argv in (
+            ["inspect", str(v1)],
+            ["infer", "--ckpt", str(v1), "--audio", audio, "--identity", "0",
+             "--out", str(out)],
+            ["export-attn", "--ckpt", str(v1), "--audio", audio, "--identity", "0",
+             "--out-dir", str(out)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert message in captured.err and "Traceback" not in captured.err
+            assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["infer", "export-attn"])
     @pytest.mark.parametrize("damage, message", [
@@ -583,28 +609,23 @@ class TestExitCodes:
 
     @staticmethod
     def _checkpoint(path, name: bytes, values):
-        """A checkpoint with one 1xN entry and a valid CRC."""
-        import struct
-        import zlib
-
-        row = np.asarray(values, dtype="<f8")
-        body = bytearray(b"FFCK" + struct.pack("<II", 1, 1))
-        body += struct.pack("<H", len(name)) + name + struct.pack("<II", 1, row.size)
-        body += row.tobytes()
-        body += struct.pack("<I", zlib.crc32(bytes(body)))
-        path.write_bytes(bytes(body))
+        """A checkpoint with one 1xN entry and valid CRCs."""
+        blob = bytearray(checkpoint_bytes([("?" * len(name), np.asarray([values]))], 3))
+        blob[18 : 18 + len(name)] = name
+        reseal(blob)
+        path.write_bytes(bytes(blob))
         return path
 
     def test_non_utf8_entry_name_is_data_error(self, tmp_path, capsys):
         bad = self._checkpoint(tmp_path / "bad.ckpt", b"\xff\xfe", [0.0])
         assert main(["inspect", str(bad)]) == 2
-        assert "bad.ckpt" in capsys.readouterr().err
+        assert "bad.ckpt: entry name at byte 18 is not UTF-8" in capsys.readouterr().err
 
     def test_nan_in_config_entry_is_data_error(self, tmp_path, capsys):
         values = [np.nan] + [1.0] * 17
         bad = self._checkpoint(tmp_path / "bad.ckpt", b"__config__", values)
         assert main(["inspect", str(bad)]) == 2
-        assert "bad.ckpt" in capsys.readouterr().err
+        assert "bad.ckpt: config entry holds non-finite values" in capsys.readouterr().err
 
     def test_dataset_meta_integer_beyond_int64_is_data_error(
         self, tmp_path, dataset_dir, capsys

@@ -4,7 +4,6 @@ import io
 import os
 import struct
 import tempfile
-import threading
 import tracemalloc
 import warnings
 import wave
@@ -46,7 +45,6 @@ from reference import (
     header_padding,
     parse_checkpoint,
     reseal,
-    save_checkpoint_v1,
 )
 
 
@@ -134,12 +132,16 @@ class TestCheckpoint:
 
     def test_shape_mismatch_with_config_rejected(self, tmp_path):
         cfg = TINY
-        params = init_params(cfg, seed=3)
-        params["motion_dec.w"] = Var(np.zeros((2, 2)))
         path = tmp_path / "model.ckpt"
-        save_checkpoint_v1(path, params, cfg)  # save_checkpoint refuses it
-        with pytest.raises(FormatError, match="mismatched"):
-            load_checkpoint(path)
+        save_checkpoint(path, init_params(cfg, seed=3), cfg)
+        entries = [
+            (name, np.zeros((2, 2)) if name == "motion_dec.w" else values)
+            for name, (_, values) in parse_checkpoint(path.read_bytes()).items()
+        ]  # save_checkpoint refuses such a file
+        path.write_bytes(checkpoint_bytes(entries, 3))
+        for for_inference in (False, True):
+            with pytest.raises(FormatError, match=r"mismatched=\['motion_dec.w'\]"):
+                load_checkpoint(path, for_inference=for_inference)
 
     def test_shape_mismatch_with_config_rejected_on_save(self, tmp_path):
         params = init_params(TINY, seed=3)
@@ -197,9 +199,9 @@ class TestCheckpoint:
     def test_duplicate_entry_names_rejected(self, tmp_path):
         entry = ("dup", np.zeros((1, 1)))
         path = tmp_path / "dup.ckpt"
-        for version in (1, 2, 3):
+        for version in (2, 3):
             path.write_bytes(checkpoint_bytes([entry, entry], version))
-            with pytest.raises(FormatError, match="duplicate"):
+            with pytest.raises(FormatError, match="duplicate entry 'dup'"):
                 load_checkpoint(path)
 
     def test_file_bytes_pinned(self, tmp_path):
@@ -285,8 +287,10 @@ class TestCheckpoint:
     def test_loaded_arrays_match_plain_parse_bitwise(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(formats, "_CHUNK", chunk)
         path = tmp_path / "model.ckpt"
-        for save in (save_checkpoint, save_checkpoint_v1):
-            save(path, init_params(TINY, seed=5), TINY)
+        save_checkpoint(path, init_params(TINY, seed=5), TINY)
+        entries = [(n, v) for n, (_, v) in parse_checkpoint(path.read_bytes()).items()]
+        for version in (3, 2):
+            path.write_bytes(checkpoint_bytes(entries, version))
             expected = parse_checkpoint(path.read_bytes())
             _, loaded = formats._read_checkpoint(path)
             assert list(loaded) == list(expected)
@@ -296,42 +300,35 @@ class TestCheckpoint:
 
     def test_corrupt_name_length_reports_crc_first(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        # byte 13: in version 1 the high byte of the first entry's name
-        # length, in versions 2 and 3 the second byte of the entry table's
-        # length
-        for save in (save_checkpoint, save_checkpoint_v1):
-            save(path, init_params(TINY, seed=3), TINY)
-            blob = bytearray(path.read_bytes())
-            blob[13] ^= 0x80
-            path.write_bytes(bytes(blob))
-            for for_inference in (False, True):
-                with pytest.raises(FormatError, match="CRC mismatch"):
-                    load_checkpoint(path, for_inference=for_inference)
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        blob = bytearray(path.read_bytes())
+        blob[13] ^= 0x80  # the second byte of the entry table's length
+        path.write_bytes(bytes(blob))
+        for for_inference in (False, True):
+            with pytest.raises(FormatError, match="header CRC mismatch"):
+                load_checkpoint(path, for_inference=for_inference)
 
     @pytest.mark.parametrize("version", [0, 4, 2**32 - 1])
     def test_unknown_version_is_unsupported_not_corrupt(self, tmp_path, version):
         # The version is read before any CRC: a file from a newer writer, its
-        # header CRC resealed or not, and a v1 file whose version bytes are
-        # damaged, read as an unsupported version rather than as corrupt.
+        # header CRC resealed or not, reads as an unsupported version rather
+        # than as corrupt.
         path = tmp_path / "model.ckpt"
         message = f"model.ckpt: unsupported checkpoint version {version}$"
-        for save in (save_checkpoint, save_checkpoint_v1):
-            save(path, init_params(TINY, seed=3), TINY)
-            blob = bytearray(path.read_bytes())
-            blob[4:8] = struct.pack("<I", version)
-            for sealed in (False, True):
-                if sealed and save is save_checkpoint:
-                    table_len = struct.unpack_from("<I", blob, 12)[0]
-                    end = 16 + table_len + header_padding(3, table_len)
-                    blob[end : end + 4] = struct.pack("<I", zlib.crc32(blob[:end]))
-                elif sealed:
-                    reseal(blob)  # the trailing CRC of a version 1 file
-                path.write_bytes(bytes(blob))
-                for for_inference in (False, True):
-                    with pytest.raises(FormatError, match=message):
-                        load_checkpoint(path, for_inference=for_inference)
-                code, err = _run(["inspect", str(path)])
-                assert code == 2 and f"unsupported checkpoint version {version}\n" in err
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", version)
+        for sealed in (False, True):
+            if sealed:
+                table_len = struct.unpack_from("<I", blob, 12)[0]
+                end = 16 + table_len + header_padding(3, table_len)
+                blob[end : end + 4] = struct.pack("<I", zlib.crc32(blob[:end]))
+            path.write_bytes(bytes(blob))
+            for for_inference in (False, True):
+                with pytest.raises(FormatError, match=message):
+                    load_checkpoint(path, for_inference=for_inference)
+            code, err = _run(["inspect", str(path)])
+            assert code == 2 and f"unsupported checkpoint version {version}\n" in err
 
     def test_short_read_names_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
@@ -341,38 +338,14 @@ class TestCheckpoint:
             st = real_fstat(fd)
             return os.stat_result((*st[:6], st.st_size + 8, *st[7:]))
 
-        for save in (save_checkpoint, save_checkpoint_v1):
-            save(path, init_params(TINY, seed=3), TINY)
-            with monkeypatch.context() as m:
-                m.setattr(os, "fstat", grown)
-                with pytest.raises(FormatError, match="model.ckpt: short read"):
-                    load_checkpoint(path)
-
-    @pytest.mark.parametrize("damage, match", [
-        ("truncate", "CRC mismatch"),
-        ("flip", "CRC mismatch"),
-        ("name", "not UTF-8"),
-    ])
-    def test_failed_load_leaves_no_thread(self, tmp_path, damage, match):
-        """The version 1 reader reports the CRC before the structure."""
-        path = tmp_path / "model.ckpt"
-        save_checkpoint_v1(path, init_params(TINY, seed=3), TINY)
-        blob = bytearray(path.read_bytes())
-        if damage == "truncate":
-            del blob[len(blob) // 2 :]
-        elif damage == "flip":
-            blob[len(blob) // 2] ^= 0x01
-        else:
-            blob[12 + 2] = 0xFF  # first byte of the first entry's name
-            reseal(blob)
-        path.write_bytes(bytes(blob))
-        before = threading.active_count()
-        with pytest.raises(FormatError, match=match):
-            load_checkpoint(path)
-        assert threading.active_count() == before
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        monkeypatch.setattr(os, "fstat", grown)
+        for for_inference in (False, True):
+            with pytest.raises(FormatError, match="model.ckpt: short read"):
+                load_checkpoint(path, for_inference=for_inference)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [2, 3])
 def test_summary_checks_payloads_without_holding_them(tmp_path, monkeypatch, version):
     # inspect reads every payload through one reused buffer of _CHUNK bytes:
     # a 1 MB payload in 64 KB pieces never sits in memory whole
@@ -398,8 +371,7 @@ def test_summary_checks_payloads_without_holding_them(tmp_path, monkeypatch, ver
     blob = bytearray(path.read_bytes())
     blob[parse_checkpoint(blob)["big"][0] + 5 * (1 << 16) + 3] ^= 0x08
     path.write_bytes(bytes(blob))
-    match = "CRC mismatch, file is corrupt" if version == 1 else "CRC mismatch in entry 'big'"
-    with pytest.raises(FormatError, match=match):
+    with pytest.raises(FormatError, match="CRC mismatch in entry 'big'"):
         formats.checkpoint_summary(path)
 
 
@@ -423,7 +395,7 @@ class TestCheckpointV2:
         for name, value in zip(FOLD_ENTRIES, feedback_map(params)):
             assert entries[name].tobytes() == value.data.tobytes(), name
 
-    def test_only_the_inference_load_carries_the_fold(self, saved, tmp_path):
+    def test_only_the_inference_load_carries_the_fold(self, saved):
         path, params = saved
         full, _ = load_checkpoint(path)
         assert list(full) == sorted(params)
@@ -433,11 +405,6 @@ class TestCheckpointV2:
         assert set(inference) == (
             set(params) - {"motion_enc.w", "motion_enc.b"} | set(FOLD_ENTRIES)
         )
-        v1 = tmp_path / "v1.ckpt"
-        save_checkpoint_v1(v1, params, TINY)
-        for for_inference in (False, True):
-            loaded, cfg = load_checkpoint(v1, for_inference=for_inference)
-            assert cfg == TINY and list(loaded) == sorted(params)
 
     def test_skipped_payload_is_checked_by_full_load_and_inspect(self, saved, capsys):
         path, params = saved
@@ -601,18 +568,15 @@ class TestCheckpointV3:
             assert code == 0 and out.read_bytes() == expected.read_bytes()
 
     def test_outputs_match_across_versions(self, saved, tmp_path, monkeypatch):
-        """infer writes the same bytes from the version 1, 2 and 3 files of
-        the same parameters, with large payloads mapped or read."""
+        """infer writes the same bytes from the version 2 and 3 files of the
+        same parameters, with large payloads mapped or read."""
         entries = [(n, v) for n, (_, v) in parse_checkpoint(saved.read_bytes()).items()]
-        v1_entries = [(n, v) for n, v in entries if n not in FOLD_ENTRIES]
-        files = [saved]
-        for version, kept in ((1, v1_entries), (2, entries)):
-            files.append(tmp_path / f"v{version}.ckpt")
-            files[-1].write_bytes(checkpoint_bytes(kept, version))
+        v2 = tmp_path / "v2.ckpt"
+        v2.write_bytes(checkpoint_bytes(entries, 2))
         outputs = set()
         for map_bytes in (self.MAP_BYTES, 32 << 20):
             monkeypatch.setattr(formats, "_MAP_BYTES", map_bytes)
-            for path in files:
+            for path in (saved, v2):
                 code, err, out = self._infer(path, tmp_path)
                 assert code == 0, err
                 outputs.add(out.read_bytes())
@@ -628,8 +592,8 @@ _MUTATION = st.one_of(
 )
 
 
-def _fuzz_checkpoint(path, save=save_checkpoint):
-    save(path, init_params(TINY, seed=5), TINY)
+def _fuzz_checkpoint(path):
+    save_checkpoint(path, init_params(TINY, seed=5), TINY)
 
 
 def _top_byte_of_first_value(name: str) -> int:
@@ -651,7 +615,7 @@ def _run(argv) -> tuple[int, str]:
 
 
 class TestFuzz:
-    """Any mutation of a checkpoint (either version) or matrix file loads or
+    """Any mutation of a (version 3) checkpoint or a matrix file loads or
     raises FormatError, and the CLI answers it with an exit code, never a
     traceback."""
 
@@ -659,7 +623,6 @@ class TestFuzz:
     def originals(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("fuzz")
         _fuzz_checkpoint(root / "model.ckpt")
-        _fuzz_checkpoint(root / "v1.ckpt", save_checkpoint_v1)
         feats = np.random.Generator(np.random.PCG64(5)).normal(size=(6, TINY.feature_dim))
         save_matrix(root / "audio.f32mat", feats)
         assert main([
@@ -668,9 +631,7 @@ class TestFuzz:
         ]) == 0
         return root, {
             kind: (root / name).read_bytes()
-            for kind, name in (
-                ("ckpt", "model.ckpt"), ("ckpt_v1", "v1.ckpt"), ("mat", "audio.f32mat")
-            )
+            for kind, name in (("ckpt", "model.ckpt"), ("mat", "audio.f32mat"))
         }
 
     # Fixed draws, so every run checks the same cases. ``expect`` is None for
@@ -679,7 +640,7 @@ class TestFuzz:
     # must hold (None: it loads).
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
-        kind=st.sampled_from(["ckpt", "ckpt_v1", "mat"]),
+        kind=st.sampled_from(["ckpt", "mat"]),
         mutations=st.lists(_MUTATION, min_size=1, max_size=3),
         fix_crc=st.booleans(),
         expect=st.none(),
@@ -723,7 +684,7 @@ class TestFuzz:
                 blob[pos:pos] = arg
         if fix_crc:
             reseal(blob)
-        path = root / f"mutated.{kind.split('_')[0]}"
+        path = root / f"mutated.{kind}"
         path.write_bytes(bytes(blob))
         load_error = None
         try:
@@ -876,6 +837,11 @@ class TestConfigChecks:
         ({"feature_rate": float("nan")}, "feature_rate must be positive and finite, got nan"),
         ({"motion_rate": float("inf")}, "motion_rate must be positive and finite, got inf"),
         ({"feature_rate": float("-inf")}, "feature_rate must be positive and finite"),
+        ({"feature_rate": 1e308, "motion_rate": 1e-3},
+         r"^feature_rate 1e\+308 / motion_rate 0.001 gives a frame ratio that does "
+         r"not fit in a 64-bit integer$"),
+        ({"feature_rate": 1e20, "motion_rate": 1.0},
+         r"^feature_rate 1e\+20 / motion_rate 1.0 gives a frame ratio that does not fit"),
     ])
     def test_model_config(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
@@ -893,6 +859,10 @@ class TestConfigChecks:
     def test_train_config(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**kwargs)
+
+    def test_largest_frame_ratio_builds(self):
+        cfg = ModelConfig(feature_rate=float(2**63 - 1024), motion_rate=1.0)
+        assert cfg.frame_ratio == 2**63 - 1024
 
     def test_validate_returns_the_config(self):
         cfg = ModelConfig()
@@ -931,6 +901,48 @@ class TestWav:
         path.write_bytes(b"not audio at all")
         with pytest.raises(FormatError):
             read_wav(path)
+
+    # The two damaged headers pinned below: byte 19, the high byte of the
+    # "fmt " chunk size, set to "K" makes the chunk overrun the file, and a
+    # RIFF size of 7957 (bytes 4-5 = 0x15 0x1F) ends the data chunk inside
+    # a sample.
+    BAD_HEADERS = ([(19, ord("K"))], [(4, 0x15), (5, 0x1F)])
+
+    def _mutated(self, path, mutations):
+        """A 4000-sample WAV file at ``path`` with header bytes set by
+        ``mutations``, (offset, value) pairs."""
+        self._write(path, frames=np.arange(4000, dtype="<i2").tobytes())
+        blob = bytearray(path.read_bytes())
+        assert len(blob) == 44 + 8000
+        for offset, value in mutations:
+            blob[offset] = value
+        path.write_bytes(bytes(blob))
+        return path
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mutations=st.lists(
+        st.tuples(st.integers(0, 43), st.integers(0, 255)), min_size=1, max_size=3
+    ))
+    @example(mutations=BAD_HEADERS[0])
+    @example(mutations=BAD_HEADERS[1])
+    def test_mutated_header_reads_or_is_format_error(self, tmp_path_factory, mutations):
+        path = self._mutated(tmp_path_factory.mktemp("wav") / "clip.wav", mutations)
+        try:
+            read_wav(path)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("mutations", BAD_HEADERS)
+    def test_damaged_header_is_data_error(self, tmp_path, mutations):
+        path = self._mutated(tmp_path / "bad.wav", mutations)
+        save_checkpoint(tmp_path / "model.ckpt", init_params(TINY, seed=3), TINY)
+        out = tmp_path / "out.f32mat"
+        code, err = _run([
+            "infer", "--ckpt", str(tmp_path / "model.ckpt"), "--audio", str(path),
+            "--identity", "0", "--out", str(out),
+        ])
+        assert code == 2 and f"{path}: not a readable WAV file (" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_read_lip_indices(tmp_path):
