@@ -154,6 +154,17 @@ CONFIG_KEYS: dict[str, tuple[str, type | object]] = {
     **{f.name: ("train", _PARSERS[f.type]) for f in fields(TrainConfig)},
 }
 
+# The ModelConfig fields a dataset fixes, and the keys of its dataset.cfg.
+DATASET_FIELDS = ("identities", "vertices", "feature_dim", "feature_rate", "motion_rate")
+
+
+def parse_value(key: str, raw: str):
+    """The configuration value ``raw`` of ``key``, parsed by its field's type."""
+    try:
+        return CONFIG_KEYS[key][1](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
 
 def build_configs(
     values: dict[str, str], dataset: dict, dataset_name: str
@@ -163,22 +174,18 @@ def build_configs(
     ``dataset``.
 
     Unknown keys are errors (misspelling guard); missing keys take the
-    defaults. Every ModelConfig field the dataset holds (the vertex count,
-    the identities, the feature width and both rates) is taken from it; a
-    key may repeat such a field but not contradict it.
+    defaults. The DATASET_FIELDS (the identities, the vertex count, the
+    feature width and both rates) are taken from the dataset; a key may
+    repeat such a field but not contradict it.
     """
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
     kwargs: dict[str, dict] = {"model": {}, "train": {}}
     for key, raw in values.items():
-        target, parser = CONFIG_KEYS[key]
-        try:
-            kwargs[target][key] = parser(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}")
+        kwargs[CONFIG_KEYS[key][0]][key] = parse_value(key, raw)
     model_kwargs = kwargs["model"]
-    for name in (f.name for f in fields(ModelConfig) if f.name in dataset):
+    for name in DATASET_FIELDS:
         if name in model_kwargs and model_kwargs[name] != dataset[name]:
             raise ConfigError(
                 f"{name} = {model_kwargs[name]}, but the dataset in {dataset_name} "

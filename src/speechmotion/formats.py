@@ -74,7 +74,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Var
-from .config import PE_MODES, ModelConfig
+from .config import DATASET_FIELDS, PE_MODES, ModelConfig, parse_value
 from .decoder import FOLD_ENTRIES, feedback_map
 from .errors import ConfigError, FormatError, ShapeError
 from .params import Params, param_shapes, validate_shapes
@@ -132,19 +132,25 @@ def save_matrix(path, matrix) -> None:
     atomic_write_bytes(path, header, np.ascontiguousarray(m, dtype="<f4"))
 
 
-def load_matrix(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < 16 or blob[:4] != MATRIX_MAGIC:
+def _matrix_shape(path, head: bytes, size: int) -> tuple[int, int]:
+    """(rows, cols) of the matrix file ``path``, from its first bytes and size."""
+    if len(head) < 16 or head[:4] != MATRIX_MAGIC:
         raise FormatError(f"{path}: not a matrix file (bad magic)")
-    version, rows, cols = struct.unpack("<III", blob[4:16])
+    version, rows, cols = struct.unpack("<III", head[4:16])
     if version != MATRIX_VERSION:
         raise FormatError(f"{path}: unsupported matrix file version {version}")
     expected = 16 + 4 * rows * cols
-    if len(blob) != expected:
+    if size != expected:
         raise FormatError(
-            f"{path}: payload size {len(blob)} does not match header "
+            f"{path}: payload size {size} does not match header "
             f"({rows}x{cols} needs {expected})"
         )
+    return rows, cols
+
+
+def load_matrix(path) -> np.ndarray:
+    blob = Path(path).read_bytes()
+    rows, cols = _matrix_shape(path, blob[:16], len(blob))
     # a signalling NaN warns when cast; it still loads as NaN, which the
     # callers' finiteness checks report with the file name
     with np.errstate(invalid="ignore"):
@@ -153,20 +159,20 @@ def load_matrix(path) -> np.ndarray:
 
 
 def load_motion(path) -> np.ndarray:
-    """A motion matrix; a NaN or infinity in it is a FormatError naming the file."""
+    """A motion matrix; no frames, or a NaN or infinity, is a FormatError naming it."""
     motion = load_matrix(path)
+    if not len(motion):
+        raise FormatError(f"{path}: motion has no frames")
     if not np.isfinite(motion).all():
         raise FormatError(f"{path}: motion holds a non-finite value")
     return motion
 
 
 def matrix_header(path) -> tuple[int, int, int]:
-    """(version, rows, cols) without loading the payload."""
+    """(version, rows, cols), checked as load_matrix checks them, without
+    loading the payload."""
     with open(path, "rb") as fh:
-        head = fh.read(16)
-    if len(head) < 16 or head[:4] != MATRIX_MAGIC:
-        raise FormatError(f"{path}: not a matrix file (bad magic)")
-    return struct.unpack("<III", head[4:16])
+        return (MATRIX_VERSION, *_matrix_shape(path, fh.read(16), os.fstat(fh.fileno()).st_size))
 
 
 # ---------------------------------------------------------------------------
@@ -524,55 +530,29 @@ DATASET_META = "dataset.cfg"
 DATASET_SAMPLES = "samples.tsv"
 DATASET_LIPS = "lips.txt"
 
-_META_KEYS = {
-    "identities": int,
-    "sequences": int,
-    "frames": int,
-    "vertices": int,
-    "feature_dim": int,
-    "feature_rate": float,
-    "motion_rate": float,
-    "seed": int,
-}
-
 
 def write_dataset_meta(directory, meta: dict) -> None:
-    lines = [f"{key} = {meta[key]}" for key in _META_KEYS]
+    lines = [f"{key} = {meta[key]}" for key in DATASET_FIELDS]
     atomic_write_text(Path(directory) / DATASET_META, "\n".join(lines) + "\n")
 
 
-def read_dataset_meta(directory) -> dict:
+def read_dataset_meta(directory) -> ModelConfig:
+    """The DATASET_FIELDS of dataset.cfg, its only keys, as a ModelConfig that
+    checks them; its other fields are the defaults."""
     path = Path(directory) / DATASET_META
     if not path.exists():
         raise FormatError(f"{directory}: missing {DATASET_META}")
     try:
         values = parse_config_lines(read_text(path))
+        unknown = sorted(set(values) - set(DATASET_FIELDS))
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown}")
+        missing = sorted(set(DATASET_FIELDS) - set(values))
+        if missing:
+            raise ConfigError(f"missing keys {missing}")
+        return ModelConfig(**{key: parse_value(key, values[key]) for key in DATASET_FIELDS})
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    unknown = sorted(set(values) - set(_META_KEYS))
-    if unknown:
-        raise FormatError(f"{path}: unknown keys {unknown}")
-    missing = sorted(set(_META_KEYS) - set(values))
-    if missing:
-        raise FormatError(f"{path}: missing keys {missing}")
-    meta = {}
-    for key, kind in _META_KEYS.items():
-        try:
-            value = kind(values[key])
-        except ValueError:
-            value = None
-        if kind is int and value is not None and not -(1 << 63) <= value < 1 << 63:
-            raise FormatError(
-                f"{path}: {key} = {values[key]} does not fit in a 64-bit integer"
-            )
-        if value is None or not np.isfinite(value):
-            raise FormatError(
-                f"{path}: {key} must be a finite {kind.__name__}, got {values[key]!r}"
-            )
-        if key != "seed" and value <= 0:
-            raise FormatError(f"{path}: {key} must be positive, got {values[key]!r}")
-        meta[key] = value
-    return meta
 
 
 def read_lip_indices(path) -> list[int]:

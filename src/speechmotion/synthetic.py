@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DATASET_FIELDS
 from .encoder import AudioInput, check_feature_width
 from .errors import AudioError, FormatError, ShapeError
 from .formats import (
@@ -32,7 +33,7 @@ from .formats import (
     save_matrix,
     write_dataset_meta,
 )
-from .training import TrainingSample
+from .training import TrainingSample, check_sample_alignment
 
 SYNTH_FEATURE_RATE = 50.0
 SYNTH_MOTION_RATE = 25.0
@@ -108,13 +109,10 @@ def make_dataset_arrays(
         "offsets": offsets,
         "meta": {
             "identities": n_identities,
-            "sequences": n_sequences,
-            "frames": frames,
             "vertices": vertices,
             "feature_dim": feature_dim,
             "feature_rate": SYNTH_FEATURE_RATE,
             "motion_rate": SYNTH_MOTION_RATE,
-            "seed": seed,
         },
     }
 
@@ -156,9 +154,11 @@ def gen_synthetic(
 
 
 def load_dataset(directory) -> tuple[list[TrainingSample], dict]:
-    """Read a dataset directory back into training samples plus its meta."""
+    """Read a dataset directory back into training samples plus its meta. An
+    error names each file at fault, dataset.cfg too when a sample misfits it."""
     directory = Path(directory)
-    meta = read_dataset_meta(directory)
+    cfg = read_dataset_meta(directory)
+    meta_path = directory / DATASET_META
     samples_path = directory / DATASET_SAMPLES
     if not samples_path.exists():
         raise FormatError(f"{directory}: missing {DATASET_SAMPLES}")
@@ -167,26 +167,36 @@ def load_dataset(directory) -> tuple[list[TrainingSample], dict]:
         if not line.strip():
             continue
         parts = line.split("\t")
+        where = f"{samples_path}:{lineno}"
         if len(parts) != 3:
-            raise FormatError(
-                f"{samples_path}:{lineno}: expected 'audio<TAB>motion<TAB>identity'"
-            )
+            raise FormatError(f"{where}: expected 'audio<TAB>motion<TAB>identity'")
+        audio_path, motion_path = directory / parts[0], directory / parts[1]
         try:
-            features = load_matrix(directory / parts[0])
-            check_feature_width(features.shape[1], meta["feature_dim"])
-            audio = AudioInput.from_features(features, meta["feature_rate"])
+            features = load_matrix(audio_path)
+            audio = AudioInput.from_features(features, cfg.feature_rate)
+            motion = load_motion(motion_path)
         except AudioError as exc:
-            raise FormatError(f"{directory / parts[0]}: {exc}") from None
-        motion = load_motion(directory / parts[1])
+            raise FormatError(f"{audio_path}: {exc}") from None
+        except (OSError, ValueError) as exc:  # a missing file, or a NUL in its name
+            raise FormatError(f"{where}: {exc}") from None
         try:
             identity = int(parts[2])
         except ValueError:
-            raise FormatError(f"{samples_path}:{lineno}: bad identity {parts[2]!r}")
-        if not 0 <= identity < meta["identities"]:
+            raise FormatError(f"{where}: bad identity {parts[2]!r}")
+        if not 0 <= identity < cfg.identities:
             raise FormatError(
-                f"{samples_path}:{lineno}: identity {identity} out of range"
+                f"{where}: identity {identity} out of range for "
+                f"identities = {cfg.identities} in {meta_path}"
             )
-        samples.append(TrainingSample(audio=audio, motion=motion, identity=identity))
+        sample = TrainingSample(audio=audio, motion=motion, identity=identity)
+        try:
+            check_feature_width(features.shape[1], cfg.feature_dim)
+            check_sample_alignment(sample, cfg, len(samples))
+        except AudioError as exc:
+            raise FormatError(f"{audio_path}: {exc} in {meta_path}") from None
+        except ShapeError as exc:
+            raise FormatError(f"{motion_path}: {exc} in {meta_path}") from None
+        samples.append(sample)
     if not samples:
         raise FormatError(f"{samples_path}: no samples listed")
-    return samples, meta
+    return samples, {name: getattr(cfg, name) for name in DATASET_FIELDS}

@@ -103,11 +103,6 @@ def train(
     tc = TrainConfig(epochs=epochs, seed=seed, **knobs)
     if not dataset:
         raise ShapeError("training needs a nonempty dataset")
-    widths = {s.motion.shape[1] for s in dataset}
-    if widths != {cfg.motion_dim}:
-        raise ShapeError(
-            f"motion widths {sorted(widths)} do not all match 3*V = {cfg.motion_dim}"
-        )
     for idx, s in enumerate(dataset):
         check_sample_alignment(s, cfg, idx)
         bad_rows = np.flatnonzero(~np.isfinite(s.motion).all(axis=1))
@@ -162,7 +157,12 @@ def train(
 
 
 def check_sample_alignment(sample: TrainingSample, cfg: ModelConfig, idx: int) -> None:
-    """Motion length must match the audio duration within one frame."""
+    """Motion must be 3*V wide and match the audio's duration within a frame."""
+    if sample.motion.shape[1] != cfg.motion_dim:
+        raise ShapeError(
+            f"sample {idx}: motion width {sample.motion.shape[1]} does not match "
+            f"3*V = {cfg.motion_dim}"
+        )
     implied = sample.audio.feature_rows * cfg.motion_rate / sample.audio.rate
     frames = sample.motion.shape[0]
     if abs(frames - implied) > 1.0 + 1e-9:
@@ -192,6 +192,8 @@ def lip_error(pred: np.ndarray, truth: np.ndarray, lips: Sequence[int]) -> float
     pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"prediction {pred.shape} vs truth {truth.shape}")
+    if not len(pred):  # the mean over frames would be NaN
+        raise ShapeError("prediction and truth have no frames")
     lips = list(lips)
     if not lips:
         raise ShapeError("lip index set is empty")

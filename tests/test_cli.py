@@ -1,8 +1,13 @@
+import contextlib
+import io
+import struct
 import warnings
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speechmotion import (
     FormatError,
@@ -177,7 +182,7 @@ class TestTrain:
         assert "dim=8," in models[0] and "seed=5," in trains[0]
         assert not [m for m in messages if "default" in m]
 
-    @pytest.mark.parametrize("key, value", [("frames", "abc"), ("feature_rate", "nan")])
+    @pytest.mark.parametrize("key, value", [("vertices", "abc"), ("feature_rate", "nan")])
     def test_bad_dataset_meta_value_is_data_error(
         self, tmp_path, dataset_dir, capsys, key, value
     ):
@@ -198,7 +203,7 @@ class TestTrain:
         assert "dataset.cfg" in err and key in err
 
     @pytest.mark.parametrize("key, value", [
-        ("feature_rate", "-50"), ("motion_rate", "0"), ("frames", "0"), ("vertices", "-2"),
+        ("feature_rate", "-50"), ("motion_rate", "0"), ("identities", "0"), ("vertices", "-2"),
     ])
     def test_non_positive_dataset_meta_is_data_error(
         self, tmp_path, dataset_dir, capsys, key, value
@@ -216,7 +221,68 @@ class TestTrain:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert "dataset.cfg" in err and f"{key} must be positive" in err
+        if key.endswith("_rate"):
+            reason = f"must be positive and finite, got {float(value)}"
+        else:
+            reason = f"must be >= 1, got {value}"
+        assert f"{meta}: {key} {reason}" in err
+
+    def test_older_dataset_meta_is_refused_until_mended(self, tmp_path, dataset_dir, capsys):
+        # the layout written before dataset.cfg held only the model's fields
+        meta = dataset_dir / "dataset.cfg"
+        meta.write_text(
+            "identities = 2\nsequences = 2\nframes = 4\nvertices = 2\nfeature_dim = 3\n"
+            "feature_rate = 50.0\nmotion_rate = 25.0\nseed = 1\n"
+        )
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        out = tmp_path / "m.ckpt"
+        argv = ["train", "--config", str(cfg_path), "--data", str(dataset_dir), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{meta}: unknown keys ['frames', 'seed', 'sequences']" in err
+        assert "Traceback" not in err and not out.exists()
+        meta.write_text("".join(
+            line for line in meta.read_text().splitlines(keepends=True)
+            if line.split(" = ")[0] not in ("sequences", "frames", "seed")
+        ))
+        assert main(argv) == 0
+
+    def test_overflowing_dataset_rates_name_the_dataset_meta(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        meta = dataset_dir / "dataset.cfg"
+        meta.write_text(
+            meta.read_text()
+            .replace("feature_rate = 50.0", "feature_rate = 1e300")
+            .replace("motion_rate = 25.0", "motion_rate = 1e-300")
+        )
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {meta}: feature_rate 1e+300 / motion_rate 1e-300 gives a frame "
+            f"ratio that does not fit in a 64-bit integer\n"
+        )
+
+    def test_motion_with_no_frames_is_data_error(self, tmp_path, dataset_dir, capsys):
+        path = dataset_dir / "seq001.motion.f32mat"
+        save_matrix(path, np.zeros((0, 6)))
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: motion has no frames" in err and "Traceback" not in err
 
     def test_non_finite_motion_is_data_error(self, tmp_path, dataset_dir, capsys):
         path = dataset_dir / "seq001.motion.f32mat"
@@ -429,6 +495,19 @@ class TestEvalLip:
         assert f"{pred} vs {truth}: prediction (4, 6) vs truth (8, 3)" in captured.err
         assert captured.out == "" and "Traceback" not in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_motion_with_no_frames_is_data_error(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred.f32mat", tmp_path / "truth.f32mat"
+        save_matrix(pred, np.zeros((0, 6)))
+        save_matrix(truth, np.zeros((0, 6)))
+        lips = tmp_path / "lips.txt"
+        lips.write_text("0\n")
+        assert main(["eval-lip", str(pred), str(truth), str(lips)]) == 2
+        captured = capsys.readouterr()
+        assert f"{pred}: motion has no frames" in captured.err
+        assert captured.out == "" and "nan" not in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("indices, expected", [
         ("0\n99\n", "lip indices must be unique and in [0, 2), got [0, 99]"),
         ("1\n1\n", "lip indices must be unique and in [0, 2), got [1, 1]"),
@@ -481,6 +560,23 @@ class TestInspect:
         path = tmp_path / "junk"
         path.write_bytes(b"????1234")
         assert main(["inspect", str(path)]) == 2
+
+    @pytest.mark.parametrize("header, payload, message", [
+        ((1, 5, 3), 8, "payload size 24 does not match header (5x3 needs 76)"),
+        ((2, 2, 3), 24, "unsupported matrix file version 2"),
+    ])
+    def test_matrix_is_checked_as_load_matrix_checks_it(
+        self, tmp_path, capsys, header, payload, message
+    ):
+        path = tmp_path / "bad.f32mat"
+        path.write_bytes(b"F32M" + struct.pack("<III", *header) + bytes(payload))
+        with pytest.raises(FormatError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: {message}"
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n" and captured.out == ""
 
 
 class TestCheckpointVersions:
@@ -668,7 +764,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("target, line, message", [
         ("train.cfg", "dim 8", "line 2: expected 'key = value', got 'dim 8'"),
         ("train.cfg", "dimm = 8", "unknown configuration keys: dimm"),
-        ("dataset.cfg", "frames 4", "line 2: expected 'key = value', got 'frames 4'"),
+        ("dataset.cfg", "vertices 4", "line 2: expected 'key = value', got 'vertices 4'"),
     ])
     def test_config_errors_name_the_file(
         self, tmp_path, dataset_dir, capsys, target, line, message
@@ -683,6 +779,39 @@ class TestExitCodes:
             "--out", str(tmp_path / "m.ckpt"),
         ]) == 2
         assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, old, new, message", [
+        ("dataset.cfg", "feature_dim = 3", "feature_dim = 5",
+         "{data}/seq000.audio.f32mat: feature width 3 does not match configured "
+         "feature_dim 5 in {data}/dataset.cfg"),
+        ("dataset.cfg", "identities = 2", "identities = 1",
+         "{data}/samples.tsv:2: identity 1 out of range for identities = 1 in "
+         "{data}/dataset.cfg"),
+        ("dataset.cfg", "vertices = 2", "vertices = 5",
+         "{data}/seq000.motion.f32mat: sample 0: motion width 6 does not match "
+         "3*V = 15 in {data}/dataset.cfg"),
+        ("dataset.cfg", "feature_rate = 50.0", "feature_rate = 5000",
+         "{data}/seq000.motion.f32mat: sample 0: motion has 4 frames but audio implies "
+         "0.04 at 25.0 fps in {data}/dataset.cfg"),
+        ("samples.tsv", "seq001.audio", "seq009.audio",
+         "{data}/samples.tsv:2: [Errno 2] No such file or directory: "
+         "'{data}/seq009.audio.f32mat'"),
+    ], ids=["feature_dim", "identities", "vertices", "feature_rate", "missing file"])
+    def test_dataset_mismatch_names_the_listing(
+        self, tmp_path, dataset_dir, capsys, monkeypatch, target, old, new, message
+    ):
+        # each dataset.cfg here is valid alone but does not fit the samples
+        path = dataset_dir / target
+        path.write_text(path.read_text().replace(old, new))
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        monkeypatch.setattr(cli, "train", None)  # rejected before training starts
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "m.ckpt"),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(data=dataset_dir)}\n"
 
     def test_dataset_conflict_names_file_key_values_and_dataset(
         self, tmp_path, dataset_dir, capsys, monkeypatch
@@ -767,3 +896,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{wide}: feature width 5 does not match configured feature_dim 3" in err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+# One replaced byte: (position, value). Replacing rather than inserting keeps
+# each number to its digit count, so `epochs = 2` never grows past 9.
+_REPLACE = st.tuples(
+    st.integers(0, 1 << 16),
+    st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789 =#.-\t\n")),
+)
+
+
+class TestTextFuzz:
+    """Byte replacements in each text file the CLI reads: train.cfg,
+    dataset.cfg and samples.tsv through ``train``, lips.txt through
+    ``eval-lip``. Each case exits 0, 1 or 2 with no traceback, and an exit 2
+    names the mutated file."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("textfuzz")
+        assert main([
+            "gen-synthetic", "--out", str(root / "data"), "--identities", "2",
+            "--sequences", "2", "--frames", "4", "--vertices", "2",
+            "--feature-dim", "3", "--seed", "1",
+        ]) == 0
+        (root / "train.cfg").write_text(TINY_CONFIG)
+        return root
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        target=st.sampled_from(["train.cfg", "dataset.cfg", "samples.tsv", "lips.txt"]),
+        mutations=st.lists(_REPLACE, min_size=1, max_size=3),
+    )
+    # A NUL byte in a listed file name made pathlib raise ValueError.
+    @example(target="samples.tsv", mutations=[(0, 0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mutated_text_exits_with_a_code(self, root, target, mutations):
+        data = root / "data"
+        path = root / target if target == "train.cfg" else data / target
+        original = path.read_bytes()
+        blob = bytearray(original)
+        for pos, value in mutations:
+            blob[pos % len(blob)] = value
+        motion = str(data / "seq000.motion.f32mat")
+        argv = ["eval-lip", motion, motion, str(path)] if target == "lips.txt" else [
+            "train", "--config", str(root / "train.cfg"), "--data", str(data),
+            "--out", str(root / "m.ckpt"),
+        ]
+        err, out = io.StringIO(), io.StringIO()
+        path.write_bytes(bytes(blob))
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = main(argv)
+        finally:
+            path.write_bytes(original)
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+        if code == 2:
+            assert str(path) in err.getvalue()

@@ -725,8 +725,8 @@ class TestFuzz:
 
 # what read_dataset_meta returns for a generated dataset
 DATA = {
-    "identities": 2, "sequences": 2, "frames": 4, "vertices": 3,
-    "feature_dim": 8, "feature_rate": 50.0, "motion_rate": 25.0, "seed": 7,
+    "identities": 2, "vertices": 3, "feature_dim": 8, "feature_rate": 50.0,
+    "motion_rate": 25.0,
 }
 
 
@@ -747,7 +747,7 @@ class TestConfigText:
         model, train = _configs("dim = 16\nheads = 2\n")
         assert (model.vertices, model.identities, model.feature_dim) == (3, 2, 8)
         assert (model.feature_rate, model.motion_rate) == (50.0, 25.0)
-        assert train.seed == TrainConfig().seed  # the generator's seed is not taken
+        assert train.seed == TrainConfig().seed
         repeated = _configs(
             "dim = 16\nheads = 2\nvertices = 3\nidentities = 2\nfeature_dim = 8\n"
             "feature_rate = 50\nmotion_rate = 25.0\n"

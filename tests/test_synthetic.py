@@ -63,7 +63,14 @@ def test_dataset_roundtrip(tmp_path):
     gen_synthetic(tmp_path, 2, 4, 6, 5, 3, seed=4)
     samples, meta = load_dataset(tmp_path)
     assert len(samples) == 4
-    assert meta["vertices"] == 5 and meta["feature_dim"] == 3
+    assert meta == {
+        "identities": 2, "vertices": 5, "feature_dim": 3, "feature_rate": 50.0,
+        "motion_rate": 25.0,
+    }
+    assert (tmp_path / "dataset.cfg").read_text() == (
+        "identities = 2\nvertices = 5\nfeature_dim = 3\nfeature_rate = 50.0\n"
+        "motion_rate = 25.0\n"
+    )
     assert {s.identity for s in samples} == {0, 1}
     for s in samples:
         assert s.motion.shape == (6, 15)

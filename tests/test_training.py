@@ -94,6 +94,11 @@ class TestLipError:
         with pytest.raises(ShapeError):
             lip_error(m, m, [2])
 
+    def test_no_frames_is_shape_error(self):
+        m = np.zeros((0, 6))
+        with pytest.raises(ShapeError, match="^prediction and truth have no frames$"):
+            lip_error(m, m, [0])
+
     def test_corpus_average_in_order(self, rng):
         a = rng.normal(size=(3, 6))
         b = a.copy()
