@@ -51,7 +51,6 @@ from .training import (
     frame_vertex_rmse,
     lip_error,
     lip_error_corpus,
-    mse_loss,
     rms_amplitude,
     train,
 )
@@ -69,7 +68,7 @@ __all__ = [
     "export_attention", "extract_features", "frame_vertex_rmse",
     "gen_synthetic", "head_slopes", "init_params", "linear",
     "lip_error", "lip_error_corpus", "load_checkpoint", "load_dataset",
-    "load_matrix", "matmul", "mh_attention", "mse_loss", "param_shapes",
-    "ppe_rows", "profile", "rms_amplitude", "rollout", "save_checkpoint",
-    "save_matrix", "train",
+    "load_matrix", "matmul", "mh_attention", "param_shapes", "ppe_rows",
+    "profile", "rms_amplitude", "rollout", "save_checkpoint", "save_matrix",
+    "train",
 ]

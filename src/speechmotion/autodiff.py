@@ -51,6 +51,7 @@ import numpy as np
 from .errors import DegenerateRowError, GradientError, ShapeError
 
 Array = np.ndarray
+LAYER_NORM_EPS = 1e-5  # the variance floor of add_norm's layer norm
 
 
 def as_matrix(x, name: str = "value") -> Array:
@@ -66,9 +67,9 @@ class Var:
 
     __slots__ = ("data", "tape")
 
-    def __init__(self, data, tape: "Tape | None" = None):
+    def __init__(self, data):
         self.data = as_matrix(data)
-        self.tape = tape
+        self.tape = None
 
     @property
     def rows(self) -> int:
@@ -513,7 +514,7 @@ def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> V
     return _make(out, inputs + (gain, offset), vjp)
 
 
-def add_norm(a, b, gain, offset, eps: float = 1e-5) -> Var:
+def add_norm(a, b, gain, offset) -> Var:
     """Layer norm of a + b: each row normalized to zero mean and unit
     variance, then scaled by ``gain`` and shifted by ``offset``. Recorded as
     one op, with the bits of the residual add followed by the layer norm."""
@@ -521,7 +522,7 @@ def add_norm(a, b, gain, offset, eps: float = 1e-5) -> Var:
     ad, bd = a.data, b.data
     if ad.shape != bd.shape:
         raise ShapeError(f"add shape mismatch: {ad.shape} vs {bd.shape}")
-    return _normalize(ad + bd, (a, b), gain, offset, eps)
+    return _normalize(ad + bd, (a, b), gain, offset, LAYER_NORM_EPS)
 
 
 def conv1d_strided(x, kernels, stride: int, bias) -> Var:

@@ -158,8 +158,15 @@ def _synthesize(args, capture=None):
     non-finite or outside the float32 range of the output file is an error
     naming the checkpoint, and a failed allocation one naming the audio file
     and the frame count, raised before anything is written. So is a
-    checkpoint rewritten in place while its payloads were mapped."""
+    checkpoint rewritten in place while its payloads were mapped. An
+    ``--identity`` that the checkpoint has no style row for is an error
+    naming the flag and the checkpoint, raised before the audio is read."""
     params, cfg = load_checkpoint(args.ckpt, for_inference=True)
+    if not 0 <= args.identity < cfg.identities:
+        raise SpeechMotionError(
+            f"--identity {args.identity} is out of range: {args.ckpt} has "
+            f"{cfg.identities} identities (0 to {cfg.identities - 1})"
+        )
     audio = _load_audio(args.audio, cfg)
     try:
         with np.errstate(all="ignore"):  # an overflow is reported below, by frame

@@ -11,10 +11,6 @@ PE_MODES = ("tb_ppe", "original_pe", "alibi")
 _INT64_MAX = 2**63 - 1  # counts are used in numpy's int64 arithmetic
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture shape knobs; defaults are the desk-scale synthetic profile.
@@ -60,7 +56,7 @@ class ModelConfig:
                      "identities", "feature_dim", "encoder_dim", "encoder_heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not _is_power_of_two(self.heads):
+        if self.heads < 1 or self.heads & (self.heads - 1):
             raise ConfigError(f"heads must be a power of two, got {self.heads}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")

@@ -127,7 +127,7 @@ def layer_caches(
             keys=Var(np.zeros((motion_len, cfg.dim))),
             values=Var(np.zeros((motion_len, cfg.dim))),
             audio=cross.keys_values(enc.a),
-            frame_ratio=enc.frame_ratio,
+            frame_ratio=cfg.frame_ratio,
             bias=row,
         ))
     return caches
@@ -209,7 +209,7 @@ def rollout(
         raise ShapeError(
             f"requested {motion_len} frames but audio covers {enc.motion_len}"
         )
-    k = enc.frame_ratio
+    k = cfg.frame_ratio
     motion_w, c = feedback_map(params)
     table = embed_table(identity, c, motion_len, params, cfg)
     caches = layer_caches(enc, motion_len, params, cfg)

@@ -38,6 +38,10 @@ class AudioInput:
         rate = getattr(self, rate_name)
         if rate is None or not 0 < rate < math.inf:  # NaN fails the comparison too
             raise AudioError(f"{kind} input needs a positive finite {rate_name}, got {rate}")
+        if has_wave and (data.ndim != 2 or data.shape[1] != 1):
+            raise AudioError(
+                f"waveform input must have one channel (n x 1), got shape {data.shape}"
+            )
         if data.shape[0] == 0:
             raise AudioError(f"{kind} input has no rows")
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
@@ -46,7 +50,9 @@ class AudioInput:
 
     @classmethod
     def from_waveform(cls, samples, sample_rate: float) -> "AudioInput":
-        wave = np.asarray(samples, dtype=np.float64).reshape(-1, 1)
+        """A one-channel waveform from n samples or an n x 1 array."""
+        wave = np.asarray(samples, dtype=np.float64)
+        wave = wave.reshape(-1, 1) if wave.ndim == 1 else wave
         return cls(waveform=wave, sample_rate=float(sample_rate))
 
     @classmethod
@@ -80,8 +86,7 @@ class AudioInput:
 class EncodedAudio:
     """Contextualized speech rows aligned to the motion timeline."""
 
-    a: Var                # (frame_ratio * motion_len) x dim
-    frame_ratio: int
+    a: Var                # (cfg.frame_ratio * motion_len) x dim
     motion_len: int
 
 
@@ -160,11 +165,8 @@ def encode(
     The extractor is frozen: a waveform's conv stack runs off-tape, so its
     kernels receive no gradients.
     """
-    if audio.waveform is None:
+    with ad.no_tape():  # features pass through as a leaf either way
         feats = extract_features(audio, params, cfg)
-    else:
-        with ad.no_tape():
-            feats = extract_features(audio, params, cfg)
     check_feature_width(feats.cols, cfg.feature_dim)
     if motion_len is None:
         motion_len = infer_motion_len(feats.rows, audio.rate, cfg)
@@ -175,4 +177,4 @@ def encode(
     for i in range(cfg.encoder_layers):
         x = _encoder_layer(x, params, cfg, i, capture)
     a = ad.linear(x, params["enc.output_proj.w"], params["enc.output_proj.b"])
-    return EncodedAudio(a=a, frame_ratio=cfg.frame_ratio, motion_len=motion_len)
+    return EncodedAudio(a=a, motion_len=motion_len)

@@ -322,75 +322,65 @@ def _map(fh, path, st) -> _Mapping:
     return mapping
 
 
-def _read_tabled(fh, path, head: bytes, st, skip, keep, scratch) -> dict[str, np.ndarray]:
-    """The entries of a version 2 or 3 checkpoint, after the 8 bytes
-    ``head``, but for those named in ``skip``, whose payloads are neither
-    read nor checked. The header block is checked before anything in it is
-    used, and each payload before it is returned. A version 3 payload of at
-    least ``_MAP_BYTES`` that is held is a view of a map of the file (see
-    :func:`_read_checkpoint` for ``keep`` and ``scratch``)."""
-    size = st.st_size
-    (version,) = struct.unpack("<I", head[4:])
-    fixed = fh.read(8)
-    count, table_len = struct.unpack("<II", fixed)
-    pad = _padding(version, table_len)
-    offset = 16 + table_len + pad + 4  # the first payload byte
-    sealed = fh.read(offset - 16) if offset <= size else b""
-    header_crc = zlib.crc32(sealed[:-4], zlib.crc32(head + fixed))
-    if len(sealed) != offset - 16 or sealed[-4:] != struct.pack("<I", header_crc):
-        raise FormatError(f"{path}: header CRC mismatch, file is corrupt")
-    if any(sealed[table_len:-4]):
-        raise FormatError(f"{path}: header padding is not zero")
-    entries, mapping = {}, None
-    for name, (shape, crc) in _parse_table(
-        path, sealed[:table_len], count, size - offset
-    ).items():
-        nbytes = 8 * shape[0] * shape[1]
-        if name in skip:
-            fh.seek(nbytes, os.SEEK_CUR)
-            offset += nbytes
-            continue
-        if keep is not None and name not in keep:  # a read-only zero holds no memory
-            data = np.broadcast_to(np.float64(0.0), shape)
-            got = _read_payload(fh, data, path, offset, scratch)
-        elif version == 3 and nbytes >= _MAP_BYTES:
-            if mapping is None:
-                mapping = _map(fh, path, st)
-            data = np.frombuffer(mapping, "<f8", nbytes // 8, offset).reshape(shape)
-            fh.seek(nbytes, os.SEEK_CUR)
-            got = zlib.crc32(data)
-        else:
-            data = np.empty(shape, dtype="<f8")
-            got = _read_payload(fh, data, path, offset, None)
-        if got != crc:
-            raise FormatError(f"{path}: CRC mismatch in entry {name!r}, file is corrupt")
-        entries[name] = data
-        offset += nbytes
-    if offset != size:
-        if fh.read(1):
-            raise FormatError(f"{path}: {size - offset} stray bytes after entries")
-        raise FormatError(f"{path}: short read at byte {offset}, file changed while loading")
-    return entries
-
-
 def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarray]]:
-    """The version of a checkpoint and its entries, each an aligned float64
-    array: a read-only view of a map of the file for a version 3 payload of
-    at least ``_MAP_BYTES``, else a writable array that owns its memory.
+    """The version (2 or 3) of a checkpoint and its entries, each an aligned
+    float64 array: a read-only view of a map of the file for a version 3
+    payload of at least ``_MAP_BYTES``, else a writable array that owns its
+    memory. The header block is checked before anything in it is used, and
+    each payload before it is returned.
     ``skip``: entries whose payloads are neither read nor checked.
     ``keep``: when given, the only entries whose payloads are held; every
     other payload is checked through one reused buffer of up to ``_CHUNK``
     bytes and stands as a read-only zero of its shape."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
-        head = fh.read(8)
-        if st.st_size < 16 or head[:4] != CHECKPOINT_MAGIC:
+        size = st.st_size
+        head = fh.read(16)
+        if size < 16 or head[:4] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
-        scratch = None if keep is None else bytearray(min(_CHUNK, st.st_size))
-        (version,) = struct.unpack("<I", head[4:])
-        if version in (2, 3):
-            return version, _read_tabled(fh, path, head, st, skip, keep, scratch)
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        version, count, table_len = struct.unpack_from("<III", head, 4)
+        if version not in (2, 3):
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        scratch = None if keep is None else bytearray(min(_CHUNK, size))
+        offset = 16 + table_len + _padding(version, table_len) + 4  # the first payload byte
+        sealed = fh.read(offset - 16) if offset <= size else b""
+        header_crc = zlib.crc32(sealed[:-4], zlib.crc32(head))
+        if len(sealed) != offset - 16 or sealed[-4:] != struct.pack("<I", header_crc):
+            raise FormatError(f"{path}: header CRC mismatch, file is corrupt")
+        if any(sealed[table_len:-4]):
+            raise FormatError(f"{path}: header padding is not zero")
+        entries, mapping = {}, None
+        for name, (shape, crc) in _parse_table(
+            path, sealed[:table_len], count, size - offset
+        ).items():
+            nbytes = 8 * shape[0] * shape[1]
+            if name in skip:
+                fh.seek(nbytes, os.SEEK_CUR)
+                offset += nbytes
+                continue
+            if keep is not None and name not in keep:  # a read-only zero holds no memory
+                data = np.broadcast_to(np.float64(0.0), shape)
+                got = _read_payload(fh, data, path, offset, scratch)
+            elif version == 3 and nbytes >= _MAP_BYTES:
+                if mapping is None:
+                    mapping = _map(fh, path, st)
+                data = np.frombuffer(mapping, "<f8", nbytes // 8, offset).reshape(shape)
+                fh.seek(nbytes, os.SEEK_CUR)
+                got = zlib.crc32(data)
+            else:
+                data = np.empty(shape, dtype="<f8")
+                got = _read_payload(fh, data, path, offset, None)
+            if got != crc:
+                raise FormatError(f"{path}: CRC mismatch in entry {name!r}, file is corrupt")
+            entries[name] = data
+            offset += nbytes
+        if offset != size:
+            if fh.read(1):
+                raise FormatError(f"{path}: {size - offset} stray bytes after entries")
+            raise FormatError(
+                f"{path}: short read at byte {offset}, file changed while loading"
+            )
+    return version, entries
 
 
 def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelConfig]:

@@ -59,10 +59,6 @@ class BiasMatrix:
     data: np.ndarray
     kind: str  # "temporal" | "alignment"
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def scaled(self, slope) -> "BiasMatrix":
         """Head-specific copy: finite entries scaled, -inf preserved. A
         sequence of slopes gives one stacked copy per slope."""

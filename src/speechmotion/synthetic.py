@@ -66,10 +66,10 @@ def synthetic_motion(
     identity: int,
     readout: np.ndarray,
     offsets: np.ndarray,
-    frame_ratio: int = SYNTH_FRAME_RATIO,
 ) -> np.ndarray:
     """The documented ground-truth mapping from features to motion."""
-    return pool_windows(features, frame_ratio) @ readout + offsets[identity : identity + 1]
+    pooled = pool_windows(features, SYNTH_FRAME_RATIO)
+    return pooled @ readout + offsets[identity : identity + 1]
 
 
 def make_mapping(

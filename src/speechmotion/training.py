@@ -14,8 +14,8 @@ from .attention import AttentionRecord
 from .autodiff import Tape, Var, backward
 from .config import ModelConfig, TrainConfig
 from .decoder import rollout
-from .encoder import AudioInput, encode
-from .errors import DivergenceError, ShapeError
+from .encoder import AudioInput, check_feature_width, encode
+from .errors import AudioError, DivergenceError, ShapeError
 from .formats import atomic_write_text
 from .optim import AdamState, adam_step, clip_global_norm
 from .params import Params
@@ -30,16 +30,6 @@ class TrainingSample:
     audio: AudioInput
     motion: np.ndarray  # T x 3V
     identity: int
-
-
-def mse_loss(pred, truth) -> Var:
-    """Sum over frames and vertices of squared coordinate differences.
-
-    Returns a 1x1 value (taped when a tape is active); use ``.item()`` for the
-    float. The per-frame-per-vertex RMSE reported in logs is derived from this
-    sum, not part of the objective.
-    """
-    return ad.squared_error(pred, truth)
 
 
 def frame_vertex_rmse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -68,11 +58,12 @@ class TrainStep(NamedTuple):
 def rollout_loss(
     sample: TrainingSample, params: Params, cfg: ModelConfig
 ) -> tuple[Var, np.ndarray]:
-    """Loss of a full autoregressive rollout against the sample's motion."""
+    """The objective, a full autoregressive rollout's 1x1 sum of squared
+    coordinate errors against the sample's motion, and the predicted motion."""
     frames = sample.motion.shape[0]
     enc = encode(sample.audio, frames, params, cfg)
     pred = rollout(enc, sample.identity, frames, params, cfg)
-    return mse_loss(pred, sample.motion), pred.data
+    return ad.squared_error(pred, sample.motion), pred.data
 
 
 def train(
@@ -90,7 +81,9 @@ def train(
     Every epoch visits each sample once in a seed-shuffled order; the full
     sequence is rolled out feeding the model's own predictions, the summed
     MSE is backpropagated through the entire unrolled computation, and one
-    optimizer step is applied. Fully deterministic for fixed inputs.
+    optimizer step is applied. Fully deterministic for fixed inputs. Every
+    sample is checked before the first step (identity, feature width, motion
+    width, duration and finiteness), and an error names the sample.
 
     ``knobs`` are the other :class:`TrainConfig` fields (``lr``, ``beta1``,
     ``grad_clip``, ...), with its defaults and its validation; an unknown
@@ -104,6 +97,15 @@ def train(
     if not dataset:
         raise ShapeError("training needs a nonempty dataset")
     for idx, s in enumerate(dataset):
+        if not 0 <= s.identity < cfg.identities:
+            raise ShapeError(
+                f"sample {idx}: identity {s.identity} out of range [0, {cfg.identities})"
+            )
+        if s.audio.features is not None:
+            try:
+                check_feature_width(s.audio.features.shape[1], cfg.feature_dim)
+            except AudioError as exc:
+                raise AudioError(f"sample {idx}: {exc}") from None
         check_sample_alignment(s, cfg, idx)
         bad_rows = np.flatnonzero(~np.isfinite(s.motion).all(axis=1))
         if bad_rows.size:

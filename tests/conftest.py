@@ -36,11 +36,11 @@ def cached_step(enc, params, cfg, rows, s, layer=0, bump=False):
     is perturbed first: the enc.a rows outside its window [k*s, k*(s + 1))
     and the cache's key and value rows after s."""
     if bump:
-        k = enc.frame_ratio
+        k = cfg.frame_ratio
         a = enc.a.data.copy()
         a[: k * s] += 1.0
         a[k * (s + 1) :] += 1.0
-        enc = EncodedAudio(Var(a), k, enc.motion_len)
+        enc = EncodedAudio(Var(a), enc.motion_len)
     past = layer_caches(enc, len(rows), params, cfg)[layer]
     for i in range(s):
         decoder_layer(Var(rows[i : i + 1]), past)

@@ -289,7 +289,7 @@ def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
     cross-attention weights (heads x t x t and heads x t x kt).
     """
     p = f"dec.layer{layer}"
-    total, k = fhat.rows, enc.frame_ratio
+    total, k = fhat.rows, cfg.frame_ratio
 
     def norm(x, sublayer_out, ln):
         return ad.add_norm(x, sublayer_out, params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])

@@ -300,6 +300,25 @@ class TestTrain:
 
 
 class TestInfer:
+    @pytest.mark.parametrize("command", ["infer", "export-attn"])
+    @pytest.mark.parametrize("identity", ["-1", "2"])
+    def test_identity_out_of_range_names_the_flag_and_checkpoint(
+        self, tmp_path, trained, dataset_dir, capsys, monkeypatch, command, identity
+    ):
+        monkeypatch.setattr(cli, "_load_audio", lambda *a: pytest.fail("read the audio"))
+        out = ["--out", str(tmp_path / "m.f32mat")] if command == "infer" else [
+            "--out-dir", str(tmp_path / "attn")]
+        capsys.readouterr()
+        assert main([
+            command, "--ckpt", str(trained),
+            "--audio", str(dataset_dir / "seq000.audio.f32mat"), "--identity", identity, *out,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"--identity {identity} is out of range: {trained} has 2 identities (0 to 1)" \
+            in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.f32mat").exists() and not (tmp_path / "attn").exists()
+
     def test_frames_flag_sets_row_count(self, tmp_path, trained, dataset_dir):
         out = tmp_path / "motion.f32mat"
         code = main([

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,23 @@ class TestAudioInput:
         wave[7] = bad
         with pytest.raises(AudioError, match="waveform row 7"):
             AudioInput.from_waveform(wave, 16000.0)
+
+    @pytest.mark.parametrize("shape", [(16000, 2), (8000, 1, 1), ()],
+                             ids=["16000x2", "8000x1x1", "scalar"])
+    def test_waveform_with_more_than_one_channel_rejected(self, shape):
+        # 16000 x 2 flattened would read as 32,000 samples: twice the clip
+        message = re.escape(f"waveform input must have one channel (n x 1), got shape {shape}")
+        with pytest.raises(AudioError, match=message):
+            AudioInput.from_waveform(np.zeros(shape), 16000.0)
+        with pytest.raises(AudioError, match=message):
+            AudioInput(waveform=np.zeros(shape), sample_rate=16000.0)
+
+    def test_waveform_of_n_or_n_by_one_samples(self, rng):
+        wave = rng.normal(size=4000)
+        flat = AudioInput.from_waveform(wave, 16000.0)
+        column = AudioInput.from_waveform(wave[:, None], 16000.0)
+        assert flat.waveform.shape == column.waveform.shape == (4000, 1)
+        assert np.array_equal(flat.waveform, column.waveform)
 
     def test_no_rows_rejected(self):
         with pytest.raises(AudioError, match="features input has no rows"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from speechmotion import (
+    AudioError,
     AudioInput,
     ConfigError,
     DivergenceError,
@@ -16,9 +17,9 @@ from speechmotion import (
     init_params,
     lip_error,
     lip_error_corpus,
-    mse_loss,
     train,
 )
+from speechmotion.autodiff import squared_error
 from speechmotion.training import check_sample_alignment, frame_vertex_rmse, rollout_loss
 
 import reference
@@ -35,12 +36,12 @@ def _sample(rng, frames=4, vertices=3, identity=0):
 class TestMseLoss:
     def test_equal_inputs_zero(self, rng):
         m = rng.normal(size=(3, 6))
-        assert mse_loss(m, m).item() == 0.0
+        assert squared_error(m, m).item() == 0.0
 
     def test_single_vertex_unit_offset(self):
         truth = np.zeros((1, 3))
         pred = np.array([[1.0, 0.0, 0.0]])
-        assert mse_loss(pred, truth).item() == 1.0
+        assert squared_error(pred, truth).item() == 1.0
 
     def test_matches_scalar_loop(self, rng):
         pred, truth = rng.normal(size=(4, 9)), rng.normal(size=(4, 9))
@@ -49,16 +50,16 @@ class TestMseLoss:
             for v in range(3):
                 for c in range(3):
                     total += (pred[t, 3 * v + c] - truth[t, 3 * v + c]) ** 2
-        assert mse_loss(pred, truth).item() == pytest.approx(total, abs=1e-12)
+        assert squared_error(pred, truth).item() == pytest.approx(total, abs=1e-12)
 
     def test_symmetric_and_definite(self, rng):
         a, b = rng.normal(size=(2, 6)), rng.normal(size=(2, 6))
-        assert mse_loss(a, b).item() == pytest.approx(mse_loss(b, a).item(), abs=0)
-        assert mse_loss(a, b).item() > 0
+        assert squared_error(a, b).item() == pytest.approx(squared_error(b, a).item(), abs=0)
+        assert squared_error(a, b).item() > 0
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            mse_loss(rng.normal(size=(2, 3)), rng.normal(size=(3, 2)))
+            squared_error(rng.normal(size=(2, 3)), rng.normal(size=(3, 2)))
 
 
 class TestLipError:
@@ -153,6 +154,27 @@ class TestTrain:
         with pytest.raises(ShapeError, match="sample 1: motion row 2 holds a non-finite"):
             train([_sample(rng), bad], tiny_params, tiny_cfg, epochs=1, seed=0)
         assert all(np.array_equal(tiny_params[k].data, before[k]) for k in before)
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("identity", ShapeError, "sample 3: identity 7 out of range [0, 2)"),
+        ("width", AudioError,
+         "sample 3: feature width 5 does not match configured feature_dim 4"),
+    ], ids=["identity", "width"])
+    def test_bad_sample_rejected_before_any_step(
+        self, tiny_cfg, tiny_params, rng, monkeypatch, fault, error, message
+    ):
+        from speechmotion import training
+
+        monkeypatch.setattr(training, "adam_step", lambda *a, **k: pytest.fail("stepped"))
+        data = [_sample(rng) for _ in range(4)]
+        if fault == "identity":
+            data[3] = TrainingSample(data[3].audio, data[3].motion, identity=7)
+        else:
+            wide = AudioInput.from_features(rng.normal(size=(8, 5)), 50.0)
+            data[3] = TrainingSample(wide, data[3].motion, data[3].identity)
+        with pytest.raises(error) as info:
+            train(data, tiny_params, tiny_cfg, epochs=1, seed=0)
+        assert str(info.value) == message
 
     def test_nan_gradient_aborts_before_update(self, tiny_cfg, tiny_params, rng, monkeypatch):
         from speechmotion import training
