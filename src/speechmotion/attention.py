@@ -59,19 +59,18 @@ class AttentionRecord:
 
 
 def mh_attention(
-    x_q, x_kv, proj: AttentionProjections, heads: int, bias: BiasMatrix | None
+    x_q, kv: KeyValues, proj: AttentionProjections, heads: int, bias: BiasMatrix | None
 ) -> tuple[Var, np.ndarray]:
-    """Multi-head biased attention from the rows of x_q to ``x_kv``: rows that
-    ``proj`` projects, or :class:`KeyValues` projected before. The query and
-    output projections are part of the one :func:`autodiff.attention` record.
-    Returns the output rows and the heads x t x s weights, which the backward
-    pass reads: do not modify them.
+    """Multi-head biased attention from the rows of x_q to the keys and
+    values ``kv`` (see :meth:`AttentionProjections.keys_values`). The query
+    and output projections are part of the one :func:`autodiff.attention`
+    record. Returns the output rows and the heads x t x s weights, which the
+    backward pass reads: do not modify them.
 
     ``bias`` is None, a t x s matrix shared by every head (such as an
     alignment bias), or a heads x t x s stack already scaled per head (a
     temporal bias at the heads' slopes, see :meth:`BiasMatrix.scaled`).
     """
-    kv = x_kv if isinstance(x_kv, KeyValues) else proj.keys_values(x_kv)
     return ad.attention(
         x_q, proj.wq, kv.k, kv.v, proj.wo, None if bias is None else bias.data, heads,
         slice(kv.start, kv.stop),

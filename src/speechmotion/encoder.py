@@ -42,6 +42,8 @@ class AudioInput:
             raise AudioError(
                 f"waveform input must have one channel (n x 1), got shape {data.shape}"
             )
+        if data.ndim != 2:
+            raise AudioError(f"features input must be rows x width, got shape {data.shape}")
         if data.shape[0] == 0:
             raise AudioError(f"{kind} input has no rows")
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
@@ -58,7 +60,7 @@ class AudioInput:
     @classmethod
     def from_features(cls, features, feature_rate: float) -> "AudioInput":
         return cls(
-            features=ad.as_matrix(features, "features"),
+            features=np.ascontiguousarray(features, dtype=np.float64),
             feature_rate=float(feature_rate),
         )
 
@@ -137,7 +139,7 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
                    capture: list[AttentionRecord] | None) -> Var:
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
-    attn, weights = mh_attention(x, x, proj, cfg.encoder_heads, None)
+    attn, weights = mh_attention(x, proj.keys_values(x), proj, cfg.encoder_heads, None)
     if capture is not None:
         capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
     x = ad.add_norm(x, attn, params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"])

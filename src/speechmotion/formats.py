@@ -20,12 +20,11 @@ the pe_mode as an index into PE_MODES, then four zeros). Slot 14 is retired:
 it held an output-space code, and a file whose slot 14 is not 0 was trained
 on offsets from its first frame, so it is rejected naming output_space.
 
-Version 2 files still load: version 3 without the padding, so their
-payloads start wherever the table ends. The version is read before any CRC
-is checked, and any other version is unsupported: a file from a newer
-writer, one whose version bytes are corrupt, or a version 1 file (an older
-layout with one CRC over the whole file and no derived entries) reads as an
-unsupported version.
+The version is read before any CRC is checked, and only version 3 loads.
+A file from a newer writer, one whose version bytes are corrupt, and one of
+a retired layout (version 1: one CRC over the whole file and no derived
+entries; version 2: version 3 without the padding) read as an unsupported
+version.
 
 Every byte a load uses is checked before it is used: the header block
 against its CRC before the table is parsed, and each payload it uses
@@ -36,17 +35,16 @@ fold, so a corrupt byte there is caught by the full load and ``inspect``,
 not by ``infer``. Sizes are checked against the file size before anything
 is allocated or mapped.
 
-A version 3 payload of at least _MAP_BYTES (32 MiB) is not read but mapped:
-the file is mapped read-only, and the entry is a read-only float64 view of
-its payload, handed out only after zlib.crc32 over the mapped bytes matches
-its entry. 32 MiB is the largest value glibc's dynamic mmap threshold
-reaches, so a new array that large always gets fresh pages from the kernel,
-and reading into it pays page faults, zeroing and a copy that the map
-saves. Smaller arrays reuse freed heap, where a map would only add resident
-file pages. Every other payload, and every payload of a version 2 file, is
-read in chunks straight into an array of its own, which is aligned
-(numpy hands only aligned arrays to BLAS) and owns its memory, and each
-chunk is checksummed as soon as it is read.
+A payload of at least _MAP_BYTES (32 MiB) is not read but mapped: the file
+is mapped read-only, and the entry is a read-only float64 view of its
+payload, handed out only after zlib.crc32 over the mapped bytes matches its
+entry. 32 MiB is the largest value glibc's dynamic mmap threshold reaches,
+so a new array that large always gets fresh pages from the kernel, and
+reading into it pays page faults, zeroing and a copy that the map saves.
+Smaller arrays reuse freed heap, where a map would only add resident file
+pages. Every other payload is read in chunks straight into an array of its
+own, which is aligned (numpy hands only aligned arrays to BLAS) and owns
+its memory, and each chunk is checksummed as soon as it is read.
 
 All writers go through a temp file + atomic rename, so failures never leave
 partial files behind. They stream their chunks (a header, then each array's
@@ -88,8 +86,8 @@ _RETIRED_SLOT = 14  # of __config__; see the module docstring
 # Inference uses the motion encoder only through the stored fold.
 _UNREAD_FOR_INFERENCE = ("motion_enc.w", "motion_enc.b")
 _CHUNK = 4 << 20  # bytes per checkpoint readinto and CRC fold
-_ALIGN = 64  # version 3: the first payload starts on a multiple of this
-_MAP_BYTES = 32 << 20  # version 3 payloads this large are mapped, not read
+_ALIGN = 64  # the first payload starts on a multiple of this
+_MAP_BYTES = 32 << 20  # payloads this large are mapped, not read
 
 _CONFIG_FIELDS = (
     "dim", "heads", "period", "feature_rate", "motion_rate",
@@ -244,15 +242,14 @@ def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
     )
     header = CHECKPOINT_MAGIC + struct.pack(
         "<III", CHECKPOINT_VERSION, len(entries), len(table)
-    ) + table + bytes(_padding(CHECKPOINT_VERSION, len(table)))
+    ) + table + bytes(_padding(len(table)))
     atomic_write_bytes(path, header, struct.pack("<I", zlib.crc32(header)), *payloads)
 
 
-def _padding(version: int, table_len: int) -> int:
-    """The zero bytes between the entry table and the header CRC: none in
-    version 2, and in version 3 enough to end the header block on a
-    multiple of ``_ALIGN``."""
-    return 0 if version == 2 else -(20 + table_len) % _ALIGN
+def _padding(table_len: int) -> int:
+    """The zero bytes between the entry table and the header CRC: enough to
+    end the header block on a multiple of ``_ALIGN``."""
+    return -(20 + table_len) % _ALIGN
 
 
 def _read_payload(fh, array: np.ndarray, path, offset: int, scratch: bytearray | None) -> int:
@@ -275,9 +272,8 @@ def _read_payload(fh, array: np.ndarray, path, offset: int, scratch: bytearray |
 
 
 def _parse_table(path, table: bytes, count: int, room: int) -> dict:
-    """name -> (shape, payload CRC) of the ``count`` entries of a version 2
-    or 3 entry table, in table order; their payloads must fit in ``room``
-    bytes."""
+    """name -> (shape, payload CRC) of the ``count`` entries of an entry
+    table, in table order; their payloads must fit in ``room`` bytes."""
     entries, at = {}, 0
     for _ in range(count):
         if at + 2 > len(table):
@@ -322,12 +318,12 @@ def _map(fh, path, st) -> _Mapping:
     return mapping
 
 
-def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarray]]:
-    """The version (2 or 3) of a checkpoint and its entries, each an aligned
-    float64 array: a read-only view of a map of the file for a version 3
-    payload of at least ``_MAP_BYTES``, else a writable array that owns its
-    memory. The header block is checked before anything in it is used, and
-    each payload before it is returned.
+def _read_checkpoint(path, skip=(), keep=None) -> dict[str, np.ndarray]:
+    """The entries of a checkpoint, each an aligned float64 array: a
+    read-only view of a map of the file for a payload of at least
+    ``_MAP_BYTES``, else a writable array that owns its memory. The header
+    block is checked before anything in it is used, and each payload
+    before it is returned.
     ``skip``: entries whose payloads are neither read nor checked.
     ``keep``: when given, the only entries whose payloads are held; every
     other payload is checked through one reused buffer of up to ``_CHUNK``
@@ -339,10 +335,10 @@ def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarra
         if size < 16 or head[:4] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
         version, count, table_len = struct.unpack_from("<III", head, 4)
-        if version not in (2, 3):
+        if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         scratch = None if keep is None else bytearray(min(_CHUNK, size))
-        offset = 16 + table_len + _padding(version, table_len) + 4  # the first payload byte
+        offset = 16 + table_len + _padding(table_len) + 4  # the first payload byte
         sealed = fh.read(offset - 16) if offset <= size else b""
         header_crc = zlib.crc32(sealed[:-4], zlib.crc32(head))
         if len(sealed) != offset - 16 or sealed[-4:] != struct.pack("<I", header_crc):
@@ -361,7 +357,7 @@ def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarra
             if keep is not None and name not in keep:  # a read-only zero holds no memory
                 data = np.broadcast_to(np.float64(0.0), shape)
                 got = _read_payload(fh, data, path, offset, scratch)
-            elif version == 3 and nbytes >= _MAP_BYTES:
+            elif nbytes >= _MAP_BYTES:
                 if mapping is None:
                     mapping = _map(fh, path, st)
                 data = np.frombuffer(mapping, "<f8", nbytes // 8, offset).reshape(shape)
@@ -380,7 +376,7 @@ def _read_checkpoint(path, skip=(), keep=None) -> tuple[int, dict[str, np.ndarra
             raise FormatError(
                 f"{path}: short read at byte {offset}, file changed while loading"
             )
-    return version, entries
+    return entries
 
 
 def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelConfig]:
@@ -390,12 +386,12 @@ def load_checkpoint(path, for_inference: bool = False) -> tuple[Params, ModelCon
     parameters only. With ``for_inference``, the file is read without the
     motion encoder, which inference uses only through the fold, and the
     parameters carry the stored fold instead (see
-    :func:`decoder.feedback_map`). A parameter from a version 3 payload of
-    at least ``_MAP_BYTES`` is a read-only view of a map of the file; copy
-    it to change it.
+    :func:`decoder.feedback_map`). A parameter from a payload of at least
+    ``_MAP_BYTES`` is a read-only view of a map of the file; copy it to
+    change it.
     """
     skip = _UNREAD_FOR_INFERENCE if for_inference else ()
-    _, entries = _read_checkpoint(path, skip)
+    entries = _read_checkpoint(path, skip)
     if CONFIG_ENTRY not in entries:
         raise FormatError(f"{path}: missing {CONFIG_ENTRY!r} entry")
     cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)
@@ -443,8 +439,8 @@ def check_unchanged(path, params: Params) -> None:
 def checkpoint_summary(path) -> list[str]:
     """The lines ``inspect`` prints for a checkpoint. Every payload is
     checked; only the configuration's is held."""
-    version, entries = _read_checkpoint(path, keep=(CONFIG_ENTRY,))
-    lines = [f"checkpoint file version {version}"]
+    entries = _read_checkpoint(path, keep=(CONFIG_ENTRY,))
+    lines = [f"checkpoint file version {CHECKPOINT_VERSION}"]
     if CONFIG_ENTRY in entries:
         cfg = _config_from_vector(entries.pop(CONFIG_ENTRY), path)
         lines.append(f"config: {cfg}")

@@ -12,9 +12,9 @@ tests also build their losses from them. The reverse pass and the
 optimizer are the package's earlier ones: every gradient widened to its
 whole input and added into a new array, and clipping and Adam run parameter
 by parameter into new arrays; the package's must match them bit for bit.
-The checkpoint helpers pack and parse the file versions field by field from
-the format description; they also pack the version 1 layout, which the
-package refuses.
+The checkpoint helpers pack and parse version 3 files field by field from
+the format description; they also pack the retired version 1 and 2
+layouts, which the package refuses.
 """
 
 import math
@@ -295,9 +295,9 @@ def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
         return ad.add_norm(x, sublayer_out, params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
 
     self_bias = decoder_self_bias(total, cfg).scaled(head_slopes(cfg.heads))
+    self_proj = AttentionProjections.from_params(params, f"{p}.self")
     attn, w_self = mh_attention(
-        fhat, fhat, AttentionProjections.from_params(params, f"{p}.self"), cfg.heads,
-        self_bias,
+        fhat, self_proj.keys_values(fhat), self_proj, cfg.heads, self_bias
     )
     x1 = norm(fhat, attn, "ln1")
     cross_proj = AttentionProjections.from_params(params, f"{p}.cross")
@@ -311,17 +311,18 @@ def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
     return norm(x2, ff, "ln3"), (w_self, w_cross)
 
 
-def header_padding(version: int, table_len: int) -> int:
-    """Zero bytes before the header CRC: version 3 pads the header block to
-    a multiple of 64 bytes, version 2 does not pad."""
-    return (-(20 + table_len)) % 64 if version == 3 else 0
+def header_padding(table_len: int) -> int:
+    """Zero bytes before the header CRC, which pad the header block to a
+    multiple of 64 bytes."""
+    return (-(20 + table_len)) % 64
 
 
 def checkpoint_bytes(entries, version: int) -> bytes:
     """A checkpoint holding ``entries`` ((name, 2-D array) pairs) in the
-    given order, with every CRC the version carries. Version 1 is the old
-    layout: each entry's header followed by its payload, and one CRC of all
-    preceding bytes at the end."""
+    given order, with every CRC the version carries. Version 1 is the
+    oldest layout: each entry's header followed by its payload, and one CRC
+    of all preceding bytes at the end. Version 2 is version 3 without the
+    header padding."""
     payloads = [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in entries]
     heads = [
         struct.pack("<H", len(name.encode())) + name.encode() + struct.pack("<II", *a.shape)
@@ -333,16 +334,16 @@ def checkpoint_bytes(entries, version: int) -> bytes:
         return body + struct.pack("<I", zlib.crc32(body))
     table = b"".join(h + struct.pack("<I", zlib.crc32(p)) for h, p in zip(heads, payloads))
     header = b"FFCK" + struct.pack("<III", version, len(entries), len(table)) + table
-    header += bytes(header_padding(version, len(table)))
+    header += bytes(header_padding(len(table)) if version == 3 else 0)
     return header + struct.pack("<I", zlib.crc32(header)) + b"".join(payloads)
 
 
 def parse_checkpoint(blob: bytes) -> dict:
-    """Plain parse of intact version 2 or 3 checkpoint bytes:
+    """Plain parse of intact version 3 checkpoint bytes:
     name -> (payload offset, values)."""
-    version, count, table_len = struct.unpack_from("<III", blob, 4)
+    count, table_len = struct.unpack_from("<II", blob, 8)
     entries, at = {}, 16
-    offset = 20 + table_len + header_padding(version, table_len)
+    offset = 20 + table_len + header_padding(table_len)
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, at)
         name = blob[at + 2 : at + 2 + name_len].decode()
@@ -355,14 +356,13 @@ def parse_checkpoint(blob: bytes) -> dict:
 
 
 def reseal(blob: bytearray) -> None:
-    """Recompute in place each payload CRC and the header CRC of version 2
-    or 3 checkpoint bytes, as far as their structure still parses; other
-    bytes are left as they are."""
-    version = struct.unpack_from("<I", blob, 4)[0] if len(blob) >= 16 else None
-    if version not in (2, 3):
+    """Recompute in place each payload CRC and the header CRC of version 3
+    checkpoint bytes, as far as their structure still parses; other bytes
+    are left as they are."""
+    if len(blob) < 16 or struct.unpack_from("<I", blob, 4)[0] != 3:
         return
     count, table_len = struct.unpack_from("<II", blob, 8)
-    end = 16 + table_len + header_padding(version, table_len)
+    end = 16 + table_len + header_padding(table_len)
     if end + 4 > len(blob):
         return
     at, offset = 16, end + 4

@@ -75,7 +75,7 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(3, d))
         base = temporal_bias(3, 2, 1.0)
-        out, _ = mh_attention(x, x, proj, 1, base.scaled(head_slopes(1)))
+        out, _ = mh_attention(x, proj.keys_values(x), proj, 1, base.scaled(head_slopes(1)))
         q = x @ proj.wq.data
         k = x @ proj.wk.data
         v = x @ proj.wv.data
@@ -85,7 +85,8 @@ class TestMhAttention:
     def test_output_shape(self, rng):
         d = 8
         x_q, x_kv = rng.normal(size=(5, d)), rng.normal(size=(7, d))
-        out, _ = mh_attention(x_q, x_kv, _proj(rng, d), 2, None)
+        proj = _proj(rng, d)
+        out, _ = mh_attention(x_q, proj.keys_values(x_kv), proj, 2, None)
         assert out.shape == (5, d)
 
     def test_single_token_is_identity_weight_pass(self, rng):
@@ -95,7 +96,9 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(1, d))
         bias = temporal_bias(1, 3, 1.0)
-        out, weights = mh_attention(x, x, proj, 2, bias.scaled(head_slopes(2)))
+        out, weights = mh_attention(
+            x, proj.keys_values(x), proj, 2, bias.scaled(head_slopes(2))
+        )
         assert np.array_equal(weights, np.ones((2, 1, 1)))
         assert np.allclose(out.data, x @ proj.wv.data @ proj.wo.data, atol=1e-12)
 
@@ -105,7 +108,9 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(t, d))
         base = temporal_bias(t, 3, 1.0)
-        out, weights = mh_attention(x, x, proj, heads, base.scaled(head_slopes(2)))
+        out, weights = mh_attention(
+            x, proj.keys_values(x), proj, heads, base.scaled(head_slopes(2))
+        )
         q, k, v = x @ proj.wq.data, x @ proj.wk.data, x @ proj.wv.data
         dk = d // heads
         head_outs = []
@@ -123,7 +128,8 @@ class TestMhAttention:
         bias = alignment_bias(t, t, 2)
         x_q = rng.normal(size=(t, d))
         x_kv = rng.normal(size=(2 * t, d))
-        _, weights = mh_attention(x_q, x_kv, _proj(rng, d), 2, bias)
+        proj = _proj(rng, d)
+        _, weights = mh_attention(x_q, proj.keys_values(x_kv), proj, 2, bias)
         for w in weights:
             assert np.array_equal(w != 0.0, np.isfinite(bias.data))
 

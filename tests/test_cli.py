@@ -599,69 +599,43 @@ class TestInspect:
 
 
 class TestCheckpointVersions:
-    """infer and export-attn read a version 2 or 3 file without the motion
-    encoder, with the same output bytes from either version of the same
-    parameters, and fail by name on a damaged file or a version 1 one."""
+    """infer and export-attn read a version 3 file without the motion
+    encoder, and fail by name on a damaged file or one of a retired
+    version."""
 
-    @staticmethod
-    def _outputs(ckpt, audio, out):
-        assert main([
-            "infer", "--ckpt", str(ckpt), "--audio", str(audio), "--identity", "1",
-            "--out", str(out / "motion.f32mat"),
-        ]) == 0
-        assert main([
-            "export-attn", "--ckpt", str(ckpt), "--audio", str(audio), "--identity", "1",
-            "--out-dir", str(out / "attn"),
-        ]) == 0
-        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
-
-    @pytest.mark.parametrize("audio", ["features", "wav"])
-    def test_v2_outputs_match_v3_bytes(self, tmp_path, trained, dataset_dir, audio):
-        v2 = tmp_path / "v2.ckpt"
-        entries = parse_checkpoint(trained.read_bytes()).items()
-        v2.write_bytes(checkpoint_bytes([(name, v) for name, (_, v) in entries], 2))
-        clip = dataset_dir / "seq001.audio.f32mat"
-        if audio == "wav":
-            clip = tmp_path / "clip.wav"
-            t = np.arange(4000)
-            with wave.open(str(clip), "wb") as fh:
-                fh.setnchannels(1)
-                fh.setsampwidth(2)
-                fh.setframerate(16000)
-                fh.writeframes((np.sin(t * 0.03) * 9000).astype("<i2").tobytes())
-        outputs = []
-        for ckpt in (trained, v2):
-            out = tmp_path / ckpt.stem
-            out.mkdir()
-            outputs.append(self._outputs(ckpt, clip, out))
-        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
-
-    def test_version_1_is_refused(self, tmp_path, trained, dataset_dir, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_version_is_refused(
+        self, tmp_path, trained, dataset_dir, capsys, version
+    ):
         """A version 1 file (each entry's header and payload in turn, one
-        CRC at the end, no stored fold) of trained parameters is refused
-        as unsupported by every reader."""
-        params, cfg = load_checkpoint(trained)
-        entries = sorted((name, p.data) for name, p in params.items())
-        entries.append((formats.CONFIG_ENTRY, formats._config_vector(cfg)))
-        v1 = tmp_path / "v1.ckpt"
-        v1.write_bytes(checkpoint_bytes(entries, 1))
-        message = f"{v1}: unsupported checkpoint version 1"
+        CRC at the end, no stored fold) or version 2 file (version 3
+        without the header padding) of trained parameters is refused as
+        unsupported by every reader."""
+        if version == 1:
+            params, cfg = load_checkpoint(trained)
+            entries = sorted((name, p.data) for name, p in params.items())
+            entries.append((formats.CONFIG_ENTRY, formats._config_vector(cfg)))
+        else:
+            entries = [(n, v) for n, (_, v) in parse_checkpoint(trained.read_bytes()).items()]
+        old = tmp_path / f"v{version}.ckpt"
+        old.write_bytes(checkpoint_bytes(entries, version))
+        message = f"{old}: unsupported checkpoint version {version}"
         for for_inference in (False, True):
             with pytest.raises(FormatError, match=f"^{message}$"):
-                load_checkpoint(v1, for_inference=for_inference)
+                load_checkpoint(old, for_inference=for_inference)
         audio = str(dataset_dir / "seq000.audio.f32mat")
         out = tmp_path / "out"
         for argv in (
-            ["inspect", str(v1)],
-            ["infer", "--ckpt", str(v1), "--audio", audio, "--identity", "0",
+            ["inspect", str(old)],
+            ["infer", "--ckpt", str(old), "--audio", audio, "--identity", "0",
              "--out", str(out)],
-            ["export-attn", "--ckpt", str(v1), "--audio", audio, "--identity", "0",
+            ["export-attn", "--ckpt", str(old), "--audio", audio, "--identity", "0",
              "--out-dir", str(out)],
         ):
             capsys.readouterr()
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
-            assert message in captured.err and "Traceback" not in captured.err
+            assert captured.err == f"error: {message}\n", argv
             assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["infer", "export-attn"])
@@ -686,7 +660,7 @@ class TestCheckpointVersions:
             if damage == "fold shape":
                 kept = [(name, np.zeros((8, 1)) if name == "motion_fold.c" else values)
                         for name, values in kept]
-            blob = checkpoint_bytes(kept, 2)
+            blob = checkpoint_bytes(kept, 3)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(blob))
         out = tmp_path / "out"

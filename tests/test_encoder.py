@@ -56,6 +56,14 @@ class TestAudioInput:
         with pytest.raises(AudioError, match=message):
             AudioInput(waveform=np.zeros(shape), sample_rate=16000.0)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)], ids=["5", "2x3x4"])
+    def test_features_not_rows_by_width_rejected(self, shape):
+        message = re.escape(f"features input must be rows x width, got shape {shape}")
+        with pytest.raises(AudioError, match=message):
+            AudioInput.from_features(np.zeros(shape), 50.0)
+        with pytest.raises(AudioError, match=message):
+            AudioInput(features=np.zeros(shape), feature_rate=50.0)
+
     def test_waveform_of_n_or_n_by_one_samples(self, rng):
         wave = rng.normal(size=4000)
         flat = AudioInput.from_waveform(wave, 16000.0)

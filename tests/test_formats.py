@@ -199,10 +199,9 @@ class TestCheckpoint:
     def test_duplicate_entry_names_rejected(self, tmp_path):
         entry = ("dup", np.zeros((1, 1)))
         path = tmp_path / "dup.ckpt"
-        for version in (2, 3):
-            path.write_bytes(checkpoint_bytes([entry, entry], version))
-            with pytest.raises(FormatError, match="duplicate entry 'dup'"):
-                load_checkpoint(path)
+        path.write_bytes(checkpoint_bytes([entry, entry], 3))
+        with pytest.raises(FormatError, match="duplicate entry 'dup'"):
+            load_checkpoint(path)
 
     def test_file_bytes_pinned(self, tmp_path):
         cfg = dataclasses.replace(TINY, pe_mode="alibi")
@@ -228,31 +227,21 @@ class TestCheckpoint:
         assert blob == checkpoint_bytes(entries, 3)
         table_len = sum(2 + len(name) + 12 for name, _ in entries)
         assert blob[:16] == b"FFCK" + struct.pack("<III", 3, len(entries), table_len)
-        # Version 3 pads the header block with zeros, under its CRC, to a
-        # multiple of 64 bytes; version 2 has the same table and payloads
-        # with no padding, and still loads to the same arrays.
-        start = 20 + table_len + header_padding(3, table_len)
+        # The header block is padded with zeros, under its CRC, to a
+        # multiple of 64 bytes.
+        start = 20 + table_len + header_padding(table_len)
         assert start % 64 == 0 and start - 64 < 20 + table_len
         assert blob[16 + table_len : start - 4] == bytes(start - 20 - table_len)
         assert blob[start - 4 : start] == struct.pack("<I", zlib.crc32(blob[: start - 4]))
-        v2 = checkpoint_bytes(entries, 2)
-        assert v2[:16] == b"FFCK" + struct.pack("<III", 2, len(entries), table_len)
-        assert v2[16 : 16 + table_len] == blob[16 : 16 + table_len]
-        assert v2[16 + table_len : 20 + table_len] == struct.pack(
-            "<I", zlib.crc32(v2[: 16 + table_len])
-        )
-        assert v2[20 + table_len :] == blob[start:]
-        v2_path = tmp_path / "v2.ckpt"
-        v2_path.write_bytes(v2)
-        for for_inference in (False, True):
-            got, _ = load_checkpoint(v2_path, for_inference=for_inference)
-            want, _ = load_checkpoint(path, for_inference=for_inference)
-            assert list(got) == list(want)
-            for name in want:
-                assert got[name].data.tobytes() == want[name].data.tobytes(), name
 
-    @staticmethod
-    def _assert_loads_aligned_writable_float64(path, offsets):
+    def test_loaded_v3_entries_are_aligned_writable_float64(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, seed=3), TINY)
+        offsets = {name: o for name, (o, _) in parse_checkpoint(path.read_bytes()).items()}
+        # The header block is padded from 1751 to 1792 bytes, so the first
+        # payload starts at 0 (mod 64) and every payload at 0 (mod 8).
+        assert min(offsets.values()) == 1792
+        assert {o % 8 for o in offsets.values()} == {0}
         for for_inference in (False, True):
             loaded, _ = load_checkpoint(path, for_inference=for_inference)
             assert set(loaded) < set(offsets)
@@ -262,41 +251,17 @@ class TestCheckpoint:
                 assert flags.c_contiguous and flags.aligned and flags.writeable, name
                 assert flags.owndata, name
 
-    def test_loaded_entries_are_aligned_writable_float64(self, tmp_path):
-        save_checkpoint(tmp_path / "v3.ckpt", init_params(TINY, seed=3), TINY)
-        entries = parse_checkpoint((tmp_path / "v3.ckpt").read_bytes())
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(checkpoint_bytes([(n, v) for n, (_, v) in entries.items()], 2))
-        offsets = {name: o for name, (o, _) in parse_checkpoint(path.read_bytes()).items()}
-        # The version 2 header block is 1751 bytes and every payload a whole
-        # number of float64s, so every payload starts at 7 (mod 8) in the file.
-        assert {o % 8 for o in offsets.values()} == {7}
-        self._assert_loads_aligned_writable_float64(path, offsets)
-
-    def test_loaded_v3_entries_are_aligned_writable_float64(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init_params(TINY, seed=3), TINY)
-        offsets = {name: o for name, (o, _) in parse_checkpoint(path.read_bytes()).items()}
-        # The version 3 header block is padded from 1751 to 1792 bytes, so
-        # the first payload starts at 0 (mod 64) and every payload at 0 (mod 8).
-        assert min(offsets.values()) == 1792
-        assert {o % 8 for o in offsets.values()} == {0}
-        self._assert_loads_aligned_writable_float64(path, offsets)
-
     @pytest.mark.parametrize("chunk", [4096, formats._CHUNK])
     def test_loaded_arrays_match_plain_parse_bitwise(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(formats, "_CHUNK", chunk)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(TINY, seed=5), TINY)
-        entries = [(n, v) for n, (_, v) in parse_checkpoint(path.read_bytes()).items()]
-        for version in (3, 2):
-            path.write_bytes(checkpoint_bytes(entries, version))
-            expected = parse_checkpoint(path.read_bytes())
-            _, loaded = formats._read_checkpoint(path)
-            assert list(loaded) == list(expected)
-            for name, (_, values) in expected.items():
-                assert loaded[name].shape == values.shape, name
-                assert loaded[name].tobytes() == values.tobytes(), name
+        expected = parse_checkpoint(path.read_bytes())
+        loaded = formats._read_checkpoint(path)
+        assert list(loaded) == list(expected)
+        for name, (_, values) in expected.items():
+            assert loaded[name].shape == values.shape, name
+            assert loaded[name].tobytes() == values.tobytes(), name
 
     def test_corrupt_name_length_reports_crc_first(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -321,7 +286,7 @@ class TestCheckpoint:
         for sealed in (False, True):
             if sealed:
                 table_len = struct.unpack_from("<I", blob, 12)[0]
-                end = 16 + table_len + header_padding(3, table_len)
+                end = 16 + table_len + header_padding(table_len)
                 blob[end : end + 4] = struct.pack("<I", zlib.crc32(blob[:end]))
             path.write_bytes(bytes(blob))
             for for_inference in (False, True):
@@ -345,8 +310,7 @@ class TestCheckpoint:
                 load_checkpoint(path, for_inference=for_inference)
 
 
-@pytest.mark.parametrize("version", [2, 3])
-def test_summary_checks_payloads_without_holding_them(tmp_path, monkeypatch, version):
+def test_summary_checks_payloads_without_holding_them(tmp_path, monkeypatch):
     # inspect reads every payload through one reused buffer of _CHUNK bytes:
     # a 1 MB payload in 64 KB pieces never sits in memory whole
     monkeypatch.setattr(formats, "_CHUNK", 1 << 16)
@@ -356,7 +320,7 @@ def test_summary_checks_payloads_without_holding_them(tmp_path, monkeypatch, ver
         (formats.CONFIG_ENTRY, formats._config_vector(TINY)),
     ]
     path = tmp_path / "big.ckpt"
-    path.write_bytes(checkpoint_bytes(entries, version))
+    path.write_bytes(checkpoint_bytes(entries, 3))
     tracemalloc.start()
     try:
         lines = formats.checkpoint_summary(path)
@@ -365,7 +329,7 @@ def test_summary_checks_payloads_without_holding_them(tmp_path, monkeypatch, ver
         tracemalloc.stop()
     assert peak < big.nbytes
     assert lines == [
-        f"checkpoint file version {version}", f"config: {TINY}", "entries: 2",
+        "checkpoint file version 3", f"config: {TINY}", "entries: 2",
         "  big  256x512", "  small  1x3",
     ]
     blob = bytearray(path.read_bytes())
@@ -391,7 +355,7 @@ class TestCheckpointV2:
 
     def test_stored_fold_is_feedback_map_bitwise(self, saved):
         path, params = saved
-        _, entries = formats._read_checkpoint(path)
+        entries = formats._read_checkpoint(path)
         for name, value in zip(FOLD_ENTRIES, feedback_map(params)):
             assert entries[name].tobytes() == value.data.tobytes(), name
 
@@ -451,7 +415,7 @@ class TestCheckpointV2:
                 del entries["motion_fold.M"], entries["motion_fold.c"]
             else:
                 entries["motion_fold.M"] = np.zeros((4, 8))
-            blob = checkpoint_bytes(list(entries.items()), 2)
+            blob = checkpoint_bytes(list(entries.items()), 3)
         path.write_bytes(bytes(blob))
         for for_inference in (False, True):
             with pytest.raises(FormatError, match=match):
@@ -501,13 +465,6 @@ class TestCheckpointV3:
                 assert flags.writeable == flags.owndata == (name not in mapped), name
                 assert (formats._mapping_of(p.data) is not None) == (name in mapped), name
                 assert p.data.tobytes() == expected[name][1].tobytes(), name
-
-    def test_version_2_payloads_are_read(self, saved, tmp_path):
-        entries = parse_checkpoint(saved.read_bytes())
-        v2 = tmp_path / "v2.ckpt"
-        v2.write_bytes(checkpoint_bytes([(n, v) for n, (_, v) in entries.items()], 2))
-        loaded, _ = load_checkpoint(v2)
-        assert all(p.data.flags.owndata and p.data.flags.writeable for p in loaded.values())
 
     @pytest.mark.parametrize("for_inference", [False, True])
     def test_corrupt_mapped_entry_is_named(self, saved, for_inference):
@@ -567,19 +524,14 @@ class TestCheckpointV3:
         else:
             assert code == 0 and out.read_bytes() == expected.read_bytes()
 
-    def test_outputs_match_across_versions(self, saved, tmp_path, monkeypatch):
-        """infer writes the same bytes from the version 2 and 3 files of the
-        same parameters, with large payloads mapped or read."""
-        entries = [(n, v) for n, (_, v) in parse_checkpoint(saved.read_bytes()).items()]
-        v2 = tmp_path / "v2.ckpt"
-        v2.write_bytes(checkpoint_bytes(entries, 2))
+    def test_outputs_match_mapped_or_read(self, saved, tmp_path, monkeypatch):
+        """infer writes the same bytes with the large payloads mapped or read."""
         outputs = set()
         for map_bytes in (self.MAP_BYTES, 32 << 20):
             monkeypatch.setattr(formats, "_MAP_BYTES", map_bytes)
-            for path in (saved, v2):
-                code, err, out = self._infer(path, tmp_path)
-                assert code == 0, err
-                outputs.add(out.read_bytes())
+            code, err, out = self._infer(saved, tmp_path)
+            assert code == 0, err
+            outputs.add(out.read_bytes())
         assert len(outputs) == 1
 
 
