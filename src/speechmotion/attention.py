@@ -59,19 +59,22 @@ class AttentionRecord:
 
 
 def mh_attention(
-    x_q, kv: KeyValues, proj: AttentionProjections, heads: int, bias: BiasMatrix | None
-) -> tuple[Var, np.ndarray]:
-    """Multi-head biased attention from the rows of x_q to the keys and
-    values ``kv`` (see :meth:`AttentionProjections.keys_values`). The query
-    and output projections are part of the one :func:`autodiff.attention`
-    record. Returns the output rows and the heads x t x s weights, which the
-    backward pass reads: do not modify them.
+    x_q: Var, kv: KeyValues, proj: AttentionProjections, heads: int, bias: BiasMatrix | None
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The forward pass of one multi-head biased attention, from the rows
+    of x_q to the keys and values ``kv`` (see
+    :meth:`AttentionProjections.keys_values`), with the query and output
+    projections: :func:`autodiff.attention_fwd`, unrecorded and unchecked.
+    A decoder block calls it for each of its attentions and records their
+    :func:`autodiff.attention_vjp` in its own record. Returns the output
+    rows, the heads x t x s weights and what the VJP reads; do not modify
+    the weights, which it reads too.
 
     ``bias`` is None, a t x s matrix shared by every head (such as an
     alignment bias), or a heads x t x s stack already scaled per head (a
     temporal bias at the heads' slopes, see :meth:`BiasMatrix.scaled`).
     """
-    return ad.attention(
-        x_q, proj.wq, kv.k, kv.v, proj.wo, None if bias is None else bias.data, heads,
-        slice(kv.start, kv.stop),
+    return ad.attention_fwd(
+        x_q.data, proj.wq.data, kv.k.data, kv.v.data, proj.wo.data,
+        None if bias is None else bias.data, heads, slice(kv.start, kv.stop),
     )

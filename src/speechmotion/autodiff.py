@@ -13,19 +13,26 @@ norm), ``feed_forward`` (linear, rectifier, linear), ``attention`` (query
 projection, all heads and output projection), ``conv1d_strided`` (patch
 gather, linear, rectifier) and ``squared_error`` (subtraction, product and
 sum: the training loss) are one record each. The other records are
-``matmul``, ``linear_blocked``, ``add_row``, ``add_const``, ``write_row``,
-``take_row`` and ``concat_rows``. There is no stand-alone add, subtraction,
-product, sum, rectifier, layer norm or patch gather: the model needs none,
-and the tests keep them as references for the fused records. ``attention``
-also returns its heads' weights, which attention export copies out.
+``matmul``, ``linear_blocked``, ``add_row``, ``add_const``, ``take_row``
+(which can also add a one-row product, as a decoder step's input row does)
+and ``concat_rows``. There is no stand-alone add, subtraction, product,
+sum, rectifier, layer norm or patch gather: the model needs none, and the
+tests keep them as references for the fused records. ``attention`` also
+returns its heads' weights, which attention export copies out.
 
-A decoder step writes its projected keys and values into preallocated
-buffers with ``write_row``, a record whose output is the buffer itself, and
-``attention`` reads a row range of such a buffer and returns the gradient
-of those rows only, which :func:`backward` adds into that range of the
-buffer's gradient. So a decoder step is two records for its input row and
-eight per layer (two writes, two attentions, three add-norms and a
-feed-forward): ten at one layer.
+``attention_fwd``, ``add_norm_fwd`` and ``feed_forward_fwd`` are the
+forward passes of three of those records on arrays: each returns its output
+and what its VJP (``attention_vjp``, ``add_norm_vjp``, ``feed_forward_vjp``)
+reads, and records nothing. A decoder block composes them into one record
+per step (see ``decoder.decoder_layer``), whose VJP replays theirs in
+reverse. The block also writes the step's projected key and value rows
+into preallocated buffers and records each write with :func:`record`,
+ahead of its own record; the write's output is the buffer itself. The
+block's attentions read row ranges of those buffers and of the projected
+audio, and give the gradient of those rows only, which :func:`backward`
+adds into that range of the buffer's gradient. So a decoder step is one
+record for its input row and three per layer (two writes and the block):
+four at one layer.
 
 ``-inf`` is the masking sentinel for attention biases. It may enter only
 through the bias of ``attention``, which maps it to exactly zero weight; no
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -138,15 +146,23 @@ def _as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
+def record(out: Var, inputs: tuple[Var, ...], vjp) -> Var:
+    """Append the record ``(out, inputs, vjp)`` to the active tape, if any,
+    and return ``out``. ``vjp(g)`` maps the gradient of ``out`` to one entry
+    per input (see :func:`backward`)."""
+    tape = _active_tape()
+    if tape is not None:
+        out.tape = tape
+        tape._records.append((out, inputs, vjp))
+    return out
+
+
 def _make(data: Array, inputs: tuple[Var, ...], vjp) -> Var:
     """Wrap an operation's result, which is already a C-contiguous 2-D
     float64 array, and record it on the active tape."""
-    tape = _active_tape()
     out = Var.__new__(Var)
-    out.data, out.tape = data, tape
-    if tape is not None:
-        tape._records.append((out, inputs, vjp))
-    return out
+    out.data, out.tape = data, None
+    return record(out, inputs, vjp)
 
 
 class Gradients(dict):
@@ -184,7 +200,7 @@ def backward(loss: Var, params: Mapping[str, Var]) -> Gradients:
     contrib`` and ``acc += contrib`` have the same bits, so the gradients
     are those of adding widened copies, up to the sign of an exact zero
     outside the rows read. A record may return its incoming gradient only if
-    no other record has the same output (a ``write_row`` buffer has many).
+    no other record has the same output (a key or value buffer has many).
     """
     if loss.data.shape != (1, 1):
         raise GradientError(f"loss must be a 1x1 scalar, got shape {loss.data.shape}")
@@ -300,27 +316,39 @@ def feed_forward(x, w1, b1, w2, b2) -> Var:
     """max(x @ w1 + b1, 0) @ w2 + b2, recorded as one op (the same bits as
     ``linear``, a rectifier and ``linear``)."""
     x, w1, b1, w2, b2 = _as_var(x), _as_var(w1), _as_var(b1), _as_var(w2), _as_var(b2)
-    xd, w1d, w2d = x.data, w1.data, w2.data
+    xd, w1d = x.data, w1.data
     _check_linear(xd.shape, w1d, b1.data)
-    _check_linear((xd.shape[0], w1d.shape[1]), w2d, b2.data)
+    _check_linear((xd.shape[0], w1d.shape[1]), w2.data, b2.data)
+    out, saved = feed_forward_fwd(xd, w1d, b1.data, w2.data, b2.data)
+    return _make(out, (x, w1, b1, w2, b2), partial(feed_forward_vjp, saved))
+
+
+def feed_forward_fwd(
+    xd: Array, w1d: Array, b1d: Array, w2d: Array, b2d: Array
+) -> tuple[Array, tuple]:
+    """The forward pass of :func:`feed_forward` on arrays of checked shapes,
+    unrecorded: its output and what :func:`feed_forward_vjp` reads."""
     pre = xd @ w1d
-    pre += b1.data
+    pre += b1d
     mask = pre > 0.0
     hidden = np.where(mask, pre, 0.0)
     out = hidden @ w2d
-    out += b2.data
+    out += b2d
+    return out, (xd, w1d, w2d, mask, hidden)
 
-    def vjp(g: Array):
-        gpre = (g @ w2d.T) * mask
-        return (
-            gpre @ w1d.T,
-            xd.T @ gpre,
-            gpre.sum(axis=0, keepdims=True),
-            hidden.T @ g,
-            g.sum(axis=0, keepdims=True),
-        )
 
-    return _make(out, (x, w1, b1, w2, b2), vjp)
+def feed_forward_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:
+    """The gradients of :func:`feed_forward`'s inputs, from what
+    :func:`feed_forward_fwd` saved and the output's gradient g."""
+    xd, w1d, w2d, mask, hidden = saved
+    gpre = (g @ w2d.T) * mask
+    return (
+        gpre @ w1d.T,
+        xd.T @ gpre,
+        gpre.sum(axis=0, keepdims=True),
+        hidden.T @ g,
+        g.sum(axis=0, keepdims=True),
+    )
 
 
 def linear_blocked(x, w, b, block: int) -> Var:
@@ -402,8 +430,7 @@ def attention(
     xd, wqd, wod = x.data, wq.data, wo.data
     kd, vd = k.data[keys], v.data[keys]
     (t, n), (s, width) = xd.shape, kd.shape
-    k_rows = k.data.shape[0]
-    if (wqd.shape != (n, width) or k_rows != v.data.shape[0] or vd.shape[1] != wod.shape[0]
+    if (wqd.shape != (n, width) or k.rows != v.rows or vd.shape[1] != wod.shape[0]
             or s == 0):
         raise ShapeError(
             f"attention shape mismatch: x {xd.shape}, wq {wqd.shape}, k {k.shape}, "
@@ -411,62 +438,54 @@ def attention(
         )
     if heads < 1 or width % heads or vd.shape[1] % heads:
         raise ShapeError(f"widths {width}/{vd.shape[1]} not divisible by {heads} heads")
+    if bias is not None and bias.shape != (t, s) and bias.shape != (heads, t, s):
+        raise ShapeError(f"bias shape {bias.shape} does not match scores {(t, s)}")
+    out, w, saved = attention_fwd(xd, wqd, k.data, v.data, wod, bias, heads, keys)
+    return _make(out, (x, wq, k, v, wo), partial(attention_vjp, saved)), w
+
+
+def attention_fwd(
+    xd: Array, wqd: Array, kd: Array, vd: Array, wod: Array, bias, heads: int, keys: slice
+) -> tuple[Array, Array, tuple]:
+    """The forward pass of :func:`attention` on arrays of checked shapes,
+    unrecorded: its output, the heads' weights and what
+    :func:`attention_vjp` reads."""
+    k_rows = kd.shape[0]
+    kd, vd = kd[keys], vd[keys]
+    s, width = kd.shape
     qh, vh = _split(xd @ wqd, heads), _split(vd, heads)
     kt = kd.reshape(s, heads, -1).transpose(1, 2, 0)  # heads x d_k x s
     c = 1.0 / math.sqrt(width // heads)
     w = qh @ kt
     w *= c
     if bias is not None:
-        if bias.shape != (t, s) and bias.shape != (heads, t, s):
-            raise ShapeError(f"bias shape {bias.shape} does not match scores {(t, s)}")
         w += bias
     _softmax_last(w)
     heads_out = _merge(w @ vh)
-
-    def read(g: Array):  # the gradient of the rows read
-        return g if s == k_rows else (keys, g)
-
-    def vjp(g: Array):
-        gh = _split(g @ wod.T, heads)
-        ds = gh @ vh.transpose(0, 2, 1)
-        ds -= (ds * w).sum(axis=2, keepdims=True)
-        ds *= w
-        ds *= c
-        dq = _merge(ds @ kt.transpose(0, 2, 1))
-        return (
-            dq @ wqd.T,
-            xd.T @ dq,
-            read(_merge(ds.transpose(0, 2, 1) @ qh)),
-            read(_merge(w.transpose(0, 2, 1) @ gh)),
-            heads_out.T @ g,
-        )
-
-    return _make(heads_out @ wod, (x, wq, k, v, wo), vjp), w
+    return heads_out @ wod, w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out, s == k_rows, keys)
 
 
-def write_row(buf: Var, i: int, x, w) -> None:
-    """Set row i of ``buf`` to x @ w, for a one-row x, in place.
-
-    ``buf`` is a buffer filled one row per step, each row written once:
-    the record's output is ``buf`` itself, and its VJP reads row i of the
-    gradient accumulated on ``buf``. Every reader of row i is recorded
-    after this write, so the reverse pass has added all of their
-    contributions by the time it reaches the write. The row has the bits of
-    ``matmul(x, w)``.
-    """
-    x, w = _as_var(x), _as_var(w)
-    xd, wd, bd = x.data, w.data, buf.data
-    if xd.shape != (1, wd.shape[0]) or wd.shape[1] != bd.shape[1] or not 0 <= i < bd.shape[0]:
-        raise ShapeError(f"cannot write {xd.shape} x {wd.shape} at row {i} of {bd.shape}")
-    np.matmul(xd, wd, out=bd[i : i + 1])
-    tape = _active_tape()
-    if tape is not None:
-
-        def vjp(g: Array):
-            gi = g[i : i + 1]
-            return gi @ wd.T, xd.T @ gi
-
-        tape._records.append((buf, (x, w), vjp))
+def attention_vjp(saved: tuple, g: Array) -> tuple:
+    """The gradients of :func:`attention`'s inputs, from what
+    :func:`attention_fwd` saved and the output's gradient g; k and v get
+    the gradient of the rows read, as ``(keys, array)``, unless those are
+    all their rows."""
+    xd, wqd, qh, kt, vh, wod, c, w, heads_out, whole, keys = saved
+    gh = _split(g @ wod.T, w.shape[0])
+    ds = gh @ vh.transpose(0, 2, 1)
+    ds -= (ds * w).sum(axis=2, keepdims=True)
+    ds *= w
+    ds *= c
+    dq = _merge(ds @ kt.transpose(0, 2, 1))
+    dk = _merge(ds.transpose(0, 2, 1) @ qh)
+    dv = _merge(w.transpose(0, 2, 1) @ gh)
+    return (
+        dq @ wqd.T,
+        xd.T @ dq,
+        dk if whole else (keys, dk),
+        dv if whole else (keys, dv),
+        heads_out.T @ g,
+    )
 
 
 def _row_mean(x: Array) -> Array:
@@ -482,47 +501,59 @@ def _one_row_mean(x: Array) -> float:
     return float(np.add.reduce(x, axis=None)) / x.shape[1]
 
 
-def _normalize(x: Array, inputs: tuple[Var, ...], gain, offset, eps: float) -> Var:
-    """Layer norm of the data x, which is the sum of ``inputs``: each input
-    gets the same gradient."""
-    gain, offset = _as_var(gain), _as_var(offset)
-    gd, od = gain.data, offset.data
-    n = x.shape[1]
-    if gd.shape != (1, n) or od.shape != (1, n):
-        raise ShapeError(
-            f"layer_norm gain/offset must be 1x{n}, got {gd.shape}/{od.shape}"
-        )
+def _normalize(x: Array, gd: Array, od: Array, eps: float) -> tuple[Array, tuple]:
+    """Layer norm of x, unrecorded: its output and what
+    :func:`_normalize_vjp` reads."""
     one_row = x.shape[0] == 1  # the same bits, with Python float statistics
     mean = _one_row_mean if one_row else _row_mean
     xc = x - mean(x)
     var = mean(np.square(xc)) + eps
     inv = 1.0 / (math.sqrt(var) if one_row else np.sqrt(var))
     xhat = xc * inv
-
-    def vjp(g: Array):
-        gy = g * gd
-        term = gy - mean(gy)
-        term -= xhat * mean(gy * xhat)
-        term *= inv
-        return (term,) * len(inputs) + (
-            (g * xhat).sum(axis=0, keepdims=True),
-            g.sum(axis=0, keepdims=True),
-        )
-
     out = xhat * gd
     out += od
-    return _make(out, inputs + (gain, offset), vjp)
+    return out, (gd, xhat, inv)
+
+
+def _normalize_vjp(saved: tuple, g: Array) -> tuple[Array, Array, Array]:
+    """The gradients of the normalized input, the gain and the offset."""
+    gd, xhat, inv = saved
+    mean = _one_row_mean if g.shape[0] == 1 else _row_mean
+    gy = g * gd
+    term = gy - mean(gy)
+    term -= xhat * mean(gy * xhat)
+    term *= inv
+    return term, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
 
 def add_norm(a, b, gain, offset) -> Var:
     """Layer norm of a + b: each row normalized to zero mean and unit
     variance, then scaled by ``gain`` and shifted by ``offset``. Recorded as
     one op, with the bits of the residual add followed by the layer norm."""
-    a, b = _as_var(a), _as_var(b)
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ShapeError(f"add shape mismatch: {ad.shape} vs {bd.shape}")
-    return _normalize(ad + bd, (a, b), gain, offset, LAYER_NORM_EPS)
+    a, b, gain, offset = _as_var(a), _as_var(b), _as_var(gain), _as_var(offset)
+    (rows, n), gd, od = a.shape, gain.data, offset.data
+    if b.shape != (rows, n):
+        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    if gd.shape != (1, n) or od.shape != (1, n):
+        raise ShapeError(
+            f"layer_norm gain/offset must be 1x{n}, got {gd.shape}/{od.shape}"
+        )
+    out, saved = add_norm_fwd(a.data, b.data, gd, od)
+    return _make(out, (a, b, gain, offset), partial(add_norm_vjp, saved))
+
+
+def add_norm_fwd(a: Array, b: Array, gd: Array, od: Array) -> tuple[Array, tuple]:
+    """The forward pass of :func:`add_norm` on arrays of checked shapes,
+    unrecorded: its output and what :func:`add_norm_vjp` reads."""
+    return _normalize(a + b, gd, od, LAYER_NORM_EPS)
+
+
+def add_norm_vjp(saved: tuple, g: Array) -> tuple[Array, Array, Array, Array]:
+    """The gradients of :func:`add_norm`'s inputs, from what
+    :func:`add_norm_fwd` saved and the output's gradient g: a and b get the
+    same array."""
+    term, dgain, doffset = _normalize_vjp(saved, g)
+    return term, term, dgain, doffset
 
 
 def conv1d_strided(x, kernels, stride: int, bias) -> Var:
@@ -579,13 +610,27 @@ def squared_error(pred, truth) -> Var:
     return _make(np.array([[(d * d).sum()]]), (pred, truth), vjp)
 
 
-def take_row(x, i: int) -> Var:
-    """Row i of x, as a 1 x C copy."""
+def take_row(x, i: int, a=None, w=None) -> Var:
+    """Row i of x, as a 1 x C copy; with a one-row ``a`` and a weight ``w``,
+    a @ w plus row i, one record with the bits of ``linear(a, w,
+    take_row(x, i))``. Its VJP gives x the gradient of row i only."""
     x = _as_var(x)
     if not 0 <= i < x.rows:
         raise ShapeError(f"row {i} out of range for {x.shape}")
     rows = slice(i, i + 1)
-    return _make(x.data[rows].copy(), (x,), lambda g: ((rows, g),))
+    if a is None:
+        return _make(x.data[rows].copy(), (x,), lambda g: ((rows, g),))
+    a, w = _as_var(a), _as_var(w)
+    ad, wd = a.data, w.data
+    if ad.shape != (1, wd.shape[0]) or wd.shape[1] != x.cols:
+        raise ShapeError(f"cannot add {ad.shape} x {wd.shape} to a row of {x.shape}")
+    out = ad @ wd
+    out += x.data[rows]
+
+    def vjp(g: Array):
+        return g @ wd.T, ad.T @ g, (rows, g.sum(axis=0, keepdims=True))
+
+    return _make(out, (a, w, x), vjp)
 
 
 def concat_rows(parts: Sequence) -> Var:

@@ -14,7 +14,7 @@ from .autodiff import Var
 from .config import ModelConfig
 from .encoder import AudioInput, EncodedAudio, encode
 from .errors import ShapeError
-from .params import Params
+from .params import Params, param_shapes
 from .positional import BiasMatrix, decoder_self_bias, head_slopes, ppe_rows
 
 # Not called here: a cached step reads its own audio window with no bias. The
@@ -51,12 +51,11 @@ def embed_step(prev, motion_w: Var, table: Var, t: int) -> Var:
     ``motion_enc.w`` and a table built with ``motion_enc.b`` gives the same
     embedding. Step 0 consumes no motion (there is no previous prediction
     yet), so its row is table row 0: the style embedding plus the position
-    vector.
+    vector. Either way the row is one record.
     """
     if (prev is None) != (t == 0):
         raise ShapeError("prev must be omitted exactly at step 0")
-    row = ad.take_row(table, t)
-    return row if t == 0 else ad.linear(prev, motion_w, row)
+    return ad.take_row(table, t, prev, motion_w)
 
 
 def feedback_map(params: Params) -> tuple[Var, Var]:
@@ -87,7 +86,8 @@ class LayerCache:
     every enc.a row, whose rows [k*s, k*(s + 1)) are step s's window.
     ``bias`` is the heads x 1 x T self-bias row of the newest of T steps at
     the heads' slopes; it depends only on the distance i - j, so its last
-    s + 1 columns are step s's row, with no -inf.
+    s + 1 columns are step s's row, with no -inf. ``inputs`` are the inputs
+    of a step's record after its row (see :func:`decoder_layer`).
     """
 
     self_proj: AttentionProjections
@@ -100,6 +100,7 @@ class LayerCache:
     audio: KeyValues
     frame_ratio: int
     bias: np.ndarray
+    inputs: tuple[Var, ...]
     steps: int = 0
 
 
@@ -108,27 +109,43 @@ def layer_caches(
 ) -> list[LayerCache]:
     """Empty caches for a rollout of ``motion_len`` steps, one per layer.
 
-    The audio keys and values are projected over all of enc.a, so a row's
-    bits do not depend on how many steps the rollout takes.
+    Every decoder parameter's shape is checked here, once per rollout, and
+    an error names the parameter: the steps check none. The audio keys and
+    values are projected over all of enc.a, so a row's bits do not depend on
+    how many steps the rollout takes.
     """
+    for name, shape in param_shapes(cfg).items():
+        if name.startswith("dec.") and params[name].shape != shape:
+            raise ShapeError(
+                f"parameter {name} has shape {params[name].shape}, "
+                f"but the configuration needs {shape}"
+            )
     bias = decoder_self_bias(motion_len, cfg, motion_len - 1)
     row = bias.scaled(head_slopes(cfg.heads)).data
     caches = []
     for layer in range(cfg.decoder_layers):
         p = f"dec.layer{layer}"
+        self_proj = AttentionProjections.from_params(params, f"{p}.self")
         cross = AttentionProjections.from_params(params, f"{p}.cross")
+        norms = tuple((params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
+                      for ln in ("ln1", "ln2", "ln3"))
+        ff = tuple(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2"))
+        keys = Var(np.zeros((motion_len, cfg.dim)))
+        values = Var(np.zeros((motion_len, cfg.dim)))
+        audio = cross.keys_values(enc.a)
         caches.append(LayerCache(
-            self_proj=AttentionProjections.from_params(params, f"{p}.self"),
+            self_proj=self_proj,
             cross_proj=cross,
-            norms=tuple((params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
-                        for ln in ("ln1", "ln2", "ln3")),
-            ff=tuple(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")),
+            norms=norms,
+            ff=ff,
             heads=cfg.heads,
-            keys=Var(np.zeros((motion_len, cfg.dim))),
-            values=Var(np.zeros((motion_len, cfg.dim))),
-            audio=cross.keys_values(enc.a),
+            keys=keys,
+            values=values,
+            audio=audio,
             frame_ratio=cfg.frame_ratio,
             bias=row,
+            inputs=(*norms[2], *ff, *norms[1], cross.wq, audio.k, audio.v, cross.wo,
+                    *norms[0], self_proj.wq, keys, values, self_proj.wo),
         ))
     return caches
 
@@ -143,27 +160,62 @@ def decoder_layer(fhat: Var, past: LayerCache) -> tuple[Var, tuple[np.ndarray, n
     left out). The feed-forward uses a rectifier. Residual + layer norm after
     each stage. Also returns the step's self- and cross-attention weights:
     heads x 1 x (s + 1) and heads x 1 x k.
+
+    The block runs on arrays, its shapes checked by :func:`layer_caches`,
+    and is three records: one for each row write, whose VJP reads row s of
+    the buffer's gradient, then one for the rest, with the bits, forward and
+    backward, of its two attention, three add-norm and feed-forward records.
+    Its VJP replays theirs in reverse and adds the gradients of the rows
+    that two of them read in the order the reverse pass would; its inputs
+    come in the order those records would give them gradients.
     """
-    if fhat.rows != 1:
-        raise ShapeError(f"a cached step takes one row, got {fhat.rows}")
     s, k = past.steps, past.frame_ratio
+    if fhat.shape != (1, past.keys.cols):
+        raise ShapeError(
+            f"a cached step takes one row of width {past.keys.cols}, got {fhat.shape}"
+        )
+    if s == past.keys.rows:
+        raise ShapeError(f"all {s} steps of the cache have run")
+    x = fhat.data
+    sp, keys, values = past.self_proj, past.keys, past.values
     (g1, o1), (g2, o2), (g3, o3) = past.norms
-    ad.write_row(past.keys, s, fhat, past.self_proj.wk)
-    ad.write_row(past.values, s, fhat, past.self_proj.wv)
+    np.matmul(x, sp.wk.data, out=keys.data[s : s + 1])
+    np.matmul(x, sp.wv.data, out=values.data[s : s + 1])
     past.steps = s + 1
 
-    attn, w_self = mh_attention(
-        fhat, KeyValues(past.keys, past.values, 0, s + 1), past.self_proj, past.heads,
+    attn, w_self, at_self = mh_attention(
+        fhat, KeyValues(keys, values, 0, s + 1), sp, past.heads,
         BiasMatrix(past.bias[:, :, -(s + 1):], "temporal"),
     )
-    x1 = ad.add_norm(fhat, attn, g1, o1)
-    cross, w_cross = mh_attention(
-        x1, KeyValues(past.audio.k, past.audio.v, k * s, k * (s + 1)), past.cross_proj,
-        past.heads, None,
+    x1, at1 = ad.add_norm_fwd(x, attn, g1.data, o1.data)
+    cross, w_cross, at_cross = mh_attention(
+        Var(x1), KeyValues(past.audio.k, past.audio.v, k * s, k * (s + 1)),
+        past.cross_proj, past.heads, None,
     )
-    x2 = ad.add_norm(x1, cross, g2, o2)
-    out = ad.add_norm(x2, ad.feed_forward(x2, *past.ff), g3, o3)
-    return out, (w_self, w_cross)
+    x2, at2 = ad.add_norm_fwd(x1, cross, g2.data, o2.data)
+    w1, b1, w2, b2 = past.ff
+    ff, at_ff = ad.feed_forward_fwd(x2, w1.data, b1.data, w2.data, b2.data)
+    out, at3 = ad.add_norm_fwd(x2, ff, g3.data, o3.data)
+
+    def write_vjp(w: np.ndarray):
+        def vjp(g: np.ndarray):
+            gs = g[s : s + 1]
+            return gs @ w.T, x.T @ gs
+        return vjp
+
+    def vjp(g: np.ndarray):
+        term3, dff, dg3, do3 = ad.add_norm_vjp(at3, g)
+        dx2, dw1, db1, dw2, db2 = ad.feed_forward_vjp(at_ff, dff)
+        term2, dcross, dg2, do2 = ad.add_norm_vjp(at2, term3 + dx2)
+        dx1, dwq_c, dk_c, dv_c, dwo_c = ad.attention_vjp(at_cross, dcross)
+        term1, dattn, dg1, do1 = ad.add_norm_vjp(at1, term2 + dx1)
+        dx, dwq_s, dk_s, dv_s, dwo_s = ad.attention_vjp(at_self, dattn)
+        return (term1 + dx, dg3, do3, dw1, db1, dw2, db2, dg2, do2,
+                dwq_c, dk_c, dv_c, dwo_c, dg1, do1, dwq_s, dk_s, dv_s, dwo_s)
+
+    ad.record(keys, (fhat, sp.wk), write_vjp(sp.wk.data))
+    ad.record(values, (fhat, sp.wv), write_vjp(sp.wv.data))
+    return ad.record(Var(out), (fhat, *past.inputs), vjp), (w_self, w_cross)
 
 
 def decode_motion(hidden, params: Params) -> Var:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionProjections, AttentionRecord, mh_attention
+from .attention import AttentionProjections, AttentionRecord
 from .autodiff import Var
 from .config import ModelConfig
 from .errors import AudioError, ShapeError
@@ -19,7 +19,8 @@ from .positional import sinusoid_rows
 
 @dataclass(frozen=True)
 class AudioInput:
-    """Either a raw waveform or precomputed feature rows — never both."""
+    """Either a raw waveform or precomputed feature rows — never both. A
+    waveform must be long enough for the extractor to give one feature row."""
 
     waveform: np.ndarray | None = None
     sample_rate: float | None = None
@@ -46,6 +47,11 @@ class AudioInput:
             raise AudioError(f"features input must be rows x width, got shape {data.shape}")
         if data.shape[0] == 0:
             raise AudioError(f"{kind} input has no rows")
+        if has_wave and data.shape[0] < extractor_min_samples():
+            raise AudioError(
+                f"waveform of {data.shape[0]} samples is shorter than the "
+                f"extractor receptive field ({extractor_min_samples()})"
+            )
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
         if bad.size:
             raise AudioError(f"{kind} row {bad[0]} holds a non-finite value")
@@ -97,11 +103,6 @@ def extract_features(audio: AudioInput, params: Params, cfg: ModelConfig) -> Var
     precomputed features."""
     if audio.features is not None:
         return Var(audio.features)
-    if audio.waveform.shape[0] < extractor_min_samples():
-        raise AudioError(
-            f"waveform of {audio.waveform.shape[0]} samples is shorter than the "
-            f"extractor receptive field ({extractor_min_samples()})"
-        )
     x: Var = Var(audio.waveform)
     for i, (_width, stride) in enumerate(CONV_SCHEDULE):
         x = ad.conv1d_strided(
@@ -139,7 +140,8 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
                    capture: list[AttentionRecord] | None) -> Var:
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
-    attn, weights = mh_attention(x, proj.keys_values(x), proj, cfg.encoder_heads, None)
+    kv = proj.keys_values(x)
+    attn, weights = ad.attention(x, proj.wq, kv.k, kv.v, proj.wo, None, cfg.encoder_heads)
     if capture is not None:
         capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
     x = ad.add_norm(x, attn, params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"])

@@ -18,7 +18,7 @@ from .encoder import AudioInput, check_feature_width, encode
 from .errors import AudioError, DivergenceError, ShapeError
 from .formats import atomic_write_text
 from .optim import AdamState, adam_step, clip_global_norm
-from .params import Params
+from .params import Params, param_shapes, validate_shapes
 
 log = logging.getLogger(__name__)
 
@@ -81,9 +81,11 @@ def train(
     Every epoch visits each sample once in a seed-shuffled order; the full
     sequence is rolled out feeding the model's own predictions, the summed
     MSE is backpropagated through the entire unrolled computation, and one
-    optimizer step is applied. Fully deterministic for fixed inputs. Every
-    sample is checked before the first step (identity, feature width, motion
-    width, duration and finiteness), and an error names the sample.
+    optimizer step is applied. Fully deterministic for fixed inputs. The
+    bundle must hold exactly the configuration's parameters and shapes, and
+    every sample is checked before the first step (identity, feature width,
+    motion width, duration and finiteness); an error names the parameter or
+    the sample.
 
     ``knobs`` are the other :class:`TrainConfig` fields (``lr``, ``beta1``,
     ``grad_clip``, ...), with its defaults and its validation; an unknown
@@ -94,6 +96,7 @@ def train(
     last epoch's (a simple best-loss checkpoint).
     """
     tc = TrainConfig(epochs=epochs, seed=seed, **knobs)
+    validate_shapes(params, param_shapes(cfg))
     if not dataset:
         raise ShapeError("training needs a nonempty dataset")
     for idx, s in enumerate(dataset):

@@ -8,7 +8,10 @@ attention over a whole prefix where the package runs one cached row. The
 elementary add, subtraction, product, sum, rectifier, layer norm and patch
 gather records are the compositions that the package's fused records (the
 layers, the strided convolution and the loss) must match bit for bit; the
-tests also build their losses from them. The reverse pass and the
+tests also build their losses from them. The composed decoder step, a row
+write record per projection and one record per attention, add-norm and
+feed-forward, is the composition that the package's one-record block must
+match bit for bit. The reverse pass and the
 optimizer are the package's earlier ones: every gradient widened to its
 whole input and added into a new array, and clipping and Adam run parameter
 by parameter into new arrays; the package's must match them bit for bit.
@@ -26,7 +29,7 @@ import numpy as np
 
 from speechmotion import DegenerateRowError, ShapeError, Var
 from speechmotion import autodiff as ad
-from speechmotion.attention import AttentionProjections, KeyValues, mh_attention
+from speechmotion.attention import AttentionProjections
 from speechmotion.positional import (
     NEG_INF,
     BiasMatrix,
@@ -109,8 +112,9 @@ def relu(a) -> Var:
 def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
     """Normalize each row to zero mean / unit variance, then scale and shift;
     recorded on the active tape."""
-    a = ad._as_var(a)
-    return ad._normalize(a.data, (a,), gain, offset, eps)
+    a, gain, offset = ad._as_var(a), ad._as_var(gain), ad._as_var(offset)
+    out, saved = ad._normalize(a.data, gain.data, offset.data, eps)
+    return ad._make(out, (a, gain, offset), lambda g: ad._normalize_vjp(saved, g))
 
 
 def backward(loss: Var, params) -> dict:
@@ -296,19 +300,68 @@ def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
 
     self_bias = decoder_self_bias(total, cfg).scaled(head_slopes(cfg.heads))
     self_proj = AttentionProjections.from_params(params, f"{p}.self")
-    attn, w_self = mh_attention(
-        fhat, self_proj.keys_values(fhat), self_proj, cfg.heads, self_bias
+    own = self_proj.keys_values(fhat)
+    attn, w_self = ad.attention(
+        fhat, self_proj.wq, own.k, own.v, self_proj.wo, self_bias.data, cfg.heads
     )
     x1 = norm(fhat, attn, "ln1")
     cross_proj = AttentionProjections.from_params(params, f"{p}.cross")
     audio = cross_proj.keys_values(enc.a)
-    cross, w_cross = mh_attention(
-        x1, KeyValues(audio.k, audio.v, 0, k * total), cross_proj, cfg.heads,
-        alignment_bias(total, total, k),
+    cross, w_cross = ad.attention(
+        x1, cross_proj.wq, audio.k, audio.v, cross_proj.wo,
+        alignment_bias(total, total, k).data, cfg.heads, slice(0, k * total),
     )
     x2 = norm(x1, cross, "ln2")
     ff = ad.feed_forward(x2, *(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")))
     return norm(x2, ff, "ln3"), (w_self, w_cross)
+
+
+def write_row(buf: Var, i: int, x, w) -> None:
+    """Set row i of ``buf`` to x @ w, for a one-row x, in place, and record
+    the write on the active tape: its output is ``buf`` itself, and its VJP
+    reads row i of the gradient accumulated on ``buf``."""
+    x, w = ad._as_var(x), ad._as_var(w)
+    xd, wd, bd = x.data, w.data, buf.data
+    if xd.shape != (1, wd.shape[0]) or wd.shape[1] != bd.shape[1] or not 0 <= i < bd.shape[0]:
+        raise ShapeError(f"cannot write {xd.shape} x {wd.shape} at row {i} of {bd.shape}")
+    np.matmul(xd, wd, out=bd[i : i + 1])
+
+    def vjp(g):
+        gi = g[i : i + 1]
+        return gi @ wd.T, xd.T @ gi
+
+    ad.record(buf, (x, w), vjp)
+
+
+def composed_embed_step(prev, motion_w, table, t: int) -> Var:
+    """``decoder.embed_step`` as two records: row t of the table, then from
+    step 1 on a ``linear`` that adds ``prev @ motion_w`` to it."""
+    row = ad.take_row(table, t)
+    return row if t == 0 else ad.linear(prev, motion_w, row)
+
+
+def composed_decoder_layer(fhat, past):
+    """``decoder.decoder_layer`` as eight records: the two row writes, the
+    self-attention, an add-norm, the cross-attention, an add-norm, the
+    feed-forward and an add-norm."""
+    s, k = past.steps, past.frame_ratio
+    sp, cp = past.self_proj, past.cross_proj
+    (g1, o1), (g2, o2), (g3, o3) = past.norms
+    write_row(past.keys, s, fhat, sp.wk)
+    write_row(past.values, s, fhat, sp.wv)
+    past.steps = s + 1
+    attn, w_self = ad.attention(
+        fhat, sp.wq, past.keys, past.values, sp.wo, past.bias[:, :, -(s + 1):],
+        past.heads, slice(0, s + 1),
+    )
+    x1 = ad.add_norm(fhat, attn, g1, o1)
+    cross, w_cross = ad.attention(
+        x1, cp.wq, past.audio.k, past.audio.v, cp.wo, None, past.heads,
+        slice(k * s, k * (s + 1)),
+    )
+    x2 = ad.add_norm(x1, cross, g2, o2)
+    out = ad.add_norm(x2, ad.feed_forward(x2, *past.ff), g3, o3)
+    return out, (w_self, w_cross)
 
 
 def header_padding(table_len: int) -> int:

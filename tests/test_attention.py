@@ -75,18 +75,18 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(3, d))
         base = temporal_bias(3, 2, 1.0)
-        out, _ = mh_attention(x, proj.keys_values(x), proj, 1, base.scaled(head_slopes(1)))
+        out, _, _ = mh_attention(Var(x), proj.keys_values(x), proj, 1, base.scaled(head_slopes(1)))
         q = x @ proj.wq.data
         k = x @ proj.wk.data
         v = x @ proj.wv.data
         plain, _ = biased_attention(q, k, v, base.scaled(head_slopes(1)[0]))
-        assert np.allclose(out.data, plain.data @ proj.wo.data, atol=1e-12)
+        assert np.allclose(out, plain.data @ proj.wo.data, atol=1e-12)
 
     def test_output_shape(self, rng):
         d = 8
         x_q, x_kv = rng.normal(size=(5, d)), rng.normal(size=(7, d))
         proj = _proj(rng, d)
-        out, _ = mh_attention(x_q, proj.keys_values(x_kv), proj, 2, None)
+        out, _, _ = mh_attention(Var(x_q), proj.keys_values(x_kv), proj, 2, None)
         assert out.shape == (5, d)
 
     def test_single_token_is_identity_weight_pass(self, rng):
@@ -96,11 +96,11 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(1, d))
         bias = temporal_bias(1, 3, 1.0)
-        out, weights = mh_attention(
-            x, proj.keys_values(x), proj, 2, bias.scaled(head_slopes(2))
+        out, weights, _ = mh_attention(
+            Var(x), proj.keys_values(x), proj, 2, bias.scaled(head_slopes(2))
         )
         assert np.array_equal(weights, np.ones((2, 1, 1)))
-        assert np.allclose(out.data, x @ proj.wv.data @ proj.wo.data, atol=1e-12)
+        assert np.allclose(out, x @ proj.wv.data @ proj.wo.data, atol=1e-12)
 
     def test_per_head_weights_match_oracle_with_slopes(self, rng):
         d, heads, t = 8, 2, 4
@@ -108,8 +108,8 @@ class TestMhAttention:
         proj = _proj(rng, d)
         x = rng.normal(size=(t, d))
         base = temporal_bias(t, 3, 1.0)
-        out, weights = mh_attention(
-            x, proj.keys_values(x), proj, heads, base.scaled(head_slopes(2))
+        out, weights, _ = mh_attention(
+            Var(x), proj.keys_values(x), proj, heads, base.scaled(head_slopes(2))
         )
         q, k, v = x @ proj.wq.data, x @ proj.wk.data, x @ proj.wv.data
         dk = d // heads
@@ -121,7 +121,7 @@ class TestMhAttention:
             head_outs.append(expect)
             assert np.allclose(weights[h].sum(axis=1), 1.0, atol=1e-9)
         joined = np.concatenate(head_outs, axis=1) @ proj.wo.data
-        assert np.abs(out.data - joined).max() < 1e-10
+        assert np.abs(out - joined).max() < 1e-10
 
     def test_alignment_bias_shared_across_heads(self, rng):
         d, t = 4, 3
@@ -129,7 +129,7 @@ class TestMhAttention:
         x_q = rng.normal(size=(t, d))
         x_kv = rng.normal(size=(2 * t, d))
         proj = _proj(rng, d)
-        _, weights = mh_attention(x_q, proj.keys_values(x_kv), proj, 2, bias)
+        _, weights, _ = mh_attention(Var(x_q), proj.keys_values(x_kv), proj, 2, bias)
         for w in weights:
             assert np.array_equal(w != 0.0, np.isfinite(bias.data))
 

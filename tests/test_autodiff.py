@@ -27,6 +27,7 @@ from conftest import finite_diff, rel_err
 import reference
 from reference import (
     add, gather_patches, layer_norm, mul, relu, softmax_rows, sub, sum_all, temporal_bias,
+    write_row,
 )
 
 
@@ -200,8 +201,8 @@ class TestAttention:
             outs = []
             for i in range(n):
                 x = ad.take_row(xs, i)
-                ad.write_row(keys, i, x, wk)
-                ad.write_row(values, i, x, wv)
+                write_row(keys, i, x, wk)
+                write_row(values, i, x, wv)
                 own, _ = ad.attention(
                     x, wq, keys, values, wo, bias_row[:, :, n - 1 - i :], heads, slice(0, i + 1)
                 )
@@ -223,7 +224,7 @@ class TestAttention:
 
         def loss_var():
             buf = Var(np.zeros((5, 3)))
-            ad.write_row(buf, 2, x, w)
+            write_row(buf, 2, x, w)
             return sum_all(mul(buf, readout))
 
         for var in (x, w):
@@ -236,7 +237,7 @@ class TestAttention:
         buf = Var(rng.normal(size=(5, 32)))
         before = buf.data.copy()
         x, w = Var(rng.normal(size=(1, 32))), Var(rng.normal(size=(32, 32)))
-        ad.write_row(buf, 3, x, w)
+        write_row(buf, 3, x, w)
         assert np.array_equal(buf.data[3:4], ad.matmul(x, w).data)
         assert np.array_equal(np.delete(buf.data, 3, 0), np.delete(before, 3, 0))
 
@@ -244,18 +245,20 @@ class TestAttention:
         buf = Var(np.zeros((3, 2)))
         w = rng.normal(size=(2, 2))
         with pytest.raises(ShapeError, match="row 3"):
-            ad.write_row(buf, 3, rng.normal(size=(1, 2)), w)
+            write_row(buf, 3, rng.normal(size=(1, 2)), w)
         with pytest.raises(ShapeError, match=r"\(2, 2\)"):
-            ad.write_row(buf, 0, rng.normal(size=(2, 2)), w)
+            write_row(buf, 0, rng.normal(size=(2, 2)), w)
         with pytest.raises(ShapeError, match=r"\(2, 3\)"):
-            ad.write_row(buf, 0, rng.normal(size=(1, 2)), rng.normal(size=(2, 3)))
+            write_row(buf, 0, rng.normal(size=(1, 2)), rng.normal(size=(2, 3)))
 
     def test_training_rollout_records(self, rng):
-        # one record per linear, add-norm, feed-forward, projecting write and
-        # attention (with its query and output projections), and a step
-        # input row of at most two records: ten per decoder step. The loss is
-        # one record, and neither the resampling of the feature rows nor the
-        # frozen extractor is recorded, so a waveform adds no record
+        # a decoder step is one record for its input row and, per layer, one
+        # per key and value row write and one for the rest of the block:
+        # four per step at one layer, 80 of the 105. The other 25 are
+        # recorded once per rollout: the encoder, the feedback fold, the embed
+        # table, the audio keys and values, the head and the loss. Neither
+        # the resampling of the feature rows nor the frozen extractor is
+        # recorded, so a waveform adds no record
         cfg = ModelConfig().validate()
         params, frames = init_params(cfg, seed=0), 20
         features = rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim))
@@ -266,7 +269,7 @@ class TestAttention:
             sample = TrainingSample(audio, rng.normal(size=(frames, cfg.motion_dim)), identity=0)
             with Tape() as tape:
                 rollout_loss(sample, params, cfg)
-                assert len(tape) == 224
+                assert len(tape) == 105
 
 
 class TestFusedRecords:

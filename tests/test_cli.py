@@ -467,6 +467,23 @@ class TestInfer:
         ]) == 0
         assert load_matrix(out).shape == (5, 6)
 
+    def test_waveform_shorter_than_the_extractor_names_the_file(self, tmp_path, trained, capsys):
+        wav_path = tmp_path / "short.wav"
+        with wave.open(str(wav_path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(bytes(200))  # 100 samples
+        out = tmp_path / "motion.f32mat"
+        capsys.readouterr()
+        assert main([
+            "infer", "--ckpt", str(trained), "--audio", str(wav_path),
+            "--identity", "0", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{wav_path}: waveform of 100 samples is shorter" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestEvalLip:
     def test_identical_files_print_zero(self, tmp_path, dataset_dir, capsys):

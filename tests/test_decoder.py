@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from speechmotion import decoder, init_params, training
 from speechmotion.positional import head_slopes, ppe_rows
 
 from conftest import cached_step, finite_diff, rel_err
+import reference
 from reference import causal_mask, dense_decoder_layer, mul, sum_all, temporal_bias
 
 
@@ -138,6 +140,12 @@ class TestDecoderLayer:
         past = decoder.layer_caches(enc, 4, tiny_params, tiny_cfg)[0]
         with pytest.raises(ShapeError, match="one row"):
             decoder_layer(Var(rng.normal(size=(2, 8))), past)
+        with pytest.raises(ShapeError, match="one row of width 8"):
+            decoder_layer(Var(rng.normal(size=(1, 7))), past)
+        for _ in range(4):
+            decoder_layer(Var(rng.normal(size=(1, 8))), past)
+        with pytest.raises(ShapeError, match="all 4 steps"):
+            decoder_layer(Var(rng.normal(size=(1, 8))), past)
 
 
 class TestDecodeMotion:
@@ -302,6 +310,17 @@ class TestAutoregress:
                 assert np.array_equal(self_bias.data[h, 0], ref[: t + 1])
                 assert np.isneginf(ref[t + 1 :]).all()
 
+    @pytest.mark.parametrize("name, shape", [
+        ("dec.layer0.ff.w2", (15, 8)), ("dec.layer0.self.wk", (8, 9)),
+        ("dec.layer0.ln2.gain", (1, 7)),
+    ])
+    def test_wrong_shaped_parameter_named(self, tiny_cfg, live_params, rng, name, shape):
+        # checked once per rollout, before the first step
+        params = dict(live_params)
+        params[name] = Var(np.zeros(shape))
+        with pytest.raises(ShapeError, match=re.escape(f"parameter {name} has shape {shape}")):
+            autoregress(_audio(rng), 0, 4, params, tiny_cfg)
+
     def test_empty_sequence_rejected(self, tiny_cfg, live_params, rng):
         enc = encode(_audio(rng), 4, live_params, tiny_cfg)
         with pytest.raises(ShapeError, match="empty"):
@@ -433,3 +452,80 @@ class TestPrefixCache:
         dense = grads()
         for name in params:
             assert np.abs(cached[name] - dense[name]).max() <= 1e-10, name
+
+
+class TestStepRecords:
+    """A decoder step is one input-row record and, per layer, two row
+    writes and one block record, with the bits, forward and backward, of
+    the composition in ``reference``: a row and a ``linear`` for the input
+    row, then per layer the writes, two attention, three add-norm and one
+    feed-forward records."""
+
+    @staticmethod
+    def _run(monkeypatch, composed, audio, motion, params, cfg, capture):
+        """Prediction, captured records, the gradient of every parameter and
+        of every input the step records read, and the tape's length."""
+        seen = {"rows": []}
+        with monkeypatch.context() as m:
+            if composed:
+                m.setattr(decoder, "embed_step", reference.composed_embed_step)
+                m.setattr(decoder, "decoder_layer", reference.composed_decoder_layer)
+            table_of, caches_of, layer = (
+                decoder.embed_table, decoder.layer_caches, decoder.decoder_layer
+            )
+
+            def table_spy(*args):
+                seen["table"] = table_of(*args)
+                return seen["table"]
+
+            def caches_spy(*args):
+                seen["caches"] = caches_of(*args)
+                return seen["caches"]
+
+            def layer_spy(fhat, past):
+                out = layer(fhat, past)
+                seen["rows"] += [fhat, out[0]]
+                return out
+
+            m.setattr(decoder, "embed_table", table_spy)
+            m.setattr(decoder, "layer_caches", caches_spy)
+            m.setattr(decoder, "decoder_layer", layer_spy)
+            records = [] if capture else None
+            with ad.Tape() as tape:
+                enc = encode(audio, motion.shape[0], params, cfg)
+                pred = rollout(enc, 0, motion.shape[0], params, cfg, capture=records)
+                loss = ad.squared_error(pred, motion)
+                wrt = dict(params, a=enc.a, table=seen["table"])
+                for i, c in enumerate(seen["caches"]):
+                    wrt.update({f"{i}.keys": c.keys, f"{i}.values": c.values,
+                                f"{i}.audio_k": c.audio.k, f"{i}.audio_v": c.audio.v})
+                wrt.update((f"row{j}", v) for j, v in enumerate(seen["rows"]))
+                grads = ad.backward(loss, wrt)
+                return pred.data, records, grads, len(tape)
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("mode", ["tb_ppe", "alibi", "original_pe"])
+    def test_bitwise_equal_to_composed_records(
+        self, tiny_cfg, rng, monkeypatch, mode, layers, capture
+    ):
+        cfg = dataclasses.replace(tiny_cfg, pe_mode=mode, decoder_layers=layers).validate()
+        params = init_params(cfg, seed=4)
+        params["motion_dec.w"] = Var(rng.normal(size=(8, 9)))
+        frames = 5
+        audio, motion = _audio(rng, rows=2 * frames), rng.normal(size=(frames, 9))
+        fused = self._run(monkeypatch, False, audio, motion, params, cfg, capture)
+        composed = self._run(monkeypatch, True, audio, motion, params, cfg, capture)
+        (pred, records, grads, n), (pred_c, records_c, grads_c, n_c) = fused, composed
+        assert np.array_equal(pred, pred_c) and np.abs(np.diff(pred, axis=0)).max() > 0
+        if capture:
+            assert len(records) == len(records_c) == 2 * layers
+            for r, r_c in zip(records, records_c):
+                assert (r.module, r.layer, r.step) == (r_c.module, r_c.layer, r_c.step)
+                assert np.array_equal(r.weights, r_c.weights)
+        assert list(grads) == list(grads_c)
+        for name in grads:
+            assert grads[name].tobytes() == grads_c[name].tobytes(), name
+        # per step, one input-row record instead of two from step 1 on, and
+        # three records per layer instead of eight
+        assert n_c - n == (frames - 1) + 5 * layers * frames

@@ -101,10 +101,12 @@ class TestExtractFeatures:
         assert cfg.frame_ratio == 2
 
     def test_short_waveform_rejected(self, tiny_cfg, tiny_params):
+        # refused where the input is built, before any extraction
         too_short = extractor_min_samples() - 1
-        audio = AudioInput.from_waveform(np.zeros(too_short), 16000.0)
-        with pytest.raises(AudioError, match="shorter"):
-            extract_features(audio, tiny_params, tiny_cfg)
+        with pytest.raises(AudioError, match=f"{too_short} samples is shorter"):
+            AudioInput.from_waveform(np.zeros(too_short), 16000.0)
+        audio = AudioInput.from_waveform(np.zeros(too_short + 1), 16000.0)
+        assert extract_features(audio, tiny_params, tiny_cfg).rows == audio.feature_rows == 1
 
 
 class TestResampleLinear:

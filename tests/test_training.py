@@ -176,6 +176,21 @@ class TestTrain:
             train(data, tiny_params, tiny_cfg, epochs=1, seed=0)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("name, shape", [
+        ("dec.layer0.ff.w2", (15, 8)), ("dec.layer0.self.wk", (8, 9)),
+        ("dec.layer0.ln2.gain", (1, 7)),
+    ])
+    def test_wrong_shaped_parameter_named_before_any_step(
+        self, tiny_cfg, tiny_params, rng, monkeypatch, name, shape
+    ):
+        from speechmotion import training
+
+        monkeypatch.setattr(training, "rollout_loss", lambda *a: pytest.fail("stepped"))
+        params = dict(tiny_params)
+        params[name] = Var(np.zeros(shape))
+        with pytest.raises(ShapeError, match=rf"mismatched=\['{name}'\]"):
+            train([_sample(rng)], params, tiny_cfg, epochs=1, seed=0)
+
     def test_nan_gradient_aborts_before_update(self, tiny_cfg, tiny_params, rng, monkeypatch):
         from speechmotion import training
 
