@@ -34,6 +34,12 @@ adds into that range of the buffer's gradient. So a decoder step is one
 record for its input row and three per layer (two writes and the block):
 four at one layer.
 
+The records' 2-D products call ``np.dot``, not ``@``: both reach the same
+BLAS routine and give the same bits, but ``@`` first dispatches through the
+``matmul`` generalized ufunc, which costs more than the arithmetic on a
+decoder step's one-row products and takes a slow path for the rank-1 weight
+gradients ``x.T @ g`` that every step adds.
+
 ``-inf`` is the masking sentinel for attention biases. It may enter only
 through the bias of ``attention``, which maps it to exactly zero weight; no
 other operation accepts non-finite input. The package itself passes no
@@ -267,9 +273,9 @@ def matmul(a, b) -> Var:
     ad, bd = a.data, b.data
 
     def vjp(g: Array):
-        return g @ bd.T, ad.T @ g
+        return np.dot(g, bd.T), np.dot(ad.T, g)
 
-    return _make(ad @ bd, (a, b), vjp)
+    return _make(np.dot(ad, bd), (a, b), vjp)
 
 
 def add_const(a, const) -> Var:
@@ -303,11 +309,11 @@ def linear(x, w, b) -> Var:
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
     xd, wd = x.data, w.data
     _check_linear(xd.shape, wd, b.data)
-    out = xd @ wd
+    out = np.dot(xd, wd)
     out += b.data
 
     def vjp(g: Array):
-        return g @ wd.T, xd.T @ g, g.sum(axis=0, keepdims=True)
+        return np.dot(g, wd.T), np.dot(xd.T, g), g.sum(axis=0, keepdims=True)
 
     return _make(out, (x, w, b), vjp)
 
@@ -328,11 +334,11 @@ def feed_forward_fwd(
 ) -> tuple[Array, tuple]:
     """The forward pass of :func:`feed_forward` on arrays of checked shapes,
     unrecorded: its output and what :func:`feed_forward_vjp` reads."""
-    pre = xd @ w1d
+    pre = np.dot(xd, w1d)
     pre += b1d
     mask = pre > 0.0
     hidden = np.where(mask, pre, 0.0)
-    out = hidden @ w2d
+    out = np.dot(hidden, w2d)
     out += b2d
     return out, (xd, w1d, w2d, mask, hidden)
 
@@ -341,12 +347,12 @@ def feed_forward_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:
     """The gradients of :func:`feed_forward`'s inputs, from what
     :func:`feed_forward_fwd` saved and the output's gradient g."""
     xd, w1d, w2d, mask, hidden = saved
-    gpre = (g @ w2d.T) * mask
+    gpre = np.dot(g, w2d.T) * mask
     return (
-        gpre @ w1d.T,
-        xd.T @ gpre,
+        np.dot(gpre, w1d.T),
+        np.dot(xd.T, gpre),
         gpre.sum(axis=0, keepdims=True),
-        hidden.T @ g,
+        np.dot(hidden.T, g),
         g.sum(axis=0, keepdims=True),
     )
 
@@ -453,7 +459,7 @@ def attention_fwd(
     k_rows = kd.shape[0]
     kd, vd = kd[keys], vd[keys]
     s, width = kd.shape
-    qh, vh = _split(xd @ wqd, heads), _split(vd, heads)
+    qh, vh = _split(np.dot(xd, wqd), heads), _split(vd, heads)
     kt = kd.reshape(s, heads, -1).transpose(1, 2, 0)  # heads x d_k x s
     c = 1.0 / math.sqrt(width // heads)
     w = qh @ kt
@@ -462,7 +468,7 @@ def attention_fwd(
         w += bias
     _softmax_last(w)
     heads_out = _merge(w @ vh)
-    return heads_out @ wod, w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out, s == k_rows, keys)
+    return np.dot(heads_out, wod), w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out, s == k_rows, keys)
 
 
 def attention_vjp(saved: tuple, g: Array) -> tuple:
@@ -471,7 +477,7 @@ def attention_vjp(saved: tuple, g: Array) -> tuple:
     the gradient of the rows read, as ``(keys, array)``, unless those are
     all their rows."""
     xd, wqd, qh, kt, vh, wod, c, w, heads_out, whole, keys = saved
-    gh = _split(g @ wod.T, w.shape[0])
+    gh = _split(np.dot(g, wod.T), w.shape[0])
     ds = gh @ vh.transpose(0, 2, 1)
     ds -= (ds * w).sum(axis=2, keepdims=True)
     ds *= w
@@ -480,11 +486,11 @@ def attention_vjp(saved: tuple, g: Array) -> tuple:
     dk = _merge(ds.transpose(0, 2, 1) @ qh)
     dv = _merge(w.transpose(0, 2, 1) @ gh)
     return (
-        dq @ wqd.T,
-        xd.T @ dq,
+        np.dot(dq, wqd.T),
+        np.dot(xd.T, dq),
         dk if whole else (keys, dk),
         dv if whole else (keys, dv),
-        heads_out.T @ g,
+        np.dot(heads_out.T, g),
     )
 
 
@@ -624,11 +630,11 @@ def take_row(x, i: int, a=None, w=None) -> Var:
     ad, wd = a.data, w.data
     if ad.shape != (1, wd.shape[0]) or wd.shape[1] != x.cols:
         raise ShapeError(f"cannot add {ad.shape} x {wd.shape} to a row of {x.shape}")
-    out = ad @ wd
+    out = np.dot(ad, wd)
     out += x.data[rows]
 
     def vjp(g: Array):
-        return g @ wd.T, ad.T @ g, (rows, g.sum(axis=0, keepdims=True))
+        return np.dot(g, wd.T), np.dot(ad.T, g), (rows, g.sum(axis=0, keepdims=True))
 
     return _make(out, (a, w, x), vjp)
 

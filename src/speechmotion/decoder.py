@@ -179,8 +179,8 @@ def decoder_layer(fhat: Var, past: LayerCache) -> tuple[Var, tuple[np.ndarray, n
     x = fhat.data
     sp, keys, values = past.self_proj, past.keys, past.values
     (g1, o1), (g2, o2), (g3, o3) = past.norms
-    np.matmul(x, sp.wk.data, out=keys.data[s : s + 1])
-    np.matmul(x, sp.wv.data, out=values.data[s : s + 1])
+    np.dot(x, sp.wk.data, out=keys.data[s : s + 1])
+    np.dot(x, sp.wv.data, out=values.data[s : s + 1])
     past.steps = s + 1
 
     attn, w_self, at_self = mh_attention(
@@ -200,7 +200,7 @@ def decoder_layer(fhat: Var, past: LayerCache) -> tuple[Var, tuple[np.ndarray, n
     def write_vjp(w: np.ndarray):
         def vjp(g: np.ndarray):
             gs = g[s : s + 1]
-            return gs @ w.T, x.T @ gs
+            return np.dot(gs, w.T), np.dot(x.T, gs)
         return vjp
 
     def vjp(g: np.ndarray):

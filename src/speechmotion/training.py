@@ -37,7 +37,11 @@ def frame_vertex_rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"prediction {pred.shape} vs truth {truth.shape}")
+    if pred.ndim != 2 or pred.shape[1] % 3:
+        raise ShapeError(f"motion must be frames x 3V, got shape {pred.shape}")
     frames, cols = pred.shape
+    if not frames:  # the mean over frames would be NaN
+        raise ShapeError("motion has no frames")
     sq = np.square(pred - truth).reshape(frames, cols // 3, 3).sum(axis=2)
     return float(np.sqrt(sq.mean()))
 
@@ -162,7 +166,12 @@ def train(
 
 
 def check_sample_alignment(sample: TrainingSample, cfg: ModelConfig, idx: int) -> None:
-    """Motion must be 3*V wide and match the audio's duration within a frame."""
+    """Motion must be frames x 3V, with at least one frame, and match the
+    audio's duration within a frame."""
+    if sample.motion.ndim != 2:
+        raise ShapeError(
+            f"sample {idx}: motion must be frames x 3V, got shape {sample.motion.shape}"
+        )
     if sample.motion.shape[1] != cfg.motion_dim:
         raise ShapeError(
             f"sample {idx}: motion width {sample.motion.shape[1]} does not match "
@@ -170,6 +179,8 @@ def check_sample_alignment(sample: TrainingSample, cfg: ModelConfig, idx: int) -
         )
     implied = sample.audio.feature_rows * cfg.motion_rate / sample.audio.rate
     frames = sample.motion.shape[0]
+    if not frames:
+        raise ShapeError(f"sample {idx}: motion has no frames")
     if abs(frames - implied) > 1.0 + 1e-9:
         raise ShapeError(
             f"sample {idx}: motion has {frames} frames but audio implies "
@@ -181,6 +192,8 @@ def evaluate_rmse(
     dataset: Sequence[TrainingSample], params: Params, cfg: ModelConfig
 ) -> float:
     """Pooled autoregressive per-frame-per-vertex RMSE over a corpus."""
+    if not dataset:
+        raise ShapeError("corpus is empty")
     total_sq = 0.0
     total_items = 0
     for sample in dataset:

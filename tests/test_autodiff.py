@@ -18,6 +18,7 @@ from speechmotion import (
     Var,
     backward,
     init_params,
+    profile,
 )
 from speechmotion import autodiff as ad
 from speechmotion.positional import alignment_bias, head_slopes
@@ -380,6 +381,73 @@ class TestFusedRecords:
                 grad_one = grad(sum_all(mul(one, readout[i : i + 1])), a_one)
             assert one.data.tobytes() == rows.data[i : i + 1].tobytes()
             assert grad_one.tobytes() == grad_rows[i : i + 1].tobytes()
+
+
+def _signed_zeros(a: np.ndarray) -> np.ndarray:
+    """A copy of a with every fourth column +0 and the next one -0."""
+    a = a.copy()
+    a[:, ::4] = 0.0
+    a[:, 1::4] = -0.0
+    return a
+
+
+class TestProducts:
+    """The records' 2-D products call ``np.dot``, which must give the bytes
+    of ``@``, the sign of zero included, for every class of product they
+    run."""
+
+    @pytest.mark.parametrize("name", ["synthetic", "vocaset", "biwi"])
+    def test_dot_has_the_bytes_of_matmul(self, rng, name):
+        cfg = profile(name)
+        products = []
+        for n, m in ((cfg.dim, cfg.ff_dim), (cfg.ff_dim, cfg.dim), (cfg.dim, cfg.dim),
+                     (cfg.motion_dim, cfg.dim)):
+            x, g = (_signed_zeros(rng.normal(size=(1, k))) for k in (n, m))
+            w = rng.normal(size=(n, m))
+            products += [
+                (x, w), (np.full_like(x, -0.0), w),  # one row x W
+                (g, w.T),                             # one row x W^T
+                (x.T, g),                             # rank-1 x^T g
+            ]
+        # multi-row x W, x W^T and x^T g, over a biwi clip's 25 frames
+        x, g = (_signed_zeros(rng.normal(size=(25, k))) for k in (cfg.dim, cfg.ff_dim))
+        w = rng.normal(size=(cfg.dim, cfg.ff_dim))
+        products += [(x, w), (g, w.T), (x.T, g)]
+        for a, b in products:
+            assert np.dot(a, b).tobytes() == (a @ b).tobytes(), (a.shape, b.shape)
+
+    def test_rank_one_gradients_keep_the_sign_of_zero(self, rng):
+        # BLAS sums from +0, so a -0 product comes out +0, where a broadcast
+        # x.T * g keeps it -0. A rectifier's masked units give -0 entries of
+        # the feed-forward's pre-activation gradient.
+        x, g = _signed_zeros(rng.normal(size=(1, 8))), _signed_zeros(rng.normal(size=(1, 6)))
+        w1, b1, w2, b2 = (rng.normal(size=s) for s in ((8, 7), (1, 7), (7, 6), (1, 6)))
+        _, saved = ad.feed_forward_fwd(x, w1, b1, w2, b2)
+        _, dw1, _, dw2, _ = ad.feed_forward_vjp(saved, g)
+        pre = x @ w1 + b1
+        hidden, gpre = np.where(pre > 0, pre, 0.0), (g @ w2.T) * (pre > 0)
+        assert np.signbit(gpre[pre <= 0]).any()
+        assert dw1.tobytes() == (x.T @ gpre).tobytes()
+        assert dw2.tobytes() == (hidden.T @ g).tobytes()
+        w, row = Var(w1), Var(b1)
+        for build in (lambda: ad.linear(x, w, b1), lambda: ad.take_row(row, 0, x, w)):
+            with Tape():
+                gw = grad(sum_all(mul(build(), gpre)), w)
+            assert gw.tobytes() == (x.T @ gpre).tobytes()
+
+    def test_one_step_key_weight_gradient_is_positive_zero(self, rng):
+        # a one-frame rollout's step attends to one key, whose row gets an
+        # exactly zero gradient, so the key write's weight gradient x^T 0 is
+        # +0 throughout; a broadcast x.T * g would give -0 wherever x < 0
+        cfg = ModelConfig().validate()
+        features = rng.normal(size=(cfg.frame_ratio, cfg.feature_dim))
+        audio = AudioInput.from_features(features, cfg.feature_rate)
+        sample = TrainingSample(audio, rng.normal(size=(1, cfg.motion_dim)), identity=0)
+        params = init_params(cfg, seed=0)
+        with Tape():
+            loss, _ = rollout_loss(sample, params, cfg)
+            gk = backward(loss, params)["dec.layer0.self.wk"]
+        assert gk.tobytes() == np.zeros_like(gk).tobytes()
 
 
 class TestLayerNorm:

@@ -20,7 +20,9 @@ from speechmotion import (
     train,
 )
 from speechmotion.autodiff import squared_error
-from speechmotion.training import check_sample_alignment, frame_vertex_rmse, rollout_loss
+from speechmotion.training import (
+    check_sample_alignment, evaluate_rmse, frame_vertex_rmse, rms_amplitude, rollout_loss,
+)
 
 import reference
 
@@ -159,7 +161,10 @@ class TestTrain:
         ("identity", ShapeError, "sample 3: identity 7 out of range [0, 2)"),
         ("width", AudioError,
          "sample 3: feature width 5 does not match configured feature_dim 4"),
-    ], ids=["identity", "width"])
+        # one feature row implies half a frame, within a frame of none
+        ("no frames", ShapeError, "sample 3: motion has no frames"),
+        ("1-D motion", ShapeError, "sample 3: motion must be frames x 3V, got shape (9,)"),
+    ], ids=["identity", "width", "no-frames", "1d-motion"])
     def test_bad_sample_rejected_before_any_step(
         self, tiny_cfg, tiny_params, rng, monkeypatch, fault, error, message
     ):
@@ -169,9 +174,14 @@ class TestTrain:
         data = [_sample(rng) for _ in range(4)]
         if fault == "identity":
             data[3] = TrainingSample(data[3].audio, data[3].motion, identity=7)
-        else:
+        elif fault == "width":
             wide = AudioInput.from_features(rng.normal(size=(8, 5)), 50.0)
             data[3] = TrainingSample(wide, data[3].motion, data[3].identity)
+        elif fault == "no frames":
+            short = AudioInput.from_features(rng.normal(size=(1, 4)), 50.0)
+            data[3] = TrainingSample(short, np.zeros((0, 9)), data[3].identity)
+        else:
+            data[3] = TrainingSample(data[3].audio, data[3].motion[0], data[3].identity)
         with pytest.raises(error) as info:
             train(data, tiny_params, tiny_cfg, epochs=1, seed=0)
         assert str(info.value) == message
@@ -366,8 +376,19 @@ class TestExportAttention:
             export_attention([], tmp_path / "x.csv")
 
 
-def test_frame_vertex_rmse_matches_direct():
+def test_frame_vertex_rmse_matches_direct(tiny_cfg, tiny_params):
     pred = np.array([[1.0, 0.0, 0.0, 0.0, 2.0, 0.0]])
     truth = np.zeros((1, 6))
     # distances 1 and 2 over two vertices -> sqrt((1+4)/2)
     assert frame_vertex_rmse(pred, truth) == pytest.approx(np.sqrt(2.5), abs=1e-12)
+    # no frames to average, and no whole vertices, are named faults
+    for bad, message in [
+        (np.zeros((0, 6)), "motion has no frames"),
+        (np.zeros((2, 7)), r"motion must be frames x 3V, got shape \(2, 7\)"),
+    ]:
+        with pytest.raises(ShapeError, match=message):
+            frame_vertex_rmse(bad, bad)
+        with pytest.raises(ShapeError, match=message):
+            rms_amplitude(bad)
+    with pytest.raises(ShapeError, match="corpus is empty"):
+        evaluate_rmse([], tiny_params, tiny_cfg)
