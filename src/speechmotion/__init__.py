@@ -50,7 +50,6 @@ from .training import (
     export_attention,
     frame_vertex_rmse,
     lip_error,
-    lip_error_corpus,
     rms_amplitude,
     train,
 )
@@ -67,7 +66,7 @@ __all__ = [
     "decoder_layer", "embed_step", "encode", "evaluate_rmse",
     "export_attention", "extract_features", "frame_vertex_rmse",
     "gen_synthetic", "head_slopes", "init_params", "linear",
-    "lip_error", "lip_error_corpus", "load_checkpoint", "load_dataset",
+    "lip_error", "load_checkpoint", "load_dataset",
     "load_matrix", "matmul", "mh_attention", "param_shapes", "ppe_rows",
     "profile", "rms_amplitude", "rollout", "save_checkpoint", "save_matrix",
     "train",

@@ -8,31 +8,33 @@ gradients that are bitwise reproducible for identical tapes. Outside a tape
 the same functions just compute values, which is what inference uses.
 
 Most records are one layer's worth of work, with the bits of the elementary
-composition they replace: ``linear``, ``add_norm`` (residual add + layer
-norm), ``feed_forward`` (linear, rectifier, linear), ``attention`` (query
-projection, all heads and output projection), ``conv1d_strided`` (patch
-gather, linear, rectifier) and ``squared_error`` (subtraction, product and
-sum: the training loss) are one record each. The other records are
-``matmul``, ``linear_blocked``, ``add_row``, ``add_const``, ``take_row``
-(which can also add a one-row product, as a decoder step's input row does)
-and ``concat_rows``. There is no stand-alone add, subtraction, product,
-sum, rectifier, layer norm or patch gather: the model needs none, and the
-tests keep them as references for the fused records. ``attention`` also
-returns its heads' weights, which attention export copies out.
+composition they replace: ``linear``, ``conv1d_strided`` (patch gather,
+linear, rectifier) and ``squared_error`` (subtraction, product and sum: the
+training loss) are one record each. The other records are ``matmul``,
+``linear_blocked``, ``add_row``, ``add_const``, ``take_row`` (which can also
+add a one-row product, as a decoder step's input row does) and
+``concat_rows``. There is no stand-alone add, subtraction, product, sum,
+rectifier, layer norm or patch gather: the model needs none, and the tests
+keep them as references for the fused records.
 
-``attention_fwd``, ``add_norm_fwd`` and ``feed_forward_fwd`` are the
-forward passes of three of those records on arrays: each returns its output
-and what its VJP (``attention_vjp``, ``add_norm_vjp``, ``feed_forward_vjp``)
-reads, and records nothing. A decoder block composes them into one record
-per step (see ``decoder.decoder_layer``), whose VJP replays theirs in
-reverse. The block also writes the step's projected key and value rows
-into preallocated buffers and records each write with :func:`record`,
-ahead of its own record; the write's output is the buffer itself. The
-block's attentions read row ranges of those buffers and of the projected
-audio, and give the gradient of those rows only, which :func:`backward`
-adds into that range of the buffer's gradient. So a decoder step is one
-record for its input row and three per layer (two writes and the block):
-four at one layer.
+The transformer's three sub-layers are forward/VJP pairs on arrays:
+``attention_fwd``/``attention_vjp`` (query projection, all heads and output
+projection), ``add_norm_fwd``/``add_norm_vjp`` (residual add + layer norm)
+and ``feed_forward_fwd``/``feed_forward_vjp`` (linear, rectifier, linear).
+Each forward pass returns its output and what its VJP reads, and records
+nothing; ``attention_fwd`` also returns its heads' weights, which attention
+export copies out. Shapes are checked once per pass over the model, not
+here (see ``params.check_shapes``). The encoder records each pair as one
+record with :func:`fused`. A decoder block composes six, two attentions,
+three add-norms and the feed-forward, into one record per step (see
+``decoder.decoder_layer``), whose VJP replays theirs in reverse. The block
+also writes the step's projected key and value rows into preallocated
+buffers and records each write with :func:`record`, ahead of its own
+record; the write's output is the buffer itself. The block's attentions
+read row ranges of those buffers and of the projected audio, and give the
+gradient of those rows only, which :func:`backward` adds into that range of
+the buffer's gradient. So a decoder step is one record for its input row
+and three per layer (two writes and the block): four at one layer.
 
 The records' 2-D products call ``np.dot``, not ``@``: both reach the same
 BLAS routine and give the same bits, but ``@`` first dispatches through the
@@ -41,11 +43,12 @@ decoder step's one-row products and takes a slow path for the rank-1 weight
 gradients ``x.T @ g`` that every step adds.
 
 ``-inf`` is the masking sentinel for attention biases. It may enter only
-through the bias of ``attention``, which maps it to exactly zero weight; no
-other operation accepts non-finite input. The package itself passes no
-``-inf``: a decoder step's self-attention bias is a slice of a distance row
-and its cross-attention has no bias. Only the tests pass causal and
-alignment biases with ``-inf`` entries.
+through the bias of ``attention_fwd``, which maps it to exactly zero
+weight; no other operation accepts non-finite input. The package itself
+passes no ``-inf``: the encoder's attention and a decoder step's
+cross-attention have no bias, and a step's self-attention bias is a slice
+of a distance row. Only the tests pass causal and alignment biases with
+``-inf`` entries.
 
 A tape drops its records when its ``with`` block ends: every taped output
 points back at its tape, so a tape that kept its records would be a
@@ -169,6 +172,15 @@ def _make(data: Array, inputs: tuple[Var, ...], vjp) -> Var:
     out = Var.__new__(Var)
     out.data, out.tape = data, None
     return record(out, inputs, vjp)
+
+
+def fused(fwd, vjp, inputs: tuple[Var, ...], *static) -> tuple:
+    """One record for a forward/VJP pair, such as ``add_norm_fwd`` and
+    ``add_norm_vjp``: ``fwd`` runs on the arrays of ``inputs`` and then
+    ``static``, unchecked, and ``vjp`` gets what it saved. Returns the output
+    as a Var, then ``fwd``'s other results (attention's weights)."""
+    out, *rest, saved = fwd(*(v.data for v in inputs), *static)
+    return _make(out, inputs, partial(vjp, saved)), *rest
 
 
 class Gradients(dict):
@@ -318,22 +330,12 @@ def linear(x, w, b) -> Var:
     return _make(out, (x, w, b), vjp)
 
 
-def feed_forward(x, w1, b1, w2, b2) -> Var:
-    """max(x @ w1 + b1, 0) @ w2 + b2, recorded as one op (the same bits as
-    ``linear``, a rectifier and ``linear``)."""
-    x, w1, b1, w2, b2 = _as_var(x), _as_var(w1), _as_var(b1), _as_var(w2), _as_var(b2)
-    xd, w1d = x.data, w1.data
-    _check_linear(xd.shape, w1d, b1.data)
-    _check_linear((xd.shape[0], w1d.shape[1]), w2.data, b2.data)
-    out, saved = feed_forward_fwd(xd, w1d, b1.data, w2.data, b2.data)
-    return _make(out, (x, w1, b1, w2, b2), partial(feed_forward_vjp, saved))
-
-
 def feed_forward_fwd(
     xd: Array, w1d: Array, b1d: Array, w2d: Array, b2d: Array
 ) -> tuple[Array, tuple]:
-    """The forward pass of :func:`feed_forward` on arrays of checked shapes,
-    unrecorded: its output and what :func:`feed_forward_vjp` reads."""
+    """max(x @ w1 + b1, 0) @ w2 + b2 on arrays of checked shapes, unrecorded,
+    with the bits of ``linear``, a rectifier and ``linear``: its output and
+    what :func:`feed_forward_vjp` reads."""
     pre = np.dot(xd, w1d)
     pre += b1d
     mask = pre > 0.0
@@ -344,8 +346,8 @@ def feed_forward_fwd(
 
 
 def feed_forward_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:
-    """The gradients of :func:`feed_forward`'s inputs, from what
-    :func:`feed_forward_fwd` saved and the output's gradient g."""
+    """The gradients of the inputs of :func:`feed_forward_fwd` (x, w1, b1,
+    w2, b2), from what it saved and the output's gradient g."""
     xd, w1d, w2d, mask, hidden = saved
     gpre = np.dot(g, w2d.T) * mask
     return (
@@ -407,55 +409,22 @@ def _merge(a: Array) -> Array:
     return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
-def attention(
-    x, wq, k, v, wo, bias, heads: int, keys: slice = slice(None)
-) -> tuple[Var, Array]:
-    """Multi-head attention from the rows of x, recorded as one op: the
-    query projection q = x wq, softmax(q k^T / sqrt(d_k) + bias) v per head,
-    and the output projection wo of the heads' results side by side. Its
-    bits, forward and backward, are those of three records: ``matmul(x,
-    wq)``, this attention with identity projections, and ``matmul(., wo)``.
-
-    The keys and values are rows ``keys`` (a step-1 slice) of k and v, s of
-    them; the VJP gives k and v the gradient of those rows only, as ``(keys,
-    array)`` (see :func:`backward`), or a whole array when they are all
-    the rows. Head h reads column block h of q and k (width d_k) and of v
-    (width d_v). ``bias`` is None, a t x s array shared by every head, or a
-    heads x t x s stack; its ``-inf`` entries get exactly zero weight, and a
-    row with no finite entry raises :class:`DegenerateRowError`. Also
-    returns the heads x t x s weights W, which the backward pass reads: do
-    not modify them.
-
-    The backward pass is the standard softmax-attention VJP between the
-    projections' own: with the heads' output O and dO = g wo^T,
-    dV = W^T dO, dW = dO V^T, dS = W * (dW - rowsum(dW * W)),
-    dQ = dS K / sqrt(d_k) and dK = dS^T Q / sqrt(d_k); then dx = dQ wq^T,
-    dwq = x^T dQ and dwo = O^T g.
-    """
-    x, wq, k, v, wo = _as_var(x), _as_var(wq), _as_var(k), _as_var(v), _as_var(wo)
-    xd, wqd, wod = x.data, wq.data, wo.data
-    kd, vd = k.data[keys], v.data[keys]
-    (t, n), (s, width) = xd.shape, kd.shape
-    if (wqd.shape != (n, width) or k.rows != v.rows or vd.shape[1] != wod.shape[0]
-            or s == 0):
-        raise ShapeError(
-            f"attention shape mismatch: x {xd.shape}, wq {wqd.shape}, k {k.shape}, "
-            f"v {v.shape}, wo {wod.shape}, keys {keys}"
-        )
-    if heads < 1 or width % heads or vd.shape[1] % heads:
-        raise ShapeError(f"widths {width}/{vd.shape[1]} not divisible by {heads} heads")
-    if bias is not None and bias.shape != (t, s) and bias.shape != (heads, t, s):
-        raise ShapeError(f"bias shape {bias.shape} does not match scores {(t, s)}")
-    out, w, saved = attention_fwd(xd, wqd, k.data, v.data, wod, bias, heads, keys)
-    return _make(out, (x, wq, k, v, wo), partial(attention_vjp, saved)), w
-
-
 def attention_fwd(
     xd: Array, wqd: Array, kd: Array, vd: Array, wod: Array, bias, heads: int, keys: slice
 ) -> tuple[Array, Array, tuple]:
-    """The forward pass of :func:`attention` on arrays of checked shapes,
-    unrecorded: its output, the heads' weights and what
-    :func:`attention_vjp` reads."""
+    """Multi-head attention from the rows of x on arrays of checked shapes,
+    unrecorded: the query projection q = x wq, softmax(q k^T / sqrt(d_k) +
+    bias) v per head, and the output projection wo of the heads' results
+    side by side. Its bits are those of ``matmul(x, wq)``, this attention
+    with identity projections, and ``matmul(., wo)``.
+
+    The keys and values are rows ``keys`` (a step-1 slice) of k and v, s of
+    them. Head h reads column block h of q and k (width d_k) and of v
+    (width d_v). ``bias`` is None, a t x s array shared by every head, or a
+    heads x t x s stack; its ``-inf`` entries get exactly zero weight, and a
+    row with no finite entry raises :class:`DegenerateRowError`. Returns the
+    output, the heads x t x s weights W and what :func:`attention_vjp`
+    reads; do not modify W, which the VJP reads too."""
     k_rows = kd.shape[0]
     kd, vd = kd[keys], vd[keys]
     s, width = kd.shape
@@ -472,10 +441,16 @@ def attention_fwd(
 
 
 def attention_vjp(saved: tuple, g: Array) -> tuple:
-    """The gradients of :func:`attention`'s inputs, from what
-    :func:`attention_fwd` saved and the output's gradient g; k and v get
-    the gradient of the rows read, as ``(keys, array)``, unless those are
-    all their rows."""
+    """The gradients of the inputs of :func:`attention_fwd` (x, wq, k, v,
+    wo), from what it saved and the output's gradient g. k and v get the
+    gradient of the rows read, as ``(keys, array)`` (see :func:`backward`),
+    unless those are all their rows.
+
+    This is the standard softmax-attention VJP between the projections'
+    own: with the heads' output O and dO = g wo^T, dV = W^T dO,
+    dW = dO V^T, dS = W * (dW - rowsum(dW * W)), dQ = dS K / sqrt(d_k) and
+    dK = dS^T Q / sqrt(d_k); then dx = dQ wq^T, dwq = x^T dQ and
+    dwo = O^T g."""
     xd, wqd, qh, kt, vh, wod, c, w, heads_out, whole, keys = saved
     gh = _split(np.dot(g, wod.T), w.shape[0])
     ds = gh @ vh.transpose(0, 2, 1)
@@ -507,13 +482,16 @@ def _one_row_mean(x: Array) -> float:
     return float(np.add.reduce(x, axis=None)) / x.shape[1]
 
 
-def _normalize(x: Array, gd: Array, od: Array, eps: float) -> tuple[Array, tuple]:
-    """Layer norm of x, unrecorded: its output and what
-    :func:`_normalize_vjp` reads."""
+def add_norm_fwd(a: Array, b: Array, gd: Array, od: Array) -> tuple[Array, tuple]:
+    """Layer norm of a + b, unrecorded: each row normalized to zero mean and
+    unit variance, then scaled by the 1 x n gain ``gd`` and shifted by the
+    offset ``od``, with the bits of the residual add followed by the layer
+    norm. Returns the output and what :func:`add_norm_vjp` reads."""
+    x = a + b
     one_row = x.shape[0] == 1  # the same bits, with Python float statistics
     mean = _one_row_mean if one_row else _row_mean
     xc = x - mean(x)
-    var = mean(np.square(xc)) + eps
+    var = mean(np.square(xc)) + LAYER_NORM_EPS
     inv = 1.0 / (math.sqrt(var) if one_row else np.sqrt(var))
     xhat = xc * inv
     out = xhat * gd
@@ -521,45 +499,17 @@ def _normalize(x: Array, gd: Array, od: Array, eps: float) -> tuple[Array, tuple
     return out, (gd, xhat, inv)
 
 
-def _normalize_vjp(saved: tuple, g: Array) -> tuple[Array, Array, Array]:
-    """The gradients of the normalized input, the gain and the offset."""
+def add_norm_vjp(saved: tuple, g: Array) -> tuple[Array, Array, Array, Array]:
+    """The gradients of the inputs of :func:`add_norm_fwd` (a, b, the gain
+    and the offset), from what it saved and the output's gradient g: a and b
+    get the same array."""
     gd, xhat, inv = saved
     mean = _one_row_mean if g.shape[0] == 1 else _row_mean
     gy = g * gd
     term = gy - mean(gy)
     term -= xhat * mean(gy * xhat)
     term *= inv
-    return term, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
-
-
-def add_norm(a, b, gain, offset) -> Var:
-    """Layer norm of a + b: each row normalized to zero mean and unit
-    variance, then scaled by ``gain`` and shifted by ``offset``. Recorded as
-    one op, with the bits of the residual add followed by the layer norm."""
-    a, b, gain, offset = _as_var(a), _as_var(b), _as_var(gain), _as_var(offset)
-    (rows, n), gd, od = a.shape, gain.data, offset.data
-    if b.shape != (rows, n):
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    if gd.shape != (1, n) or od.shape != (1, n):
-        raise ShapeError(
-            f"layer_norm gain/offset must be 1x{n}, got {gd.shape}/{od.shape}"
-        )
-    out, saved = add_norm_fwd(a.data, b.data, gd, od)
-    return _make(out, (a, b, gain, offset), partial(add_norm_vjp, saved))
-
-
-def add_norm_fwd(a: Array, b: Array, gd: Array, od: Array) -> tuple[Array, tuple]:
-    """The forward pass of :func:`add_norm` on arrays of checked shapes,
-    unrecorded: its output and what :func:`add_norm_vjp` reads."""
-    return _normalize(a + b, gd, od, LAYER_NORM_EPS)
-
-
-def add_norm_vjp(saved: tuple, g: Array) -> tuple[Array, Array, Array, Array]:
-    """The gradients of :func:`add_norm`'s inputs, from what
-    :func:`add_norm_fwd` saved and the output's gradient g: a and b get the
-    same array."""
-    term, dgain, doffset = _normalize_vjp(saved, g)
-    return term, term, dgain, doffset
+    return term, term, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
 
 def conv1d_strided(x, kernels, stride: int, bias) -> Var:

@@ -30,6 +30,8 @@ from .errors import (
     UsageError,
 )
 from .formats import (
+    CHECKPOINT_MAGIC,
+    MATRIX_MAGIC,
     check_unchanged,
     checkpoint_summary,
     load_checkpoint,
@@ -263,10 +265,10 @@ def _cmd_inspect(args) -> int:
     path = Path(args.path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == b"F32M":
+    if magic == MATRIX_MAGIC:
         version, rows, cols = matrix_header(path)
         print(f"matrix file version {version}: {rows}x{cols} float32")
-    elif magic == b"FFCK":
+    elif magic == CHECKPOINT_MAGIC:
         for line in checkpoint_summary(path):
             print(line)
     else:

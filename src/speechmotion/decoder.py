@@ -14,7 +14,7 @@ from .autodiff import Var
 from .config import ModelConfig
 from .encoder import AudioInput, EncodedAudio, encode
 from .errors import ShapeError
-from .params import Params, param_shapes
+from .params import Params, check_shapes
 from .positional import BiasMatrix, decoder_self_bias, head_slopes, ppe_rows
 
 # Not called here: a cached step reads its own audio window with no bias. The
@@ -114,12 +114,7 @@ def layer_caches(
     values are projected over all of enc.a, so a row's bits do not depend on
     how many steps the rollout takes.
     """
-    for name, shape in param_shapes(cfg).items():
-        if name.startswith("dec.") and params[name].shape != shape:
-            raise ShapeError(
-                f"parameter {name} has shape {params[name].shape}, "
-                f"but the configuration needs {shape}"
-            )
+    check_shapes(params, cfg, "dec.")
     bias = decoder_self_bias(motion_len, cfg, motion_len - 1)
     row = bias.scaled(head_slopes(cfg.heads)).data
     caches = []

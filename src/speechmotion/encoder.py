@@ -13,7 +13,9 @@ from .attention import AttentionProjections, AttentionRecord
 from .autodiff import Var
 from .config import ModelConfig
 from .errors import AudioError, ShapeError
-from .params import CONV_SCHEDULE, EXTRACTOR_TOTAL_STRIDE, Params, extractor_min_samples
+from .params import (
+    CONV_SCHEDULE, EXTRACTOR_TOTAL_STRIDE, Params, check_shapes, extractor_min_samples,
+)
 from .positional import sinusoid_rows
 
 
@@ -138,15 +140,22 @@ def infer_motion_len(feature_rows: int, audio_rate: float, cfg: ModelConfig) -> 
 
 def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
                    capture: list[AttentionRecord] | None) -> Var:
+    """Unmasked self-attention, add-norm, feed-forward and add-norm, one
+    record each."""
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
     kv = proj.keys_values(x)
-    attn, weights = ad.attention(x, proj.wq, kv.k, kv.v, proj.wo, None, cfg.encoder_heads)
+    attn, weights = ad.fused(ad.attention_fwd, ad.attention_vjp,
+                             (x, proj.wq, kv.k, kv.v, proj.wo), None, cfg.encoder_heads,
+                             slice(None))
     if capture is not None:
         capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
-    x = ad.add_norm(x, attn, params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"])
-    ff = ad.feed_forward(x, *(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")))
-    return ad.add_norm(x, ff, params[f"{p}.ln2.gain"], params[f"{p}.ln2.offset"])
+    (x,) = ad.fused(ad.add_norm_fwd, ad.add_norm_vjp,
+                    (x, attn, params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"]))
+    (ff,) = ad.fused(ad.feed_forward_fwd, ad.feed_forward_vjp,
+                     (x, *(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2"))))
+    return ad.fused(ad.add_norm_fwd, ad.add_norm_vjp,
+                    (x, ff, params[f"{p}.ln2.gain"], params[f"{p}.ln2.offset"]))[0]
 
 
 def check_feature_width(width: int, feature_dim: int) -> None:
@@ -167,8 +176,11 @@ def encode(
     """Full encoder pass producing frame_ratio * motion_len rows of width dim.
 
     The extractor is frozen: a waveform's conv stack runs off-tape, so its
-    kernels receive no gradients.
+    kernels receive no gradients. Every encoder parameter's shape is checked
+    first, once per call, and an error names the parameter: the layers check
+    none.
     """
+    check_shapes(params, cfg, "enc.")
     with ad.no_tape():  # features pass through as a leaf either way
         feats = extract_features(audio, params, cfg)
     check_feature_width(feats.cols, cfg.feature_dim)

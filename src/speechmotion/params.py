@@ -14,6 +14,8 @@ from it afterwards, as the benchmark's training oracle does.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Var
@@ -27,7 +29,7 @@ Params = dict[str, Var]
 CONV_SCHEDULE: tuple[tuple[int, int], ...] = (
     (10, 5), (3, 2), (3, 2), (3, 2), (3, 2), (2, 2), (2, 2),
 )
-EXTRACTOR_TOTAL_STRIDE = 320
+EXTRACTOR_TOTAL_STRIDE = math.prod(stride for _width, stride in CONV_SCHEDULE)
 
 
 def extractor_min_samples() -> int:
@@ -111,6 +113,18 @@ def init_params(cfg: ModelConfig, seed: int) -> Params:
             data = rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
         params[name] = Var(data)
     return params
+
+
+def check_shapes(params: Params, cfg: ModelConfig, prefix: str) -> None:
+    """Check every parameter whose name starts with ``prefix`` against its
+    :func:`param_shapes` shape; a ShapeError names the first that differs.
+    The layers that read them check none of these shapes."""
+    for name, shape in param_shapes(cfg).items():
+        if name.startswith(prefix) and params[name].shape != shape:
+            raise ShapeError(
+                f"parameter {name} has shape {params[name].shape}, "
+                f"but the configuration needs {shape}"
+            )
 
 
 def validate_shapes(params: Params, expected: dict[str, tuple[int, int]]) -> None:

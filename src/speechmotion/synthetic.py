@@ -14,6 +14,7 @@ learnability oracle the overfit experiment leans on.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .training import TrainingSample, check_sample_alignment
 
 SYNTH_FEATURE_RATE = 50.0
 SYNTH_MOTION_RATE = 25.0
-SYNTH_FRAME_RATIO = 2  # ceil(50 / 25)
+SYNTH_FRAME_RATIO = math.ceil(SYNTH_FEATURE_RATE / SYNTH_MOTION_RATE)
 
 _SIGNAL_COMPONENTS = 3
 _READOUT_SCALE = 0.15

@@ -227,15 +227,6 @@ def lip_error(pred: np.ndarray, truth: np.ndarray, lips: Sequence[int]) -> float
     return float(dist.max(axis=1).mean())
 
 
-def lip_error_corpus(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]], lips: Sequence[int]
-) -> float:
-    """Average of per-sequence lip errors, in input order."""
-    if not pairs:
-        raise ShapeError("corpus is empty")
-    return float(np.mean([lip_error(p, t, lips) for p, t in pairs]))
-
-
 def export_attention(records: Sequence[AttentionRecord], path) -> None:
     """Write head-averaged attention weights as commented CSV sections.
 

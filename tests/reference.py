@@ -7,14 +7,18 @@ positional rows are built one at a time, and the dense decoder block reruns
 attention over a whole prefix where the package runs one cached row. The
 elementary add, subtraction, product, sum, rectifier, layer norm and patch
 gather records are the compositions that the package's fused records (the
-layers, the strided convolution and the loss) must match bit for bit; the
-tests also build their losses from them. The composed decoder step, a row
-write record per projection and one record per attention, add-norm and
-feed-forward, is the composition that the package's one-record block must
-match bit for bit. The reverse pass and the
-optimizer are the package's earlier ones: every gradient widened to its
-whole input and added into a new array, and clipping and Adam run parameter
-by parameter into new arrays; the package's must match them bit for bit.
+sub-layer pairs, ``linear``, the strided convolution and the loss) must
+match bit for bit; the tests also build their losses from them. The layer
+norm is written with ``np.mean`` and ``np.sqrt`` and shares no code with
+the package. ``attention``, ``add_norm`` and ``feed_forward`` record the
+package's forward/VJP pairs of those sub-layers as one record each, as the
+encoder does. The composed decoder step, a row write record per projection
+and one such record per attention, add-norm and feed-forward, is the
+composition that the package's one-record block must match bit for bit.
+The reverse pass and the optimizer are the package's earlier ones: every
+gradient widened to its whole input and added into a new array, and
+clipping and Adam run parameter by parameter into new arrays; the
+package's must match them bit for bit.
 The checkpoint helpers pack and parse version 3 files field by field from
 the format description; they also pack the retired version 1 and 2
 layouts, which the package refuses.
@@ -111,10 +115,41 @@ def relu(a) -> Var:
 
 def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
     """Normalize each row to zero mean / unit variance, then scale and shift;
-    recorded on the active tape."""
+    recorded on the active tape. Written from the textbook formulas with
+    ``np.mean`` and ``np.sqrt``, so it shares no code with the package."""
     a, gain, offset = ad._as_var(a), ad._as_var(gain), ad._as_var(offset)
-    out, saved = ad._normalize(a.data, gain.data, offset.data, eps)
-    return ad._make(out, (a, gain, offset), lambda g: ad._normalize_vjp(saved, g))
+    x, gd = a.data, gain.data
+    xc = x - np.mean(x, axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(np.square(xc), axis=1, keepdims=True) + eps)
+    xhat = xc * inv
+
+    def vjp(g):
+        gy = g * gd
+        dx = gy - np.mean(gy, axis=1, keepdims=True)
+        dx -= xhat * np.mean(gy * xhat, axis=1, keepdims=True)
+        return dx * inv, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    return ad._make(xhat * gd + offset.data, (a, gain, offset), vjp)
+
+
+def attention(x, wq, k, v, wo, bias, heads: int, keys: slice = slice(None)):
+    """The package's attention pair (``attention_fwd``/``attention_vjp``) as
+    one record on the active tape; returns the output and the heads'
+    weights."""
+    inputs = tuple(ad._as_var(a) for a in (x, wq, k, v, wo))
+    return ad.fused(ad.attention_fwd, ad.attention_vjp, inputs, bias, heads, keys)
+
+
+def add_norm(a, b, gain, offset) -> Var:
+    """The package's residual add + layer norm pair as one record."""
+    inputs = tuple(ad._as_var(x) for x in (a, b, gain, offset))
+    return ad.fused(ad.add_norm_fwd, ad.add_norm_vjp, inputs)[0]
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Var:
+    """The package's feed-forward pair as one record."""
+    inputs = tuple(ad._as_var(a) for a in (x, w1, b1, w2, b2))
+    return ad.fused(ad.feed_forward_fwd, ad.feed_forward_vjp, inputs)[0]
 
 
 def backward(loss: Var, params) -> dict:
@@ -210,7 +245,7 @@ def biased_attention(q, k, v, bias: BiasMatrix | None) -> tuple[Var, Var]:
     attention op with identity projections; returns (output, weights), the
     weights untaped."""
     q, k, v = (x if isinstance(x, Var) else Var(x) for x in (q, k, v))
-    out, weights = ad.attention(
+    out, weights = attention(
         q, np.eye(q.cols), k, v, np.eye(v.cols), None if bias is None else bias.data, 1
     )
     return out, Var(weights[0].copy())
@@ -296,23 +331,23 @@ def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
     total, k = fhat.rows, cfg.frame_ratio
 
     def norm(x, sublayer_out, ln):
-        return ad.add_norm(x, sublayer_out, params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
+        return add_norm(x, sublayer_out, params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
 
     self_bias = decoder_self_bias(total, cfg).scaled(head_slopes(cfg.heads))
     self_proj = AttentionProjections.from_params(params, f"{p}.self")
     own = self_proj.keys_values(fhat)
-    attn, w_self = ad.attention(
+    attn, w_self = attention(
         fhat, self_proj.wq, own.k, own.v, self_proj.wo, self_bias.data, cfg.heads
     )
     x1 = norm(fhat, attn, "ln1")
     cross_proj = AttentionProjections.from_params(params, f"{p}.cross")
     audio = cross_proj.keys_values(enc.a)
-    cross, w_cross = ad.attention(
+    cross, w_cross = attention(
         x1, cross_proj.wq, audio.k, audio.v, cross_proj.wo,
         alignment_bias(total, total, k).data, cfg.heads, slice(0, k * total),
     )
     x2 = norm(x1, cross, "ln2")
-    ff = ad.feed_forward(x2, *(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")))
+    ff = feed_forward(x2, *(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")))
     return norm(x2, ff, "ln3"), (w_self, w_cross)
 
 
@@ -350,17 +385,17 @@ def composed_decoder_layer(fhat, past):
     write_row(past.keys, s, fhat, sp.wk)
     write_row(past.values, s, fhat, sp.wv)
     past.steps = s + 1
-    attn, w_self = ad.attention(
+    attn, w_self = attention(
         fhat, sp.wq, past.keys, past.values, sp.wo, past.bias[:, :, -(s + 1):],
         past.heads, slice(0, s + 1),
     )
-    x1 = ad.add_norm(fhat, attn, g1, o1)
-    cross, w_cross = ad.attention(
+    x1 = add_norm(fhat, attn, g1, o1)
+    cross, w_cross = attention(
         x1, cp.wq, past.audio.k, past.audio.v, cp.wo, None, past.heads,
         slice(k * s, k * (s + 1)),
     )
-    x2 = ad.add_norm(x1, cross, g2, o2)
-    out = ad.add_norm(x2, ad.feed_forward(x2, *past.ff), g3, o3)
+    x2 = add_norm(x1, cross, g2, o2)
+    out = add_norm(x2, feed_forward(x2, *past.ff), g3, o3)
     return out, (w_self, w_cross)
 
 

@@ -27,8 +27,8 @@ from speechmotion.training import rollout_loss
 from conftest import finite_diff, rel_err
 import reference
 from reference import (
-    add, gather_patches, layer_norm, mul, relu, softmax_rows, sub, sum_all, temporal_bias,
-    write_row,
+    add, add_norm, attention, feed_forward, gather_patches, layer_norm, mul, relu, softmax_rows,
+    sub, sum_all, temporal_bias, write_row,
 )
 
 
@@ -121,7 +121,7 @@ class TestSoftmaxRows:
 def _attention_inputs(rng, heads, t, rows, d=5, d_k=3, d_v=2):
     """Query rows x (t x d) with the projections wq (d x heads*d_k) and wo
     (heads*d_v x d), and keys and values of ``rows`` rows: the inputs of
-    ``ad.attention`` in order."""
+    ``attention`` in order."""
     return (
         Var(rng.normal(size=(t, d))), Var(rng.normal(size=(d, heads * d_k))),
         Var(rng.normal(size=(rows, heads * d_k))), Var(rng.normal(size=(rows, heads * d_v))),
@@ -151,7 +151,7 @@ class TestAttention:
         assert bias is None or (np.isneginf(bias).any() and s != t)
 
         def loss_var():
-            out, _ = ad.attention(*inputs, bias, heads, slice(1, s + 1))
+            out, _ = attention(*inputs, bias, heads, slice(1, s + 1))
             return sum_all(mul(out, readout))
 
         for var in inputs:
@@ -170,7 +170,7 @@ class TestAttention:
         bias[:, [1, 4]] = -np.inf
         x, wq, k, v, wo = _attention_inputs(rng, heads, t, s)
         with Tape():
-            out, weights = ad.attention(x, wq, k, v, wo, bias, heads)
+            out, weights = attention(x, wq, k, v, wo, bias, heads)
             grads = backward(sum_all(mul(out, out)), {"k": k, "v": v})
         assert np.array_equal(weights[:, :, [1, 4]], np.zeros((heads, t, 2)))
         for g in grads.values():
@@ -182,7 +182,7 @@ class TestAttention:
         bias = np.zeros((heads, 3, 4))
         bias[:, 2] = -np.inf
         with pytest.raises(DegenerateRowError, match="row 2"):
-            ad.attention(*_attention_inputs(rng, heads, 3, 4), bias, heads)
+            attention(*_attention_inputs(rng, heads, 3, 4), bias, heads)
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_buffer_rows_gradients_match_finite_differences(self, rng, heads):
@@ -204,10 +204,10 @@ class TestAttention:
                 x = ad.take_row(xs, i)
                 write_row(keys, i, x, wk)
                 write_row(values, i, x, wv)
-                own, _ = ad.attention(
+                own, _ = attention(
                     x, wq, keys, values, wo, bias_row[:, :, n - 1 - i :], heads, slice(0, i + 1)
                 )
-                window, _ = ad.attention(
+                window, _ = attention(
                     x, wq, audio_k, audio_v, wo, None, heads, slice(2 * i, 2 * i + 2)
                 )
                 outs += [own, window]
@@ -274,9 +274,9 @@ class TestAttention:
 
 
 class TestFusedRecords:
-    """linear, add_norm, feed_forward, attention, conv1d_strided and
-    squared_error are one record each, with the bits of the composition they
-    replace, forward and backward."""
+    """linear, conv1d_strided, squared_error and the attention, add-norm and
+    feed-forward pairs are one record each, with the bits of the composition
+    they replace, forward and backward."""
 
     @staticmethod
     def _compare(rng, fused, composed, inputs):
@@ -300,10 +300,12 @@ class TestFusedRecords:
         self._compare(rng, ad.linear, lambda x, w, b: ad.add_row(ad.matmul(x, w), b), inputs)
 
     def test_add_norm(self, rng):
-        inputs = [Var(rng.normal(size=s)) for s in ((5, 6), (5, 6), (1, 6), (1, 6))]
-        self._compare(
-            rng, ad.add_norm, lambda a, b, g, o: layer_norm(add(a, b), g, o), inputs
-        )
+        # many rows, and one row, whose statistics are Python floats
+        for rows in (5, 1):
+            inputs = [Var(rng.normal(size=s)) for s in ((rows, 6), (rows, 6), (1, 6), (1, 6))]
+            self._compare(
+                rng, add_norm, lambda a, b, g, o: layer_norm(add(a, b), g, o), inputs
+            )
 
     def test_feed_forward(self, rng):
         inputs = [Var(rng.normal(size=s)) for s in ((5, 6), (6, 7), (1, 7), (7, 6), (1, 6))]
@@ -313,7 +315,7 @@ class TestFusedRecords:
             return ad.add_row(ad.matmul(hidden, w2), b2)
 
         assert (inputs[0].data @ inputs[1].data + inputs[2].data < 0).any()
-        self._compare(rng, ad.feed_forward, composed, inputs)
+        self._compare(rng, feed_forward, composed, inputs)
 
     def test_conv1d_strided(self, rng):
         inputs = [Var(rng.normal(size=s)) for s in ((9, 2), (6, 3), (1, 3))]
@@ -354,11 +356,11 @@ class TestFusedRecords:
         keys = slice(2, 7)
 
         def fused(x, wq, k, v, wo):
-            return ad.attention(x, wq, k, v, wo, bias, heads, keys)[0]
+            return attention(x, wq, k, v, wo, bias, heads, keys)[0]
 
         def composed(x, wq, k, v, wo):
             q = ad.matmul(x, wq)
-            out, _ = ad.attention(q, np.eye(q.cols), k, v, np.eye(v.cols), bias, heads, keys)
+            out, _ = attention(q, np.eye(q.cols), k, v, np.eye(v.cols), bias, heads, keys)
             return ad.matmul(out, wo)
 
         self._compare(rng, fused, composed, list(_attention_inputs(rng, heads, t, 9)))
@@ -372,12 +374,12 @@ class TestFusedRecords:
         readout = rng.normal(size=(6, width))
         a_all = Var(a)
         with Tape():
-            rows = ad.add_norm(a_all, b, gain, offset)
+            rows = add_norm(a_all, b, gain, offset)
             grad_rows = grad(sum_all(mul(rows, readout)), a_all)
         for i in range(6):
             a_one = Var(a[i : i + 1])
             with Tape():
-                one = ad.add_norm(a_one, b[i : i + 1], gain, offset)
+                one = add_norm(a_one, b[i : i + 1], gain, offset)
                 grad_one = grad(sum_all(mul(one, readout[i : i + 1])), a_one)
             assert one.data.tobytes() == rows.data[i : i + 1].tobytes()
             assert grad_one.tobytes() == grad_rows[i : i + 1].tobytes()
@@ -665,8 +667,8 @@ class TestBackward:
             b = ad.matmul(y, w)
             a = ad.matmul(x, w)
             c = mul(a, readout)
-            twice = ad.add_norm(x, x, gain, offset)
-            d = sub(add(ad.add_norm(a, b, gain, offset), c), twice)
+            twice = add_norm(x, x, gain, offset)
+            d = sub(add(add_norm(a, b, gain, offset), c), twice)
             loss = sum_all(mul(d, d))
             grads = self._same_as_reference(
                 loss, {"x": x, "y": y, "w": w, "gain": gain, "offset": offset}
@@ -681,7 +683,7 @@ class TestBackward:
         readout = rng.normal(size=(2, 5))
         with Tape():
             outs = [
-                ad.attention(x, wq, k, v, wo, None, heads, slice(a, b))[0]
+                attention(x, wq, k, v, wo, None, heads, slice(a, b))[0]
                 for a, b in ((1, 3), (2, 5), (6, 8))
             ]
             total = ad.concat_rows([ad.concat_rows(outs[:2]), outs[2]])

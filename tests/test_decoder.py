@@ -313,9 +313,13 @@ class TestAutoregress:
     @pytest.mark.parametrize("name, shape", [
         ("dec.layer0.ff.w2", (15, 8)), ("dec.layer0.self.wk", (8, 9)),
         ("dec.layer0.ln2.gain", (1, 7)),
+        # T = 4 gives 8 encoder rows, so without the check an (8, 1) gain
+        # would broadcast into a wrong 8 x 8 result instead of failing
+        ("enc.layer0.ln1.gain", (8, 1)), ("enc.layer0.attn.wq", (8, 6)),
+        ("enc.layer0.ff.w2", (16, 7)),
     ])
     def test_wrong_shaped_parameter_named(self, tiny_cfg, live_params, rng, name, shape):
-        # checked once per rollout, before the first step
+        # checked once per encode and once per rollout, before any layer runs
         params = dict(live_params)
         params[name] = Var(np.zeros(shape))
         with pytest.raises(ShapeError, match=re.escape(f"parameter {name} has shape {shape}")):

@@ -16,7 +16,6 @@ from speechmotion import (
     export_attention,
     init_params,
     lip_error,
-    lip_error_corpus,
     train,
 )
 from speechmotion.autodiff import squared_error
@@ -101,15 +100,6 @@ class TestLipError:
         m = np.zeros((0, 6))
         with pytest.raises(ShapeError, match="^prediction and truth have no frames$"):
             lip_error(m, m, [0])
-
-    def test_corpus_average_in_order(self, rng):
-        a = rng.normal(size=(3, 6))
-        b = a.copy()
-        b[:, 0] += 1.0
-        per_seq = [lip_error(a, a, [0]), lip_error(b, a, [0])]
-        assert lip_error_corpus([(a, a), (b, a)], [0]) == pytest.approx(
-            np.mean(per_seq), abs=1e-15
-        )
 
 
 class TestTrain:
