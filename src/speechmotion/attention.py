@@ -27,20 +27,30 @@ class AttentionProjections:
         """The ``{prefix}.wq/wk/wv/wo`` parameters."""
         return cls(*(params[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo")))
 
-    def keys_values(self, x) -> "KeyValues":
-        """Keys and values of all rows of x."""
-        k = ad.matmul(x, self.wk)
-        return KeyValues(k, ad.matmul(x, self.wv), 0, k.rows)
+    def keys_values(self, x) -> tuple[Var, Var]:
+        """The keys x wk and values x wv of all rows of x, recorded."""
+        return ad.matmul(x, self.wk), ad.matmul(x, self.wv)
 
 
 @dataclass
 class KeyValues:
-    """Projected keys and values; attention reads rows [start, stop)."""
+    """Projected keys and values of n rows as their heads' views, heads x
+    d_k x n and heads x n x d_v (see :func:`autodiff.head_views`); attention
+    reads rows [start, stop)."""
 
-    k: Var
-    v: Var
+    kt: np.ndarray
+    vh: np.ndarray
     start: int
     stop: int
+
+    @classmethod
+    def of(cls, k: np.ndarray, v: np.ndarray, heads: int) -> "KeyValues":
+        """All rows of the n x d keys k and values v, as views."""
+        return cls(*ad.head_views(k, v, heads), 0, k.shape[0])
+
+    def window(self, start: int, stop: int) -> "KeyValues":
+        """Rows [start, stop) of the same views."""
+        return KeyValues(self.kt, self.vh, start, stop)
 
     @property
     def rows(self) -> int:
@@ -62,19 +72,18 @@ def mh_attention(
     x_q: Var, kv: KeyValues, proj: AttentionProjections, heads: int, bias: BiasMatrix | None
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The forward pass of one multi-head biased attention, from the rows
-    of x_q to the keys and values ``kv`` (see
-    :meth:`AttentionProjections.keys_values`), with the query and output
-    projections: :func:`autodiff.attention_fwd`, unrecorded and unchecked.
-    A decoder block calls it for each of its attentions and records their
-    :func:`autodiff.attention_vjp` in its own record. Returns the output
-    rows, the heads x t x s weights and what the VJP reads; do not modify
-    the weights, which it reads too.
+    of x_q to the keys and values ``kv``, with the query and output
+    projections: :func:`autodiff.attention_heads_fwd`, unrecorded and
+    unchecked. A decoder step calls it for each of its attentions, and the
+    rollout's record replays their :func:`autodiff.attention_vjp`. Returns
+    the output rows, the heads x t x s weights and what the VJP reads; do
+    not modify the weights, which it reads too.
 
     ``bias`` is None, a t x s matrix shared by every head (such as an
     alignment bias), or a heads x t x s stack already scaled per head (a
     temporal bias at the heads' slopes, see :meth:`BiasMatrix.scaled`).
     """
-    return ad.attention_fwd(
-        x_q.data, proj.wq.data, kv.k.data, kv.v.data, proj.wo.data,
-        None if bias is None else bias.data, heads, slice(kv.start, kv.stop),
+    return ad.attention_heads_fwd(
+        x_q.data, proj.wq.data, kv.kt, kv.vh, proj.wo.data,
+        None if bias is None else bias.data, slice(kv.start, kv.stop),
     )

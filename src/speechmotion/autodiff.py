@@ -11,11 +11,10 @@ Most records are one layer's worth of work, with the bits of the elementary
 composition they replace: ``linear``, ``conv1d_strided`` (patch gather,
 linear, rectifier) and ``squared_error`` (subtraction, product and sum: the
 training loss) are one record each. The other records are ``matmul``,
-``linear_blocked``, ``add_row``, ``add_const``, ``take_row`` (which can also
-add a one-row product, as a decoder step's input row does) and
-``concat_rows``. There is no stand-alone add, subtraction, product, sum,
-rectifier, layer norm or patch gather: the model needs none, and the tests
-keep them as references for the fused records.
+``linear_blocked``, ``add_row``, ``add_const`` and ``take_row``. There is
+no stand-alone add, subtraction, product, sum, rectifier, layer norm, patch
+gather or row concatenation: the model needs none, and the tests keep them
+as references for the fused records.
 
 The transformer's three sub-layers are forward/VJP pairs on arrays:
 ``attention_fwd``/``attention_vjp`` (query projection, all heads and output
@@ -23,24 +22,22 @@ projection), ``add_norm_fwd``/``add_norm_vjp`` (residual add + layer norm)
 and ``feed_forward_fwd``/``feed_forward_vjp`` (linear, rectifier, linear).
 Each forward pass returns its output and what its VJP reads, and records
 nothing; ``attention_fwd`` also returns its heads' weights, which attention
-export copies out. Shapes are checked once per pass over the model, not
-here (see ``params.check_shapes``). The encoder records each pair as one
-record with :func:`fused`. A decoder block composes six, two attentions,
-three add-norms and the feed-forward, into one record per step (see
-``decoder.decoder_layer``), whose VJP replays theirs in reverse. The block
-also writes the step's projected key and value rows into preallocated
-buffers and records each write with :func:`record`, ahead of its own
-record; the write's output is the buffer itself. The block's attentions
-read row ranges of those buffers and of the projected audio, and give the
-gradient of those rows only, which :func:`backward` adds into that range of
-the buffer's gradient. So a decoder step is one record for its input row
-and three per layer (two writes and the block): four at one layer.
+export copies out, and ``attention_heads_fwd`` is the same pass on keys and
+values already split into heads (:func:`head_views`). Shapes are checked
+once per pass over the model, not here (see ``params.check_shapes``). The
+encoder records each pair as one record with :func:`fused`. A whole decoder
+rollout is one record (see ``decoder.rollout``): its T steps run the six
+pairs of each layer's block on arrays, and its VJP walks the steps and
+layers in reverse, replaying the pairs' VJPs and adding each gradient
+contribution in the order :func:`backward` would.
 
 The records' 2-D products call ``np.dot``, not ``@``: both reach the same
 BLAS routine and give the same bits, but ``@`` first dispatches through the
 ``matmul`` generalized ufunc, which costs more than the arithmetic on a
 decoder step's one-row products and takes a slow path for the rank-1 weight
-gradients ``x.T @ g`` that every step adds.
+gradients ``x.T @ g`` that every step adds. For a one-row gradient the
+column sums of the VJPs are ``g + 0``, the bits of a reduce (which adds the
+row to +0), without its call overhead.
 
 ``-inf`` is the masking sentinel for attention biases. It may enter only
 through the bias of ``attention_fwd``, which maps it to exactly zero
@@ -61,7 +58,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -139,6 +136,11 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def recording() -> bool:
+    """Whether a tape is active, so that operations are being recorded."""
+    return bool(_TAPE_STACK)
+
+
 @contextmanager
 def no_tape() -> Iterator[None]:
     """Run a block without recording: its outputs are leaves, so no
@@ -166,12 +168,18 @@ def record(out: Var, inputs: tuple[Var, ...], vjp) -> Var:
     return out
 
 
+def leaf(data: Array) -> Var:
+    """An untaped Var of ``data``, which must already be a C-contiguous 2-D
+    float64 array: ``Var(data)`` without its check."""
+    out = Var.__new__(Var)
+    out.data, out.tape = data, None
+    return out
+
+
 def _make(data: Array, inputs: tuple[Var, ...], vjp) -> Var:
     """Wrap an operation's result, which is already a C-contiguous 2-D
     float64 array, and record it on the active tape."""
-    out = Var.__new__(Var)
-    out.data, out.tape = data, None
-    return record(out, inputs, vjp)
+    return record(leaf(data), inputs, vjp)
 
 
 def fused(fwd, vjp, inputs: tuple[Var, ...], *static) -> tuple:
@@ -218,7 +226,7 @@ def backward(loss: Var, params: Mapping[str, Var]) -> Gradients:
     contrib`` and ``acc += contrib`` have the same bits, so the gradients
     are those of adding widened copies, up to the sign of an exact zero
     outside the rows read. A record may return its incoming gradient only if
-    no other record has the same output (a key or value buffer has many).
+    no other record has the same output.
     """
     if loss.data.shape != (1, 1):
         raise GradientError(f"loss must be a 1x1 scalar, got shape {loss.data.shape}")
@@ -330,6 +338,12 @@ def linear(x, w, b) -> Var:
     return _make(out, (x, w, b), vjp)
 
 
+def _col_sum(g: Array) -> Array:
+    """``g.sum(axis=0, keepdims=True)``, bit for bit: for one row, ``g + 0``,
+    since a reduce adds the row to +0 (so -0 comes out +0)."""
+    return np.add(g, 0.0) if g.shape[0] == 1 else g.sum(axis=0, keepdims=True)
+
+
 def feed_forward_fwd(
     xd: Array, w1d: Array, b1d: Array, w2d: Array, b2d: Array
 ) -> tuple[Array, tuple]:
@@ -350,13 +364,7 @@ def feed_forward_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:
     w2, b2), from what it saved and the output's gradient g."""
     xd, w1d, w2d, mask, hidden = saved
     gpre = np.dot(g, w2d.T) * mask
-    return (
-        np.dot(gpre, w1d.T),
-        np.dot(xd.T, gpre),
-        gpre.sum(axis=0, keepdims=True),
-        np.dot(hidden.T, g),
-        g.sum(axis=0, keepdims=True),
-    )
+    return np.dot(gpre, w1d.T), np.dot(xd.T, gpre), _col_sum(gpre), np.dot(hidden.T, g), _col_sum(g)
 
 
 def linear_blocked(x, w, b, block: int) -> Var:
@@ -409,6 +417,14 @@ def _merge(a: Array) -> Array:
     return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
+def head_views(kd: Array, vd: Array, heads: int) -> tuple[Array, Array]:
+    """Views of keys k and values v (n rows each) split into heads: heads x
+    d_k x n keys (k transposed) and heads x n x d_v values. Head h holds
+    column block h. Rows [a, b) of either are the views of rows [a, b) of k
+    and v, with the same data pointer and strides."""
+    return kd.reshape(kd.shape[0], heads, -1).transpose(1, 2, 0), _split(vd, heads)
+
+
 def attention_fwd(
     xd: Array, wqd: Array, kd: Array, vd: Array, wod: Array, bias, heads: int, keys: slice
 ) -> tuple[Array, Array, tuple]:
@@ -425,12 +441,19 @@ def attention_fwd(
     row with no finite entry raises :class:`DegenerateRowError`. Returns the
     output, the heads x t x s weights W and what :func:`attention_vjp`
     reads; do not modify W, which the VJP reads too."""
-    k_rows = kd.shape[0]
-    kd, vd = kd[keys], vd[keys]
-    s, width = kd.shape
-    qh, vh = _split(np.dot(xd, wqd), heads), _split(vd, heads)
-    kt = kd.reshape(s, heads, -1).transpose(1, 2, 0)  # heads x d_k x s
-    c = 1.0 / math.sqrt(width // heads)
+    return attention_heads_fwd(xd, wqd, *head_views(kd, vd, heads), wod, bias, keys)
+
+
+def attention_heads_fwd(
+    xd: Array, wqd: Array, kt: Array, vh: Array, wod: Array, bias, keys: slice
+) -> tuple[Array, Array, tuple]:
+    """:func:`attention_fwd` on the :func:`head_views` of k and v, which a
+    caller that attends to rows of the same keys many times builds once."""
+    k_rows = kt.shape[2]
+    kt, vh = kt[:, :, keys], vh[:, keys]
+    heads, d_k, s = kt.shape
+    qh = _split(np.dot(xd, wqd), heads)
+    c = 1.0 / math.sqrt(d_k)
     w = qh @ kt
     w *= c
     if bias is not None:
@@ -509,7 +532,7 @@ def add_norm_vjp(saved: tuple, g: Array) -> tuple[Array, Array, Array, Array]:
     term = gy - mean(gy)
     term -= xhat * mean(gy * xhat)
     term *= inv
-    return term, term, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+    return term, term, _col_sum(g * xhat), _col_sum(g)
 
 
 def conv1d_strided(x, kernels, stride: int, bias) -> Var:
@@ -566,40 +589,11 @@ def squared_error(pred, truth) -> Var:
     return _make(np.array([[(d * d).sum()]]), (pred, truth), vjp)
 
 
-def take_row(x, i: int, a=None, w=None) -> Var:
-    """Row i of x, as a 1 x C copy; with a one-row ``a`` and a weight ``w``,
-    a @ w plus row i, one record with the bits of ``linear(a, w,
-    take_row(x, i))``. Its VJP gives x the gradient of row i only."""
+def take_row(x, i: int) -> Var:
+    """Row i of x, as a 1 x C copy. Its VJP gives x the gradient of row i
+    only."""
     x = _as_var(x)
     if not 0 <= i < x.rows:
         raise ShapeError(f"row {i} out of range for {x.shape}")
     rows = slice(i, i + 1)
-    if a is None:
-        return _make(x.data[rows].copy(), (x,), lambda g: ((rows, g),))
-    a, w = _as_var(a), _as_var(w)
-    ad, wd = a.data, w.data
-    if ad.shape != (1, wd.shape[0]) or wd.shape[1] != x.cols:
-        raise ShapeError(f"cannot add {ad.shape} x {wd.shape} to a row of {x.shape}")
-    out = np.dot(ad, wd)
-    out += x.data[rows]
-
-    def vjp(g: Array):
-        return np.dot(g, wd.T), np.dot(ad.T, g), (rows, g.sum(axis=0, keepdims=True))
-
-    return _make(out, (a, w, x), vjp)
-
-
-def concat_rows(parts: Sequence) -> Var:
-    parts = [_as_var(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_rows needs at least one part")
-    cols = parts[0].cols
-    if any(p.cols != cols for p in parts):
-        raise ShapeError("concat_rows parts disagree on column count")
-    stops = np.cumsum([p.rows for p in parts]).tolist()
-    bounds = tuple(zip([0] + stops[:-1], stops))
-
-    def vjp(g: Array):  # views of g
-        return tuple(g[a:b] for a, b in bounds)
-
-    return _make(np.concatenate([p.data for p in parts]), tuple(parts), vjp)
+    return _make(x.data[rows].copy(), (x,), lambda g: ((rows, g),))

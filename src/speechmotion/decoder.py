@@ -4,7 +4,8 @@ cross-modal attention, and vertex-space decoding."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -51,11 +52,18 @@ def embed_step(prev, motion_w: Var, table: Var, t: int) -> Var:
     ``motion_enc.w`` and a table built with ``motion_enc.b`` gives the same
     embedding. Step 0 consumes no motion (there is no previous prediction
     yet), so its row is table row 0: the style embedding plus the position
-    vector. Either way the row is one record.
+    vector. The row is computed on arrays, with the bits of ``linear(prev,
+    motion_w, take_row(table, t))``, and returned untaped: the rollout's
+    record holds its VJP.
     """
     if (prev is None) != (t == 0):
         raise ShapeError("prev must be omitted exactly at step 0")
-    return ad.take_row(table, t, prev, motion_w)
+    row = table.data[t : t + 1]
+    if prev is None:
+        return ad.leaf(row.copy())
+    out = np.dot(prev.data, motion_w.data)
+    out += row
+    return ad.leaf(out)
 
 
 def feedback_map(params: Params) -> tuple[Var, Var]:
@@ -78,16 +86,18 @@ def feedback_map(params: Params) -> tuple[Var, Var]:
 @dataclass
 class LayerCache:
     """One decoder layer over a rollout of up to T steps: its weights, looked
-    up once, and its attention inputs.
+    up once, its attention inputs, and what its steps' VJPs read.
 
-    Row s of ``keys`` and ``values`` (T x d buffers) holds the self-attention
+    Row s of ``keys`` and ``values`` (T x d arrays) holds the self-attention
     projections of step s's input row once that step has run; ``steps``
-    rows are written. ``audio`` holds the cross-attention keys and values of
-    every enc.a row, whose rows [k*s, k*(s + 1)) are step s's window.
-    ``bias`` is the heads x 1 x T self-bias row of the newest of T steps at
-    the heads' slopes; it depends only on the distance i - j, so its last
-    s + 1 columns are step s's row, with no -inf. ``inputs`` are the inputs
-    of a step's record after its row (see :func:`decoder_layer`).
+    rows are written, and ``own`` holds their heads' views. ``audio_kv``
+    are the recorded cross-attention keys and values of every enc.a row,
+    and ``audio`` their heads' views; rows [k*s, k*(s + 1)) are step s's
+    window. ``bias`` is the heads x 1 x T self-bias row of the newest of T
+    steps at the heads' slopes; it depends only on the distance i - j, so
+    its last s + 1 columns are step s's row, with no -inf. While a tape is
+    active, ``saved[s]`` holds what step s's VJP reads; otherwise nothing
+    is kept.
     """
 
     self_proj: AttentionProjections
@@ -95,13 +105,23 @@ class LayerCache:
     norms: tuple[tuple[Var, Var], ...]  # gain and offset of ln1, ln2, ln3
     ff: tuple[Var, Var, Var, Var]       # w1, b1, w2, b2
     heads: int
-    keys: Var
-    values: Var
+    keys: np.ndarray
+    values: np.ndarray
+    own: KeyValues
+    audio_kv: tuple[Var, Var]
     audio: KeyValues
     frame_ratio: int
     bias: np.ndarray
-    inputs: tuple[Var, ...]
+    saved: list[tuple] = field(default_factory=list)
     steps: int = 0
+
+    def inputs(self) -> tuple[Var, ...]:
+        """The layer's inputs of the rollout's record, in the order of the
+        gradients of :func:`_step_vjp`."""
+        (g1, o1), (g2, o2), (g3, o3) = self.norms
+        sp, cp = self.self_proj, self.cross_proj
+        return (g3, o3, *self.ff, g2, o2, cp.wq, cp.wo, g1, o1, sp.wq, sp.wo, sp.wv, sp.wk,
+                *self.audio_kv)
 
 
 def layer_caches(
@@ -122,25 +142,22 @@ def layer_caches(
         p = f"dec.layer{layer}"
         self_proj = AttentionProjections.from_params(params, f"{p}.self")
         cross = AttentionProjections.from_params(params, f"{p}.cross")
-        norms = tuple((params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
-                      for ln in ("ln1", "ln2", "ln3"))
-        ff = tuple(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2"))
-        keys = Var(np.zeros((motion_len, cfg.dim)))
-        values = Var(np.zeros((motion_len, cfg.dim)))
-        audio = cross.keys_values(enc.a)
+        keys, values = np.zeros((motion_len, cfg.dim)), np.zeros((motion_len, cfg.dim))
+        audio_k, audio_v = cross.keys_values(enc.a)
         caches.append(LayerCache(
             self_proj=self_proj,
             cross_proj=cross,
-            norms=norms,
-            ff=ff,
+            norms=tuple((params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.offset"])
+                        for ln in ("ln1", "ln2", "ln3")),
+            ff=tuple(params[f"{p}.ff.{w}"] for w in ("w1", "b1", "w2", "b2")),
             heads=cfg.heads,
             keys=keys,
             values=values,
-            audio=audio,
+            own=KeyValues.of(keys, values, cfg.heads),
+            audio_kv=(audio_k, audio_v),
+            audio=KeyValues.of(audio_k.data, audio_v.data, cfg.heads),
             frame_ratio=cfg.frame_ratio,
             bias=row,
-            inputs=(*norms[2], *ff, *norms[1], cross.wq, audio.k, audio.v, cross.wo,
-                    *norms[0], self_proj.wq, keys, values, self_proj.wo),
         ))
     return caches
 
@@ -157,60 +174,125 @@ def decoder_layer(fhat: Var, past: LayerCache) -> tuple[Var, tuple[np.ndarray, n
     heads x 1 x (s + 1) and heads x 1 x k.
 
     The block runs on arrays, its shapes checked by :func:`layer_caches`,
-    and is three records: one for each row write, whose VJP reads row s of
-    the buffer's gradient, then one for the rest, with the bits, forward and
-    backward, of its two attention, three add-norm and feed-forward records.
-    Its VJP replays theirs in reverse and adds the gradients of the rows
-    that two of them read in the order the reverse pass would; its inputs
-    come in the order those records would give them gradients.
+    with the bits of its two attention, three add-norm and feed-forward
+    pairs, and records nothing: its output is untaped. While a tape is
+    active it appends what its VJP reads to ``past.saved``, for the
+    rollout's record (see :func:`_step_vjp`).
     """
     s, k = past.steps, past.frame_ratio
-    if fhat.shape != (1, past.keys.cols):
+    if fhat.shape != (1, past.keys.shape[1]):
         raise ShapeError(
-            f"a cached step takes one row of width {past.keys.cols}, got {fhat.shape}"
+            f"a cached step takes one row of width {past.keys.shape[1]}, got {fhat.shape}"
         )
-    if s == past.keys.rows:
+    if s == past.keys.shape[0]:
         raise ShapeError(f"all {s} steps of the cache have run")
     x = fhat.data
-    sp, keys, values = past.self_proj, past.keys, past.values
+    sp = past.self_proj
     (g1, o1), (g2, o2), (g3, o3) = past.norms
-    np.dot(x, sp.wk.data, out=keys.data[s : s + 1])
-    np.dot(x, sp.wv.data, out=values.data[s : s + 1])
+    np.dot(x, sp.wk.data, out=past.keys[s : s + 1])
+    np.dot(x, sp.wv.data, out=past.values[s : s + 1])
     past.steps = s + 1
 
     attn, w_self, at_self = mh_attention(
-        fhat, KeyValues(keys, values, 0, s + 1), sp, past.heads,
+        fhat, past.own.window(0, s + 1), sp, past.heads,
         BiasMatrix(past.bias[:, :, -(s + 1):], "temporal"),
     )
     x1, at1 = ad.add_norm_fwd(x, attn, g1.data, o1.data)
     cross, w_cross, at_cross = mh_attention(
-        Var(x1), KeyValues(past.audio.k, past.audio.v, k * s, k * (s + 1)),
-        past.cross_proj, past.heads, None,
+        ad.leaf(x1), past.audio.window(k * s, k * (s + 1)), past.cross_proj, past.heads, None,
     )
     x2, at2 = ad.add_norm_fwd(x1, cross, g2.data, o2.data)
     w1, b1, w2, b2 = past.ff
     ff, at_ff = ad.feed_forward_fwd(x2, w1.data, b1.data, w2.data, b2.data)
     out, at3 = ad.add_norm_fwd(x2, ff, g3.data, o3.data)
+    if ad.recording():
+        past.saved.append((x, at_self, at1, at_cross, at2, at_ff, at3))
+    return ad.leaf(out), (w_self, w_cross)
 
-    def write_vjp(w: np.ndarray):
-        def vjp(g: np.ndarray):
-            gs = g[s : s + 1]
-            return np.dot(gs, w.T), np.dot(x.T, gs)
-        return vjp
 
-    def vjp(g: np.ndarray):
-        term3, dff, dg3, do3 = ad.add_norm_vjp(at3, g)
-        dx2, dw1, db1, dw2, db2 = ad.feed_forward_vjp(at_ff, dff)
-        term2, dcross, dg2, do2 = ad.add_norm_vjp(at2, term3 + dx2)
-        dx1, dwq_c, dk_c, dv_c, dwo_c = ad.attention_vjp(at_cross, dcross)
-        term1, dattn, dg1, do1 = ad.add_norm_vjp(at1, term2 + dx1)
-        dx, dwq_s, dk_s, dv_s, dwo_s = ad.attention_vjp(at_self, dattn)
-        return (term1 + dx, dg3, do3, dw1, db1, dw2, db2, dg2, do2,
-                dwq_c, dk_c, dv_c, dwo_c, dg1, do1, dwq_s, dk_s, dv_s, dwo_s)
+def _add_rows(buf: np.ndarray, rows: slice, contrib, first: bool) -> None:
+    """Add an attention VJP's key or value gradient, ``(rows, array)`` or
+    the whole array, into ``rows`` of ``buf``: assigned if it is the
+    buffer's ``first``, as :func:`autodiff.backward` assigns a buffer's
+    first row range into zeros."""
+    part = contrib[1] if type(contrib) is tuple else contrib
+    if first:
+        buf[rows] = part
+    else:
+        buf[rows] += part
 
-    ad.record(keys, (fhat, sp.wk), write_vjp(sp.wk.data))
-    ad.record(values, (fhat, sp.wv), write_vjp(sp.wv.data))
-    return ad.record(Var(out), (fhat, *past.inputs), vjp), (w_self, w_cross)
+
+def _step_vjp(c: LayerCache, t: int, g: np.ndarray, own: tuple[np.ndarray, np.ndarray]):
+    """Step t's VJP of layer ``c``: of its block, then of its value and key
+    row writes, which is the reverse of their order in the step. Returns
+    the gradient of the step's input row, those of the layer's weights in
+    :meth:`LayerCache.inputs` order, and those of its audio window's keys
+    and values. ``own`` are the T x d gradients of the key and value
+    buffers: step t's attention gives rows [0, t], which are assigned at the
+    last step and added after it, and the writes read row t.
+    """
+    x, at_self, at1, at_cross, at2, at_ff, at3 = c.saved[t]
+    term3, dff, dg3, do3 = ad.add_norm_vjp(at3, g)
+    dx2, dw1, db1, dw2, db2 = ad.feed_forward_vjp(at_ff, dff)
+    term2, dcross, dg2, do2 = ad.add_norm_vjp(at2, term3 + dx2)
+    dx1, dwq_c, dk_c, dv_c, dwo_c = ad.attention_vjp(at_cross, dcross)
+    term1, dattn, dg1, do1 = ad.add_norm_vjp(at1, term2 + dx1)
+    dx, dwq_s, dk_s, dv_s, dwo_s = ad.attention_vjp(at_self, dattn)
+    gk, gv = own
+    last = t == gk.shape[0] - 1
+    _add_rows(gk, slice(0, t + 1), dk_s, last)
+    _add_rows(gv, slice(0, t + 1), dv_s, last)
+    sp, row = c.self_proj, slice(t, t + 1)
+    dx = term1 + dx
+    dx += np.dot(gv[row], sp.wv.data.T)
+    dx += np.dot(gk[row], sp.wk.data.T)
+    return dx, (dg3, do3, dw1, db1, dw2, db2, dg2, do2, dwq_c, dwo_c, dg1, do1, dwq_s, dwo_s,
+                np.dot(x.T, gv[row]), np.dot(x.T, gk[row])), (dk_c, dv_c)
+
+
+def _rollout_vjp(caches: list[LayerCache], motion_w: np.ndarray, hidden: np.ndarray,
+                 g: np.ndarray) -> tuple:
+    """The VJP of a rollout's record (see :func:`rollout`): steps T - 1 to 0
+    and in each, layers L - 1 to 0, every gradient with the bits that
+    :func:`autodiff.backward` gave it when each step input row, row write
+    and block was a record of its own. Each input's contributions are added
+    in that reverse order, the first kept as it is; a buffer's first row
+    range is assigned into zeros and later ones are added. So hidden row t
+    gets ``g[t] + dprev`` from the step t + 1 that read it, and row t of the
+    table gets step t's input-row gradient plus +0, once it has more than
+    one row. Every accumulator is allocated here, so two calls give equal,
+    independent results.
+    """
+    steps, k = g.shape[0], caches[0].frame_ratio
+    grads: list = [None] * len(caches)
+    audio = [tuple(np.zeros(kv.shape) for kv in c.audio_kv) for c in caches]
+    own = [(np.empty(c.keys.shape), np.empty(c.values.shape)) for c in caches]
+    dtable = np.empty((steps, g.shape[1]))
+    dmotion = dprev = None
+    for t in reversed(range(steps)):
+        gx = g[t : t + 1] if dprev is None else g[t : t + 1] + dprev
+        first, window = t == steps - 1, slice(k * t, k * (t + 1))
+        for layer in reversed(range(len(caches))):
+            gx, weights, cross = _step_vjp(caches[layer], t, gx, own[layer])
+            if first:
+                grads[layer] = list(weights)
+            else:
+                for acc, contrib in zip(grads[layer], weights):
+                    acc += contrib
+            for buf, contrib in zip(audio[layer], cross):
+                _add_rows(buf, window, contrib, first)
+        if steps == 1:
+            dtable[:] = gx
+        else:
+            np.add(gx, 0.0, out=dtable[t : t + 1])
+        if t:
+            dprev = np.dot(gx, motion_w.T)
+            dm = np.dot(hidden[t - 1 : t].T, gx)
+            if dmotion is None:
+                dmotion = dm
+            else:
+                dmotion += dm
+    return (dmotion, dtable, *(v for acc, kv in zip(grads, audio) for v in (*acc, *kv)))
 
 
 def decode_motion(hidden, params: Params) -> Var:
@@ -241,14 +323,18 @@ def rollout(
     the self-bias row of a :class:`LayerCache`. Each step embeds the
     previous step's last-layer hidden row with the map, feeds the new row
     through every decoder layer against that layer's cache, and keeps its
-    hidden row; the vertex head then decodes all T rows in one call.
-    Gradients flow through the fed-back rows, the map and the caches. With
+    hidden row; the vertex head then decodes all T rows in one call. With
     ``capture``, the steps' attention
     weights are gathered per layer into a heads x T x T self map (row t,
     columns [0, t]) and a heads x T x kT cross map (row t, columns
     [kt, k(t + 1))), zero elsewhere, and appended as one ``decoder.self`` and
     one ``decoder.cross`` record per layer at step T - 1. Capturing changes
     no output bit.
+
+    The steps record nothing: the T x d hidden rows are one record, whose
+    inputs are the map, the table and each layer's weights and audio keys
+    and values, and whose VJP (:func:`_rollout_vjp`) carries the gradients
+    back through the fed-back rows, the map and the caches.
     """
     if motion_len < 1:
         raise ShapeError(f"cannot generate an empty sequence (T={motion_len})")
@@ -269,19 +355,24 @@ def rollout(
                              np.zeros((cfg.heads, motion_len, k * motion_len))))
             for layer in range(len(caches))
         ]
-    hidden: list[Var] = []
+    hidden = np.empty((motion_len, cfg.dim))
+    x = None
     for t in range(motion_len):
-        x = embed_step(hidden[-1] if t else None, motion_w, table, t)
+        x = embed_step(x, motion_w, table, t)
         for layer, cache in enumerate(caches):
             x, (w_self, w_cross) = decoder_layer(x, cache)
             if maps:
                 rec_self, rec_cross = maps[layer]
                 rec_self.weights[:, t, : t + 1] = w_self[:, 0]
                 rec_cross.weights[:, t, k * t : k * (t + 1)] = w_cross[:, 0]
-        hidden.append(x)
+        hidden[t : t + 1] = x.data
     for pair in maps:
         capture.extend(pair)
-    return decode_motion(ad.concat_rows(hidden), params)
+    out = ad.leaf(hidden)
+    if ad.recording():
+        inputs = (motion_w, table, *(v for cache in caches for v in cache.inputs()))
+        ad.record(out, inputs, partial(_rollout_vjp, caches, motion_w.data, hidden))
+    return decode_motion(out, params)
 
 
 def autoregress(

@@ -144,9 +144,9 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
     record each."""
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
-    kv = proj.keys_values(x)
+    k, v = proj.keys_values(x)
     attn, weights = ad.fused(ad.attention_fwd, ad.attention_vjp,
-                             (x, proj.wq, kv.k, kv.v, proj.wo), None, cfg.encoder_heads,
+                             (x, proj.wq, k, v, proj.wo), None, cfg.encoder_heads,
                              slice(None))
     if capture is not None:
         capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))

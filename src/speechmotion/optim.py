@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import Array, Gradients, Var
+from .autodiff import Array, Gradients, Var, leaf
 from .config import TrainConfig
 
 
@@ -86,7 +86,8 @@ def adam_step(
     new /= work
     np.subtract(state.p, new, out=new)
     state.p, state.step = new, t
-    return {name: Var(view) for name, view in Gradients.views(new, state.layout).items()}, state
+    # the views are already 2-D C-contiguous float64: no Var(view) check
+    return {name: leaf(view) for name, view in Gradients.views(new, state.layout).items()}, state
 
 
 def clip_global_norm(grads: Gradients, max_norm: float) -> tuple[Gradients, float]:

@@ -14,6 +14,7 @@ from it afterwards, as the benchmark's training oracle does.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,7 +42,14 @@ def extractor_min_samples() -> int:
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Every parameter name with its (rows, cols) shape."""
+    """Every parameter name with its (rows, cols) shape, as a new dict."""
+    return dict(_shape_table(cfg))
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_table(cfg: ModelConfig) -> tuple[tuple[str, tuple[int, int]], ...]:
+    """The (name, shape) pairs of :func:`param_shapes`, built once per
+    configuration (a frozen, hashable dataclass)."""
     d = cfg.dim
     de = cfg.encoder_dim
     da = cfg.feature_dim
@@ -89,7 +97,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
         shapes[f"{p}.ff.b2"] = (1, d)
     shapes["motion_dec.w"] = (d, m)
     shapes["motion_dec.b"] = (1, m)
-    return shapes
+    return tuple(shapes.items())
 
 
 def init_params(cfg: ModelConfig, seed: int) -> Params:
@@ -119,7 +127,7 @@ def check_shapes(params: Params, cfg: ModelConfig, prefix: str) -> None:
     """Check every parameter whose name starts with ``prefix`` against its
     :func:`param_shapes` shape; a ShapeError names the first that differs.
     The layers that read them check none of these shapes."""
-    for name, shape in param_shapes(cfg).items():
+    for name, shape in _shape_table(cfg):
         if name.startswith(prefix) and params[name].shape != shape:
             raise ShapeError(
                 f"parameter {name} has shape {params[name].shape}, "

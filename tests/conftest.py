@@ -45,8 +45,8 @@ def cached_step(enc, params, cfg, rows, s, layer=0, bump=False):
     for i in range(s):
         decoder_layer(Var(rows[i : i + 1]), past)
     if bump:
-        past.keys.data[s + 1 :] += 1.0
-        past.values.data[s + 1 :] += 1.0
+        past.keys[s + 1 :] += 1.0
+        past.values[s + 1 :] += 1.0
     return decoder_layer(Var(rows[s : s + 1]), past)[0].data
 
 

@@ -12,9 +12,11 @@ match bit for bit; the tests also build their losses from them. The layer
 norm is written with ``np.mean`` and ``np.sqrt`` and shares no code with
 the package. ``attention``, ``add_norm`` and ``feed_forward`` record the
 package's forward/VJP pairs of those sub-layers as one record each, as the
-encoder does. The composed decoder step, a row write record per projection
-and one such record per attention, add-norm and feed-forward, is the
-composition that the package's one-record block must match bit for bit.
+encoder does. The composed rollout, a row and a ``linear`` for each step's
+input row, then per layer a row write record per projection and one such
+record per attention, add-norm and feed-forward, and a row concatenation
+of the hidden rows, is the composition that the package's one-record
+rollout must match bit for bit.
 The reverse pass and the optimizer are the package's earlier ones: every
 gradient widened to its whole input and added into a new array, and
 clipping and Adam run parameter by parameter into new arrays; the
@@ -33,7 +35,8 @@ import numpy as np
 
 from speechmotion import DegenerateRowError, ShapeError, Var
 from speechmotion import autodiff as ad
-from speechmotion.attention import AttentionProjections
+from speechmotion import decoder
+from speechmotion.attention import AttentionProjections, AttentionRecord
 from speechmotion.positional import (
     NEG_INF,
     BiasMatrix,
@@ -87,6 +90,18 @@ def sum_all(a) -> Var:
     return ad._make(
         np.array([[a.data.sum()]]), (a,), lambda g: (np.full(shape, g[0, 0]),)
     )
+
+
+def concat_rows(parts) -> Var:
+    """The rows of ``parts`` one after another, recorded on the active tape:
+    each part gets its rows of the gradient, as views."""
+    parts = [ad._as_var(p) for p in parts]
+    if not parts or any(p.cols != parts[0].cols for p in parts):
+        raise ShapeError("concat_rows needs parts of one column count")
+    stops = np.cumsum([p.rows for p in parts]).tolist()
+    bounds = tuple(zip([0] + stops[:-1], stops))
+    return ad._make(np.concatenate([p.data for p in parts]), tuple(parts),
+                    lambda g: tuple(g[a:b] for a, b in bounds))
 
 
 def gather_patches(x, width: int, stride: int) -> Var:
@@ -335,15 +350,15 @@ def dense_decoder_layer(fhat, enc, params, cfg, layer: int = 0):
 
     self_bias = decoder_self_bias(total, cfg).scaled(head_slopes(cfg.heads))
     self_proj = AttentionProjections.from_params(params, f"{p}.self")
-    own = self_proj.keys_values(fhat)
+    own_k, own_v = self_proj.keys_values(fhat)
     attn, w_self = attention(
-        fhat, self_proj.wq, own.k, own.v, self_proj.wo, self_bias.data, cfg.heads
+        fhat, self_proj.wq, own_k, own_v, self_proj.wo, self_bias.data, cfg.heads
     )
     x1 = norm(fhat, attn, "ln1")
     cross_proj = AttentionProjections.from_params(params, f"{p}.cross")
-    audio = cross_proj.keys_values(enc.a)
+    audio_k, audio_v = cross_proj.keys_values(enc.a)
     cross, w_cross = attention(
-        x1, cross_proj.wq, audio.k, audio.v, cross_proj.wo,
+        x1, cross_proj.wq, audio_k, audio_v, cross_proj.wo,
         alignment_bias(total, total, k).data, cfg.heads, slice(0, k * total),
     )
     x2 = norm(x1, cross, "ln2")
@@ -375,28 +390,62 @@ def composed_embed_step(prev, motion_w, table, t: int) -> Var:
     return row if t == 0 else ad.linear(prev, motion_w, row)
 
 
-def composed_decoder_layer(fhat, past):
-    """``decoder.decoder_layer`` as eight records: the two row writes, the
-    self-attention, an add-norm, the cross-attention, an add-norm, the
-    feed-forward and an add-norm."""
+def composed_decoder_layer(fhat, past, keys: Var, values: Var):
+    """``decoder.decoder_layer`` as eight records: the two row writes into
+    the taped buffers ``keys`` and ``values``, the self-attention, an
+    add-norm, the cross-attention, an add-norm, the feed-forward and an
+    add-norm."""
     s, k = past.steps, past.frame_ratio
     sp, cp = past.self_proj, past.cross_proj
     (g1, o1), (g2, o2), (g3, o3) = past.norms
-    write_row(past.keys, s, fhat, sp.wk)
-    write_row(past.values, s, fhat, sp.wv)
+    write_row(keys, s, fhat, sp.wk)
+    write_row(values, s, fhat, sp.wv)
     past.steps = s + 1
     attn, w_self = attention(
-        fhat, sp.wq, past.keys, past.values, sp.wo, past.bias[:, :, -(s + 1):],
+        fhat, sp.wq, keys, values, sp.wo, past.bias[:, :, -(s + 1):],
         past.heads, slice(0, s + 1),
     )
     x1 = add_norm(fhat, attn, g1, o1)
+    audio_k, audio_v = past.audio_kv
     cross, w_cross = attention(
-        x1, cp.wq, past.audio.k, past.audio.v, cp.wo, None, past.heads,
+        x1, cp.wq, audio_k, audio_v, cp.wo, None, past.heads,
         slice(k * s, k * (s + 1)),
     )
     x2 = add_norm(x1, cross, g2, o2)
     out = add_norm(x2, feed_forward(x2, *past.ff), g3, o3)
     return out, (w_self, w_cross)
+
+
+def composed_rollout(enc, identity, motion_len, params, cfg, capture=None) -> Var:
+    """``decoder.rollout`` with every step's input row, row writes and block
+    sub-layers recorded on their own (:func:`composed_embed_step`,
+    :func:`composed_decoder_layer`), over taped T x d key and value buffers,
+    and the hidden rows joined by :func:`concat_rows`. It builds its table
+    and caches with ``decoder.embed_table`` and ``decoder.layer_caches``."""
+    k = cfg.frame_ratio
+    motion_w, c = decoder.feedback_map(params)
+    table = decoder.embed_table(identity, c, motion_len, params, cfg)
+    caches = decoder.layer_caches(enc, motion_len, params, cfg)
+    buffers = [(Var(np.zeros(cache.keys.shape)), Var(np.zeros(cache.values.shape)))
+               for cache in caches]
+    maps = [
+        (np.zeros((cfg.heads, motion_len, motion_len)),
+         np.zeros((cfg.heads, motion_len, k * motion_len)))
+        for _ in caches
+    ]
+    hidden = []
+    for t in range(motion_len):
+        x = composed_embed_step(hidden[-1] if t else None, motion_w, table, t)
+        for layer, cache in enumerate(caches):
+            x, (w_self, w_cross) = composed_decoder_layer(x, cache, *buffers[layer])
+            maps[layer][0][:, t, : t + 1] = w_self[:, 0]
+            maps[layer][1][:, t, k * t : k * (t + 1)] = w_cross[:, 0]
+        hidden.append(x)
+    if capture is not None:
+        for layer, pair in enumerate(maps):
+            capture.extend(AttentionRecord(m, layer, motion_len - 1, w)
+                           for m, w in zip(("decoder.self", "decoder.cross"), pair))
+    return decoder.decode_motion(concat_rows(hidden), params)
 
 
 def header_padding(table_len: int) -> int:

@@ -9,6 +9,7 @@ from speechmotion import (
     mh_attention,
 )
 from speechmotion import autodiff as ad
+from speechmotion.attention import KeyValues
 from speechmotion.positional import BiasMatrix, alignment_bias
 
 from reference import attention_oracle, biased_attention, temporal_bias
@@ -69,13 +70,19 @@ def _proj(rng, d, heads=2):
     )
 
 
+def _kv(proj, x, heads):
+    """The keys and values of every row of x, as attention reads them."""
+    k, v = proj.keys_values(x)
+    return KeyValues.of(k.data, v.data, heads)
+
+
 class TestMhAttention:
     def test_single_head_equals_plain_attention(self, rng):
         d = 4
         proj = _proj(rng, d)
         x = rng.normal(size=(3, d))
         base = temporal_bias(3, 2, 1.0)
-        out, _, _ = mh_attention(Var(x), proj.keys_values(x), proj, 1, base.scaled(head_slopes(1)))
+        out, _, _ = mh_attention(Var(x), _kv(proj, x, 1), proj, 1, base.scaled(head_slopes(1)))
         q = x @ proj.wq.data
         k = x @ proj.wk.data
         v = x @ proj.wv.data
@@ -86,7 +93,7 @@ class TestMhAttention:
         d = 8
         x_q, x_kv = rng.normal(size=(5, d)), rng.normal(size=(7, d))
         proj = _proj(rng, d)
-        out, _, _ = mh_attention(Var(x_q), proj.keys_values(x_kv), proj, 2, None)
+        out, _, _ = mh_attention(Var(x_q), _kv(proj, x_kv, 2), proj, 2, None)
         assert out.shape == (5, d)
 
     def test_single_token_is_identity_weight_pass(self, rng):
@@ -97,7 +104,7 @@ class TestMhAttention:
         x = rng.normal(size=(1, d))
         bias = temporal_bias(1, 3, 1.0)
         out, weights, _ = mh_attention(
-            Var(x), proj.keys_values(x), proj, 2, bias.scaled(head_slopes(2))
+            Var(x), _kv(proj, x, 2), proj, 2, bias.scaled(head_slopes(2))
         )
         assert np.array_equal(weights, np.ones((2, 1, 1)))
         assert np.allclose(out, x @ proj.wv.data @ proj.wo.data, atol=1e-12)
@@ -109,7 +116,7 @@ class TestMhAttention:
         x = rng.normal(size=(t, d))
         base = temporal_bias(t, 3, 1.0)
         out, weights, _ = mh_attention(
-            Var(x), proj.keys_values(x), proj, heads, base.scaled(head_slopes(2))
+            Var(x), _kv(proj, x, heads), proj, heads, base.scaled(head_slopes(2))
         )
         q, k, v = x @ proj.wq.data, x @ proj.wk.data, x @ proj.wv.data
         dk = d // heads
@@ -129,7 +136,7 @@ class TestMhAttention:
         x_q = rng.normal(size=(t, d))
         x_kv = rng.normal(size=(2 * t, d))
         proj = _proj(rng, d)
-        _, weights, _ = mh_attention(Var(x_q), proj.keys_values(x_kv), proj, 2, bias)
+        _, weights, _ = mh_attention(Var(x_q), _kv(proj, x_kv, 2), proj, 2, bias)
         for w in weights:
             assert np.array_equal(w != 0.0, np.isfinite(bias.data))
 

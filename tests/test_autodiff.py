@@ -21,14 +21,15 @@ from speechmotion import (
     profile,
 )
 from speechmotion import autodiff as ad
+from speechmotion import decoder
 from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.training import rollout_loss
 
 from conftest import finite_diff, rel_err
 import reference
 from reference import (
-    add, add_norm, attention, feed_forward, gather_patches, layer_norm, mul, relu, softmax_rows,
-    sub, sum_all, temporal_bias, write_row,
+    add, add_norm, attention, concat_rows, feed_forward, gather_patches, layer_norm, mul, relu,
+    softmax_rows, sub, sum_all, temporal_bias, write_row,
 )
 
 
@@ -211,7 +212,7 @@ class TestAttention:
                     x, wq, audio_k, audio_v, wo, None, heads, slice(2 * i, 2 * i + 2)
                 )
                 outs += [own, window]
-            return sum_all(mul(ad.concat_rows(outs), readout))
+            return sum_all(mul(concat_rows(outs), readout))
 
         for var in (xs, audio, wq, wk, wv, wo):
             with Tape():
@@ -253,13 +254,12 @@ class TestAttention:
             write_row(buf, 0, rng.normal(size=(1, 2)), rng.normal(size=(2, 3)))
 
     def test_training_rollout_records(self, rng):
-        # a decoder step is one record for its input row and, per layer, one
-        # per key and value row write and one for the rest of the block:
-        # four per step at one layer, 80 of the 105. The other 25 are
-        # recorded once per rollout: the encoder, the feedback fold, the embed
-        # table, the audio keys and values, the head and the loss. Neither
-        # the resampling of the feature rows nor the frozen extractor is
-        # recorded, so a waveform adds no record
+        # the decoder's 20 steps are one record for the whole rollout: its
+        # input rows, key and value row writes and blocks. The other 24 are
+        # recorded once per rollout too: the encoder, the feedback fold, the
+        # embed table, the audio keys and values, the head and the loss.
+        # Neither the resampling of the feature rows nor the frozen extractor
+        # is recorded, so a waveform adds no record
         cfg = ModelConfig().validate()
         params, frames = init_params(cfg, seed=0), 20
         features = rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim))
@@ -270,7 +270,7 @@ class TestAttention:
             sample = TrainingSample(audio, rng.normal(size=(frames, cfg.motion_dim)), identity=0)
             with Tape() as tape:
                 rollout_loss(sample, params, cfg)
-                assert len(tape) == 105
+                assert len(tape) == 25
 
 
 class TestFusedRecords:
@@ -431,11 +431,46 @@ class TestProducts:
         assert np.signbit(gpre[pre <= 0]).any()
         assert dw1.tobytes() == (x.T @ gpre).tobytes()
         assert dw2.tobytes() == (hidden.T @ g).tobytes()
-        w, row = Var(w1), Var(b1)
-        for build in (lambda: ad.linear(x, w, b1), lambda: ad.take_row(row, 0, x, w)):
-            with Tape():
-                gw = grad(sum_all(mul(build(), gpre)), w)
-            assert gw.tobytes() == (x.T @ gpre).tobytes()
+        w = Var(w1)
+        with Tape():
+            gw = grad(sum_all(mul(ad.linear(x, w, b1), gpre)), w)
+        assert gw.tobytes() == (x.T @ gpre).tobytes()
+
+    def test_feedback_map_gradient_keeps_positive_zero(self, rng, monkeypatch):
+        # the rollout's gradient of the feedback map M adds h^T g for each
+        # fed-back hidden row h. With ln3's gain 0 and offset -0 on every
+        # fourth column, those entries of h are -0 where the normalized row
+        # is negative and +0 elsewhere, so their rows of h^T g are products
+        # of a zero, which BLAS gives as +0; a broadcast h.T * g would give
+        # -0 wherever the signs differ
+        cfg = ModelConfig().validate()
+        params = init_params(cfg, seed=0)
+        params["motion_dec.w"] = Var(rng.normal(size=(cfg.dim, cfg.motion_dim)) * 0.1)
+        zero = np.arange(0, cfg.dim, 4)
+        for name, value in (("gain", 0.0), ("offset", -0.0)):
+            data = params[f"dec.layer0.ln3.{name}"].data.copy()
+            data[:, zero] = value
+            params[f"dec.layer0.ln3.{name}"] = Var(data)
+        fold, bias = decoder.feedback_map(params)
+        params["motion_fold.M"], params["motion_fold.c"] = Var(fold.data), Var(bias.data)
+        seen = []
+        head = decoder.decode_motion
+
+        def spy(hidden, p):
+            seen.append(hidden.data)
+            return head(hidden, p)
+
+        monkeypatch.setattr(decoder, "decode_motion", spy)
+        features = rng.normal(size=(2 * cfg.frame_ratio, cfg.feature_dim))
+        audio = AudioInput.from_features(features, cfg.feature_rate)
+        sample = TrainingSample(audio, rng.normal(size=(2, cfg.motion_dim)), identity=0)
+        with Tape():
+            loss, _ = rollout_loss(sample, params, cfg)
+            gm = backward(loss, params)["motion_fold.M"]
+        (hidden,) = seen
+        assert np.signbit(hidden[0, zero]).any() and not hidden[:, zero].any()
+        assert gm[zero].tobytes() == np.zeros((zero.size, cfg.dim)).tobytes()
+        assert np.abs(np.delete(gm, zero, axis=0)).min() > 0
 
     def test_one_step_key_weight_gradient_is_positive_zero(self, rng):
         # a one-frame rollout's step attends to one key, whose row gets an
@@ -549,8 +584,8 @@ class TestStructuralOps:
         b = Var(rng.normal(size=(4, 3)))
 
         def build():
-            joined = ad.concat_rows([a, b])
-            piece = ad.concat_rows([ad.take_row(joined, i) for i in range(1, 5)])
+            joined = concat_rows([a, b])
+            piece = concat_rows([ad.take_row(joined, i) for i in range(1, 5)])
             return sum_all(mul(piece, piece))
 
         for var in (a, b):
@@ -686,7 +721,7 @@ class TestBackward:
                 attention(x, wq, k, v, wo, None, heads, slice(a, b))[0]
                 for a, b in ((1, 3), (2, 5), (6, 8))
             ]
-            total = ad.concat_rows([ad.concat_rows(outs[:2]), outs[2]])
+            total = concat_rows([concat_rows(outs[:2]), outs[2]])
             loss = sum_all(mul(total, np.concatenate([readout] * 3)))
             grads = self._same_as_reference(loss, {"x": x, "k": k, "v": v, "wq": wq})
         for name in ("k", "v"):

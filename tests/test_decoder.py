@@ -41,11 +41,12 @@ def live_params(tiny_params, rng):
     return params
 
 
-def _embed(prev, identity, t, params, cfg):
+def _embed(prev, identity, t, params, cfg, step=embed_step):
     """embed_step of a vertex-space frame: the motion encoder's weight, and a
-    table built with its bias."""
+    table built with its bias. The package's step is untaped: a taped loss
+    passes the reference's composed ``step``."""
     table = embed_table(identity, params["motion_enc.b"], t + 1, params, cfg)
-    return embed_step(prev, params["motion_enc.w"], table, t)
+    return step(prev, params["motion_enc.w"], table, t)
 
 
 class TestEmbedStep:
@@ -369,8 +370,9 @@ def _dense_rollout(enc, identity, motion_len, params, cfg, capture=None):
     encoder. With ``capture``, the last step's attention records are kept."""
     embeds, preds = [], []
     for t in range(motion_len):
-        embeds.append(_embed(preds[-1] if t else None, identity, t, params, cfg))
-        x = ad.concat_rows(embeds)
+        embeds.append(_embed(preds[-1] if t else None, identity, t, params, cfg,
+                             reference.composed_embed_step))
+        x = reference.concat_rows(embeds)
         for layer in range(cfg.decoder_layers):
             x, weights = dense_decoder_layer(x, enc, params, cfg, layer)
             if capture is not None and t == motion_len - 1:
@@ -379,7 +381,7 @@ def _dense_rollout(enc, identity, motion_len, params, cfg, capture=None):
                     for m, w in zip(("decoder.self", "decoder.cross"), weights)
                 )
         preds.append(ad.take_row(decode_motion(x, params), t))
-    return ad.concat_rows(preds)
+    return reference.concat_rows(preds)
 
 
 @pytest.fixture(params=["tb_ppe", "alibi", "original_pe"])
@@ -404,7 +406,7 @@ class TestPrefixCache:
                     decoder_layer(Var(rows[i : i + 1]), past)[0]
                     for i in range(s + t)
                 ]
-                new = ad.concat_rows(steps[s:])
+                new = reference.concat_rows(steps[s:])
                 assert np.abs(new.data - full.data[s : s + t]).max() <= 1e-12
 
     def test_rollout_matches_dense_reference(self, two_layer, rng):
@@ -459,21 +461,19 @@ class TestPrefixCache:
 
 
 class TestStepRecords:
-    """A decoder step is one input-row record and, per layer, two row
-    writes and one block record, with the bits, forward and backward, of
-    the composition in ``reference``: a row and a ``linear`` for the input
-    row, then per layer the writes, two attention, three add-norm and one
-    feed-forward records."""
+    """A rollout is one record, with the bits, forward and backward, of the
+    composition in ``reference``: per step a row and a ``linear`` for the
+    input row, then per layer two row writes, two attention, three add-norm
+    and one feed-forward records, and a row concatenation of the hidden
+    rows."""
 
     @staticmethod
     def _run(monkeypatch, composed, audio, motion, params, cfg, capture):
         """Prediction, captured records, the gradient of every parameter and
-        of every input the step records read, and the tape's length."""
-        seen = {"rows": []}
+        of every input of the rollout's record that is not one, the tape's
+        length and the decoder layer steps run."""
+        seen = {"layers": 0}
         with monkeypatch.context() as m:
-            if composed:
-                m.setattr(decoder, "embed_step", reference.composed_embed_step)
-                m.setattr(decoder, "decoder_layer", reference.composed_decoder_layer)
             table_of, caches_of, layer = (
                 decoder.embed_table, decoder.layer_caches, decoder.decoder_layer
             )
@@ -487,25 +487,23 @@ class TestStepRecords:
                 return seen["caches"]
 
             def layer_spy(fhat, past):
-                out = layer(fhat, past)
-                seen["rows"] += [fhat, out[0]]
-                return out
+                seen["layers"] += 1
+                return layer(fhat, past)
 
             m.setattr(decoder, "embed_table", table_spy)
             m.setattr(decoder, "layer_caches", caches_spy)
             m.setattr(decoder, "decoder_layer", layer_spy)
             records = [] if capture else None
+            run = reference.composed_rollout if composed else rollout
             with ad.Tape() as tape:
                 enc = encode(audio, motion.shape[0], params, cfg)
-                pred = rollout(enc, 0, motion.shape[0], params, cfg, capture=records)
+                pred = run(enc, 0, motion.shape[0], params, cfg, capture=records)
                 loss = ad.squared_error(pred, motion)
                 wrt = dict(params, a=enc.a, table=seen["table"])
                 for i, c in enumerate(seen["caches"]):
-                    wrt.update({f"{i}.keys": c.keys, f"{i}.values": c.values,
-                                f"{i}.audio_k": c.audio.k, f"{i}.audio_v": c.audio.v})
-                wrt.update((f"row{j}", v) for j, v in enumerate(seen["rows"]))
+                    wrt.update({f"{i}.audio_k": c.audio_kv[0], f"{i}.audio_v": c.audio_kv[1]})
                 grads = ad.backward(loss, wrt)
-                return pred.data, records, grads, len(tape)
+                return pred.data, records, grads, len(tape), seen["layers"]
 
     @pytest.mark.parametrize("capture", [False, True])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -520,7 +518,7 @@ class TestStepRecords:
         audio, motion = _audio(rng, rows=2 * frames), rng.normal(size=(frames, 9))
         fused = self._run(monkeypatch, False, audio, motion, params, cfg, capture)
         composed = self._run(monkeypatch, True, audio, motion, params, cfg, capture)
-        (pred, records, grads, n), (pred_c, records_c, grads_c, n_c) = fused, composed
+        (pred, records, grads, n, steps), (pred_c, records_c, grads_c, n_c, _) = fused, composed
         assert np.array_equal(pred, pred_c) and np.abs(np.diff(pred, axis=0)).max() > 0
         if capture:
             assert len(records) == len(records_c) == 2 * layers
@@ -530,6 +528,68 @@ class TestStepRecords:
         assert list(grads) == list(grads_c)
         for name in grads:
             assert grads[name].tobytes() == grads_c[name].tobytes(), name
-        # per step, one input-row record instead of two from step 1 on, and
-        # three records per layer instead of eight
-        assert n_c - n == (frames - 1) + 5 * layers * frames
+        # one record for the rollout instead of one input row from step 0
+        # and two from step 1 on, eight per layer and step, and the
+        # concatenation; the package still runs one layer step per layer
+        # and step
+        assert n_c - n == (2 * frames - 1) + 8 * layers * frames
+        assert steps == layers * frames
+
+
+class TestRolloutRecord:
+    @staticmethod
+    def _taped(cfg, params, frames, rng):
+        """The tape length of a rollout loss over ``frames`` steps."""
+        audio = _audio(rng, rows=cfg.frame_ratio * frames)
+        sample = training.TrainingSample(audio, rng.normal(size=(frames, 9)), identity=0)
+        with ad.Tape() as tape:
+            training.rollout_loss(sample, params, cfg)
+            return len(tape)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_tape_length_does_not_grow_with_steps(self, tiny_cfg, rng, layers):
+        cfg = dataclasses.replace(tiny_cfg, decoder_layers=layers).validate()
+        params = init_params(cfg, seed=0)
+        lengths = {self._taped(cfg, params, frames, rng) for frames in (1, 5, 20)}
+        assert len(lengths) == 1
+
+    def test_two_backward_passes_are_equal_and_independent(self, two_layer, rng):
+        cfg, params = two_layer
+        enc = encode(_audio(rng, rows=12), 6, params, cfg)
+        with ad.Tape() as tape:
+            pred = rollout(enc, 1, 6, params, cfg)
+            loss = ad.squared_error(pred, rng.normal(size=(6, 9)))
+            first, second = ad.backward(loss, params), ad.backward(loss, params)
+            assert first.flat.tobytes() == second.flat.tobytes()
+            before = second.flat.tobytes()
+            first.flat[...] = 7.0
+            assert second.flat.tobytes() == before
+            # the rollout's record, whose output is the head's input
+            (hidden,) = [inputs[0] for out, inputs, _ in tape._records if out is pred]
+            (vjp,) = [v for out, _, v in tape._records if out is hidden]
+            g = rng.normal(size=(6, cfg.dim))
+            once = vjp(g)
+            kept = [None if a is None else a.tobytes() for a in once]
+            for a in vjp(g):
+                if a is not None:
+                    a[...] = 7.0
+            assert [None if a is None else a.tobytes() for a in once] == kept
+            assert [None if a is None else a.tobytes() for a in vjp(g)] == kept
+            assert ad.backward(loss, params).flat.tobytes() == second.flat.tobytes()
+
+    def test_untaped_rollout_keeps_no_step_state(self, two_layer, rng, monkeypatch):
+        cfg, params = two_layer
+        caches = []
+        caches_of = decoder.layer_caches
+
+        def spy(*args):
+            caches.extend(caches_of(*args))
+            return caches[-cfg.decoder_layers:]
+
+        monkeypatch.setattr(decoder, "layer_caches", spy)
+        enc = encode(_audio(rng, rows=12), 6, params, cfg)
+        rollout(enc, 1, 6, params, cfg)
+        assert len(caches) == 2 and all(c.steps == 6 and not c.saved for c in caches)
+        with ad.Tape():
+            rollout(enc, 1, 6, params, cfg)
+        assert [len(c.saved) for c in caches[2:]] == [6, 6]
