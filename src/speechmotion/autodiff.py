@@ -7,6 +7,11 @@ replaying it in reverse and accumulating adjoints in that fixed order yields
 gradients that are bitwise reproducible for identical tapes. Outside a tape
 the same functions just compute values, which is what inference uses.
 
+Every VJP has one form: for each input, None or an array of exactly that
+input's shape. :func:`backward` keeps an input's first array and adds each
+later one into a new array; the only array it writes in place is the flat
+vector of parameter gradients.
+
 Most records are one layer's worth of work, with the bits of the elementary
 composition they replace: ``linear``, ``conv1d_strided`` (patch gather,
 linear, rectifier) and ``squared_error`` (subtraction, product and sum: the
@@ -29,7 +34,9 @@ encoder records each pair as one record with :func:`fused`. A whole decoder
 rollout is one record (see ``decoder.rollout``): its T steps run the six
 pairs of each layer's block on arrays, and its VJP walks the steps and
 layers in reverse, replaying the pairs' VJPs and adding each gradient
-contribution in the order :func:`backward` would.
+contribution in the order :func:`backward` would. ``attention_vjp`` gives
+the keys and values the gradients of the rows they read; the rollout adds a
+step's into its row range of zero-started buffers.
 
 The records' 2-D products call ``np.dot``, not ``@``: both reach the same
 BLAS routine and give the same bits, but ``@`` first dispatches through the
@@ -160,7 +167,7 @@ def _as_var(x) -> Var:
 def record(out: Var, inputs: tuple[Var, ...], vjp) -> Var:
     """Append the record ``(out, inputs, vjp)`` to the active tape, if any,
     and return ``out``. ``vjp(g)`` maps the gradient of ``out`` to one entry
-    per input (see :func:`backward`)."""
+    per input: None or an array of that input's shape."""
     tape = _active_tape()
     if tape is not None:
         out.tape = tape
@@ -217,16 +224,14 @@ def backward(loss: Var, params: Mapping[str, Var]) -> Gradients:
     Parameters not reachable from ``loss`` get zero gradients. Two calls on
     the same tape produce bitwise-identical results.
 
-    A VJP gives each input None (no gradient), an array, or ``(rows,
-    array)``: the gradient of the row slice ``rows`` of that input, zero
-    elsewhere. The pass keeps an input's first whole array as it is, since
-    other records may hold it; a second is added into a buffer the pass
-    owns, and later ones and every row range are added to that buffer in
-    place. A parameter's buffer is its view of the result. ``acc +
-    contrib`` and ``acc += contrib`` have the same bits, so the gradients
-    are those of adding widened copies, up to the sign of an exact zero
-    outside the rows read. A record may return its incoming gradient only if
-    no other record has the same output.
+    A VJP gives each input None (no gradient) or an array of exactly that
+    input's shape. The pass keeps an input's first array as it is and adds
+    each later one with ``acc + contrib``, into a new array, so it never
+    writes an array that a record returned or holds. The one exception is a
+    parameter: its first array is copied into its view of the result and
+    later ones are added to the view in place, with the same bits. A record
+    reads the view only once every contribution is in, so that is safe
+    unless two records output the parameter (the model's are leaves).
     """
     if loss.data.shape != (1, 1):
         raise GradientError(f"loss must be a 1x1 scalar, got shape {loss.data.shape}")
@@ -236,11 +241,10 @@ def backward(loss: Var, params: Mapping[str, Var]) -> Gradients:
         raise GradientError("the tape of loss has ended; call backward inside its block")
     shapes = {name: v.shape for name, v in params.items()}
     result = Gradients.views(np.zeros(sum(r * c for r, c in shapes.values())), shapes)
-    unset: dict[int, Array] = {}  # parameter views no contribution has reached
+    views: dict[int, Array] = {}
     for name, v in params.items():
-        unset.setdefault(id(v), result[name])
+        views.setdefault(id(v), result[name])
     grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    owned: set[int] = set()
     for out, inputs, vjp in reversed(loss.tape._records):
         g = grads.get(id(out))
         if g is None:
@@ -248,32 +252,17 @@ def backward(loss: Var, params: Mapping[str, Var]) -> Gradients:
         for inp, contrib in zip(inputs, vjp(g)):
             if contrib is None:
                 continue
-            rows = ...
-            if type(contrib) is tuple:
-                rows, contrib = contrib
             key = id(inp)
-            acc = grads.get(key)
-            if key in owned:
-                if rows is ...:
-                    acc += contrib
-                else:
-                    acc[rows] += contrib
-                continue
+            acc, view = grads.get(key), views.get(key)
             if acc is None:
-                acc = unset.pop(key, None)
-                if acc is None:
-                    if rows is ...:
-                        grads[key] = contrib
-                        continue
-                    acc = np.zeros(inp.data.shape)
-                acc[rows] = contrib
-            elif rows is ...:
-                acc = acc + contrib
+                if view is not None:
+                    np.copyto(view, contrib)
+                    contrib = view
+                grads[key] = contrib
+            elif view is not None:
+                view += contrib
             else:
-                acc = acc.copy()
-                acc[rows] += contrib
-            grads[key] = acc
-            owned.add(key)
+                grads[key] = acc + contrib
     for name, v in params.items():
         g = grads.get(id(v))
         if g is not None and g is not result[name]:
@@ -449,7 +438,6 @@ def attention_heads_fwd(
 ) -> tuple[Array, Array, tuple]:
     """:func:`attention_fwd` on the :func:`head_views` of k and v, which a
     caller that attends to rows of the same keys many times builds once."""
-    k_rows = kt.shape[2]
     kt, vh = kt[:, :, keys], vh[:, keys]
     heads, d_k, s = kt.shape
     qh = _split(np.dot(xd, wqd), heads)
@@ -460,21 +448,22 @@ def attention_heads_fwd(
         w += bias
     _softmax_last(w)
     heads_out = _merge(w @ vh)
-    return np.dot(heads_out, wod), w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out, s == k_rows, keys)
+    return np.dot(heads_out, wod), w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out)
 
 
-def attention_vjp(saved: tuple, g: Array) -> tuple:
+def attention_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:
     """The gradients of the inputs of :func:`attention_fwd` (x, wq, k, v,
     wo), from what it saved and the output's gradient g. k and v get the
-    gradient of the rows read, as ``(keys, array)`` (see :func:`backward`),
-    unless those are all their rows.
+    gradients of the s rows read (``keys``), s x d_k and s x d_v: all of k
+    and v only if the keys are all their rows. A caller that reads a row
+    range of longer arrays, as a decoder step does, adds them into it.
 
     This is the standard softmax-attention VJP between the projections'
     own: with the heads' output O and dO = g wo^T, dV = W^T dO,
     dW = dO V^T, dS = W * (dW - rowsum(dW * W)), dQ = dS K / sqrt(d_k) and
     dK = dS^T Q / sqrt(d_k); then dx = dQ wq^T, dwq = x^T dQ and
     dwo = O^T g."""
-    xd, wqd, qh, kt, vh, wod, c, w, heads_out, whole, keys = saved
+    xd, wqd, qh, kt, vh, wod, c, w, heads_out = saved
     gh = _split(np.dot(g, wod.T), w.shape[0])
     ds = gh @ vh.transpose(0, 2, 1)
     ds -= (ds * w).sum(axis=2, keepdims=True)
@@ -483,13 +472,7 @@ def attention_vjp(saved: tuple, g: Array) -> tuple:
     dq = _merge(ds @ kt.transpose(0, 2, 1))
     dk = _merge(ds.transpose(0, 2, 1) @ qh)
     dv = _merge(w.transpose(0, 2, 1) @ gh)
-    return (
-        np.dot(dq, wqd.T),
-        np.dot(xd.T, dq),
-        dk if whole else (keys, dk),
-        dv if whole else (keys, dv),
-        np.dot(heads_out.T, g),
-    )
+    return np.dot(dq, wqd.T), np.dot(xd.T, dq), dk, dv, np.dot(heads_out.T, g)
 
 
 def _row_mean(x: Array) -> Array:
@@ -590,10 +573,15 @@ def squared_error(pred, truth) -> Var:
 
 
 def take_row(x, i: int) -> Var:
-    """Row i of x, as a 1 x C copy. Its VJP gives x the gradient of row i
-    only."""
+    """Row i of x, as a 1 x C copy. Its VJP scatters the row's gradient
+    into zeros of x's shape."""
     x = _as_var(x)
     if not 0 <= i < x.rows:
         raise ShapeError(f"row {i} out of range for {x.shape}")
-    rows = slice(i, i + 1)
-    return _make(x.data[rows].copy(), (x,), lambda g: ((rows, g),))
+
+    def vjp(g: Array):
+        gx = np.zeros(x.data.shape)
+        gx[i] = g[0]
+        return (gx,)
+
+    return _make(x.data[i : i + 1].copy(), (x,), vjp)

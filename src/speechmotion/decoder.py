@@ -210,26 +210,14 @@ def decoder_layer(fhat: Var, past: LayerCache) -> tuple[Var, tuple[np.ndarray, n
     return ad.leaf(out), (w_self, w_cross)
 
 
-def _add_rows(buf: np.ndarray, rows: slice, contrib, first: bool) -> None:
-    """Add an attention VJP's key or value gradient, ``(rows, array)`` or
-    the whole array, into ``rows`` of ``buf``: assigned if it is the
-    buffer's ``first``, as :func:`autodiff.backward` assigns a buffer's
-    first row range into zeros."""
-    part = contrib[1] if type(contrib) is tuple else contrib
-    if first:
-        buf[rows] = part
-    else:
-        buf[rows] += part
-
-
 def _step_vjp(c: LayerCache, t: int, g: np.ndarray, own: tuple[np.ndarray, np.ndarray]):
     """Step t's VJP of layer ``c``: of its block, then of its value and key
     row writes, which is the reverse of their order in the step. Returns
     the gradient of the step's input row, those of the layer's weights in
     :meth:`LayerCache.inputs` order, and those of its audio window's keys
     and values. ``own`` are the T x d gradients of the key and value
-    buffers: step t's attention gives rows [0, t], which are assigned at the
-    last step and added after it, and the writes read row t.
+    buffers: step t's attention adds into rows [0, t], and the writes read
+    row t.
     """
     x, at_self, at1, at_cross, at2, at_ff, at3 = c.saved[t]
     term3, dff, dg3, do3 = ad.add_norm_vjp(at3, g)
@@ -239,9 +227,8 @@ def _step_vjp(c: LayerCache, t: int, g: np.ndarray, own: tuple[np.ndarray, np.nd
     term1, dattn, dg1, do1 = ad.add_norm_vjp(at1, term2 + dx1)
     dx, dwq_s, dk_s, dv_s, dwo_s = ad.attention_vjp(at_self, dattn)
     gk, gv = own
-    last = t == gk.shape[0] - 1
-    _add_rows(gk, slice(0, t + 1), dk_s, last)
-    _add_rows(gv, slice(0, t + 1), dv_s, last)
+    gk[: t + 1] += dk_s
+    gv[: t + 1] += dv_s
     sp, row = c.self_proj, slice(t, t + 1)
     dx = term1 + dx
     dx += np.dot(gv[row], sp.wv.data.T)
@@ -256,17 +243,19 @@ def _rollout_vjp(caches: list[LayerCache], motion_w: np.ndarray, hidden: np.ndar
     and in each, layers L - 1 to 0, every gradient with the bits that
     :func:`autodiff.backward` gave it when each step input row, row write
     and block was a record of its own. Each input's contributions are added
-    in that reverse order, the first kept as it is; a buffer's first row
-    range is assigned into zeros and later ones are added. So hidden row t
-    gets ``g[t] + dprev`` from the step t + 1 that read it, and row t of the
+    in that reverse order, the first kept as it is. So hidden row t gets
+    ``g[t] + dprev`` from the step t + 1 that read it, and row t of the
     table gets step t's input-row gradient plus +0, once it has more than
-    one row. Every accumulator is allocated here, so two calls give equal,
+    one row. The key, value and audio window gradients are added into
+    buffers that start at zero, so an exact zero among them may be +0 where
+    the separate records gave -0; only BLAS products, which sum from +0,
+    read them. Every accumulator is allocated here, so two calls give equal,
     independent results.
     """
     steps, k = g.shape[0], caches[0].frame_ratio
     grads: list = [None] * len(caches)
     audio = [tuple(np.zeros(kv.shape) for kv in c.audio_kv) for c in caches]
-    own = [(np.empty(c.keys.shape), np.empty(c.values.shape)) for c in caches]
+    own = [(np.zeros(c.keys.shape), np.zeros(c.values.shape)) for c in caches]
     dtable = np.empty((steps, g.shape[1]))
     dmotion = dprev = None
     for t in reversed(range(steps)):
@@ -280,7 +269,7 @@ def _rollout_vjp(caches: list[LayerCache], motion_w: np.ndarray, hidden: np.ndar
                 for acc, contrib in zip(grads[layer], weights):
                     acc += contrib
             for buf, contrib in zip(audio[layer], cross):
-                _add_rows(buf, window, contrib, first)
+                buf[window] += contrib
         if steps == 1:
             dtable[:] = gx
         else:

@@ -12,14 +12,16 @@ match bit for bit; the tests also build their losses from them. The layer
 norm is written with ``np.mean`` and ``np.sqrt`` and shares no code with
 the package. ``attention``, ``add_norm`` and ``feed_forward`` record the
 package's forward/VJP pairs of those sub-layers as one record each, as the
-encoder does. The composed rollout, a row and a ``linear`` for each step's
-input row, then per layer a row write record per projection and one such
-record per attention, add-norm and feed-forward, and a row concatenation
-of the hidden rows, is the composition that the package's one-record
-rollout must match bit for bit.
-The reverse pass and the optimizer are the package's earlier ones: every
-gradient widened to its whole input and added into a new array, and
-clipping and Adam run parameter by parameter into new arrays; the
+encoder does; ``attention`` widens the gradients of the key and value rows
+it read into zeros of the whole keys' and values' shapes. The composed
+rollout, a row and a ``linear`` for each step's input row, then per layer
+a row write record per projection and one such record per attention,
+add-norm and feed-forward, and a row concatenation of the hidden rows, is
+the composition that the package's one-record rollout must match bit for
+bit.
+The reverse pass and the optimizer are the package's earlier ones: each
+input's first gradient kept and every later one added into a new array,
+and clipping and Adam run parameter by parameter into new arrays; the
 package's must match them bit for bit.
 The checkpoint helpers pack and parse version 3 files field by field from
 the format description; they also pack the retired version 1 and 2
@@ -150,9 +152,25 @@ def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
 def attention(x, wq, k, v, wo, bias, heads: int, keys: slice = slice(None)):
     """The package's attention pair (``attention_fwd``/``attention_vjp``) as
     one record on the active tape; returns the output and the heads'
-    weights."""
+    weights. When ``keys`` are fewer rows than k and v hold, the gradients
+    of the rows read are widened into zeros of k's and v's shapes."""
     inputs = tuple(ad._as_var(a) for a in (x, wq, k, v, wo))
-    return ad.fused(ad.attention_fwd, ad.attention_vjp, inputs, bias, heads, keys)
+    rows = inputs[2].rows
+
+    def vjp(saved, g):
+        dx, dwq, dk, dv, dwo = ad.attention_vjp(saved, g)
+        if dk.shape[0] < rows:
+            dk, dv = (_widen(d, rows, keys) for d in (dk, dv))
+        return dx, dwq, dk, dv, dwo
+
+    return ad.fused(ad.attention_fwd, vjp, inputs, bias, heads, keys)
+
+
+def _widen(part: np.ndarray, rows: int, at: slice) -> np.ndarray:
+    """``part`` in rows ``at`` of zeros with ``rows`` rows."""
+    whole = np.zeros((rows, part.shape[1]))
+    whole[at] = part
+    return whole
 
 
 def add_norm(a, b, gain, offset) -> Var:
@@ -169,8 +187,8 @@ def feed_forward(x, w1, b1, w2, b2) -> Var:
 
 def backward(loss: Var, params) -> dict:
     """Gradients of a scalar taped value for every named parameter: each
-    VJP output widened to the whole of its input (zeros outside a returned
-    row range) and added with ``acc + contrib``, a new array each time."""
+    input's first VJP output kept, and each later one added with ``acc +
+    contrib``, a new array each time."""
     grads = {id(loss): np.ones((1, 1))}
     for out, inputs, vjp in reversed(loss.tape._records):
         g = grads.get(id(out))
@@ -179,10 +197,6 @@ def backward(loss: Var, params) -> dict:
         for inp, contrib in zip(inputs, vjp(g)):
             if contrib is None:
                 continue
-            if isinstance(contrib, tuple):
-                rows, part = contrib
-                contrib = np.zeros(inp.data.shape)
-                contrib[rows] = part
             acc = grads.get(id(inp))
             grads[id(inp)] = contrib if acc is None else acc + contrib
     return {

@@ -710,6 +710,42 @@ class TestBackward:
             )
         assert all(grads[name].any() for name in ("x", "y", "w", "gain"))
 
+    def test_record_returning_its_gradient_shares_no_sum(self, rng):
+        # a second record of a returns a's gradient to x2 as it is, while s's
+        # contribution to a is still to come: adding that into a's array in
+        # place would change x2's gradient too, and so those of p and w2
+        p, w2, x, w = (Var(rng.normal(size=(3, 3))) for _ in range(4))
+        r0, r1, r2 = (rng.normal(size=(3, 3)) for _ in range(3))
+        with Tape():
+            x2 = ad.matmul(p, w2)
+            a = ad.matmul(x, w)
+            s = mul(a, r0)
+            ad.record(a, (x2,), lambda g: (g,))
+            loss = sum_all(add(add(mul(a, r1), mul(a, r2)), s))
+            grads = self._same_as_reference(loss, {"p": p, "w2": w2, "x": x, "w": w})
+        assert all(g.any() for g in grads.values())
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("kind", ["features", "waveform"])
+    def test_every_vjp_gives_none_or_an_array_of_its_input_shape(self, rng, layers, kind):
+        cfg = ModelConfig(decoder_layers=layers).validate()
+        params, frames = init_params(cfg, seed=0), 6
+        if kind == "features":
+            features = rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim))
+            audio = AudioInput.from_features(features, cfg.feature_rate)
+        else:
+            audio = AudioInput.from_waveform(rng.normal(size=3840) * 0.3, 16000.0)
+        sample = TrainingSample(audio, rng.normal(size=(frames, cfg.motion_dim)), identity=1)
+        with Tape() as tape:
+            rollout_loss(sample, params, cfg)
+            for out, inputs, vjp in tape._records:
+                contribs = vjp(rng.normal(size=out.shape))
+                assert len(contribs) == len(inputs)
+                for inp, contrib in zip(inputs, contribs):
+                    assert contrib is None or (
+                        type(contrib) is np.ndarray and contrib.shape == inp.shape
+                    ), (vjp, inp.shape)
+
     def test_buffer_rows_no_window_reads(self, rng):
         # attention windows [1, 3), [2, 5) and [6, 8) of a 9-row buffer
         # leave rows 0, 5 and 8 unread, and the first two overlap
@@ -727,6 +763,12 @@ class TestBackward:
         for name in ("k", "v"):
             assert not grads[name][[0, 5, 8]].any()
             assert np.abs(grads[name][[1, 2, 3, 4, 6, 7]]).min() > 0
+        # the package's VJP gives the gradients of the rows read, which the
+        # reference's attention record widens
+        x, wq, k, v, wo = (a.data for a in _attention_inputs(rng, heads, 2, 9))
+        _, _, saved = ad.attention_fwd(x, wq, k, v, wo, None, heads, slice(2, 5))
+        dk, dv = ad.attention_vjp(saved, rng.normal(size=(2, 5)))[2:4]
+        assert dk.shape == (3, heads * 3) and dv.shape == (3, heads * 2)
 
     def test_no_tape_means_plain_computation(self, rng):
         out = ad.matmul(rng.normal(size=(2, 3)), rng.normal(size=(3, 2)))
