@@ -27,16 +27,16 @@ projection), ``add_norm_fwd``/``add_norm_vjp`` (residual add + layer norm)
 and ``feed_forward_fwd``/``feed_forward_vjp`` (linear, rectifier, linear).
 Each forward pass returns its output and what its VJP reads, and records
 nothing; ``attention_fwd`` also returns its heads' weights, which attention
-export copies out, and ``attention_heads_fwd`` is the same pass on keys and
-values already split into heads (:func:`head_views`). Shapes are checked
-once per pass over the model, not here (see ``params.check_shapes``). The
-encoder records each pair as one record with :func:`fused`. A whole decoder
-rollout is one record (see ``decoder.rollout``): its T steps run the six
-pairs of each layer's block on arrays, and its VJP walks the steps and
-layers in reverse, replaying the pairs' VJPs and adding each gradient
-contribution in the order :func:`backward` would. ``attention_vjp`` gives
-the keys and values the gradients of the rows they read; the rollout adds a
-step's into its row range of zero-started buffers.
+export copies out. It is the one attention kernel: it reads every row of
+keys and values already split into heads (:func:`head_views`), so a caller
+that reads a row range slices the views first. Shapes are checked once per
+pass over the model, not here (see ``params.check_shapes``). The encoder
+records each pair as one record with :func:`fused`. A whole decoder rollout
+is one record (see ``decoder.rollout``): its T steps run the six pairs of
+each layer's block on arrays, and its VJP walks the steps and layers in
+reverse, replaying the pairs' VJPs and adding each gradient contribution in
+the order :func:`backward` would, a step's key and value gradients into its
+row range of zero-started buffers.
 
 The records' 2-D products call ``np.dot``, not ``@``: both reach the same
 BLAS routine and give the same bits, but ``@`` first dispatches through the
@@ -409,13 +409,13 @@ def _merge(a: Array) -> Array:
 def head_views(kd: Array, vd: Array, heads: int) -> tuple[Array, Array]:
     """Views of keys k and values v (n rows each) split into heads: heads x
     d_k x n keys (k transposed) and heads x n x d_v values. Head h holds
-    column block h. Rows [a, b) of either are the views of rows [a, b) of k
-    and v, with the same data pointer and strides."""
+    column block h. ``kt[:, :, a:b]`` and ``vh[:, a:b]`` are the views of
+    rows [a, b) of k and v, with the same data pointer and strides."""
     return kd.reshape(kd.shape[0], heads, -1).transpose(1, 2, 0), _split(vd, heads)
 
 
 def attention_fwd(
-    xd: Array, wqd: Array, kd: Array, vd: Array, wod: Array, bias, heads: int, keys: slice
+    xd: Array, wqd: Array, kt: Array, vh: Array, wod: Array, bias
 ) -> tuple[Array, Array, tuple]:
     """Multi-head attention from the rows of x on arrays of checked shapes,
     unrecorded: the query projection q = x wq, softmax(q k^T / sqrt(d_k) +
@@ -423,23 +423,15 @@ def attention_fwd(
     side by side. Its bits are those of ``matmul(x, wq)``, this attention
     with identity projections, and ``matmul(., wo)``.
 
-    The keys and values are rows ``keys`` (a step-1 slice) of k and v, s of
-    them. Head h reads column block h of q and k (width d_k) and of v
-    (width d_v). ``bias`` is None, a t x s array shared by every head, or a
-    heads x t x s stack; its ``-inf`` entries get exactly zero weight, and a
-    row with no finite entry raises :class:`DegenerateRowError`. Returns the
-    output, the heads x t x s weights W and what :func:`attention_vjp`
-    reads; do not modify W, which the VJP reads too."""
-    return attention_heads_fwd(xd, wqd, *head_views(kd, vd, heads), wod, bias, keys)
-
-
-def attention_heads_fwd(
-    xd: Array, wqd: Array, kt: Array, vh: Array, wod: Array, bias, keys: slice
-) -> tuple[Array, Array, tuple]:
-    """:func:`attention_fwd` on the :func:`head_views` of k and v, which a
-    caller that attends to rows of the same keys many times builds once."""
-    kt, vh = kt[:, :, keys], vh[:, keys]
-    heads, d_k, s = kt.shape
+    The keys and values are the :func:`head_views` kt (heads x d_k x s) and
+    vh (heads x s x d_v), and every one of their s rows is read; the head
+    count is ``kt.shape[0]``. Head h reads column block h of q. ``bias`` is
+    None, a t x s array shared by every head, or a heads x t x s stack; its
+    ``-inf`` entries get exactly zero weight, and a row with no finite entry
+    raises :class:`DegenerateRowError`. Returns the output, the heads x t x
+    s weights W and what :func:`attention_vjp` reads; do not modify W, which
+    the VJP reads too."""
+    heads, d_k, _ = kt.shape
     qh = _split(np.dot(xd, wqd), heads)
     c = 1.0 / math.sqrt(d_k)
     w = qh @ kt
@@ -452,11 +444,11 @@ def attention_heads_fwd(
 
 
 def attention_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:
-    """The gradients of the inputs of :func:`attention_fwd` (x, wq, k, v,
-    wo), from what it saved and the output's gradient g. k and v get the
-    gradients of the s rows read (``keys``), s x d_k and s x d_v: all of k
-    and v only if the keys are all their rows. A caller that reads a row
-    range of longer arrays, as a decoder step does, adds them into it.
+    """The gradients of x, wq, the keys k, the values v and wo of
+    :func:`attention_fwd`, from what it saved and the output's gradient g.
+    k and v get s x d_k and s x d_v matrices, the heads side by side: the
+    gradients of the s rows it was given. A caller that sliced its views
+    from rows [a, b) of longer arrays adds them into those rows.
 
     This is the standard softmax-attention VJP between the projections'
     own: with the heads' output O and dO = g wo^T, dV = W^T dO,

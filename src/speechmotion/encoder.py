@@ -145,9 +145,11 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
     k, v = proj.keys_values(x)
-    attn, weights = ad.fused(ad.attention_fwd, ad.attention_vjp,
-                             (x, proj.wq, k, v, proj.wo), None, cfg.encoder_heads,
-                             slice(None))
+    heads = cfg.encoder_heads
+    attn, weights = ad.fused(
+        lambda xd, wqd, kd, vd, wod: ad.attention_fwd(
+            xd, wqd, *ad.head_views(kd, vd, heads), wod, None),
+        ad.attention_vjp, (x, proj.wq, k, v, proj.wo))
     if capture is not None:
         capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
     (x,) = ad.fused(ad.add_norm_fwd, ad.add_norm_vjp,

@@ -127,12 +127,18 @@ def check_shapes(params: Params, cfg: ModelConfig, prefix: str) -> None:
     """Check every parameter whose name starts with ``prefix`` against its
     :func:`param_shapes` shape; a ShapeError names the first that differs.
     The layers that read them check none of these shapes."""
-    for name, shape in _shape_table(cfg):
-        if name.startswith(prefix) and params[name].shape != shape:
+    for name, shape in _prefix_table(cfg, prefix):
+        if params[name].shape != shape:
             raise ShapeError(
                 f"parameter {name} has shape {params[name].shape}, "
                 f"but the configuration needs {shape}"
             )
+
+
+@functools.lru_cache(maxsize=32)
+def _prefix_table(cfg: ModelConfig, prefix: str) -> tuple[tuple[str, tuple[int, int]], ...]:
+    """The pairs of :func:`_shape_table` whose names start with ``prefix``."""
+    return tuple(pair for pair in _shape_table(cfg) if pair[0].startswith(prefix))
 
 
 def validate_shapes(params: Params, expected: dict[str, tuple[int, int]]) -> None:

@@ -12,13 +12,14 @@ match bit for bit; the tests also build their losses from them. The layer
 norm is written with ``np.mean`` and ``np.sqrt`` and shares no code with
 the package. ``attention``, ``add_norm`` and ``feed_forward`` record the
 package's forward/VJP pairs of those sub-layers as one record each, as the
-encoder does; ``attention`` widens the gradients of the key and value rows
-it read into zeros of the whole keys' and values' shapes. The composed
+encoder does; ``attention`` reads every row of its keys and values, so
+for a row range it first takes those rows with a ``take_rows`` record per
+array, whose VJP scatters the rows' gradient into zeros. The composed
 rollout, a row and a ``linear`` for each step's input row, then per layer
-a row write record per projection and one such record per attention,
-add-norm and feed-forward, and a row concatenation of the hidden rows, is
-the composition that the package's one-record rollout must match bit for
-bit.
+a row write record per projection, a ``take_rows`` record per attention
+input it slices and one record per attention, add-norm and feed-forward,
+and a row concatenation of the hidden rows, is the composition that the
+package's one-record rollout must match bit for bit.
 The reverse pass and the optimizer are the package's earlier ones: each
 input's first gradient kept and every later one added into a new array,
 and clipping and Adam run parameter by parameter into new arrays; the
@@ -149,28 +150,33 @@ def layer_norm(a, gain, offset, eps: float = 1e-5) -> Var:
     return ad._make(xhat * gd + offset.data, (a, gain, offset), vjp)
 
 
-def attention(x, wq, k, v, wo, bias, heads: int, keys: slice = slice(None)):
+def take_rows(x, rows: slice) -> Var:
+    """Rows ``rows`` (a step-1 slice) of x, as a view, recorded on the active
+    tape: its VJP scatters their gradient into zeros of x's shape."""
+    x = ad._as_var(x)
+    shape = x.shape
+
+    def vjp(g):
+        gx = np.zeros(shape)
+        gx[rows] = g
+        return (gx,)
+
+    return ad._make(x.data[rows], (x,), vjp)
+
+
+def attention(x, wq, k, v, wo, bias, heads: int, keys: slice | None = None):
     """The package's attention pair (``attention_fwd``/``attention_vjp``) as
-    one record on the active tape; returns the output and the heads'
-    weights. When ``keys`` are fewer rows than k and v hold, the gradients
-    of the rows read are widened into zeros of k's and v's shapes."""
+    one record on the active tape, over every row of k and v split into
+    heads; returns the output and the heads' weights. With ``keys``, k and v
+    are first cut to those rows by two :func:`take_rows` records."""
+    if keys is not None:
+        k, v = take_rows(k, keys), take_rows(v, keys)
     inputs = tuple(ad._as_var(a) for a in (x, wq, k, v, wo))
-    rows = inputs[2].rows
 
-    def vjp(saved, g):
-        dx, dwq, dk, dv, dwo = ad.attention_vjp(saved, g)
-        if dk.shape[0] < rows:
-            dk, dv = (_widen(d, rows, keys) for d in (dk, dv))
-        return dx, dwq, dk, dv, dwo
+    def fwd(xd, wqd, kd, vd, wod):
+        return ad.attention_fwd(xd, wqd, *ad.head_views(kd, vd, heads), wod, bias)
 
-    return ad.fused(ad.attention_fwd, vjp, inputs, bias, heads, keys)
-
-
-def _widen(part: np.ndarray, rows: int, at: slice) -> np.ndarray:
-    """``part`` in rows ``at`` of zeros with ``rows`` rows."""
-    whole = np.zeros((rows, part.shape[1]))
-    whole[at] = part
-    return whole
+    return ad.fused(fwd, ad.attention_vjp, inputs)
 
 
 def add_norm(a, b, gain, offset) -> Var:
@@ -405,9 +411,10 @@ def composed_embed_step(prev, motion_w, table, t: int) -> Var:
 
 
 def composed_decoder_layer(fhat, past, keys: Var, values: Var):
-    """``decoder.decoder_layer`` as eight records: the two row writes into
-    the taped buffers ``keys`` and ``values``, the self-attention, an
-    add-norm, the cross-attention, an add-norm, the feed-forward and an
+    """``decoder.decoder_layer`` as twelve records: the two row writes into
+    the taped buffers ``keys`` and ``values``, the rows of those buffers
+    read, the self-attention, an add-norm, the audio window's key and value
+    rows, the cross-attention, an add-norm, the feed-forward and an
     add-norm."""
     s, k = past.steps, past.frame_ratio
     sp, cp = past.self_proj, past.cross_proj

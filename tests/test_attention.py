@@ -3,13 +3,16 @@ import pytest
 
 from speechmotion import (
     AttentionProjections,
+    AudioInput,
     DegenerateRowError,
     Var,
+    encode,
     head_slopes,
     mh_attention,
 )
 from speechmotion import autodiff as ad
 from speechmotion.attention import KeyValues
+from speechmotion.decoder import layer_caches
 from speechmotion.positional import BiasMatrix, alignment_bias
 
 from reference import attention_oracle, biased_attention, temporal_bias
@@ -139,6 +142,33 @@ class TestMhAttention:
         _, weights, _ = mh_attention(Var(x_q), _kv(proj, x_kv, 2), proj, 2, bias)
         for w in weights:
             assert np.array_equal(w != 0.0, np.isfinite(bias.data))
+
+
+class TestKeyValues:
+    @pytest.mark.parametrize("start, stop", [(0, 1), (0, 5), (2, 4), (4, 5)])
+    def test_windows_are_views_and_gradients_cover_their_rows(
+        self, tiny_cfg, tiny_params, rng, start, stop
+    ):
+        # a decoder step's self and cross windows read the cache's buffers
+        # without a copy, and attention_vjp gives exactly their rows
+        cfg, frames = tiny_cfg, 5
+        feats = rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim))
+        enc = encode(AudioInput.from_features(feats, cfg.feature_rate), frames, tiny_params, cfg)
+        (cache,) = layer_caches(enc, frames, tiny_params, cfg)
+        cache.keys[:] = rng.normal(size=cache.keys.shape)
+        cache.values[:] = rng.normal(size=cache.values.shape)
+        x = Var(rng.normal(size=(1, cfg.dim)))
+        for kv, (k, v), proj in (
+            (cache.own, (cache.keys, cache.values), cache.self_proj),
+            (cache.audio, (a.data for a in cache.audio_kv), cache.cross_proj),
+        ):
+            window = kv.window(start, stop)
+            assert window.rows == stop - start
+            assert np.shares_memory(window.kt, k) and np.shares_memory(window.vh, v)
+            out, weights, saved = mh_attention(x, window, proj, cfg.heads, None)
+            assert weights.shape == (cfg.heads, 1, stop - start)
+            _, _, dk, dv, _ = ad.attention_vjp(saved, rng.normal(size=out.shape))
+            assert dk.shape == dv.shape == (stop - start, cfg.dim)
 
 
 class TestCausalityAndLocality:

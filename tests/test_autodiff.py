@@ -763,10 +763,11 @@ class TestBackward:
         for name in ("k", "v"):
             assert not grads[name][[0, 5, 8]].any()
             assert np.abs(grads[name][[1, 2, 3, 4, 6, 7]]).min() > 0
-        # the package's VJP gives the gradients of the rows read, which the
-        # reference's attention record widens
+        # the package's VJP gives the gradients of the rows it was given,
+        # which the reference's take_rows records scatter into zeros
         x, wq, k, v, wo = (a.data for a in _attention_inputs(rng, heads, 2, 9))
-        _, _, saved = ad.attention_fwd(x, wq, k, v, wo, None, heads, slice(2, 5))
+        kt, vh = ad.head_views(k[2:5], v[2:5], heads)
+        _, _, saved = ad.attention_fwd(x, wq, kt, vh, wo, None)
         dk, dv = ad.attention_vjp(saved, rng.normal(size=(2, 5)))[2:4]
         assert dk.shape == (3, heads * 3) and dv.shape == (3, heads * 2)
 

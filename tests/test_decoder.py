@@ -326,6 +326,20 @@ class TestAutoregress:
         with pytest.raises(ShapeError, match=re.escape(f"parameter {name} has shape {shape}")):
             autoregress(_audio(rng), 0, 4, params, tiny_cfg)
 
+    def test_encode_leaves_decoder_shapes_to_the_rollout(
+        self, tiny_cfg, live_params, rng, monkeypatch
+    ):
+        # encode checks the enc.* parameters only; the rollout names a wrong
+        # dec.* one before any layer step runs
+        params = dict(live_params)
+        params["dec.layer0.cross.wv"] = Var(np.zeros((8, 5)))
+        enc = encode(_audio(rng), 4, params, tiny_cfg)
+        monkeypatch.setattr(decoder, "decoder_layer", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(
+            ShapeError, match=re.escape("parameter dec.layer0.cross.wv has shape (8, 5)")
+        ):
+            rollout(enc, 0, 4, params, tiny_cfg)
+
     def test_empty_sequence_rejected(self, tiny_cfg, live_params, rng):
         enc = encode(_audio(rng), 4, live_params, tiny_cfg)
         with pytest.raises(ShapeError, match="empty"):
@@ -463,9 +477,9 @@ class TestPrefixCache:
 class TestStepRecords:
     """A rollout is one record, with the bits, forward and backward, of the
     composition in ``reference``: per step a row and a ``linear`` for the
-    input row, then per layer two row writes, two attention, three add-norm
-    and one feed-forward records, and a row concatenation of the hidden
-    rows."""
+    input row, then per layer two row writes, four row takes, two
+    attention, three add-norm and one feed-forward records, and a row
+    concatenation of the hidden rows."""
 
     @staticmethod
     def _run(monkeypatch, composed, audio, motion, params, cfg, capture):
@@ -529,10 +543,11 @@ class TestStepRecords:
         for name in grads:
             assert grads[name].tobytes() == grads_c[name].tobytes(), name
         # one record for the rollout instead of one input row from step 0
-        # and two from step 1 on, eight per layer and step, and the
+        # and two from step 1 on, twelve per layer and step (two row
+        # writes, four row takes and six sub-layers), and the
         # concatenation; the package still runs one layer step per layer
         # and step
-        assert n_c - n == (2 * frames - 1) + 8 * layers * frames
+        assert n_c - n == (2 * frames - 1) + 12 * layers * frames
         assert steps == layers * frames
 
 
