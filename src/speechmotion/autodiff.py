@@ -356,21 +356,24 @@ def feed_forward_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:
     return np.dot(gpre, w1d.T), np.dot(xd.T, gpre), _col_sum(gpre), np.dot(hidden.T, g), _col_sum(g)
 
 
-def linear_blocked(x, w, b, block: int) -> Var:
+def linear_blocked(x, w, b, block: int, out: Array | None = None) -> Var:
     """``linear`` as products of exactly ``block`` rows, recorded as one op.
 
     BLAS picks its kernel, and so its summation order, by a product's shape,
     so a plain x @ w can give row i different bits for different row counts.
     Here x is zero-padded to whole blocks and every block is written into one
     output buffer, so row i of the result depends only on row i of x and the
-    result for a prefix of x is a prefix of the result.
+    result for a prefix of x is a prefix of the result. The buffer is
+    ``out`` if given, of x's rows rounded up to whole blocks; the result is
+    a view of it, so a caller that reuses it must not record.
     """
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
     t, xd, wd = x.rows, x.data, w.data
     _check_linear(xd.shape, wd, b.data)
     padded = np.zeros((-(-t // block) * block, x.cols))
     padded[:t] = xd
-    out = np.empty((padded.shape[0], w.cols))
+    if out is None:
+        out = np.empty((padded.shape[0], w.cols))
     for i in range(0, t, block):
         np.matmul(padded[i : i + block], wd, out=out[i : i + block])
     out = out[:t]
@@ -441,6 +444,40 @@ def attention_fwd(
     _softmax_last(w)
     heads_out = _merge(w @ vh)
     return np.dot(heads_out, wod), w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out)
+
+
+def attention_blocks_fwd(
+    xd: Array, wqd: Array, kt: Array, vh: Array, wod: Array, block: int, dense: bool
+) -> tuple[Array, Array | None, tuple | None]:
+    """:func:`attention_fwd` with no bias, its weights taken over ``block``
+    query rows at a time, each block against every key. The query and output
+    projections run once on all t rows. Unless ``dense``, every block's
+    weights go through one heads x ``block`` x s buffer, so the memory is
+    linear in t, and W and the state are None. With ``dense``, the blocks
+    fill one heads x t x s W, and the state is what :func:`attention_fwd`
+    saves, for :func:`attention_vjp`. A block's rows have the bits of the
+    whole-row call whenever BLAS gives its products those of the t-row
+    products; up to one block (t <= ``block``) it is that call."""
+    t = xd.shape[0]
+    if t <= block:
+        return attention_fwd(xd, wqd, kt, vh, wod, None)
+    heads, d_k, s = kt.shape
+    qh = _split(np.dot(xd, wqd), heads)
+    c = 1.0 / math.sqrt(d_k)
+    w = np.empty((heads, t if dense else block, s))
+    heads_out = np.empty((t, heads * vh.shape[2]))
+    oh = _split(heads_out, heads)
+    for a in range(0, t, block):
+        rows = slice(a, a + block)
+        wb = w[:, rows] if dense else w[:, : min(block, t - a)]
+        np.matmul(qh[:, rows], kt, out=wb)
+        wb *= c
+        _softmax_last(wb)
+        np.matmul(wb, vh, out=oh[:, rows])
+    out = np.dot(heads_out, wod)
+    if not dense:
+        return out, None, None
+    return out, w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out)
 
 
 def attention_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import synthetic
 from .config import build_configs
-from .decoder import autoregress
+from .decoder import hidden_rows, motion_blocks
 from .encoder import AudioInput, check_feature_width, infer_motion_len
 from .errors import (
     AudioError,
@@ -32,6 +32,7 @@ from .errors import (
 from .formats import (
     CHECKPOINT_MAGIC,
     MATRIX_MAGIC,
+    RowBlocks,
     check_unchanged,
     checkpoint_summary,
     load_checkpoint,
@@ -155,14 +156,17 @@ def _load_audio(path: str, cfg) -> AudioInput:
         raise AudioError(f"{path}: {exc}") from None
 
 
-def _synthesize(args, capture=None):
-    """Motion for ``args.audio`` from the ``args.ckpt`` model. A frame that is
-    non-finite or outside the float32 range of the output file is an error
-    naming the checkpoint, and a failed allocation one naming the audio file
-    and the frame count, raised before anything is written. So is a
-    checkpoint rewritten in place while its payloads were mapped. An
-    ``--identity`` that the checkpoint has no style row for is an error
-    naming the flag and the checkpoint, raised before the audio is read."""
+def _synthesize(args, capture=None) -> RowBlocks:
+    """Motion for ``args.audio`` from the ``args.ckpt`` model, as the vertex
+    head's row blocks, each decoded when it is asked for
+    (:func:`decoder.motion_blocks`), so no T x 3V motion is built. Each block
+    is checked before it is handed on: a frame that is non-finite or outside
+    the float32 range of the output file is an error naming the checkpoint
+    and the frame. After the last block, a checkpoint rewritten in place
+    while its payloads were mapped is an error too. A failed allocation is
+    an error naming the audio file and the frame count. An ``--identity``
+    that the checkpoint has no style row for is an error naming the flag and
+    the checkpoint, raised before the audio is read."""
     params, cfg = load_checkpoint(args.ckpt, for_inference=True)
     if not 0 <= args.identity < cfg.identities:
         raise SpeechMotionError(
@@ -170,22 +174,37 @@ def _synthesize(args, capture=None):
             f"{cfg.identities} identities (0 to {cfg.identities - 1})"
         )
     audio = _load_audio(args.audio, cfg)
-    try:
-        with np.errstate(all="ignore"):  # an overflow is reported below, by frame
-            motion = autoregress(audio, args.identity, args.frames, params, cfg, capture)
-    except MemoryError:
+
+    def no_memory():
         frames = args.frames or infer_motion_len(audio.feature_rows, audio.rate, cfg)
-        raise SpeechMotionError(
-            f"{args.audio}: not enough memory to decode {frames} frames"
-        ) from None
-    check_unchanged(args.ckpt, params)
-    if not (-_F32_MAX <= motion.min() and motion.max() <= _F32_MAX):  # or NaN
-        bad = np.flatnonzero(~(np.abs(motion) <= _F32_MAX).all(axis=1))[0]
-        raise DivergenceError(
-            f"{args.ckpt}: motion frame {bad} is non-finite or outside "
-            f"the float32 range"
-        )
-    return motion
+        return SpeechMotionError(f"{args.audio}: not enough memory to decode {frames} frames")
+
+    try:
+        with np.errstate(all="ignore"):  # an overflow is reported by frame
+            hidden = hidden_rows(audio, args.identity, args.frames, params, cfg, capture)
+    except MemoryError:
+        raise no_memory() from None
+
+    def checked():
+        blocks = motion_blocks(hidden, params)
+        at = 0
+        while at < hidden.rows:
+            try:
+                with np.errstate(all="ignore"):  # an overflow is reported below, by frame
+                    block = next(blocks)
+            except MemoryError:
+                raise no_memory() from None
+            if not (-_F32_MAX <= block.min() and block.max() <= _F32_MAX):  # or NaN
+                bad = at + np.flatnonzero(~(np.abs(block) <= _F32_MAX).all(axis=1))[0]
+                raise DivergenceError(
+                    f"{args.ckpt}: motion frame {bad} is non-finite or outside "
+                    f"the float32 range"
+                )
+            yield block
+            at += len(block)
+        check_unchanged(args.ckpt, params)
+
+    return RowBlocks((hidden.rows, params["motion_dec.w"].cols), checked())
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -229,7 +248,7 @@ def _cmd_infer(args) -> int:
     _check_out_dirs(args.out)
     motion = _synthesize(args)
     save_matrix(args.out, motion)
-    log.info("wrote %dx%d motion to %s", motion.shape[0], motion.shape[1], args.out)
+    log.info("wrote %dx%d motion to %s", *motion.shape, args.out)
     return EXIT_OK
 
 
@@ -248,7 +267,8 @@ def _cmd_eval_lip(args) -> int:
 
 def _cmd_export_attn(args) -> int:
     records = []
-    _synthesize(args, capture=records)
+    for _block in _synthesize(args, capture=records).blocks:
+        pass  # each block is checked as infer checks it
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     by_module: dict[str, list] = {}

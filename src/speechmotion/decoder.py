@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -284,16 +285,29 @@ def _rollout_vjp(caches: list[LayerCache], motion_w: np.ndarray, hidden: np.ndar
     return (dmotion, dtable, *(v for acc, kv in zip(grads, audio) for v in (*acc, *kv)))
 
 
-def decode_motion(hidden, params: Params) -> Var:
+def decode_motion(hidden, params: Params, out: np.ndarray | None = None) -> Var:
     """Project hidden rows to the 3*V vertex space.
 
     The rows go through the head ``HEAD_BLOCK`` at a time, the last block
     zero-padded, so each frame's bits do not depend on how many rows are
-    decoded with it (see :func:`autodiff.linear_blocked`).
+    decoded with it (see :func:`autodiff.linear_blocked`). ``out``, if
+    given, is the buffer the rows are written into (see
+    :func:`motion_blocks`).
     """
     return ad.linear_blocked(
-        hidden, params["motion_dec.w"], params["motion_dec.b"], HEAD_BLOCK
+        hidden, params["motion_dec.w"], params["motion_dec.b"], HEAD_BLOCK, out
     )
+
+
+def motion_blocks(hidden: Var, params: Params) -> Iterator[np.ndarray]:
+    """The vertex head's rows for ``hidden``, untaped, as blocks of
+    ``HEAD_BLOCK`` rows (the last may be shorter): :func:`decode_motion` on
+    each block of hidden rows, through one HEAD_BLOCK x 3V buffer that each
+    block overwrites. So no T x 3V array is built, and each frame has the
+    bits of one call on all T rows."""
+    out = np.empty((HEAD_BLOCK, params["motion_dec.w"].cols))
+    for a in range(0, hidden.rows, HEAD_BLOCK):
+        yield decode_motion(ad.leaf(hidden.data[a : a + HEAD_BLOCK]), params, out).data
 
 
 def rollout(
@@ -312,7 +326,9 @@ def rollout(
     the self-bias row of a :class:`LayerCache`. Each step embeds the
     previous step's last-layer hidden row with the map, feeds the new row
     through every decoder layer against that layer's cache, and keeps its
-    hidden row; the vertex head then decodes all T rows in one call. With
+    hidden row. The result is the T x d hidden rows: the vertex head is not
+    in the loop (the map folds it in), so the caller decodes them, with
+    :func:`decode_motion` on the tape or :func:`motion_blocks`. With
     ``capture``, the steps' attention
     weights are gathered per layer into a heads x T x T self map (row t,
     columns [0, t]) and a heads x T x kT cross map (row t, columns
@@ -361,7 +377,21 @@ def rollout(
     if ad.recording():
         inputs = (motion_w, table, *(v for cache in caches for v in cache.inputs()))
         ad.record(out, inputs, partial(_rollout_vjp, caches, motion_w.data, hidden))
-    return decode_motion(out, params)
+    return out
+
+
+def hidden_rows(
+    audio: AudioInput,
+    identity: int,
+    motion_len: int | None,
+    params: Params,
+    cfg: ModelConfig,
+    capture: list[AttentionRecord] | None = None,
+) -> Var:
+    """The T x d hidden rows of a rollout over the encoded ``audio``; T is
+    ``motion_len``, or the frames the audio covers."""
+    enc = encode(audio, motion_len, params, cfg, capture=capture)
+    return rollout(enc, identity, enc.motion_len, params, cfg, capture=capture)
 
 
 def autoregress(
@@ -372,7 +402,8 @@ def autoregress(
     cfg: ModelConfig,
     capture: list[AttentionRecord] | None = None,
 ) -> np.ndarray:
-    """Synthesize a motion sequence (T x 3V) from audio and a style identity."""
-    enc = encode(audio, motion_len, params, cfg, capture=capture)
-    out = rollout(enc, identity, enc.motion_len, params, cfg, capture=capture)
-    return out.data
+    """Synthesize a motion sequence (T x 3V) from audio and a style identity:
+    :func:`decode_motion` of :func:`hidden_rows`, whose frames have the bits
+    of :func:`motion_blocks`' frames."""
+    hidden = hidden_rows(audio, identity, motion_len, params, cfg, capture)
+    return decode_motion(hidden, params).data

@@ -18,6 +18,9 @@ from .params import (
 )
 from .positional import sinusoid_rows
 
+# Query rows per block of the encoder's attention (see _encoder_layer).
+QUERY_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class AudioInput:
@@ -141,14 +144,21 @@ def infer_motion_len(feature_rows: int, audio_rate: float, cfg: ModelConfig) -> 
 def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
                    capture: list[AttentionRecord] | None) -> Var:
     """Unmasked self-attention, add-norm, feed-forward and add-norm, one
-    record each."""
+    record each.
+
+    The attention runs over ``QUERY_BLOCK`` query rows at a time, each block
+    against all N rows (:func:`autodiff.attention_blocks_fwd`), so inference
+    holds heads x ``QUERY_BLOCK`` x N weights, not heads x N x N. While a
+    tape records, or with ``capture``, the blocks fill one dense heads x N x
+    N map: the record's VJP is ``attention_vjp`` on the state of one
+    whole-row call, and capture gets the map that call would return."""
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
     k, v = proj.keys_values(x)
-    heads = cfg.encoder_heads
+    heads, dense = cfg.encoder_heads, ad.recording() or capture is not None
     attn, weights = ad.fused(
-        lambda xd, wqd, kd, vd, wod: ad.attention_fwd(
-            xd, wqd, *ad.head_views(kd, vd, heads), wod, None),
+        lambda xd, wqd, kd, vd, wod: ad.attention_blocks_fwd(
+            xd, wqd, *ad.head_views(kd, vd, heads), wod, QUERY_BLOCK, dense),
         ad.attention_vjp, (x, proj.wq, k, v, proj.wo))
     if capture is not None:
         capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))

@@ -49,6 +49,11 @@ its memory, and each chunk is checksummed as soon as it is read.
 All writers go through a temp file + atomic rename, so failures never leave
 partial files behind. They stream their chunks (a header, then each array's
 own buffer) to that file without joining them into one byte string first.
+save_matrix also takes its rows as a stream of blocks (RowBlocks) and casts
+them to float32 a bounded piece at a time, so ``infer`` writes each block
+of motion as the vertex head decodes it, and checks it first: a block that
+fails its check raises inside the stream, and the temp file is removed.
+The rename is the last step, after the stream's last block.
 
 A map sees later writes to its file. A rename over the file leaves a mapped
 file intact, but a rewrite in place (``cp`` over the file, say) would change
@@ -68,6 +73,7 @@ import tempfile
 import wave
 import zlib
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -88,6 +94,7 @@ _UNREAD_FOR_INFERENCE = ("motion_enc.w", "motion_enc.b")
 _CHUNK = 4 << 20  # bytes per checkpoint readinto and CRC fold
 _ALIGN = 64  # the first payload starts on a multiple of this
 _MAP_BYTES = 32 << 20  # payloads this large are mapped, not read
+_PIECE_BYTES = 1 << 18  # save_matrix casts at most this much (or one row) at once
 
 _CONFIG_FIELDS = (
     "dim", "heads", "period", "feature_rate", "motion_rate",
@@ -96,8 +103,11 @@ _CONFIG_FIELDS = (
 )  # + pe_mode code, the retired slot and 3 reserved slots = 18 values
 
 
-def atomic_write_bytes(path, *chunks) -> None:
-    """Write the buffers in ``chunks`` one after another to ``path``."""
+def atomic_write_bytes(path, chunks: Iterable) -> None:
+    """Write the buffers of the iterable ``chunks`` one after another to a
+    temp file, each as it comes, and rename it to ``path`` after the last.
+    If ``chunks`` raises, the temp file is removed and ``path`` is left as
+    it was."""
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -115,19 +125,52 @@ def atomic_write_bytes(path, *chunks) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
 # ---------------------------------------------------------------------------
 # MatrixFile
 
 
+class RowBlocks(NamedTuple):
+    """A rows x cols matrix as its row blocks, 2-D arrays in row order, for
+    :func:`save_matrix` to write as they come. ``blocks`` is iterated once;
+    a block may be overwritten once the next is asked for."""
+
+    shape: tuple[int, int]
+    blocks: Iterable[np.ndarray]
+
+
 def save_matrix(path, matrix) -> None:
-    m = np.asarray(matrix.data if isinstance(matrix, Var) else matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise FormatError(f"matrix files hold 2-D data, got shape {m.shape}")
-    header = MATRIX_MAGIC + struct.pack("<III", MATRIX_VERSION, m.shape[0], m.shape[1])
-    atomic_write_bytes(path, header, np.ascontiguousarray(m, dtype="<f4"))
+    """Write a 2-D array or Var, or the blocks of a :class:`RowBlocks`, as a
+    matrix file. The rows are cast to float32 in pieces of at most
+    _PIECE_BYTES (or one row) through one reused buffer, and written as they
+    come, so no float32 copy of the matrix is made. A stream that ends with
+    other than ``shape[0]`` rows is a FormatError, and one that raises, as a
+    block that fails a check does, leaves no file (see
+    :func:`atomic_write_bytes`)."""
+    if not isinstance(matrix, RowBlocks):
+        m = np.asarray(matrix.data if isinstance(matrix, Var) else matrix, dtype=np.float64)
+        if m.ndim != 2:
+            raise FormatError(f"matrix files hold 2-D data, got shape {m.shape}")
+        matrix = RowBlocks(m.shape, (m,))
+    atomic_write_bytes(path, _matrix_chunks(path, *matrix))
+
+
+def _matrix_chunks(path, shape: tuple[int, int], blocks: Iterable[np.ndarray]):
+    rows, cols = shape
+    yield MATRIX_MAGIC + struct.pack("<III", MATRIX_VERSION, rows, cols)
+    piece = np.empty((max(1, min(rows, _PIECE_BYTES // (4 * max(cols, 1)))), cols), dtype="<f4")
+    done = 0
+    for block in blocks:
+        for a in range(0, len(block), len(piece)):
+            part = block[a : a + len(piece)]
+            out = piece[: len(part)]
+            out[...] = part
+            yield out
+        done += len(block)
+    if done != rows:
+        raise FormatError(f"{path}: {done} rows given for a {rows}x{cols} matrix")
 
 
 def _matrix_shape(path, head: bytes, size: int) -> tuple[int, int]:
@@ -243,7 +286,7 @@ def save_checkpoint(path, params: Params, cfg: ModelConfig) -> None:
     header = CHECKPOINT_MAGIC + struct.pack(
         "<III", CHECKPOINT_VERSION, len(entries), len(table)
     ) + table + bytes(_padding(len(table)))
-    atomic_write_bytes(path, header, struct.pack("<I", zlib.crc32(header)), *payloads)
+    atomic_write_bytes(path, (header, struct.pack("<I", zlib.crc32(header)), *payloads))
 
 
 def _padding(table_len: int) -> int:

@@ -9,7 +9,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
+# decode_motion is called as decoder.decode_motion: the benchmark's tracer
+# (perfbench/spans.py) hooks it there, and encode and rollout here.
+from . import autodiff as ad, decoder
 from .attention import AttentionRecord
 from .autodiff import Tape, Var, backward
 from .config import ModelConfig, TrainConfig
@@ -66,7 +68,7 @@ def rollout_loss(
     coordinate errors against the sample's motion, and the predicted motion."""
     frames = sample.motion.shape[0]
     enc = encode(sample.audio, frames, params, cfg)
-    pred = rollout(enc, sample.identity, frames, params, cfg)
+    pred = decoder.decode_motion(rollout(enc, sample.identity, frames, params, cfg), params)
     return ad.squared_error(pred, sample.motion), pred.data
 
 
@@ -199,7 +201,8 @@ def evaluate_rmse(
     for sample in dataset:
         frames, cols = sample.motion.shape
         enc = encode(sample.audio, frames, params, cfg)
-        pred = rollout(enc, sample.identity, frames, params, cfg).data
+        hidden = rollout(enc, sample.identity, frames, params, cfg)
+        pred = decoder.decode_motion(hidden, params).data
         total_sq += float(np.square(pred - sample.motion).sum())
         total_items += frames * (cols // 3)
     return float(np.sqrt(total_sq / total_items))

@@ -441,8 +441,9 @@ def composed_rollout(enc, identity, motion_len, params, cfg, capture=None) -> Va
     """``decoder.rollout`` with every step's input row, row writes and block
     sub-layers recorded on their own (:func:`composed_embed_step`,
     :func:`composed_decoder_layer`), over taped T x d key and value buffers,
-    and the hidden rows joined by :func:`concat_rows`. It builds its table
-    and caches with ``decoder.embed_table`` and ``decoder.layer_caches``."""
+    and the hidden rows joined by :func:`concat_rows`, which it returns, as
+    ``rollout`` does. It builds its table and caches with
+    ``decoder.embed_table`` and ``decoder.layer_caches``."""
     k = cfg.frame_ratio
     motion_w, c = decoder.feedback_map(params)
     table = decoder.embed_table(identity, c, motion_len, params, cfg)
@@ -466,7 +467,7 @@ def composed_rollout(enc, identity, motion_len, params, cfg, capture=None) -> Va
         for layer, pair in enumerate(maps):
             capture.extend(AttentionRecord(m, layer, motion_len - 1, w)
                            for m, w in zip(("decoder.self", "decoder.cross"), pair))
-    return decoder.decode_motion(concat_rows(hidden), params)
+    return concat_rows(hidden)
 
 
 def header_padding(table_len: int) -> int:

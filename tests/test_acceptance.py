@@ -13,7 +13,7 @@ import pytest
 
 import speechmotion as sm
 from speechmotion import autodiff as ad
-from speechmotion.decoder import rollout
+from speechmotion.decoder import decode_motion, rollout
 from speechmotion.encoder import encode
 from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.synthetic import (
@@ -174,9 +174,9 @@ def test_criterion_4_causality_and_prefix(rng, overfit):
 
     for params, cfg, audio, frames in bundles:
         enc = encode(audio, frames, params, cfg)
-        full = rollout(enc, 0, frames, params, cfg).data
+        full = decode_motion(rollout(enc, 0, frames, params, cfg), params).data
         for t in (1, frames // 2, frames - 1):
-            prefix = rollout(enc, 0, t, params, cfg).data
+            prefix = decode_motion(rollout(enc, 0, t, params, cfg), params).data
             assert np.array_equal(prefix, full[:t])
 
         # a cached step never reads a future key/value row or audio outside

@@ -425,6 +425,46 @@ class TestInfer:
         assert "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, 1e40])  # non-finite; beyond float32
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_bad_frame_in_a_later_head_block_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, bad, existing
+    ):
+        # the head's rows are checked and written a block at a time: a bad
+        # frame 40, in the second block, fails after the first block went
+        # to the temp file, which must go too
+        params = init_params(TINY, seed=0)
+        params["motion_dec.w"] = Var(np.random.Generator(np.random.PCG64(4)).normal(size=(8, 9)))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, params, TINY)
+        audio = tmp_path / "feats.f32mat"
+        save_matrix(audio, np.random.Generator(np.random.PCG64(3)).normal(size=(96, 4)))
+        hidden_rows = cli.hidden_rows
+
+        def one_bad_row(*args):
+            hidden = hidden_rows(*args)
+            hidden.data[40] = bad
+            return hidden
+
+        monkeypatch.setattr(cli, "hidden_rows", one_bad_row)
+        out = tmp_path / "out.f32mat"
+        if existing:
+            out.write_bytes(b"earlier output")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "infer", "--ckpt", str(ckpt), "--audio", str(audio),
+                "--identity", "0", "--out", str(out),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: motion frame 40 is non-finite or outside the float32 range" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert out.read_bytes() == b"earlier output" if existing else not out.exists()
+
     @pytest.mark.parametrize("command", ["infer", "export-attn"])
     @pytest.mark.parametrize("frames, count", [(["--frames", "100000"], 100000), ([], 4)])
     def test_allocation_failure_is_data_error(
@@ -435,7 +475,7 @@ class TestInfer:
         def fail(*args):
             raise MemoryError("Unable to allocate 596. GiB for an array")
 
-        monkeypatch.setattr(cli, "autoregress", fail)
+        monkeypatch.setattr(cli, "hidden_rows", fail)
         out = tmp_path / "out"
         flag = "--out" if command == "infer" else "--out-dir"
         capsys.readouterr()
@@ -864,7 +904,7 @@ class TestExitCodes:
     def test_infer_into_missing_directory_fails_first(
         self, tmp_path, trained, dataset_dir, capsys, monkeypatch
     ):
-        monkeypatch.setattr(cli, "autoregress", lambda *a: pytest.fail("decoded"))
+        monkeypatch.setattr(cli, "hidden_rows", lambda *a: pytest.fail("decoded"))
         missing = tmp_path / "missing" / "m.f32mat"
         capsys.readouterr()
         assert main([

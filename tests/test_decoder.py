@@ -31,6 +31,11 @@ def _audio(rng, rows=8):
     return AudioInput.from_features(rng.normal(size=(rows, 4)), 50.0)
 
 
+def _motion(enc, identity, frames, params, cfg):
+    """The vertex head's rows for a rollout of ``frames`` steps."""
+    return decode_motion(rollout(enc, identity, frames, params, cfg), params).data
+
+
 @pytest.fixture
 def live_params(tiny_params, rng):
     """Bundle with a nonzero vertex projection so rollouts produce varying,
@@ -210,17 +215,17 @@ class TestAutoregress:
 
     def test_prefix_consistency_over_fixed_encoding(self, tiny_cfg, live_params, rng):
         enc = encode(_audio(rng), 4, live_params, tiny_cfg)
-        full = rollout(enc, 0, 4, live_params, tiny_cfg).data
+        full = _motion(enc, 0, 4, live_params, tiny_cfg)
         assert np.abs(np.diff(full, axis=0)).max() > 0  # rollout really varies
         for t in (1, 2, 3):
-            prefix = rollout(enc, 0, t, live_params, tiny_cfg).data
+            prefix = _motion(enc, 0, t, live_params, tiny_cfg)
             assert np.array_equal(prefix, full[:t])
 
     def test_first_frame_ignores_motion_history(self, tiny_cfg, live_params, rng):
         # the first predicted frame must match across any longer run
         enc = encode(_audio(rng), 4, live_params, tiny_cfg)
-        one = rollout(enc, 1, 1, live_params, tiny_cfg).data
-        four = rollout(enc, 1, 4, live_params, tiny_cfg).data
+        one = _motion(enc, 1, 1, live_params, tiny_cfg)
+        four = _motion(enc, 1, 4, live_params, tiny_cfg)
         assert np.array_equal(one[0], four[0])
 
     def test_one_embed_per_step_and_one_head_call(self, tiny_cfg, live_params, rng, monkeypatch):
@@ -231,14 +236,13 @@ class TestAutoregress:
             calls["embed"] += 1
             return embed(*args)
 
-        def counted_head(hidden, params):
+        def counted_head(hidden, *args):
             calls["head_rows"].append(hidden.rows)
-            return head(hidden, params)
+            return head(hidden, *args)
 
         monkeypatch.setattr(decoder, "embed_step", counted_embed)
         monkeypatch.setattr(decoder, "decode_motion", counted_head)
-        enc = encode(_audio(rng), 4, live_params, tiny_cfg)
-        assert rollout(enc, 0, 4, live_params, tiny_cfg).shape == (4, 9)
+        assert autoregress(_audio(rng), 0, 4, live_params, tiny_cfg).shape == (4, 9)
         assert calls == {"embed": 4, "head_rows": [4]}
 
     def test_prefix_bitwise_at_blas_width(self, rng):
@@ -258,10 +262,10 @@ class TestAutoregress:
             rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate
         )
         enc = encode(audio, frames, params, cfg)
-        full = rollout(enc, 0, frames, params, cfg).data
+        full = _motion(enc, 0, frames, params, cfg)
         differ = [
             t for t in range(1, frames)
-            if not np.array_equal(rollout(enc, 0, t, params, cfg).data, full[:t])
+            if not np.array_equal(_motion(enc, 0, t, params, cfg), full[:t])
         ]
         assert differ == []
 
@@ -381,8 +385,9 @@ class TestAutoregress:
 def _dense_rollout(enc, identity, motion_len, params, cfg, capture=None):
     """Reference rollout: every step re-runs each layer on the full prefix,
     decodes its row and feeds that vertex-space frame back through the motion
-    encoder. With ``capture``, the last step's attention records are kept."""
-    embeds, preds = [], []
+    encoder. Returns the hidden rows, as ``rollout`` does. With ``capture``,
+    the last step's attention records are kept."""
+    embeds, preds, hidden = [], [], []
     for t in range(motion_len):
         embeds.append(_embed(preds[-1] if t else None, identity, t, params, cfg,
                              reference.composed_embed_step))
@@ -394,8 +399,9 @@ def _dense_rollout(enc, identity, motion_len, params, cfg, capture=None):
                     AttentionRecord(m, layer, t, w)
                     for m, w in zip(("decoder.self", "decoder.cross"), weights)
                 )
+        hidden.append(ad.take_row(x, t))
         preds.append(ad.take_row(decode_motion(x, params), t))
-    return reference.concat_rows(preds)
+    return reference.concat_rows(hidden)
 
 
 @pytest.fixture(params=["tb_ppe", "alibi", "original_pe"])
@@ -511,7 +517,8 @@ class TestStepRecords:
             run = reference.composed_rollout if composed else rollout
             with ad.Tape() as tape:
                 enc = encode(audio, motion.shape[0], params, cfg)
-                pred = run(enc, 0, motion.shape[0], params, cfg, capture=records)
+                pred = decode_motion(
+                    run(enc, 0, motion.shape[0], params, cfg, capture=records), params)
                 loss = ad.squared_error(pred, motion)
                 wrt = dict(params, a=enc.a, table=seen["table"])
                 for i, c in enumerate(seen["caches"]):
@@ -572,7 +579,7 @@ class TestRolloutRecord:
         cfg, params = two_layer
         enc = encode(_audio(rng, rows=12), 6, params, cfg)
         with ad.Tape() as tape:
-            pred = rollout(enc, 1, 6, params, cfg)
+            pred = decode_motion(rollout(enc, 1, 6, params, cfg), params)
             loss = ad.squared_error(pred, rng.normal(size=(6, 9)))
             first, second = ad.backward(loss, params), ad.backward(loss, params)
             assert first.flat.tobytes() == second.flat.tobytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechmotion import (
-    AudioError, AudioInput, ModelConfig, ShapeError, encode, extract_features,
+    AudioError, AudioInput, ModelConfig, ShapeError, Var, autoregress, encode,
+    extract_features,
 )
+from speechmotion import autodiff as ad
 from speechmotion.encoder import infer_motion_len, resample_rows
 from speechmotion.params import extractor_min_samples
 from speechmotion.params import init_params
@@ -200,3 +203,54 @@ class TestEncode:
         audio = AudioInput.from_features(rng.normal(size=(8, 5)), 50.0)
         with pytest.raises(AudioError, match="feature width"):
             encode(audio, 4, tiny_params, tiny_cfg)
+
+
+class TestQueryBlocks:
+    """The encoder's attention runs over QUERY_BLOCK query rows at a time."""
+
+    def test_memory_is_linear_in_the_rows(self):
+        # a T = 1,000 desk clip has N = 2,000 encoder rows; one layer's
+        # heads x N x N weights alone would be 2 x 2,000^2 x 8 B = 64 MB
+        cfg = ModelConfig().validate()
+        params = init_params(cfg, 0)
+        frames = 1000
+        rows = cfg.frame_ratio * frames
+        feats = np.random.Generator(np.random.PCG64(1)).normal(size=(rows, cfg.feature_dim))
+        audio = AudioInput.from_features(feats, cfg.feature_rate)
+        tracemalloc.start()
+        try:
+            enc = encode(audio, frames, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert enc.a.rows == rows
+        assert peak <= 8192 * rows, f"peak {peak} B is {peak / rows:.0f} B per row"
+
+    def test_captured_maps_are_whole_row_calls(self, rng, monkeypatch):
+        # above one block (N = 320 rows at T = 160) capture still gets the
+        # heads x N x N map of one attention_fwd call on all N query rows
+        cfg = ModelConfig().validate()
+        params = init_params(cfg, 0)
+        params["motion_dec.w"] = Var(rng.normal(size=(cfg.dim, cfg.motion_dim)) * 0.1)
+        frames = 160
+        audio = AudioInput.from_features(
+            rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate)
+        whole = []
+        blocks_fwd = ad.attention_blocks_fwd
+
+        def spy(xd, wqd, kt, vh, wod, block, dense):
+            whole.append(ad.attention_fwd(xd, wqd, kt, vh, wod, None))
+            return blocks_fwd(xd, wqd, kt, vh, wod, block, dense)
+
+        monkeypatch.setattr(ad, "attention_blocks_fwd", spy)
+        records = []
+        captured = autoregress(audio, 0, frames, params, cfg, capture=records)
+        enc_maps = [r for r in records if r.module == "encoder.self"]
+        assert [(r.layer, r.step) for r in enc_maps] == [
+            (i, cfg.frame_ratio * frames - 1) for i in range(cfg.encoder_layers)]
+        assert len(whole) == cfg.encoder_layers
+        for rec, (_, w, _) in zip(enc_maps, whole):
+            assert w.shape == (cfg.encoder_heads, 2 * frames, 2 * frames)
+            assert rec.weights.tobytes() == w.tobytes()
+        whole.clear()
+        assert captured.tobytes() == autoregress(audio, 0, frames, params, cfg).tobytes()

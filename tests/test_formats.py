@@ -523,6 +523,7 @@ class TestCheckpointV3:
             assert not out.exists()
         else:
             assert code == 0 and out.read_bytes() == expected.read_bytes()
+        assert not list(tmp_path.glob(f"{out.name}.*")), "a temp file is left"
 
     def test_outputs_match_mapped_or_read(self, saved, tmp_path, monkeypatch):
         """infer writes the same bytes with the large payloads mapped or read."""
