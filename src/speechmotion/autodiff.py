@@ -447,37 +447,32 @@ def attention_fwd(
 
 
 def attention_blocks_fwd(
-    xd: Array, wqd: Array, kt: Array, vh: Array, wod: Array, block: int, dense: bool
-) -> tuple[Array, Array | None, tuple | None]:
-    """:func:`attention_fwd` with no bias, its weights taken over ``block``
-    query rows at a time, each block against every key. The query and output
-    projections run once on all t rows. Unless ``dense``, every block's
-    weights go through one heads x ``block`` x s buffer, so the memory is
-    linear in t, and W and the state are None. With ``dense``, the blocks
-    fill one heads x t x s W, and the state is what :func:`attention_fwd`
-    saves, for :func:`attention_vjp`. A block's rows have the bits of the
-    whole-row call whenever BLAS gives its products those of the t-row
-    products; up to one block (t <= ``block``) it is that call."""
+    xd: Array, wqd: Array, kt: Array, vh: Array, wod: Array, block: int
+) -> Array:
+    """The output of :func:`attention_fwd` with no bias, for inference: the
+    weights are taken over ``block`` query rows at a time, each block against
+    every key, through one heads x ``block`` x s buffer, so the memory is
+    linear in t, and neither W nor a state for :func:`attention_vjp` is kept.
+    The query and output projections run once on all t rows. A block's rows
+    have the bits of the whole-row call whenever BLAS gives its products
+    those of the t-row products; up to one block (t <= ``block``) it is that
+    call."""
     t = xd.shape[0]
     if t <= block:
-        return attention_fwd(xd, wqd, kt, vh, wod, None)
+        return attention_fwd(xd, wqd, kt, vh, wod, None)[0]
     heads, d_k, s = kt.shape
     qh = _split(np.dot(xd, wqd), heads)
     c = 1.0 / math.sqrt(d_k)
-    w = np.empty((heads, t if dense else block, s))
+    w = np.empty((heads, block, s))
     heads_out = np.empty((t, heads * vh.shape[2]))
     oh = _split(heads_out, heads)
     for a in range(0, t, block):
-        rows = slice(a, a + block)
-        wb = w[:, rows] if dense else w[:, : min(block, t - a)]
-        np.matmul(qh[:, rows], kt, out=wb)
+        wb = w[:, : min(block, t - a)]
+        np.matmul(qh[:, a : a + block], kt, out=wb)
         wb *= c
         _softmax_last(wb)
-        np.matmul(wb, vh, out=oh[:, rows])
-    out = np.dot(heads_out, wod)
-    if not dense:
-        return out, None, None
-    return out, w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out)
+        np.matmul(wb, vh, out=oh[:, a : a + block])
+    return np.dot(heads_out, wod)
 
 
 def attention_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:

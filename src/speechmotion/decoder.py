@@ -304,10 +304,13 @@ def motion_blocks(hidden: Var, params: Params) -> Iterator[np.ndarray]:
     ``HEAD_BLOCK`` rows (the last may be shorter): :func:`decode_motion` on
     each block of hidden rows, through one HEAD_BLOCK x 3V buffer that each
     block overwrites. So no T x 3V array is built, and each frame has the
-    bits of one call on all T rows."""
+    bits of one call on all T rows. Each block is decoded without a tape,
+    which would hold the buffer that the next block overwrites."""
     out = np.empty((HEAD_BLOCK, params["motion_dec.w"].cols))
     for a in range(0, hidden.rows, HEAD_BLOCK):
-        yield decode_motion(ad.leaf(hidden.data[a : a + HEAD_BLOCK]), params, out).data
+        with ad.no_tape():
+            block = decode_motion(ad.leaf(hidden.data[a : a + HEAD_BLOCK]), params, out).data
+        yield block
 
 
 def rollout(

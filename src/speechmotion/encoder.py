@@ -146,22 +146,27 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
     """Unmasked self-attention, add-norm, feed-forward and add-norm, one
     record each.
 
-    The attention runs over ``QUERY_BLOCK`` query rows at a time, each block
+    While a tape records, or with ``capture``, the attention is one
+    :func:`autodiff.attention_fwd` call on all N query rows: its record's
+    VJP reads the dense heads x N x N weights, and capture keeps them.
+    Otherwise it runs over ``QUERY_BLOCK`` query rows at a time, each block
     against all N rows (:func:`autodiff.attention_blocks_fwd`), so inference
-    holds heads x ``QUERY_BLOCK`` x N weights, not heads x N x N. While a
-    tape records, or with ``capture``, the blocks fill one dense heads x N x
-    N map: the record's VJP is ``attention_vjp`` on the state of one
-    whole-row call, and capture gets the map that call would return."""
+    holds heads x ``QUERY_BLOCK`` x N weights, not heads x N x N."""
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
     k, v = proj.keys_values(x)
-    heads, dense = cfg.encoder_heads, ad.recording() or capture is not None
-    attn, weights = ad.fused(
-        lambda xd, wqd, kd, vd, wod: ad.attention_blocks_fwd(
-            xd, wqd, *ad.head_views(kd, vd, heads), wod, QUERY_BLOCK, dense),
-        ad.attention_vjp, (x, proj.wq, k, v, proj.wo))
-    if capture is not None:
-        capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
+    heads = cfg.encoder_heads
+    if ad.recording() or capture is not None:
+        attn, weights = ad.fused(
+            lambda xd, wqd, kd, vd, wod: ad.attention_fwd(
+                xd, wqd, *ad.head_views(kd, vd, heads), wod, None),
+            ad.attention_vjp, (x, proj.wq, k, v, proj.wo))
+        if capture is not None:
+            capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
+    else:
+        attn = ad.leaf(ad.attention_blocks_fwd(
+            x.data, proj.wq.data, *ad.head_views(k.data, v.data, heads), proj.wo.data,
+            QUERY_BLOCK))
     (x,) = ad.fused(ad.add_norm_fwd, ad.add_norm_vjp,
                     (x, attn, params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"]))
     (ff,) = ad.fused(ad.feed_forward_fwd, ad.feed_forward_vjp,

@@ -489,45 +489,35 @@ class TestProducts:
 
 
 class TestAttentionBlocks:
-    """The encoder's attention takes its weights over ``QUERY_BLOCK`` query
-    rows at a time (``attention_blocks_fwd``). BLAS picks a product's kernel
-    by its shape, so a block's rows need not round as the rows of one call
-    on all N queries do. These are lengths where they must, at the desk and
-    biwi encoder widths: criterion 7's N = 160, the benchmark's N = 320 and
-    N = 1,000."""
+    """Untaped, the encoder's attention takes its weights over
+    ``QUERY_BLOCK`` query rows at a time (``attention_blocks_fwd``). BLAS
+    picks a product's kernel by its shape, so a block's rows need not round
+    as the rows of one call on all N queries do. These are lengths where
+    they must, at the desk and biwi encoder widths: criterion 7's N = 160,
+    the benchmark's N = 320 and N = 1,000."""
 
     @staticmethod
-    def _whole_and_blocks(rng, n, name, dense):
+    def _whole_and_blocks(rng, n, name):
         cfg = profile(name)
         d, heads = cfg.encoder_dim, cfg.encoder_heads
         x, wq, k, v, wo = (rng.normal(size=s) * 0.3 for s in ((n, d), (d, d), (n, d), (n, d), (d, d)))
         kt, vh = ad.head_views(k, v, heads)
-        whole = ad.attention_fwd(x, wq, kt, vh, wo, None)
-        return whole, ad.attention_blocks_fwd(x, wq, kt, vh, wo, QUERY_BLOCK, dense)
+        whole = ad.attention_fwd(x, wq, kt, vh, wo, None)[0]
+        return whole, ad.attention_blocks_fwd(x, wq, kt, vh, wo, QUERY_BLOCK)
 
     @pytest.mark.parametrize("n", [160, 320, 1000])
     @pytest.mark.parametrize("name", ["synthetic", "biwi"])
     def test_blocks_have_the_bytes_of_one_call(self, rng, n, name):
-        (out, w, saved), (out_b, w_b, saved_b) = self._whole_and_blocks(rng, n, name, True)
+        out, out_b = self._whole_and_blocks(rng, n, name)
         assert out_b.tobytes() == out.tobytes()
-        assert w_b.tobytes() == w.tobytes()
-        for a, b in zip(saved, saved_b):
-            if isinstance(a, np.ndarray):
-                assert a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
-            else:
-                assert a == b
-        g = rng.normal(size=out.shape)
-        for a, b in zip(ad.attention_vjp(saved, g), ad.attention_vjp(saved_b, g)):
-            assert a.tobytes() == b.tobytes()
-        (out, _, _), (out_b, w_b, saved_b) = self._whole_and_blocks(rng, n, name, False)
-        assert out_b.tobytes() == out.tobytes() and w_b is None and saved_b is None
 
     @pytest.mark.parametrize("n", [1, 40, QUERY_BLOCK])
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_up_to_one_block_is_one_call(self, rng, n, dense):
-        (out, w, saved), (out_b, w_b, saved_b) = self._whole_and_blocks(rng, n, "synthetic", dense)
-        assert out_b.tobytes() == out.tobytes() and w_b.tobytes() == w.tobytes()
-        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(saved, saved_b))
+    def test_up_to_one_block_is_one_call(self, rng, n, monkeypatch):
+        calls = []
+        fwd = ad.attention_fwd
+        monkeypatch.setattr(ad, "attention_fwd", lambda *a: calls.append(a) or fwd(*a))
+        out, out_b = self._whole_and_blocks(rng, n, "synthetic")
+        assert len(calls) == 2 and out_b.tobytes() == out.tobytes()
 
 
 class TestLayerNorm:

@@ -184,6 +184,21 @@ class TestDecodeMotion:
         ]
         assert differ == []
 
+    def test_blocks_are_the_rows_of_one_call_and_never_taped(self, rng):
+        # 69 rows are two whole HEAD_BLOCK blocks and a short one, decoded
+        # through one reused buffer; an open tape records none of them
+        params = {
+            "motion_dec.w": Var(rng.normal(size=(128, 300))),
+            "motion_dec.b": Var(rng.normal(size=(1, 300))),
+        }
+        hidden = Var(rng.normal(size=(69, 128)))
+        full = decode_motion(hidden, params).data
+        with ad.Tape() as tape:
+            blocks = [b.copy() for b in decoder.motion_blocks(hidden, params)]
+            assert len(tape) == 0
+        assert [len(b) for b in blocks] == [decoder.HEAD_BLOCK] * 2 + [69 - 2 * decoder.HEAD_BLOCK]
+        assert np.concatenate(blocks).tobytes() == full.tobytes()
+
     def test_gradients(self, tiny_params, rng):
         hidden = rng.normal(size=(3, 8))
         params = {

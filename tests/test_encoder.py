@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechmotion import (
-    AudioError, AudioInput, ModelConfig, ShapeError, Var, autoregress, encode,
+    AudioError, AudioInput, ModelConfig, ShapeError, Tape, Var, autoregress, encode,
     extract_features,
 )
 from speechmotion import autodiff as ad
@@ -226,31 +226,49 @@ class TestQueryBlocks:
         assert enc.a.rows == rows
         assert peak <= 8192 * rows, f"peak {peak} B is {peak / rows:.0f} B per row"
 
-    def test_captured_maps_are_whole_row_calls(self, rng, monkeypatch):
-        # above one block (N = 320 rows at T = 160) capture still gets the
-        # heads x N x N map of one attention_fwd call on all N query rows
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_taped_and_captured_forwards_are_whole_row_calls(self, rng, monkeypatch, taped):
+        # above one block, and at N = 130 where blocks would round
+        # differently, a taped or captured encoder layer is one attention_fwd
+        # call on all N query rows, so training, its gradients and capture
+        # keep the bits of the dense map
+        cfg = ModelConfig().validate()
+        params = init_params(cfg, 0)
+        frames = 65
+        rows = cfg.frame_ratio * frames
+        audio = AudioInput.from_features(
+            rng.normal(size=(rows, cfg.feature_dim)), cfg.feature_rate)
+        whole = []
+        fwd = ad.attention_fwd
+
+        def spy(xd, wqd, kt, vh, wod, bias):
+            whole.append(fwd(xd, wqd, kt, vh, wod, bias))
+            return whole[-1]
+
+        def blocks(*args):
+            raise AssertionError("attention_blocks_fwd called on a taped or captured forward")
+
+        monkeypatch.setattr(ad, "attention_fwd", spy)
+        monkeypatch.setattr(ad, "attention_blocks_fwd", blocks)
+        records = []
+        if taped:
+            with Tape():
+                encode(audio, frames, params, cfg)
+        else:
+            encode(audio, frames, params, cfg, capture=records)
+        assert [w.shape for _, w, _ in whole] == [(cfg.encoder_heads, rows, rows)] * cfg.encoder_layers
+        assert [(r.layer, r.step) for r in records] == (
+            [] if taped else [(i, rows - 1) for i in range(cfg.encoder_layers)])
+        assert all(r.weights is w for r, (_, w, _) in zip(records, whole))
+
+    def test_capture_does_not_change_the_motion(self, rng):
+        # N = 320 rows at T = 160: the captured forward's whole-row calls and
+        # the untaped forward's 128-row blocks give the same bytes
         cfg = ModelConfig().validate()
         params = init_params(cfg, 0)
         params["motion_dec.w"] = Var(rng.normal(size=(cfg.dim, cfg.motion_dim)) * 0.1)
         frames = 160
         audio = AudioInput.from_features(
             rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate)
-        whole = []
-        blocks_fwd = ad.attention_blocks_fwd
-
-        def spy(xd, wqd, kt, vh, wod, block, dense):
-            whole.append(ad.attention_fwd(xd, wqd, kt, vh, wod, None))
-            return blocks_fwd(xd, wqd, kt, vh, wod, block, dense)
-
-        monkeypatch.setattr(ad, "attention_blocks_fwd", spy)
-        records = []
-        captured = autoregress(audio, 0, frames, params, cfg, capture=records)
-        enc_maps = [r for r in records if r.module == "encoder.self"]
-        assert [(r.layer, r.step) for r in enc_maps] == [
-            (i, cfg.frame_ratio * frames - 1) for i in range(cfg.encoder_layers)]
-        assert len(whole) == cfg.encoder_layers
-        for rec, (_, w, _) in zip(enc_maps, whole):
-            assert w.shape == (cfg.encoder_heads, 2 * frames, 2 * frames)
-            assert rec.weights.tobytes() == w.tobytes()
-        whole.clear()
+        captured = autoregress(audio, 0, frames, params, cfg, capture=[])
         assert captured.tobytes() == autoregress(audio, 0, frames, params, cfg).tobytes()
