@@ -29,9 +29,11 @@ Each forward pass returns its output and what its VJP reads, and records
 nothing; ``attention_fwd`` also returns its heads' weights, which attention
 export copies out. It is the one attention kernel: it reads every row of
 keys and values already split into heads (:func:`head_views`), so a caller
-that reads a row range slices the views first. Shapes are checked once per
-pass over the model, not here (see ``params.check_shapes``). The encoder
-records each pair as one record with :func:`fused`. A whole decoder rollout
+that reads a row range slices the views first, and one that takes its
+weights a few query rows at a time (the untaped encoder's query blocks)
+slices x. Shapes are checked once per pass over the model, not here (see
+``params.check_shapes``). The encoder records each pair as one record with
+:func:`fused`. A whole decoder rollout
 is one record (see ``decoder.rollout``): its T steps run the six pairs of
 each layer's block on arrays, and its VJP walks the steps and layers in
 reverse, replaying the pairs' VJPs and adding each gradient contribution in
@@ -75,11 +77,11 @@ Array = np.ndarray
 LAYER_NORM_EPS = 1e-5  # the variance floor of add_norm's layer norm
 
 
-def as_matrix(x, name: str = "value") -> Array:
+def as_matrix(x) -> Array:
     """Coerce to a 2-D C-contiguous float64 array."""
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
+        raise ShapeError(f"value must be 2-D, got shape {a.shape}")
     return a
 
 
@@ -444,35 +446,6 @@ def attention_fwd(
     _softmax_last(w)
     heads_out = _merge(w @ vh)
     return np.dot(heads_out, wod), w, (xd, wqd, qh, kt, vh, wod, c, w, heads_out)
-
-
-def attention_blocks_fwd(
-    xd: Array, wqd: Array, kt: Array, vh: Array, wod: Array, block: int
-) -> Array:
-    """The output of :func:`attention_fwd` with no bias, for inference: the
-    weights are taken over ``block`` query rows at a time, each block against
-    every key, through one heads x ``block`` x s buffer, so the memory is
-    linear in t, and neither W nor a state for :func:`attention_vjp` is kept.
-    The query and output projections run once on all t rows. A block's rows
-    have the bits of the whole-row call whenever BLAS gives its products
-    those of the t-row products; up to one block (t <= ``block``) it is that
-    call."""
-    t = xd.shape[0]
-    if t <= block:
-        return attention_fwd(xd, wqd, kt, vh, wod, None)[0]
-    heads, d_k, s = kt.shape
-    qh = _split(np.dot(xd, wqd), heads)
-    c = 1.0 / math.sqrt(d_k)
-    w = np.empty((heads, block, s))
-    heads_out = np.empty((t, heads * vh.shape[2]))
-    oh = _split(heads_out, heads)
-    for a in range(0, t, block):
-        wb = w[:, : min(block, t - a)]
-        np.matmul(qh[:, a : a + block], kt, out=wb)
-        wb *= c
-        _softmax_last(wb)
-        np.matmul(wb, vh, out=oh[:, a : a + block])
-    return np.dot(heads_out, wod)
 
 
 def attention_vjp(saved: tuple, g: Array) -> tuple[Array, ...]:

@@ -25,6 +25,7 @@ from .errors import (
     AudioError,
     ConfigError,
     DivergenceError,
+    FormatError,
     ShapeError,
     SpeechMotionError,
     UsageError,
@@ -136,11 +137,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_out_dirs(*paths) -> None:
-    """Fail before any work if an output file's directory does not exist."""
+def _check_out_dirs(*paths, out_dir=None) -> None:
+    """Fail before any work if an output file's directory does not exist or
+    the file is a directory, or if the output directory ``out_dir`` is a
+    file."""
     for path in paths:
         if not Path(path).parent.is_dir():
             raise SpeechMotionError(f"{path}: no such directory to write into")
+        if Path(path).is_dir():
+            raise SpeechMotionError(f"{path}: is a directory, not a file to write")
+    if out_dir is not None and Path(out_dir).exists() and not Path(out_dir).is_dir():
+        raise SpeechMotionError(f"{out_dir}: is a file, not a directory to write into")
 
 
 def _load_audio(path: str, cfg) -> AudioInput:
@@ -266,6 +273,7 @@ def _cmd_eval_lip(args) -> int:
 
 
 def _cmd_export_attn(args) -> int:
+    _check_out_dirs(out_dir=args.out_dir)
     records = []
     for _block in _synthesize(args, capture=records).blocks:
         pass  # each block is checked as infer checks it
@@ -292,8 +300,7 @@ def _cmd_inspect(args) -> int:
         for line in checkpoint_summary(path):
             print(line)
     else:
-        print(f"{path}: unrecognized magic {magic!r}")
-        return EXIT_DATA
+        raise FormatError(f"{path}: unrecognized magic {magic!r}")
     return EXIT_OK
 
 

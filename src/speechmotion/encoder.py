@@ -146,27 +146,35 @@ def _encoder_layer(x: Var, params: Params, cfg: ModelConfig, i: int,
     """Unmasked self-attention, add-norm, feed-forward and add-norm, one
     record each.
 
-    While a tape records, or with ``capture``, the attention is one
-    :func:`autodiff.attention_fwd` call on all N query rows: its record's
-    VJP reads the dense heads x N x N weights, and capture keeps them.
-    Otherwise it runs over ``QUERY_BLOCK`` query rows at a time, each block
-    against all N rows (:func:`autodiff.attention_blocks_fwd`), so inference
-    holds heads x ``QUERY_BLOCK`` x N weights, not heads x N x N."""
+    While a tape records, the attention is one :func:`autodiff.attention_fwd`
+    call on all N query rows, whose record's VJP reads the dense heads x N x
+    N weights. Otherwise the same call runs on ``QUERY_BLOCK`` query rows at
+    a time, each block against all N rows, so inference holds heads x
+    ``QUERY_BLOCK`` x N weights, not heads x N x N; ``capture`` gets the
+    weights the blocks computed, copied into one dense map."""
     p = f"enc.layer{i}"
     proj = AttentionProjections.from_params(params, f"{p}.attn")
     k, v = proj.keys_values(x)
     heads = cfg.encoder_heads
-    if ad.recording() or capture is not None:
+    if ad.recording():
         attn, weights = ad.fused(
             lambda xd, wqd, kd, vd, wod: ad.attention_fwd(
                 xd, wqd, *ad.head_views(kd, vd, heads), wod, None),
             ad.attention_vjp, (x, proj.wq, k, v, proj.wo))
-        if capture is not None:
-            capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
     else:
-        attn = ad.leaf(ad.attention_blocks_fwd(
-            x.data, proj.wq.data, *ad.head_views(k.data, v.data, heads), proj.wo.data,
-            QUERY_BLOCK))
+        n, xd, wqd, wod = x.rows, x.data, proj.wq.data, proj.wo.data
+        kt, vh = ad.head_views(k.data, v.data, heads)
+        out = np.empty((n, wod.shape[1]))
+        weights = None if capture is None else np.empty((heads, n, n))
+        for a in range(0, n, QUERY_BLOCK):
+            out[a : a + QUERY_BLOCK], w, _ = ad.attention_fwd(
+                xd[a : a + QUERY_BLOCK], wqd, kt, vh, wod, None)
+            if weights is not None:
+                weights[:, a : a + QUERY_BLOCK] = w
+            del w, _  # one block's weights alive at a time, not two
+        attn = ad.leaf(out)
+    if capture is not None:
+        capture.append(AttentionRecord("encoder.self", i, x.rows - 1, weights))
     (x,) = ad.fused(ad.add_norm_fwd, ad.add_norm_vjp,
                     (x, attn, params[f"{p}.ln1.gain"], params[f"{p}.ln1.offset"]))
     (ff,) = ad.fused(ad.feed_forward_fwd, ad.feed_forward_vjp,

@@ -21,8 +21,9 @@ from speechmotion import (
     profile,
 )
 from speechmotion import autodiff as ad
-from speechmotion import decoder
+from speechmotion import decoder, encoder
 from speechmotion.encoder import QUERY_BLOCK
+from speechmotion.params import param_shapes
 from speechmotion.positional import alignment_bias, head_slopes
 from speechmotion.training import rollout_loss
 
@@ -489,21 +490,24 @@ class TestProducts:
 
 
 class TestAttentionBlocks:
-    """Untaped, the encoder's attention takes its weights over
-    ``QUERY_BLOCK`` query rows at a time (``attention_blocks_fwd``). BLAS
-    picks a product's kernel by its shape, so a block's rows need not round
-    as the rows of one call on all N queries do. These are lengths where
-    they must, at the desk and biwi encoder widths: criterion 7's N = 160,
-    the benchmark's N = 320 and N = 1,000."""
+    """Untaped, an encoder layer calls ``attention_fwd`` on ``QUERY_BLOCK``
+    query rows at a time; taped, on all N. BLAS picks a product's kernel by
+    its shape, so a block's rows need not round as the rows of one call on
+    all N queries do. These are lengths where they must, at the desk and
+    biwi encoder widths: criterion 7's N = 160, the benchmark's N = 320 and
+    N = 1,000."""
 
     @staticmethod
     def _whole_and_blocks(rng, n, name):
         cfg = profile(name)
-        d, heads = cfg.encoder_dim, cfg.encoder_heads
-        x, wq, k, v, wo = (rng.normal(size=s) * 0.3 for s in ((n, d), (d, d), (n, d), (n, d), (d, d)))
-        kt, vh = ad.head_views(k, v, heads)
-        whole = ad.attention_fwd(x, wq, kt, vh, wo, None)[0]
-        return whole, ad.attention_blocks_fwd(x, wq, kt, vh, wo, QUERY_BLOCK)
+        params = {
+            key: Var(rng.normal(size=shape) * 0.3)
+            for key, shape in param_shapes(cfg).items() if key.startswith("enc.layer0.")
+        }
+        x = Var(rng.normal(size=(n, cfg.encoder_dim)))
+        with Tape():
+            whole = encoder._encoder_layer(x, params, cfg, 0, None).data
+        return whole, encoder._encoder_layer(x, params, cfg, 0, None).data
 
     @pytest.mark.parametrize("n", [160, 320, 1000])
     @pytest.mark.parametrize("name", ["synthetic", "biwi"])
@@ -517,7 +521,8 @@ class TestAttentionBlocks:
         fwd = ad.attention_fwd
         monkeypatch.setattr(ad, "attention_fwd", lambda *a: calls.append(a) or fwd(*a))
         out, out_b = self._whole_and_blocks(rng, n, "synthetic")
-        assert len(calls) == 2 and out_b.tobytes() == out.tobytes()
+        assert [c[0].shape[0] for c in calls] == [n, n]
+        assert out_b.tobytes() == out.tobytes()
 
 
 class TestLayerNorm:

@@ -635,7 +635,11 @@ class TestInspect:
     def test_unknown_magic(self, tmp_path, capsys):
         path = tmp_path / "junk"
         path.write_bytes(b"????1234")
+        capsys.readouterr()
         assert main(["inspect", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {path}: unrecognized magic b'????'" in err
 
     @pytest.mark.parametrize("header, payload, message", [
         ((1, 5, 3), 8, "payload size 24 does not match header (5x3 needs 76)"),
@@ -915,6 +919,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{missing}: no such directory to write into" in err
         assert "Traceback" not in err and not missing.parent.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--loss-csv"])
+    def test_train_onto_a_directory_fails_first(
+        self, tmp_path, dataset_dir, capsys, monkeypatch, flag
+    ):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        outs = {"--out": str(tmp_path / "m.ckpt"), "--loss-csv": str(tmp_path / "l.csv")}
+        outs[flag] = str(taken)
+        capsys.readouterr()
+        assert main([
+            "train", "--config", str(cfg_path), "--data", str(dataset_dir),
+            *(arg for pair in outs.items() for arg in pair),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{taken}: is a directory, not a file to write" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "taken", "train.cfg"]
+
+    @pytest.mark.parametrize("command", ["infer", "export-attn"])
+    def test_output_of_the_wrong_kind_fails_first(
+        self, tmp_path, trained, dataset_dir, capsys, monkeypatch, command
+    ):
+        # infer's --out is an existing directory; export-attn's --out-dir
+        # an existing file
+        monkeypatch.setattr(cli, "hidden_rows", lambda *a: pytest.fail("decoded"))
+        taken = tmp_path / "taken"
+        if command == "infer":
+            taken.mkdir()
+            out, message = ["--out", str(taken)], "is a directory, not a file to write"
+        else:
+            taken.write_text("kept\n")
+            out, message = ["--out-dir", str(taken)], "is a file, not a directory to write into"
+        capsys.readouterr()
+        assert main([
+            command, "--ckpt", str(trained),
+            "--audio", str(dataset_dir / "seq000.audio.f32mat"), "--identity", "0", *out,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{taken}: {message}" in err
+        assert "Traceback" not in err
+        assert taken.is_dir() if command == "infer" else taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["infer", "export-attn"])
     def test_wrong_feature_width_names_the_file(self, tmp_path, trained, capsys, command):

@@ -12,7 +12,7 @@ from speechmotion import (
     extract_features,
 )
 from speechmotion import autodiff as ad
-from speechmotion.encoder import infer_motion_len, resample_rows
+from speechmotion.encoder import QUERY_BLOCK, infer_motion_len, resample_rows
 from speechmotion.params import extractor_min_samples
 from speechmotion.params import init_params
 
@@ -227,48 +227,68 @@ class TestQueryBlocks:
         assert peak <= 8192 * rows, f"peak {peak} B is {peak / rows:.0f} B per row"
 
     @pytest.mark.parametrize("taped", [True, False])
-    def test_taped_and_captured_forwards_are_whole_row_calls(self, rng, monkeypatch, taped):
-        # above one block, and at N = 130 where blocks would round
-        # differently, a taped or captured encoder layer is one attention_fwd
-        # call on all N query rows, so training, its gradients and capture
-        # keep the bits of the dense map
+    def test_taped_forward_is_one_call_and_capture_runs_blocks(self, rng, monkeypatch, taped):
+        # at N = 130, where blocks round differently from one call on all N
+        # query rows, a taped layer is that one attention_fwd call, so
+        # training and its gradients keep the bits of the dense map; a
+        # captured layer runs the 128-row blocks that inference runs, and
+        # its map holds their weights
         cfg = ModelConfig().validate()
         params = init_params(cfg, 0)
         frames = 65
         rows = cfg.frame_ratio * frames
         audio = AudioInput.from_features(
             rng.normal(size=(rows, cfg.feature_dim)), cfg.feature_rate)
-        whole = []
+        calls = []
         fwd = ad.attention_fwd
 
         def spy(xd, wqd, kt, vh, wod, bias):
-            whole.append(fwd(xd, wqd, kt, vh, wod, bias))
-            return whole[-1]
-
-        def blocks(*args):
-            raise AssertionError("attention_blocks_fwd called on a taped or captured forward")
+            calls.append(fwd(xd, wqd, kt, vh, wod, bias))
+            return calls[-1]
 
         monkeypatch.setattr(ad, "attention_fwd", spy)
-        monkeypatch.setattr(ad, "attention_blocks_fwd", blocks)
         records = []
         if taped:
             with Tape():
                 encode(audio, frames, params, cfg)
+            blocks = [rows]
         else:
             encode(audio, frames, params, cfg, capture=records)
-        assert [w.shape for _, w, _ in whole] == [(cfg.encoder_heads, rows, rows)] * cfg.encoder_layers
+            blocks = [QUERY_BLOCK, rows - QUERY_BLOCK]
+        assert [w.shape for _, w, _ in calls] == (
+            [(cfg.encoder_heads, b, rows) for b in blocks] * cfg.encoder_layers)
         assert [(r.layer, r.step) for r in records] == (
             [] if taped else [(i, rows - 1) for i in range(cfg.encoder_layers)])
-        assert all(r.weights is w for r, (_, w, _) in zip(records, whole))
+        for i, r in enumerate(records):
+            layer = calls[i * len(blocks) : (i + 1) * len(blocks)]
+            assert r.weights.tobytes() == np.concatenate([w for _, w, _ in layer], axis=1).tobytes()
 
     def test_capture_does_not_change_the_motion(self, rng):
-        # N = 320 rows at T = 160: the captured forward's whole-row calls and
-        # the untaped forward's 128-row blocks give the same bytes
+        # the captured forward runs the untaped forward's blocks, so the
+        # bytes agree at N = 258 and 322, where the blocks round differently
+        # from one whole-row call, as at N = 320, where they round alike
         cfg = ModelConfig().validate()
         params = init_params(cfg, 0)
         params["motion_dec.w"] = Var(rng.normal(size=(cfg.dim, cfg.motion_dim)) * 0.1)
+        for frames in (129, 160, 161):
+            audio = AudioInput.from_features(
+                rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate)
+            captured = autoregress(audio, 0, frames, params, cfg, capture=[])
+            assert captured.tobytes() == autoregress(audio, 0, frames, params, cfg).tobytes(), frames
+
+    def test_captured_maps_are_the_whole_row_maps(self, rng):
+        # at N = 320 the blocks round as one call on all rows does, so the
+        # captured maps are those of the taped forward's whole-row calls
+        cfg = ModelConfig().validate()
+        params = init_params(cfg, 0)
         frames = 160
+        rows = cfg.frame_ratio * frames
         audio = AudioInput.from_features(
-            rng.normal(size=(cfg.frame_ratio * frames, cfg.feature_dim)), cfg.feature_rate)
-        captured = autoregress(audio, 0, frames, params, cfg, capture=[])
-        assert captured.tobytes() == autoregress(audio, 0, frames, params, cfg).tobytes()
+            rng.normal(size=(rows, cfg.feature_dim)), cfg.feature_rate)
+        whole, blocks = [], []
+        with Tape():
+            encode(audio, frames, params, cfg, capture=whole)
+        encode(audio, frames, params, cfg, capture=blocks)
+        assert [r.weights.shape for r in blocks] == (
+            [(cfg.encoder_heads, rows, rows)] * cfg.encoder_layers)
+        assert [r.weights.tobytes() for r in blocks] == [r.weights.tobytes() for r in whole]
